@@ -6,14 +6,21 @@ Times the real functional path against the pre-engine baseline:
   (``bitpack_fast.unpack_words_blocked``) vs the old per-element
   gather (``np.arange(n)`` + ``bitpack.gather``), across divisor and
   word-straddling widths;
+* **width sweep** — Melem/s of ``bitpack_fast.unpack_chunk_range`` for
+  every width 1..64, decoding the whole array in morsels of 4,096 /
+  65,536 elements and in one call, so a single width that regresses is
+  visible;
 * **scan** — serial superchunk ``count_in_range`` vs the same scan
   forced to chunk granularity (``superchunk=64``, the pre-engine loop
   shape), and the socket-parallel operators vs serial.
 
-Run as a script it writes ``benchmarks/results/scan_engine.txt``; under
+Run as a script it writes ``benchmarks/results/scan_engine.txt`` and the
+machine-readable ``benchmarks/results/BENCH_scan_engine.json``; under
 ``pytest --benchmark-only`` it times the same paths.
 """
 
+import json
+import os
 import time
 
 import numpy as np
@@ -28,12 +35,16 @@ from repro.runtime import (
 )
 
 try:
-    from .common import emit
+    from .common import RESULTS_DIR, emit
 except ImportError:  # pragma: no cover - script mode
-    from common import emit
+    from common import RESULTS_DIR, emit
 
 N = 1_000_000
 DECODE_BITS = (7, 13, 32, 33, 63)
+JSON_NAME = "BENCH_scan_engine.json"
+#: Whole chunks, so every morsel size divides the sweep evenly.
+SWEEP_N = 1 << 20
+SWEEP_MORSELS = (4_096, 65_536, SWEEP_N)
 
 
 def _data(bits, n=N):
@@ -68,6 +79,32 @@ def decode_report() -> str:
             f"{t_gather / t_blocked:>7.2f}x"
         )
     return "\n".join(lines)
+
+
+def width_sweep():
+    """Melem/s per width and morsel size: ``(text, {bits: {morsel: x}})``."""
+    n_chunks = SWEEP_N // bitpack.CHUNK_ELEMENTS
+    out = np.empty(SWEEP_N, dtype=np.uint64)
+    results = {}
+    lines = ["bits " + " ".join(f"{m:>11,}" for m in SWEEP_MORSELS)]
+    for bits in range(1, bitpack.WORD_BITS + 1):
+        values = _data(bits, SWEEP_N)
+        words = bitpack.pack_array(values, bits)
+        results[bits] = {}
+        for morsel in SWEEP_MORSELS:
+            step = morsel // bitpack.CHUNK_ELEMENTS
+
+            def decode():
+                for chunk in range(0, n_chunks, step):
+                    bitpack_fast.unpack_chunk_range(
+                        words, chunk, step, bits, out=out)
+
+            results[bits][morsel] = round(
+                SWEEP_N / _best_of(decode, repeats=3) / 1e6, 1)
+        np.testing.assert_array_equal(out, values)
+        lines.append(f"{bits:>4} " + " ".join(
+            f"{results[bits][m]:>11.1f}" for m in SWEEP_MORSELS))
+    return "\n".join(lines), results
 
 
 def scan_report() -> str:
@@ -147,13 +184,22 @@ def test_parallel_sum_blocked(benchmark):
 
 
 def main() -> None:
+    sweep_text, sweep = width_sweep()
     body = (
         f"Blocked all-width decode vs per-element gather "
         f"({N:,} elements, best of 5):\n{decode_report()}\n\n"
+        f"unpack_chunk_range Melem/s by morsel size ({SWEEP_N:,} elements, "
+        f"best of 3):\n{sweep_text}\n\n"
         f"{scan_report()}"
     )
     emit("Bulk-span scan engine — decode and scan throughput", body,
          "scan_engine.txt")
+    path = os.path.join(RESULTS_DIR, JSON_NAME)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"n_elements": SWEEP_N, "unit": "Melem/s",
+                   "unpack_melems_s": sweep}, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -39,7 +39,11 @@ from . import bitpack
 from .delta import FRAME_ELEMENTS, delta_frames, frames_for
 from .errors import CodecError, CodecWriteError, IndexOutOfRangeError
 from .smart_array import SmartArray, StorageGeneration
-from .bitpack_fast import unpack_array_fast, unpack_chunk_range
+from .bitpack_fast import (
+    chunk_output,
+    unpack_array_fast,
+    unpack_chunk_range,
+)
 from ..obs.trace import TRACER
 
 #: Every layout a storage generation can carry.
@@ -282,9 +286,7 @@ def decode_chunk_span(words, meta, first: int, count: int,
     regardless of layout.
     """
     n = count * bitpack.CHUNK_ELEMENTS
-    if out is None:
-        out = np.empty(n, dtype=np.uint64)
-    flat = out[:n]
+    flat = chunk_output(out, count)
     if count == 0:
         return flat
     start_el = first * bitpack.CHUNK_ELEMENTS

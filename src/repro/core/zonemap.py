@@ -37,18 +37,13 @@ from ..obs.trace import trace
 def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
     """Group sorted chunk indices into ``(first, count)`` runs of
     consecutive chunks, each at most ``max_run`` long."""
-    i = 0
-    n = chunks.size
-    while i < n:
-        j = i + 1
-        while (
-            j < n
-            and j - i < max_run
-            and chunks[j] == chunks[j - 1] + 1
-        ):
-            j += 1
-        yield int(chunks[i]), j - i
-        i = j
+    if chunks.size == 0:
+        return
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(chunks) != 1) + 1))
+    lengths = np.diff(starts, append=chunks.size)
+    for first, length in zip(chunks[starts].tolist(), lengths.tolist()):
+        for done in range(0, length, max_run):
+            yield first + done, min(max_run, length - done)
 
 
 class ZoneMap:

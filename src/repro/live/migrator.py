@@ -364,7 +364,7 @@ class Migration:
                 # a reader's unpin.
                 try:
                     _allocator.free(gen.allocation)
-                except (AllocationError, ValueError):
+                except AllocationError:
                     pass
         else:
             # In-place page moves: same allocation, new placement label,
@@ -389,7 +389,7 @@ class Migration:
         if self._new_allocation is not None:
             try:
                 self.migrator.allocator.free(self._new_allocation)
-            except (AllocationError, ValueError):
+            except AllocationError:
                 pass
             self._new_allocation = None
         self.array._migration = None

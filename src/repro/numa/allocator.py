@@ -25,9 +25,13 @@ from .pages import MemoryLedger, PageMap
 from .topology import MachineSpec
 
 
-@dataclass
+@dataclass(eq=False)
 class Allocation:
     """One logical smart-array allocation: replicas plus page maps.
+
+    Allocations compare by identity: two handles are the same allocation
+    only if they are the same object (field-wise equality would compare
+    the word buffers element by element).
 
     ``buffers[i]`` is the word storage of replica ``i`` and
     ``page_maps[i]`` its physical placement.  Non-replicated placements
@@ -143,10 +147,15 @@ class NumaAllocator:
         """Release an allocation's pages back to the ledger."""
         if allocation.freed:
             raise AllocationError("allocation already freed")
+        try:
+            self._live.remove(allocation)
+        except ValueError:
+            raise AllocationError(
+                "allocation was not made by this allocator"
+            ) from None
         for pm in allocation.page_maps:
             self.ledger.release(pm)
         allocation.freed = True
-        self._live.remove(allocation)
 
     # -- introspection ----------------------------------------------------
 

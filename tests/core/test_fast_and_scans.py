@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import allocate, bitpack
 from repro.core.bitpack_fast import (
-    DIVISOR_WIDTHS,
-    is_divisor_width,
     pack_words_blocked,
     unpack_array_fast,
     unpack_words_blocked,
@@ -21,6 +19,10 @@ from repro.core.scan_ops import (
     select_where,
 )
 from repro.numa import NumaAllocator, machine_2x8_haswell
+
+
+#: Widths with whole elements per word (pack keeps a per-word path).
+DIVISOR_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 
 
 @pytest.fixture
@@ -52,9 +54,7 @@ class TestBlockedFastPath:
 
     @pytest.mark.parametrize("bits", [3, 10, 33, 63])
     def test_non_divisor_widths_supported(self, bits):
-        # The blocked kernels cover every width now; the divisor set
-        # only selects the cheaper per-word slot layout.
-        assert not is_divisor_width(bits)
+        assert bits not in DIVISOR_WIDTHS
         rng = np.random.default_rng(bits)
         values = rng.integers(0, 1 << bits, size=333, dtype=np.uint64)
         words = pack_words_blocked(values, bits)

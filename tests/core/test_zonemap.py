@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import allocate
 from repro.core.scan_ops import count_in_range, select_in_range
-from repro.core.zonemap import ZoneMap
+from repro.core.zonemap import ZoneMap, _chunk_runs
 from repro.numa import NumaAllocator, machine_2x8_haswell
 
 
@@ -98,3 +99,47 @@ class TestZoneScans:
         assert zm.count_in_range(200, 400) == int(
             ((values >= 200) & (values < 400)).sum()
         )
+
+
+def chunk_runs_loop(chunks, max_run):
+    """The chunk-at-a-time loop ``_chunk_runs`` replaced (reference)."""
+    i = 0
+    while i < chunks.size:
+        j = i + 1
+        while (j < chunks.size and j - i < max_run
+               and chunks[j] == chunks[j - 1] + 1):
+            j += 1
+        yield int(chunks[i]), j - i
+        i = j
+
+
+class TestChunkRuns:
+    @pytest.mark.parametrize("chunks, max_run, expected", [
+        ([], 4, []),
+        ([7], 4, [(7, 1)]),
+        ([0, 1, 2, 3], 4, [(0, 4)]),                    # exactly max_run
+        ([0, 1, 2, 3, 4], 4, [(0, 4), (4, 1)]),         # one over
+        ([3, 4, 5, 6, 7, 8, 9, 10, 11], 4, [(3, 4), (7, 4), (11, 1)]),
+        ([0, 1, 5, 6, 7, 20], 4, [(0, 2), (5, 3), (20, 1)]),   # gaps
+        ([2, 3, 4, 9], 1, [(2, 1), (3, 1), (4, 1), (9, 1)]),
+    ])
+    def test_cases(self, chunks, max_run, expected):
+        chunks = np.asarray(chunks, dtype=np.int64)
+        runs = list(_chunk_runs(chunks, max_run))
+        assert runs == expected == list(chunk_runs_loop(chunks, max_run))
+        assert all(type(first) is int and type(count) is int
+                   for first, count in runs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(0, 300)), st.integers(1, 12),
+           st.sampled_from([np.int64, np.intp, np.uint64]))
+    def test_matches_the_loop_it_replaced(self, chunks, max_run, dtype):
+        chunks = np.array(sorted(chunks), dtype=dtype)
+        runs = list(_chunk_runs(chunks, max_run))
+        assert runs == list(chunk_runs_loop(chunks, max_run))
+        # The contract the executor relies on: ascending, disjoint,
+        # bounded, and covering exactly the candidates.
+        assert all(1 <= count <= max_run for _first, count in runs)
+        covered = [c for first, count in runs
+                   for c in range(first, first + count)]
+        assert covered == chunks.tolist()

@@ -315,6 +315,26 @@ class TestGenerationPinning:
         drained = free_per_socket(allocator)
         assert sum(drained) > sum(held)
 
+    def test_migrate_cycles_leak_no_allocation(self, allocator, migrator):
+        # Other arrays sit before this one in the allocator's live list,
+        # so freeing a retired generation has to find it by identity
+        # (field-wise equality compared word buffers and raised, and the
+        # migrator swallowed that — every cycle leaked an allocation).
+        others = [make(allocator, data(500, 20, seed=s), bits=20)
+                  for s in range(3)]
+        values = data(5000, 20)
+        arr = make(allocator, values, bits=20)
+        live0, used0 = allocator.live_allocations, allocator.used_bytes()
+        for _ in range(3):
+            for bits in (32, 20):
+                migration = migrator.migrate(
+                    arr, Configuration(Placement.interleaved(), bits))
+                assert migration.state == "completed"
+                assert allocator.live_allocations == live0
+        assert allocator.used_bytes() == used0
+        assert np.array_equal(arr.to_numpy(), values)
+        assert all(o.length == 500 for o in others)
+
     def test_iterator_spans_one_generation(self, allocator, migrator):
         from repro.core.iterators import SmartArrayIterator
 

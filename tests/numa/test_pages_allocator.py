@@ -171,6 +171,26 @@ class TestNumaAllocator:
         with pytest.raises(AllocationError):
             alloc.free(a)
 
+    def test_free_finds_a_later_allocation_by_identity(self, machine):
+        alloc = NumaAllocator(machine)
+        a = alloc.allocate_words(16, Placement.interleaved())
+        used = alloc.used_bytes()
+        b = alloc.allocate_words(16, Placement.interleaved())
+        alloc.free(b)  # used to compare b's buffers with a's and raise
+        assert alloc.live_allocations == 1
+        assert alloc.used_bytes() == used
+        assert a != b and len({a, b}) == 2
+
+    def test_foreign_allocation_rejected_untouched(self, machine):
+        ours, theirs = NumaAllocator(machine), NumaAllocator(machine)
+        a = theirs.allocate_words(16, Placement.interleaved())
+        ours.allocate_words(16, Placement.interleaved())
+        used = ours.used_bytes()
+        with pytest.raises(AllocationError, match="not made by"):
+            ours.free(a)
+        assert not a.freed and ours.used_bytes() == used
+        theirs.free(a)
+
     def test_negative_words_rejected(self, machine):
         with pytest.raises(AllocationError):
             NumaAllocator(machine).allocate_words(-1, Placement.interleaved())
