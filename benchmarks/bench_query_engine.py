@@ -19,6 +19,13 @@ Both a **selective** predicate (~1% of rows; zone maps prune almost
 everything) and a **non-selective** one (~50%) run serially and on an
 8-worker pool with dynamic batch claiming.
 
+A second section times whole-table ``GROUP BY key, SUM(amount)`` at 12
+and 50,000 distinct keys: the eager ``SmartTable.group_by_sum``, the
+interpreted per-span sort-and-slice fold (the baseline: one argsort,
+one ``np.unique`` and a Python fold per group per 4,096-row span — the
+loop ``group_by_sum`` itself ran before it moved onto the kernels'
+grouped reduce), and the compiled group-by kernel, serial and pooled.
+
 Run as a script it writes ``benchmarks/results/query_engine.txt`` plus
 machine-readable ``benchmarks/results/BENCH_query_engine.json`` (per
 config: seconds, rows/s, speedup vs the interpreted fused path); under
@@ -49,6 +56,10 @@ N_PYTEST = 200_000
 KEY_BITS = 32
 WORKERS = 8
 JSON_NAME = "BENCH_query_engine.json"
+#: ``(column, distinct keys)``: a bincount-sized key and one that makes
+#: every 4,096-row span nearly all-distinct.
+GROUP_KEYS = (("region", 12), ("account", 50_000))
+SLOW_RUN_S = 2.0
 
 
 def _table(n):
@@ -81,6 +92,87 @@ def _best_of(fn, repeats=3):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _tabulate(title, runs, timings, n, **tag):
+    """One result table: (text lines, JSON rows carrying ``tag``)."""
+    lines = [
+        "",
+        f"{title}:",
+        f"  {'config':<24} {'time (ms)':>10} {'Mrows/s':>9} "
+        f"{'vs interpreted':>15}",
+    ]
+    rows = []
+    for mode, execution, _ in runs:
+        t = timings[(mode, execution)]
+        speedup = timings[("interpreted", execution)] / t
+        rows.append({
+            **tag,
+            "mode": mode,
+            "execution": execution,
+            "seconds": round(t, 6),
+            "rows_per_s": round(n / t, 1),
+            "speedup_vs_interpreted": round(speedup, 3),
+        })
+        lines.append(
+            f"  {execution + ' ' + mode:<24} {t * 1e3:>10.1f} "
+            f"{n / t / 1e6:>9.1f} {speedup:>14.2f}x"
+        )
+    return lines, rows
+
+
+def _group_table(n):
+    rng = np.random.default_rng(11)
+    data = {"amount": rng.integers(0, 1 << 20, n).astype(np.uint64)}
+    for name, distinct in GROUP_KEYS:
+        data[name] = rng.integers(0, distinct, n).astype(np.uint64)
+    return SmartTable.from_arrays(data, replicated=True), data
+
+
+def _group_runs(table, key, pool):
+    q = Query(table).group_by(key).sum("amount")
+
+    def fluent(**knobs):
+        return lambda: {k: aggs["sum(amount)"]
+                        for k, aggs in q.run(**knobs).groups.items()}
+
+    return (
+        ("eager", "serial", lambda: table.group_by_sum(key, "amount")),
+        ("interpreted", "serial", fluent(codegen="off")),
+        ("compiled", "serial", fluent(codegen="on")),
+        ("interpreted", "parallel", fluent(pool=pool, codegen="off")),
+        ("compiled", "parallel", fluent(pool=pool, codegen="on")),
+    )
+
+
+def group_by_report(n, pool):
+    """Group-by section: (text lines, JSON config rows)."""
+    table, data = _group_table(n)
+    lines = [
+        "",
+        f"GROUP BY key, SUM(amount) over {n:,} rows (whole table; "
+        f"best of 3, or the checked run alone when it took over "
+        f"{SLOW_RUN_S:.0f} s):",
+    ]
+    configs = []
+    for key, distinct in GROUP_KEYS:
+        sums = np.bincount(data[key].astype(np.intp),
+                           weights=data["amount"].astype(np.float64),
+                           minlength=distinct)
+        expected = {k: int(sums[k]) for k in np.unique(data[key]).tolist()}
+        runs = _group_runs(table, key, pool)
+        timings = {}
+        for mode, execution, fn in runs:
+            t0 = time.perf_counter()
+            assert fn() == expected, (key, mode, execution)
+            checked = time.perf_counter() - t0
+            timings[(mode, execution)] = (
+                checked if checked > SLOW_RUN_S else _best_of(fn))
+        table_lines, rows = _tabulate(f"{distinct:,} distinct keys", runs,
+                                      timings, n, distinct_keys=distinct)
+        lines += table_lines
+        configs += rows
+    return lines, configs
 
 
 def report(n=N_SCRIPT):
@@ -127,28 +219,10 @@ def report(n=N_SCRIPT):
             assert fn() == expected, (label, mode, execution)
             timings[(mode, execution)] = _best_of(fn)
 
-        lines += [
-            "",
-            f"{label}:",
-            f"  {'config':<24} {'time (ms)':>10} {'Mrows/s':>9} "
-            f"{'vs interpreted':>15}",
-        ]
-        for mode, execution, _ in runs:
-            t = timings[(mode, execution)]
-            base = timings[("interpreted", execution)]
-            speedup = base / t
-            results["configs"].append({
-                "predicate": label,
-                "mode": mode,
-                "execution": execution,
-                "seconds": round(t, 6),
-                "rows_per_s": round(n / t, 1),
-                "speedup_vs_interpreted": round(speedup, 3),
-            })
-            lines.append(
-                f"  {execution + ' ' + mode:<24} {t * 1e3:>10.1f} "
-                f"{n / t / 1e6:>9.1f} {speedup:>14.2f}x"
-            )
+        table_lines, rows = _tabulate(label, runs, timings, n,
+                                      predicate=label)
+        lines += table_lines
+        results["configs"] += rows
         if label.startswith("selective"):
             acceptance = (timings[("interpreted", "serial")]
                           / timings[("compiled", "serial")])
@@ -164,6 +238,11 @@ def report(n=N_SCRIPT):
         f"({plan.morsels_pruned:,}/{len(plan.morsels):,} morsels pruned)",
         f"selective serial compiled vs interpreted: "
         f"{acceptance:.2f}x (acceptance target >= 1.5x)",
+    ]
+    del plan, q, table, data  # the group-by table is as large again
+    group_lines, results["group_by"] = group_by_report(n, pool)
+    lines += group_lines
+    lines += [
         "",
         "parallel runs use the simulated-NUMA threads pool; Python-"
         "level wall-clock",

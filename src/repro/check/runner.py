@@ -371,8 +371,9 @@ class CaseRunner:
         the default — runs interpreted then compiled for every shape
         the kernel template supports), every path is checked against
         the oracle *and* against the exact per-path accounting deltas,
-        and the paths' results must be bit-identical to each other —
-        a miscompiled kernel diverges here with kind ``"codegen"``.
+        and the paths' results (aggregates or groups, key order
+        included) must be bit-identical to each other — a miscompiled
+        kernel diverges here with kind ``"codegen"``.
         """
         spec = self.case.spec
         pool = self._pool_for_case() if par else None
@@ -394,6 +395,20 @@ class CaseRunner:
                     "codegen",
                     f"{op.name}: codegen='on' planned mode "
                     f"{result.plan.mode!r}")
+            # Twin first: the interpreted run already matched the
+            # oracle, so a mismatch here is the kernel's.  Aggregates
+            # and groups each stay empty for the other result kind.
+            if baseline is None:
+                baseline = result
+            elif (result.aggregates != baseline.aggregates
+                  or list(result.groups.items())
+                  != list(baseline.groups.items())):
+                raise _Divergence(
+                    "codegen",
+                    f"{op.name}: compiled "
+                    f"{_fmt(result.aggregates or result.groups)} != "
+                    f"interpreted "
+                    f"{_fmt(baseline.aggregates or baseline.groups)}")
             if result.kind == "aggregate":
                 self._compare(tuple(result.aggregates.values()), expected,
                               f"{op.name}[{result.plan.mode}]")
@@ -427,14 +442,6 @@ class CaseRunner:
                 delta["v_unpacks"] = expected_chunks
                 delta["v_replica_reads"] = 64 * expected_chunks
             self._check_stats(before, delta, f"{op.name}[{plan.mode}]")
-            if baseline is None:
-                baseline = result
-            elif result.aggregates != baseline.aggregates:
-                raise _Divergence(
-                    "codegen",
-                    f"{op.name}: compiled aggregates "
-                    f"{_fmt(result.aggregates)} != interpreted "
-                    f"{_fmt(baseline.aggregates)}")
 
     # -- op execution ------------------------------------------------------
 

@@ -212,10 +212,11 @@ def _slot_layout(bits: int):
 def pack_words_blocked(values: np.ndarray, bits: int) -> np.ndarray:
     """The inverse kernel: pack ``values`` slot by slot, any width.
 
-    Bit-identical to :func:`repro.core.bitpack.pack_array` (and to
-    repeated paper Function 2 writes on a zeroed buffer), but built from
-    fixed per-slot OR passes over the ``(n_chunks, bits)`` word grid
-    instead of per-element ``ufunc.at`` scatter.
+    Bit-identical to repeated paper Function 2 writes on a zeroed
+    buffer, but built from fixed per-slot OR passes over the
+    ``(n_chunks, bits)`` word grid instead of the per-element
+    ``ufunc.at`` scatter :func:`repro.core.bitpack.pack_array` keeps for
+    inputs up to one superchunk (it dispatches here above that).
     """
     bits = bitpack.check_bits(bits)
     values = np.ascontiguousarray(values, dtype=np.uint64)

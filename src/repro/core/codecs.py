@@ -44,7 +44,6 @@ from .bitpack_fast import (
     unpack_array_fast,
     unpack_chunk_range,
 )
-from ..obs.trace import TRACER
 
 #: Every layout a storage generation can carry.
 CODECS = ("bitpack", "dict", "rle", "delta")
@@ -613,30 +612,10 @@ class CodecArray(SmartArray):
 
     # -- bulk API -----------------------------------------------------------
 
-    def decode_chunks(self, chunk: int, n_chunks: int, replica=None,
-                      out=None) -> np.ndarray:
-        total_chunks = bitpack.chunks_for(self._length)
-        if n_chunks < 0:
-            raise ValueError(f"n_chunks must be >= 0, got {n_chunks}")
-        if chunk < 0:
-            raise IndexOutOfRangeError(chunk, total_chunks)
-        if chunk + n_chunks > total_chunks:
-            raise IndexOutOfRangeError(chunk + n_chunks, total_chunks)
-        gen, buf = self._read_view(replica)
-        if TRACER.enabled and TRACER.current_span() is not None:
-            with TRACER.span(
-                "scan.superchunk_decode", array=self.stats.array_label,
-                chunk=chunk, n_chunks=n_chunks, bits=gen.bits,
-            ):
-                return self._decode_span(gen, buf, chunk, n_chunks, out)
-        return self._decode_span(gen, buf, chunk, n_chunks, out)
-
-    def _decode_span(self, gen, buf, chunk, n_chunks, out):
-        self.stats.note_superchunk_decode(n_chunks)
-        self._note_replica_read(buf, n_chunks * bitpack.CHUNK_ELEMENTS, gen)
-        if gen.codec == "bitpack":
-            return unpack_chunk_range(buf, chunk, n_chunks, gen.bits, out=out)
-        return decode_chunk_span(buf, gen.meta, chunk, n_chunks, out=out)
+    # ``decode_chunks`` is inherited: the base resolves the layout from
+    # the pinned generation alone, so a bound ``decode_chunks`` held
+    # across a live migration's class swap (a compiled kernel keeps one
+    # per morsel) never looks up a method the new class lacks.
 
     def to_numpy(self, replica=None) -> np.ndarray:
         gen, buf = self._read_view(replica)

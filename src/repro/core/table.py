@@ -257,30 +257,28 @@ class SmartTable:
 
         Streams both columns one superchunk span at a time through the
         blocked kernel — peak extra memory is two span buffers, not two
-        decoded columns — accumulating exact per-group partial sums
-        (bincount would wrap uint64).
+        decoded columns — folding each span pair through the grouped
+        reduce compiled query kernels use
+        (:func:`repro.query.codegen.group_fold`), specialized on the
+        widths the span's own values need: exact under any concurrent
+        migration, since no storage width read apart from the decode is
+        trusted.
         """
-        from .map_api import iter_spans
-        from ..runtime.loops import _exact_sum
+        from ..query.codegen import group_fold
+        from .map_api import SUPERCHUNK_ELEMENTS, iter_spans
 
-        key_col = self.column(key)
-        value_col = self.column(value)
-        out: Dict[int, int] = {}
+        groups: Dict[int, List[int]] = {}
         # Each generator owns its buffer, so zipping spans is safe.
         for (_, keys), (_, values) in zip(
-            iter_spans(key_col), iter_spans(value_col)
+            iter_spans(self.column(key)), iter_spans(self.column(value))
         ):
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            sorted_vals = values[order]
-            uniq, starts = np.unique(sorted_keys, return_index=True)
-            bounds = np.append(starts, keys.size)
-            for g in range(uniq.size):
-                k = int(uniq[g])
-                out[k] = out.get(k, 0) + _exact_sum(
-                    sorted_vals[bounds[g]:bounds[g + 1]]
-                )
-        return dict(sorted(out.items()))
+            group_fold(
+                bitpack.max_bits_needed(keys),
+                (bitpack.max_bits_needed(values),),
+                (("sum", 0),),
+                SUPERCHUNK_ELEMENTS,
+            ).fn(groups, keys, values)
+        return {k: groups[k][0] for k in sorted(groups)}
 
     # -- accounting ------------------------------------------------------------
 

@@ -341,7 +341,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                     args += (table[name].decode_chunks,
                              replicas[name], bufs[name])
                 (part.rows_scanned, part.rows_matched,
-                 part.decoded_chunks, part.agg) = kernel.fn(
+                 part.decoded_chunks, part.agg, part.groups) = kernel.fn(
                     list(_chunk_runs(candidates, max_chunks)),
                     n_rows, *args,
                 )

@@ -370,7 +370,7 @@ def plan_query(
     disables pruning.
 
     ``codegen`` controls fused-kernel compilation: ``"auto"`` compiles
-    every supported shape (aggregates without ``group_by``), ``"on"``
+    every supported shape (aggregates, grouped or not), ``"on"``
     errors when the shape cannot compile, ``"off"`` always interprets.
     ``None`` defers to :meth:`Query.codegen`, then the
     ``REPRO_QUERY_CODEGEN`` env var, then ``"auto"``.

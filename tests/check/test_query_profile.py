@@ -158,6 +158,39 @@ class TestPlantedBugs:
         assert not report.ok
         assert report.failures[0].kind == "result"
 
+    @pytest.mark.parametrize("forced,kind", [
+        ("both", "codegen"),
+        # No interpreted twin to diff against: the oracle compare
+        # reports it, as for the miscompiled constant above.
+        ("on", "result"),
+    ])
+    def test_detects_miscompiled_group_sum(self, monkeypatch, forced, kind):
+        # A grouped reduce that keeps only the low limb of a wide sum
+        # still gets keys and counts right; only the group *values*
+        # differ, which the aggregates-only twin comparison was blind
+        # to (group results leave ``aggregates`` empty on both paths).
+        import repro.query.codegen as codegen
+
+        orig = codegen._sum_limbs
+        # group_fold memoizes per width specialization: a fold built
+        # from the patched limbs must not outlive the patch.
+        codegen.group_fold.cache_clear()
+        monkeypatch.setattr(
+            codegen, "_sum_limbs",
+            lambda bits, max_elements: orig(bits, max_elements)[:1],
+        )
+        try:
+            report = run_check(seed=0, ops=400, profile="query",
+                               max_failures=1, codegen=forced)
+        finally:
+            codegen.group_fold.cache_clear()
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.op.name == "query_group_sum"
+        assert failure.kind == kind
+        monkeypatch.setattr(codegen, "_sum_limbs", orig)
+        assert run_case(failure.case, codegen=forced) is None
+
     def test_replay_line_names_profile(self, monkeypatch):
         import repro.query.executor as executor
 

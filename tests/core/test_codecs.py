@@ -166,6 +166,31 @@ class TestCodecMigrations:
         arr[0] = 12345
         assert arr.get(0) == 12345
 
+    @pytest.mark.parametrize("source,target", [
+        ("dict", "bitpack"), ("bitpack", "dict"), ("dict", "rle"),
+    ])
+    def test_bound_decode_survives_the_class_swap(self, allocator, migrator,
+                                                  source, target):
+        # A compiled kernel holds ``array.decode_chunks`` (bound) and a
+        # pinned generation's buffer for a whole morsel.  A migration
+        # committing mid-morsel swaps the array's concrete class; the
+        # held method must keep decoding the pinned generation instead
+        # of reaching for a method only the old class had.
+        values = low_cardinality(640, seed=19)
+        arr = allocate(len(values), codec=source, values=values,
+                       allocator=allocator)
+        decode = arr.decode_chunks
+        gen = arr.pin_generation()
+        try:
+            m = migrator.migrate(
+                arr, Configuration(Placement.interleaved(), 64, target))
+            assert m.state == "completed"
+            np.testing.assert_array_equal(
+                decode(0, 10, replica=gen.buffer_for_socket(0)), values)
+        finally:
+            gen.unpin()
+        np.testing.assert_array_equal(arr.decode_chunks(0, 10), values)
+
     def test_codec_to_codec(self, allocator, migrator):
         values = runs(600, seed=13)
         arr = allocate(len(values), codec="dict", values=values,

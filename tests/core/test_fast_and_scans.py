@@ -30,6 +30,16 @@ def allocator():
     return NumaAllocator(machine_2x8_haswell())
 
 
+def pack_scalar(values, bits):
+    """Paper Function 2, one element at a time: the oracle both bulk
+    packers answer to (``pack_array`` dispatches to the blocked one for
+    bulk inputs, so the two cannot vouch for each other)."""
+    words = np.zeros(bitpack.words_for(len(values), bits), dtype=np.uint64)
+    for i, v in enumerate(values):
+        bitpack.init_scalar([words], i, int(v), bits)
+    return words
+
+
 class TestBlockedFastPath:
     @pytest.mark.parametrize("bits", DIVISOR_WIDTHS)
     def test_blocked_unpack_matches_generic(self, bits):
@@ -48,9 +58,11 @@ class TestBlockedFastPath:
         hi = (1 << bits) - 1
         values = rng.integers(0, hi + 1 if hi < 2**63 else 2**63, size=200,
                               dtype=np.uint64)
-        np.testing.assert_array_equal(
-            pack_words_blocked(values, bits), bitpack.pack_array(values, bits)
-        )
+        expected = pack_scalar(values, bits)
+        np.testing.assert_array_equal(pack_words_blocked(values, bits),
+                                      expected)
+        np.testing.assert_array_equal(bitpack.pack_array(values, bits),
+                                      expected)
 
     @pytest.mark.parametrize("bits", [3, 10, 33, 63])
     def test_non_divisor_widths_supported(self, bits):
@@ -58,6 +70,7 @@ class TestBlockedFastPath:
         rng = np.random.default_rng(bits)
         values = rng.integers(0, 1 << bits, size=333, dtype=np.uint64)
         words = pack_words_blocked(values, bits)
+        np.testing.assert_array_equal(words, pack_scalar(values, bits))
         np.testing.assert_array_equal(words, bitpack.pack_array(values, bits))
         np.testing.assert_array_equal(
             unpack_words_blocked(words, 333, bits), values
@@ -77,6 +90,24 @@ class TestBlockedFastPath:
     def test_overflow_detected(self):
         with pytest.raises(ValueOverflowError):
             pack_words_blocked(np.array([256], dtype=np.uint64), 8)
+
+    @pytest.mark.parametrize("bits", [1, 7, 20, 32, 33, 63, 64])
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8192])
+    def test_pack_array_either_side_of_the_bulk_dispatch(self, bits, n):
+        # Up to one superchunk pack_array scatters per element, above
+        # it the blocked kernel takes over: same words either way.
+        rng = np.random.default_rng([bits, n])
+        values = rng.integers(0, 1 << min(bits, 63), size=n, dtype=np.uint64)
+        values[-1] = (1 << bits) - 1
+        np.testing.assert_array_equal(bitpack.pack_array(values, bits),
+                                      pack_scalar(values, bits))
+
+    @pytest.mark.parametrize("n", [10, 5000])
+    def test_pack_array_overflow_either_side(self, n):
+        values = np.zeros(n, dtype=np.uint64)
+        values[n // 2] = 1 << 20
+        with pytest.raises(ValueOverflowError):
+            bitpack.pack_array(values, 20)
 
     def test_empty(self):
         assert unpack_words_blocked(np.zeros(0, dtype=np.uint64), 0, 8).size == 0

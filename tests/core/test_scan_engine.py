@@ -80,8 +80,10 @@ class TestBlockedKernelsAllWidths:
     def test_roundtrip_every_shape(self, bits, length):
         values = random_values(length, bits)
         words = bitpack_fast.pack_words_blocked(values, bits)
+        expected = pack_scalar_reference(values, bits)
+        np.testing.assert_array_equal(words, expected)
         np.testing.assert_array_equal(
-            words, bitpack.pack_array(values, bits)
+            bitpack.pack_array(values, bits), expected
         )
         np.testing.assert_array_equal(
             bitpack_fast.unpack_words_blocked(words, length, bits), values

@@ -106,6 +106,29 @@ class TestQueries:
             )
             assert result[int(region)] == expected
 
+    @pytest.mark.parametrize("key_bits,value_bits", [
+        (4, 64), (16, 41), (17, 40), (64, 64), (1, 1),
+    ])
+    def test_group_by_sum_exact_at_every_width(self, key_bits, value_bits):
+        # Spans fold through the query kernels' grouped reduce, sized on
+        # each span's own values: wide keys, sums past 2**64, and spans
+        # whose widths differ (the low half of the table is narrow).
+        rng = np.random.default_rng([key_bits, value_bits])
+        n = 10_000
+        keys = rng.integers(0, 6, n, dtype=np.uint64) << np.uint64(
+            key_bits - min(key_bits, 3))
+        values = np.uint64((1 << value_bits) - 1) - rng.integers(
+            0, 2, n, dtype=np.uint64)
+        keys[:n // 2] &= np.uint64(1)
+        values[:n // 2] &= np.uint64(0xFF)
+        t = SmartTable.from_arrays({"k": keys, "v": values})
+        expected = {}
+        for k, v in zip(keys.tolist(), values.tolist()):
+            expected[k] = expected.get(k, 0) + v
+        result = t.group_by_sum("k", "v")
+        assert list(result.items()) == sorted(expected.items())
+        assert all(type(total) is int for total in result.values())
+
     def test_filter_range_matches_filter(self, table):
         t, data = table
         fast = t.filter_range("price", 1000, 5000)

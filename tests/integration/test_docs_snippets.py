@@ -1,7 +1,11 @@
 """Documentation honesty: the README/API snippets must actually run."""
 
+import os
+
 import numpy as np
 import pytest
+
+DOCS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "docs")
 
 
 class TestReadmeQuickstart:
@@ -178,6 +182,18 @@ class TestApiGuideSnippets:
         assert plan.mode == "interpreted"
         assert plan.codegen_reason is not None
         assert "execution mode: interpreted" in plan.explain()
+
+        # The group-by kernel the section prints is the generated one.
+        t3 = SmartTable.from_arrays(
+            {"ts": ts, "amount": amount, "region": amount % np.uint64(4)},
+            replicated=True,
+        )
+        g = (Query(t3).where(in_range("ts", 10_000, 20_000))
+             .group_by("region").sum("amount").count())
+        assert g.run().stats.mode == "compiled"
+        assert g.run().groups == g.run(codegen="off").groups
+        with open(os.path.join(DOCS_DIR, "API.md"), encoding="utf-8") as fh:
+            assert g.plan().kernel.source in fh.read()
 
         # The section's execution-detail notes: constant comparisons
         # fail at construction; limit() skips morsels once satisfied.

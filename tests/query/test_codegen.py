@@ -269,13 +269,15 @@ class TestKnobs:
         assert rows.mode == "interpreted"
         assert "row queries" in rows.codegen_reason
         grouped = Query(t).group_by("k").sum("v").plan()
-        assert grouped.mode == "interpreted"
-        assert "group_by" in grouped.codegen_reason
+        assert grouped.mode == "compiled"
+        assert grouped.codegen_reason is None
 
     def test_forcing_on_for_unsupported_shape_errors(self):
         t, k, v = make_table(13, seed=16)
         with pytest.raises(ValueError, match="cannot compile"):
-            Query(t).group_by("k").sum("v").plan(codegen="on")
+            Query(t).where(col("k") >= 5).select("v").plan(codegen="on")
+        assert Query(t).group_by("k").sum("v").plan(codegen="on").mode == \
+            "compiled"
         with pytest.raises(ValueError, match="codegen mode"):
             Query(t).sum("v").codegen("sometimes")
 
@@ -283,7 +285,7 @@ class TestKnobs:
         t, k, v = make_table(13, seed=17)
         assert unsupported_reason(Query(t).sum("v")) is None
         assert unsupported_reason(Query(t).select("v")) is not None
-        assert unsupported_reason(Query(t).group_by("k").count()) is not None
+        assert unsupported_reason(Query(t).group_by("k").count()) is None
 
     def test_compiled_default_morsel_is_larger(self):
         t, k, v = make_table(13, seed=18)
@@ -327,3 +329,272 @@ class TestExplainAndCache:
         assert plan.needed_columns == ()
         result = Query(t).count().run(codegen="on")
         assert result["count(*)"] == 0
+
+
+# -- group-by kernels ------------------------------------------------------
+
+GROUP_N = 3000
+KEY_BITS = (1, 4, 12, 16, 17, 33, 64)
+VALUE_BITS = (7, 20, 33, 36, 37, 38, 63, 64)
+AGGREGATES = {
+    "sum(v)": lambda q: q.sum("v"),
+    "count(*)": lambda q: q.count(),
+    "min(v)": lambda q: q.min("v"),
+    "max(v)": lambda q: q.max("v"),
+    "mean(v)": lambda q: q.mean("v"),
+}
+
+
+def random_column(rng, bits, n):
+    """``n`` values spanning the whole ``bits``-wide domain."""
+    if bits == 64:
+        out = rng.integers(0, 1 << 63, n, dtype=np.uint64) * np.uint64(2)
+        out += rng.integers(0, 2, n, dtype=np.uint64)
+    else:
+        out = rng.integers(0, 1 << bits, n, dtype=np.uint64)
+    out[0], out[1] = 0, (1 << bits) - 1
+    return out
+
+
+def group_table(key_bits, value_bits, n=GROUP_N, seed=0, codecs=None):
+    rng = np.random.default_rng([seed, key_bits, value_bits])
+    k = random_column(rng, key_bits, n)
+    v = random_column(rng, value_bits, n)[::-1].copy()
+    t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True,
+                               codecs=codecs)
+    assert t["k"].value_bits == key_bits and t["v"].value_bits == value_bits
+    return t, k, v
+
+
+def oracle_groups(k, v, mask, names=tuple(AGGREGATES)):
+    """Plain NumPy/Python grouping: exact Python-int sums, keys sorted."""
+    members = {}
+    for key, value in zip(k[mask].tolist(), v[mask].tolist()):
+        members.setdefault(key, []).append(value)
+    fold = {
+        "sum(v)": sum,
+        "count(*)": len,
+        "min(v)": min,
+        "max(v)": max,
+        "mean(v)": lambda vals: sum(vals) / len(vals),
+    }
+    return {key: {name: fold[name](members[key]) for name in names}
+            for key in sorted(members)}
+
+
+def grouped(t, names=tuple(AGGREGATES), predicate=None):
+    q = Query(t).group_by("k")
+    if predicate is not None:
+        q = q.where(predicate)
+    for name in names:
+        q = AGGREGATES[name](q)
+    return q
+
+
+def assert_groups_identical(a, b):
+    """Same keys in the same order, same Python-int partials."""
+    assert list(a.items()) == list(b.items())
+    for aggs in a.values():
+        for name, value in aggs.items():
+            expected = float if name.startswith("mean") else int
+            assert type(value) is expected, (name, value)
+
+
+def assert_grouped_paths(t, k, v, predicate, mask, names=tuple(AGGREGATES),
+                         **run):
+    compiled = grouped(t, names, predicate).run(codegen="on", **run)
+    interpreted = grouped(t, names, predicate).run(codegen="off", **run)
+    assert compiled.stats.mode == "compiled"
+    assert interpreted.stats.mode == "interpreted"
+    assert_groups_identical(compiled.groups, interpreted.groups)
+    assert_groups_identical(compiled.groups,
+                            oracle_groups(k, v, mask, names))
+    assert compiled.stats.decoded_chunks == interpreted.stats.decoded_chunks
+    assert compiled.stats.rows_matched == int(mask.sum())
+    return compiled
+
+
+class TestGroupByWidths:
+    @pytest.mark.parametrize("value_bits", VALUE_BITS)
+    @pytest.mark.parametrize("key_bits", KEY_BITS)
+    def test_every_aggregate_and_predicate_shape(self, key_bits, value_bits):
+        t, k, v = group_table(key_bits, value_bits)
+        t.build_zone_map("v")
+        top = (1 << value_bits) - 1
+        shapes = [
+            (None, np.ones(GROUP_N, dtype=bool), None),
+            (in_range("v", top // 4, top // 2),
+             (v >= top // 4) & (v < top // 2), None),
+            # Folded to FALSE at compile time: decodes, never folds.
+            (col("k") > U64_MAX, np.zeros(GROUP_N, dtype=bool), False),
+            # Every chunk pruned by the zone map: the kernel never runs.
+            (col("v") > top, np.zeros(GROUP_N, dtype=bool), True),
+        ]
+        for predicate, mask, pruned in shapes:
+            compiled = assert_grouped_paths(t, k, v, predicate, mask)
+            if pruned is not None:
+                assert compiled.groups == {}
+                assert (compiled.plan.chunks_candidate == 0) is pruned
+            # Each aggregate alone takes its own fold specialization.
+            for name in AGGREGATES:
+                alone = grouped(t, (name,), predicate).run(codegen="on")
+                assert_groups_identical(
+                    alone.groups, oracle_groups(k, v, mask, (name,)))
+
+    @pytest.mark.parametrize("key_bits", [4, 33])
+    def test_large_morsels_split_sums_into_narrower_limbs(self, key_bits):
+        # Past 2**21 rows per fold 32-bit halves no longer sum exactly
+        # in float64; the limbs narrow instead.
+        t, k, v = group_table(key_bits, 64, seed=1)
+        compiled = assert_grouped_paths(
+            t, k, v, None, np.ones(GROUP_N, dtype=bool), morsel=1 << 22)
+        assert ">> np.uint64(60)" in compiled.plan.kernel.source
+
+    def test_key_column_also_aggregated(self):
+        t, k, v = group_table(12, 20, seed=2)
+        q = lambda: Query(t).group_by("k").sum("k").max("k").count()
+        compiled = q().run(codegen="on")
+        assert_groups_identical(compiled.groups,
+                                q().run(codegen="off").groups)
+        key, aggs = next(iter(compiled.groups.items()))
+        assert aggs["sum(k)"] == key * aggs["count(*)"]
+        assert aggs["max(k)"] == key
+
+
+class TestGroupByShapes:
+    @pytest.mark.parametrize("key", [0, 5, (1 << 40) + 3, U64_MAX])
+    def test_single_group(self, key):
+        rng = np.random.default_rng(3)
+        k = np.full(GROUP_N, key, dtype=np.uint64)
+        v = random_column(rng, 33, GROUP_N)
+        t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True)
+        compiled = assert_grouped_paths(
+            t, k, v, None, np.ones(GROUP_N, dtype=bool))
+        assert list(compiled.groups) == [key]
+
+    @pytest.mark.parametrize("shift", [0, 20, 50])
+    def test_all_distinct_keys(self, shift):
+        rng = np.random.default_rng(4)
+        k = rng.permutation(GROUP_N).astype(np.uint64) << np.uint64(shift)
+        v = random_column(rng, 20, GROUP_N)
+        t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True)
+        compiled = assert_grouped_paths(
+            t, k, v, None, np.ones(GROUP_N, dtype=bool))
+        assert len(compiled.groups) == GROUP_N
+
+    def test_sums_past_two_to_the_64(self):
+        # 3000 values a hair under 2**64 in two groups: every per-group
+        # sum overflows uint64 many times over; totals stay Python ints.
+        rng = np.random.default_rng(5)
+        k = rng.integers(0, 2, GROUP_N, dtype=np.uint64)
+        v = np.uint64(U64_MAX) - rng.integers(
+            0, 1000, GROUP_N).astype(np.uint64)
+        t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True)
+        compiled = assert_grouped_paths(
+            t, k, v, None, np.ones(GROUP_N, dtype=bool))
+        assert all(aggs["sum(v)"] > 1 << 64
+                   for aggs in compiled.groups.values())
+
+    def test_encoded_key_and_value_columns(self):
+        # Codec columns decode to full-magnitude values: the fold must
+        # be sized on value_bits, not the payload width.
+        rng = np.random.default_rng(6)
+        k = (rng.integers(0, 9, GROUP_N).astype(np.uint64)
+             * np.uint64(1 << 36))
+        v = (np.uint64(1 << 45)
+             + np.cumsum(rng.integers(0, 50, GROUP_N)).astype(np.uint64))
+        t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True,
+                                   codecs={"k": "dict", "v": "delta"})
+        assert t["k"].bits < t["k"].value_bits
+        assert t["v"].bits < t["v"].value_bits
+        lo = int(v[GROUP_N // 3])
+        compiled = assert_grouped_paths(
+            t, k, v, col("v") >= lo, v >= np.uint64(lo))
+        assert compiled.plan.kernel.column_bits == {
+            "v": t["v"].value_bits, "k": t["k"].value_bits}
+
+    def test_serial_threaded_static_bit_identical(self):
+        t, k, v = group_table(12, 38, n=20_000, seed=7)
+        predicate = lambda: col("v") >= (1 << 36)
+        mask = v >= np.uint64(1 << 36)
+        serial = assert_grouped_paths(t, k, v, predicate(), mask,
+                                      morsel=4096)
+        for distribution in ("dynamic", "static"):
+            pooled = grouped(t, predicate=predicate()).run(
+                codegen="on", morsel=4096, pool=default_pool(8),
+                distribution=distribution)
+            assert pooled.stats.morsels_executed > 1
+            assert_groups_identical(pooled.groups, serial.groups)
+
+
+class TestGroupByKernelCache:
+    def test_fold_is_shared_across_literals(self):
+        # Every fresh literal is a fresh kernel (its source embeds the
+        # constant), but the grouped reduce it calls is compiled once
+        # per width specialization.
+        from repro.query.codegen import group_fold
+
+        t, k, v = group_table(12, 20, seed=8)
+        first = grouped(t, ("sum(v)",), col("v") >= 100).plan().kernel
+        hits = group_fold.cache_info().hits
+        again = grouped(t, ("sum(v)",), col("v") >= 100).plan().kernel
+        other = grouped(t, ("sum(v)",), col("v") >= 101).plan().kernel
+        assert group_fold.cache_info().hits == hits + 2
+        assert first.fn is again.fn
+        assert first.source in _KERNEL_CACHE
+        assert other.fn is not first.fn
+        assert other.fn.__globals__["fold"] is first.fn.__globals__["fold"]
+        # A different width is a different fold.
+        t2, _, _ = group_table(12, 40, seed=8)
+        wider = grouped(t2, ("sum(v)",), col("v") >= 100).plan().kernel
+        assert wider.fn.__globals__["fold"] is not \
+            first.fn.__globals__["fold"]
+
+    def test_explain_prints_fold_and_kernel(self):
+        t, k, v = group_table(4, 20, seed=9)
+        text = grouped(t, ("sum(v)", "count(*)"),
+                       col("v") >= 100).explain()
+        assert "execution mode: compiled (fused kernel)" in text
+        assert "def fold(groups, keys, v0):" in text
+        assert "np.bincount(idx, minlength=16)" in text
+        assert "def kernel(" in text
+        assert "fold(groups, v_c1, v_c0)" in text
+        assert "np.uint64(100)" in text
+
+    def test_compile_query_signature_is_positional(self):
+        t, k, v = group_table(4, 20, seed=10)
+        q = grouped(t, ("sum(v)",))
+        plan = q.plan()
+        kernel = compile_query(q, plan.needed_columns,
+                               plan.kernel.column_bits, plan.morsel_elements)
+        assert kernel.fn is plan.kernel.fn
+        assert plan.morsel_elements == COMPILED_MORSEL_ELEMENTS
+
+
+class TestGroupByLiveMigration:
+    @pytest.mark.parametrize("column,bits", [("k", 32), ("v", 64)])
+    def test_width_swap_between_plan_and_pin_falls_back(self, column, bits):
+        import dataclasses
+
+        from repro.adapt import Configuration
+        from repro.core.allocate import default_allocator
+        from repro.live import LiveMigrator
+
+        t, k, v = group_table(12, 20, seed=11)
+        plan = grouped(t).plan(codegen="on")
+
+        def never(*args):
+            raise AssertionError("kernel ran against a swapped width")
+
+        plan.kernel = dataclasses.replace(plan.kernel, fn=never)
+        array = t[column]
+        migration = LiveMigrator(default_allocator()).migrate(
+            array, Configuration(array.placement, bits))
+        assert migration.state == "completed"
+        assert array.value_bits == bits != plan.kernel.column_bits[column]
+        # Every morsel pins the swapped generation, sees the width the
+        # fold was not sized for, and folds through the interpreter.
+        result = plan.execute()
+        assert_groups_identical(
+            result.groups,
+            oracle_groups(k, v, np.ones(GROUP_N, dtype=bool)))
