@@ -26,6 +26,17 @@ one ``np.unique`` and a Python fold per group per 4,096-row span — the
 loop ``group_by_sum`` itself ran before it moved onto the kernels'
 grouped reduce), and the compiled group-by kernel, serial and pooled.
 
+A third section prices **planning** (``plan`` in the JSON), on 1M-row
+``events`` registered the three ways the end-to-end benchmark serves it
+(bit-packed; delta/dict-encoded; range-sharded over four nodes): µs per
+``Query.plan`` of a 1 %-span ``SUM/COUNT`` for a cold shape (kernel
+cache emptied first), for a warm shape with fresh literals, and per
+first ``explain()`` of a warm plan (which is where the section-6
+selector runs); then the kernel-cache entries and resident memory that
+20,000 distinct-literal plans of one shape leave behind.  The values
+measured at the parent commit by this same section are recorded beside
+the new ones (:data:`PLAN_BASELINE`).
+
 Run as a script it writes ``benchmarks/results/query_engine.txt`` plus
 machine-readable ``benchmarks/results/BENCH_query_engine.json`` (per
 config: seconds, rows/s, speedup vs the interpreted fused path); under
@@ -34,16 +45,19 @@ The selective serial compiled-vs-interpreted speedup is this PR's
 acceptance number (>= 1.5x at 10M rows).
 """
 
+import gc
 import json
 import os
+import statistics
 import time
 
 import numpy as np
 import pytest
 
+from repro.cluster import ShardedTable, cluster_of
 from repro.core import scan_ops
 from repro.core.table import SmartTable
-from repro.query import Query, in_range
+from repro.query import Query, codegen, in_range
 from repro.runtime.loops import default_pool
 
 try:
@@ -60,6 +74,26 @@ JSON_NAME = "BENCH_query_engine.json"
 #: every 4,096-row span nearly all-distinct.
 GROUP_KEYS = (("region", 12), ("account", 50_000))
 SLOW_RUN_S = 2.0
+
+PLAN_ROWS = 1_000_000
+PLAN_STATEMENTS = 20_000
+PLAN_TABLES = ("events", "events_enc", "events_sharded")
+#: This file's ``plan`` section run against the parent commit (5da8a0a:
+#: literals baked into kernel source, zone bounds decoded per plan,
+#: selector consulted per plan), same host, same day as the committed
+#: BENCH_query_engine.json.
+PLAN_BASELINE = {
+    "commit": "5da8a0a",
+    "events": {"cold_shape_us": 693.1, "warm_fresh_literals_us": 657.4,
+               "explain_after_warm_plan_us": 11.3},
+    "events_enc": {"cold_shape_us": 657.4, "warm_fresh_literals_us": 641.6,
+                   "explain_after_warm_plan_us": 12.4},
+    "events_sharded": {"cold_shape_us": 1334.0,
+                       "warm_fresh_literals_us": 1307.6,
+                       "explain_after_warm_plan_us": 27.9},
+    "kernel_cache_entries": 20000,
+    "rss_growth_mb": 42.0,
+}
 
 
 def _table(n):
@@ -175,8 +209,108 @@ def group_by_report(n, pool):
     return lines, configs
 
 
+def _plan_tables(n):
+    """1M-row ``events`` the three ways the e2e benchmark registers it."""
+    rng = np.random.default_rng(7)
+    data = {
+        "ts": np.sort(rng.integers(0, 1 << KEY_BITS, n)).astype(np.uint64),
+        "region": rng.integers(0, 12, n).astype(np.uint64),
+        "amount": rng.integers(0, 1 << 20, n).astype(np.uint64),
+    }
+    events = SmartTable.from_arrays(data, replicated=True)
+    events.build_zone_map("ts")
+    enc = SmartTable.from_arrays(
+        data, replicated=True, codecs={"ts": "delta", "region": "dict"})
+    enc.build_zone_map("ts")
+    sharded = ShardedTable.from_arrays(
+        data, key="ts", cluster=cluster_of(4), mode="range",
+        replicate=("amount",))
+    return dict(zip(PLAN_TABLES, (events, enc, sharded)))
+
+
+def _rss_mb():
+    gc.collect()
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def _median_us(fn, repeats, before=None):
+    times = []
+    for _ in range(repeats):
+        if before is not None:
+            before()
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) * 1e6, 1)
+
+
+def plan_report(n=PLAN_ROWS, statements=PLAN_STATEMENTS):
+    """The ``plan`` section: (text lines, JSON dict).  Wall-clock, in
+    this process, nothing simulated."""
+    tables = _plan_tables(n)
+    span = (1 << KEY_BITS) // 100
+    rng = np.random.default_rng(1)
+
+    def statement(table):
+        lo = int(rng.integers(1, (1 << KEY_BITS) - span))
+        return (Query(table).where(in_range("ts", lo, lo + span))
+                .sum("amount").count())
+
+    def forget_kernels():
+        codegen._KERNEL_CACHE.clear()
+
+    section = {"simulated": False, "rows": n, "statements": statements,
+               "baseline": PLAN_BASELINE}
+    lines = [
+        "",
+        f"planning a 1%-span SUM/COUNT over {n:,} rows (us per call, "
+        f"median; parent {PLAN_BASELINE['commit']} in brackets):",
+        f"  {'table':<16} {'cold shape':>18} {'warm, new literals':>20} "
+        f"{'first explain()':>18}",
+    ]
+    for name in PLAN_TABLES:
+        table = tables[name]
+        statement(table).plan().explain()  # zone bounds, imports
+        row = {
+            "cold_shape_us": _median_us(
+                lambda: statement(table).plan(), 30, before=forget_kernels),
+            "warm_fresh_literals_us": _median_us(
+                lambda: statement(table).plan(), 300),
+        }
+        plans = iter([statement(table).plan() for _ in range(100)])
+        row["explain_after_warm_plan_us"] = _median_us(
+            lambda: next(plans).explain(), 100)
+        section[name] = row
+        base = PLAN_BASELINE[name]
+        lines.append(f"  {name:<16} " + " ".join(
+            f"{row[key]:>9.1f} [{base[key]}]".rjust(width)
+            for key, width in (("cold_shape_us", 18),
+                               ("warm_fresh_literals_us", 20),
+                               ("explain_after_warm_plan_us", 18))))
+
+    forget_kernels()
+    events = tables["events"]
+    statement(events).plan()
+    rss = _rss_mb()
+    for _ in range(statements - 1):
+        statement(events).plan()
+    section["kernel_cache_entries"] = len(codegen._KERNEL_CACHE)
+    section["rss_growth_mb"] = round(_rss_mb() - rss, 1)
+    lines.append(
+        f"  after {statements:,} distinct-literal plans of that shape: "
+        f"{section['kernel_cache_entries']:,} kernel-cache entries "
+        f"[{PLAN_BASELINE['kernel_cache_entries']}], RSS "
+        f"{section['rss_growth_mb']:+.1f} MB "
+        f"[{PLAN_BASELINE['rss_growth_mb']}]")
+    return lines, section
+
+
 def report(n=N_SCRIPT):
     """Return (text report, machine-readable result dict)."""
+    # Planning first: its RSS reading wants a heap the 10M-row tables
+    # have not churned yet.
+    plan_lines, plan_section = plan_report()
     table, data = _table(n)
     pool = default_pool(WORKERS)
     lines = [
@@ -242,6 +376,8 @@ def report(n=N_SCRIPT):
     del plan, q, table, data  # the group-by table is as large again
     group_lines, results["group_by"] = group_by_report(n, pool)
     lines += group_lines
+    results["plan"] = plan_section
+    lines += plan_lines
     lines += [
         "",
         "parallel runs use the simulated-NUMA threads pool; Python-"

@@ -1516,7 +1516,7 @@ class CaseRunner:
         for _ in range(runs):
             plan = q.plan(morsel=sc)
             res = plan.execute(distribution=_DISTRIBUTIONS[dist],
-                               fan_out=None if fan else False)
+                               fan_out=bool(fan))
             self._compare_cluster_result(op, res, expected, "distributed")
         actual = {
             key: value for key, value in reg.delta(before).items()

@@ -539,7 +539,8 @@ def _cmd_serve(args) -> str:
     # the bound port while the command blocks serving.
     print(f"repro server listening on {args.host}:{server.port} "
           f"(tables: {', '.join(catalog.names())}; "
-          f"{args.workers} pool workers)", flush=True)
+          f"{args.workers} worker contexts, queries run on their "
+          f"session threads)", flush=True)
     try:
         if args.duration is not None:
             _time.sleep(args.duration)
@@ -591,7 +592,8 @@ def _cmd_cluster(args) -> str:
     reg = registry()
     before = reg.snapshot()
     result = dplan.execute()
-    lines += ["distributed run (fan-out, one thread per node):",
+    lines += ["distributed run (scatter/gather, shards in turn on this "
+              "thread):",
               f"  {result.describe()}",
               *("  " + l for l in result.stats.describe().splitlines())]
 
@@ -753,7 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rows", type=int, default=100_000,
                        help="demo table size (default 100k)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="shared morsel-pool size (default 4)")
+                       help="worker contexts a query's morsels are dealt "
+                            "over, on its session thread (default 4)")
     serve.add_argument("--duration", type=float, default=None,
                        help="serve for N seconds then drain and exit "
                             "(default: until ctrl-C)")

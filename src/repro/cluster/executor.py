@@ -287,24 +287,29 @@ def execute_distributed(dplan: DistributedPlan, pool=None,
                         fan_out: Optional[bool] = None) -> QueryResult:
     """Scatter ``dplan``, execute node-locally, gather in shard order.
 
-    ``fan_out=None`` (auto) runs shards on one coordinator thread per
-    node when more than one shard participates; ``fan_out=False``
-    executes shards sequentially (the scale-out baseline).  Fanned-out
-    shards each run the morsel executor serially on their node —
-    ``pool`` (a single box's worker pool) only applies to the
+    ``fan_out=None`` (auto) and ``fan_out=False`` execute the shards
+    one after another on the calling thread; ``fan_out=True`` starts
+    one coordinator thread per participating shard.  Auto is sequential
+    because the simulated nodes share this process's GIL: the threaded
+    path measured *slower* (point 0.72-0.76 vs 0.33-0.35 ms, 50 %-span
+    scan 5.0-5.4 vs 4.3-4.7 ms on four shards) and inflated every shard's
+    ``wall_time_s`` with the others' contention.  It stays as the twin
+    the sequential path is checked against, until shards are processes.
+    Fanned-out shards each run the morsel executor serially on their
+    node — ``pool`` (a single box's worker pool) only applies to the
     sequential path.  Merge order is shard order either way, so the two
-    paths are bit-identical.
+    paths are bit-identical; ``stats.n_workers`` says which ran (the
+    shard count when fanned out, the pool's workers or 1 otherwise).
     """
     reg = _obs_registry()
     query = dplan.query
     parts = dplan.participants
-    if fan_out is None:
-        fan_out = len(parts) > 1
+    fan_out = bool(fan_out)
     t0 = time.perf_counter()
 
     with trace("cluster.execute", shards=len(parts),
                nodes=dplan.table.cluster.n_nodes,
-               fan_out=str(bool(fan_out))):
+               fan_out=str(fan_out)):
         # -- scatter: charge one plan frame per owning shard ---------------
         total_bytes = 0
         for shard in parts:

@@ -21,7 +21,7 @@ predicate decodes only the surviving chunks.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class ZoneMap:
         #: *contents* survive a value-preserving migration, but the
         #: epoch is the cheap, conservative invalidation signal).
         self.built_epoch = getattr(array, "generation_epoch", 0)
+        #: ``(mins, maxs)`` decoded to NumPy by the first range lookup
+        #: (see :meth:`bounds`); nothing is decoded at build time.
+        self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def build(cls, array: SmartArray, allocator=None,
@@ -122,6 +125,26 @@ class ZoneMap:
     def n_chunks(self) -> int:
         return self.mins.length
 
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The per-chunk ``(mins, maxs)`` as read-only ``uint64`` arrays,
+        decoded from the zone arrays once per map.
+
+        A map's zone arrays are never written after :meth:`build` — a
+        written or migrated column gets a *new* map (``SmartTable.
+        build_zone_map`` / ``zone_map`` drop the old one) — so the
+        decoded pair lives exactly as long as the bounds it mirrors and
+        needs no invalidation.  The pair is published as one tuple:
+        planners racing on the first lookup each decode the same values
+        and the last store wins.
+        """
+        bounds = self._bounds
+        if bounds is None:
+            bounds = (self.mins.to_numpy(), self.maxs.to_numpy())
+            for decoded in bounds:
+                decoded.flags.writeable = False
+            self._bounds = bounds
+        return bounds
+
     def candidate_chunks(self, lo: int, hi: int) -> np.ndarray:
         """Chunks whose [min, max] zone intersects ``[lo, hi)``.
 
@@ -134,8 +157,7 @@ class ZoneMap:
         if bounds is None or self.n_chunks == 0:
             return np.empty(0, dtype=np.int64)
         lo64, hi64 = bounds
-        mins = self.mins.to_numpy()
-        maxs = self.maxs.to_numpy()
+        mins, maxs = self.bounds()
         mask = maxs >= lo64
         if hi64 is not None:
             mask &= mins < hi64
@@ -167,8 +189,7 @@ class ZoneMap:
         candidates = self.candidate_chunks(lo, hi)
         if candidates.size == 0:
             return 0
-        mins = self.mins.to_numpy()
-        maxs = self.maxs.to_numpy()
+        mins, maxs = self.bounds()
         lo64, hi64 = clamp_u64_range(lo, hi)
         covered = mins[candidates] >= lo64
         if hi64 is not None:

@@ -7,10 +7,16 @@ morsel.  This module compiles a planned aggregate query into **one
 generated Python function** so unpack + predicate + reduce happen in a
 single pass over each candidate-chunk run — ungrouped or ``group_by``:
 
-* the predicate tree is lowered to a single NumPy mask expression with
-  all literal bounds **clamped and constant-folded at compile time**
-  (the exact semantics of :func:`repro.query.expr._clamped_compare` —
-  everywhere-true/false comparisons simplify AND/OR/NOT away);
+* the predicate tree is lowered to a single NumPy mask expression whose
+  literals are **runtime parameters** (``lits[k]``, bound per statement
+  from :attr:`CompiledKernel.literals`): the source — and so the
+  compiled function — depends on the statement's *shape* and the
+  columns' widths, never on its values, and every repeat of a shape
+  with fresh bounds reuses one cached kernel.  Bounds that clamp out of
+  the ``uint64`` domain still **fold at compile time** (the exact
+  semantics of :func:`repro.query.expr._clamped_compare` —
+  everywhere-true/false comparisons simplify AND/OR/NOT away): that is
+  a different shape, not a different literal;
 * each aggregate is lowered to a fold specialized on its column's bit
   width: when ``bits + ceil_log2(morsel_elements) <= 64`` a masked
   span's sum provably fits uint64 and one ``sum(dtype=np.uint64)``
@@ -43,6 +49,7 @@ by ``explain()``) so a human can audit exactly what will run.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -71,10 +78,16 @@ CODEGEN_MODES = ("auto", "on", "off")
 #: ``=on`` errors on any plan the kernel template cannot cover.
 CODEGEN_ENV_VAR = "REPRO_QUERY_CODEGEN"
 
-#: source -> compiled function; the source embeds every specialization
-#: input (columns, bit-width regime, mask expression, and for group-by
-#: plans the grouped reduce it calls), so it is the key.
-_KERNEL_CACHE: Dict[str, Callable] = {}
+#: source -> compiled function, least recently used first; the source
+#: embeds every specialization input (columns, bit-width regime, mask
+#: expression, and for group-by plans the grouped reduce it calls) and
+#: no literal, so it is the key and one entry serves a whole shape.
+_KERNEL_CACHE: "OrderedDict[str, Callable]" = OrderedDict()
+
+#: Entries :data:`_KERNEL_CACHE` keeps (~4 KB of code object each).  A
+#: client can still send unboundedly many *shapes*; past the cap the
+#: least recently planned one is dropped and recompiles on return.
+_KERNEL_CACHE_CAP = 256
 
 #: Keys at most this wide index ``np.bincount`` directly (a 2**16-slot
 #: count array is 512 KiB); wider keys are ranked by ``np.unique`` first.
@@ -135,16 +148,21 @@ def _value_unsupported(expr: Expr) -> Optional[str]:
     return f"unknown value node {type(expr).__name__}"
 
 
-def _literal_u64(value: int) -> str:
-    """Render one in-domain uint64 constant into kernel source.
+def _literal_u64(value: int, lits: List[np.uint64]) -> str:
+    """Bind one in-domain uint64 constant as the kernel's next runtime
+    parameter: append it to ``lits``, return the ``lits[k]`` that reads
+    it back.
 
-    Every literal the generated code contains flows through here —
-    comparison bounds (post-clamping) and arithmetic literals — which
-    makes it the seam smartcheck's planted miscompiled-constant test
-    patches to prove the differential harness catches codegen bugs.
+    Every literal of a statement flows through here — comparison bounds
+    (post-clamping) and arithmetic literals — which makes it the seam
+    smartcheck's planted miscompiled-constant tests patch to prove the
+    differential harness catches codegen bugs.  Equal values are not
+    shared: which slots coincide would make the source depend on the
+    values.
     """
     assert 0 <= value <= U64_MAX, value
-    return f"np.uint64({value})"
+    lits.append(np.uint64(value))
+    return f"lits[{len(lits) - 1}]"
 
 
 # -- expression lowering --------------------------------------------------
@@ -154,20 +172,22 @@ def _literal_u64(value: int) -> str:
 _BoolIR = Union[str, bool]
 
 
-def _emit_value(expr: Expr, names: Dict[str, str]) -> str:
+def _emit_value(expr: Expr, names: Dict[str, str],
+                lits: List[np.uint64]) -> str:
     if isinstance(expr, Col):
         return names[expr.name]
     if isinstance(expr, Lit):
         # Bare out-of-domain literals only occur as clamped comparison
         # bounds, which never reach here (Arith validates its own).
-        return _literal_u64(expr.value)
+        return _literal_u64(expr.value, lits)
     if isinstance(expr, Arith):
-        return (f"({_emit_value(expr.left, names)} {expr.op} "
-                f"{_emit_value(expr.right, names)})")
+        return (f"({_emit_value(expr.left, names, lits)} {expr.op} "
+                f"{_emit_value(expr.right, names, lits)})")
     raise AssertionError(type(expr).__name__)  # pragma: no cover
 
 
-def _emit_compare(expr: Compare, names: Dict[str, str]) -> _BoolIR:
+def _emit_compare(expr: Compare, names: Dict[str, str],
+                  lits: List[np.uint64]) -> _BoolIR:
     """Lower one comparison, folding clamped bounds to constants.
 
     Mirrors :func:`repro.query.expr._clamped_compare` exactly: the
@@ -177,44 +197,48 @@ def _emit_compare(expr: Compare, names: Dict[str, str]) -> _BoolIR:
     """
     lit = expr._literal_side()
     if lit is None:
-        return (f"({_emit_value(expr.left, names)} {expr.op} "
-                f"{_emit_value(expr.right, names)})")
+        return (f"({_emit_value(expr.left, names, lits)} {expr.op} "
+                f"{_emit_value(expr.right, names, lits)})")
     value_expr, op, bound = lit
     if op in (">", "<="):
         op, bound = (">=" if op == ">" else "<"), bound + 1
-    v = _emit_value(value_expr, names)
+    v = _emit_value(value_expr, names, lits)
     if op == ">=":
         if bound <= 0:
             return True
         if bound > U64_MAX:
             return False
-        return f"({v} >= {_literal_u64(bound)})"
+        return f"({v} >= {_literal_u64(bound, lits)})"
     if op == "<":
         if bound <= 0:
             return False
         if bound > U64_MAX:
             return True
-        return f"({v} < {_literal_u64(bound)})"
+        return f"({v} < {_literal_u64(bound, lits)})"
     if op == "==":
         if not 0 <= bound <= U64_MAX:
             return False
-        return f"({v} == {_literal_u64(bound)})"
+        return f"({v} == {_literal_u64(bound, lits)})"
     assert op == "!=", op
     if not 0 <= bound <= U64_MAX:
         return True
-    return f"({v} != {_literal_u64(bound)})"
+    return f"({v} != {_literal_u64(bound, lits)})"
 
 
-def _emit_bool(expr: Expr, names: Dict[str, str]) -> _BoolIR:
+def _emit_bool(expr: Expr, names: Dict[str, str],
+               lits: List[np.uint64]) -> _BoolIR:
     """Lower a boolean tree; constants propagate upward so a clamped
     leaf simplifies its connectives (``x & TRUE -> x`` etc.), matching
-    the array algebra the interpreter would have computed."""
+    the array algebra the interpreter would have computed.  ``lits``
+    ends up holding exactly the literals the returned source reads."""
     if isinstance(expr, Compare):
-        return _emit_compare(expr, names)
+        return _emit_compare(expr, names, lits)
+    mark = len(lits)
     if isinstance(expr, And):
-        left = _emit_bool(expr.left, names)
-        right = _emit_bool(expr.right, names)
+        left = _emit_bool(expr.left, names, lits)
+        right = _emit_bool(expr.right, names, lits)
         if left is False or right is False:
+            del lits[mark:]  # the other side's bounds are dead code
             return False
         if left is True:
             return right
@@ -222,9 +246,10 @@ def _emit_bool(expr: Expr, names: Dict[str, str]) -> _BoolIR:
             return left
         return f"({left} & {right})"
     if isinstance(expr, Or):
-        left = _emit_bool(expr.left, names)
-        right = _emit_bool(expr.right, names)
+        left = _emit_bool(expr.left, names, lits)
+        right = _emit_bool(expr.right, names, lits)
         if left is True or right is True:
+            del lits[mark:]
             return True
         if left is False:
             return right
@@ -232,7 +257,7 @@ def _emit_bool(expr: Expr, names: Dict[str, str]) -> _BoolIR:
             return left
         return f"({left} | {right})"
     if isinstance(expr, Not):
-        child = _emit_bool(expr.child, names)
+        child = _emit_bool(expr.child, names, lits)
         if isinstance(child, bool):
             return not child
         return f"(~{child})"
@@ -412,13 +437,31 @@ def group_fold(key_bits: int, value_bits: Tuple[int, ...],
 
 
 def _load(key: str, source: str, name: str, **bindings) -> Callable:
-    """The function ``name`` of ``source``, compiled once per ``key``."""
+    """The function ``name`` of ``source``, compiled once per ``key``
+    while the key stays among the :data:`_KERNEL_CACHE_CAP` most
+    recently used.
+
+    No lock: planners on different threads race benignly.  Each step is
+    one ``OrderedDict`` call (atomic under the GIL); losing a race costs
+    a duplicate compile or an early eviction, never a wrong function —
+    the caller keeps the ``fn`` it was handed whatever the cache does.
+    """
     fn = _KERNEL_CACHE.get(key)
-    if fn is None:
-        namespace: Dict[str, object] = {
-            "np": np, "min": min, "max": max, **bindings}
-        exec(compile(source, "<repro.query.codegen>", "exec"), namespace)
-        fn = _KERNEL_CACHE[key] = namespace[name]
+    if fn is not None:
+        try:
+            _KERNEL_CACHE.move_to_end(key)
+        except KeyError:  # evicted since the get
+            pass
+        return fn
+    namespace: Dict[str, object] = {
+        "np": np, "min": min, "max": max, **bindings}
+    exec(compile(source, "<repro.query.codegen>", "exec"), namespace)
+    fn = _KERNEL_CACHE[key] = namespace[name]
+    while len(_KERNEL_CACHE) > _KERNEL_CACHE_CAP:
+        try:
+            _KERNEL_CACHE.popitem(last=False)
+        except KeyError:  # another planner emptied it first
+            break
     return fn
 
 
@@ -426,9 +469,10 @@ def _load(key: str, source: str, name: str, **bindings) -> Callable:
 class CompiledKernel:
     """One generated morsel kernel plus its audit trail.
 
-    ``fn(runs, n_rows, dec0, rep0, buf0, ...)`` consumes the morsel's
-    candidate-chunk runs and per-column (decode-method, replica,
-    scratch) triples in :attr:`columns` order, returning
+    ``fn(runs, n_rows, lits, dec0, rep0, buf0, ...)`` consumes the
+    morsel's candidate-chunk runs, the statement's :attr:`literals` and
+    per-column (decode-method, replica, scratch) triples in
+    :attr:`columns` order, returning
     ``(rows_scanned, rows_matched, decoded_chunks, agg_partials,
     group_partials)`` in the executor's
     :class:`~repro.query.stats.MorselPartial` shapes (``group_by``
@@ -444,6 +488,9 @@ class CompiledKernel:
     #: falls back to the interpreter for a morsel whose pinned
     #: generation no longer matches (a live migration mid-query).
     column_bits: Dict[str, int] = field(compare=False)
+    #: The statement's in-domain literals in ``lits[k]`` order — the one
+    #: part of a kernel that differs between two statements of a shape.
+    literals: Tuple[np.uint64, ...] = ()
 
 
 def _emit_folds(aggregates, masked: Dict[str, str],
@@ -519,8 +566,9 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
     )
 
     mask: _BoolIR = True
+    lits: List[np.uint64] = []
     if query.predicate is not None:
-        mask = _emit_bool(query.predicate, names)
+        mask = _emit_bool(query.predicate, names, lits)
 
     # Masked values once per distinct key / aggregate column.
     masked = {
@@ -539,7 +587,7 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
                                           column_bits, morsel_elements)
 
     lines: List[str] = [
-        f"def kernel(runs, n_rows{args}):",
+        f"def kernel(runs, n_rows, lits{args}):",
         "    rows_scanned = 0",
         "    rows_matched = 0",
         "    decoded_chunks = 0",
@@ -598,4 +646,5 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
         fn=fn,
         columns=tuple(needed_columns),
         column_bits=dict(column_bits),
+        literals=tuple(lits),
     )

@@ -343,7 +343,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                 (part.rows_scanned, part.rows_matched,
                  part.decoded_chunks, part.agg, part.groups) = kernel.fn(
                     list(_chunk_runs(candidates, max_chunks)),
-                    n_rows, *args,
+                    n_rows, kernel.literals, *args,
                 )
                 return
             if specs:

@@ -15,14 +15,28 @@ a :class:`PhysicalPlan` the morsel executor runs:
   exactly once* per morsel, evaluates the predicate on the decoded
   spans, and folds aggregates in the same pass — no row-index list, no
   per-operator materialization.
-* **Adaptive read policy** — the planner consults the section-6
-  selector (:func:`repro.adapt.select_configuration`) once per
-  referenced column, feeding it the query's projected scan shape
+* **Adaptive read policy** — the section-6 selector
+  (:func:`repro.adapt.select_configuration`) is consulted once per
+  referenced column, fed the query's projected scan shape
   (post-pruning bytes and blocked-engine instruction costs from
   :mod:`repro.perfmodel.workload`).  The recommended configuration and
-  whether the column's actual placement matches it are recorded in the
-  plan; the executor always reads the socket-local replica
-  (``get_replica(ctx.socket)``) of whatever placement the column has.
+  whether the column's actual placement matches it are part of the
+  plan's record, not of its execution — the executor always reads the
+  socket-local replica (``get_replica(ctx.socket)``) of whatever
+  placement the column has — so the selector runs on first access of
+  :attr:`PhysicalPlan.decisions` (``explain()`` reads it), over column
+  facts captured at plan time.
+
+**Plan once.**  Planning is two steps.  The *shape*
+(:func:`_plan_shape`: compile-or-interpret, needed columns, morsel grid,
+per-column facts, the compiled kernel) reads no literal, and everything
+it reuses is keyed by what it specializes on — the kernel cache by the
+literal-free source, the zone bounds by the map that owns them — so a
+repeat of a statement with new bounds compiles, decodes and selects
+nothing.  The *binding* (:func:`_bind`: literals -> candidate-chunk
+mask -> active morsels) is a handful of NumPy compares over the cached
+zone bounds.  Nothing is cached that a generation epoch could
+invalidate: the shape is rebuilt per plan from the live table.
 
 Everything the plan decides is visible through :meth:`PhysicalPlan.
 explain`, including exact pruned/candidate chunk counts — the numbers
@@ -33,8 +47,8 @@ execution's observed ``replica_read_elements`` deltas equal
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +65,7 @@ from ..core.scan_ops import clamp_u64_range
 from ..core.smart_array import SmartArray
 from ..core.zonemap import ZoneMap
 from ..numa.counters import PerfCounters
+from ..numa.topology import MachineSpec
 from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
 from ..perfmodel.workload import blocked_scan_instructions
@@ -105,7 +120,12 @@ class PushedPredicate:
 
 @dataclass(frozen=True)
 class ColumnDecision:
-    """Per-column physical-read decision with selector provenance."""
+    """Per-column physical-read decision with selector provenance.
+
+    The storage facts are captured when the plan is made; the selector
+    fields (``recommended`` / ``matches_actual`` / ``selection``) are
+    ``None`` until :attr:`PhysicalPlan.decisions` consults the selector.
+    """
 
     name: str
     bits: int
@@ -186,27 +206,27 @@ def _candidate_mask(expr: Optional[Expr], zone_maps: Dict[str, ZoneMap],
     return None
 
 
-def _decide_column(name: str, array: SmartArray, n_rows: int,
-                   scan_elements: int, caps: MachineCapabilities,
-                   accesses_per_element: float) -> ColumnDecision:
-    """Consult the adaptive selector for one column's read policy."""
-    placement = array.placement.describe()
-    read_policy = (
-        "socket-local replica reads" if array.replicated
-        else "single-buffer reads"
+def _column_facts(name: str, array: SmartArray) -> ColumnDecision:
+    """What the plan records about ``array`` as it is stored right now."""
+    return ColumnDecision(
+        name=name, bits=array.bits, placement=array.placement.describe(),
+        n_replicas=array.n_replicas, engine="blocked",
+        read_policy=("socket-local replica reads" if array.replicated
+                     else "single-buffer reads"),
+        recommended=None, matches_actual=None,
+        generation=getattr(array, "generation_epoch", 0),
+        codec=getattr(array.generation, "codec", "bitpack"),
     )
-    codec = getattr(array.generation, "codec", "bitpack")
-    if n_rows == 0 or scan_elements == 0:
-        return ColumnDecision(
-            name=name, bits=array.bits, placement=placement,
-            n_replicas=array.n_replicas, engine="blocked",
-            read_policy=read_policy, recommended=None, matches_actual=None,
-            generation=getattr(array, "generation_epoch", 0),
-            codec=codec,
-        )
+
+
+def _consult_selector(facts: ColumnDecision, n_rows: int,
+                      scan_elements: int, caps: MachineCapabilities,
+                      accesses_per_element: float) -> ColumnDecision:
+    """``facts`` plus the adaptive selector's verdict on that column for
+    a scan of ``scan_elements`` elements."""
     chars = ArrayCharacteristics(
         length=n_rows,
-        element_bits=array.bits,
+        element_bits=facts.bits,
         scan_engine="blocked",
     )
     # Simulated profiling counters for the query's scan shape on the
@@ -220,7 +240,7 @@ def _decide_column(name: str, array: SmartArray, n_rows: int,
         bytes_from_memory=bytes_from_memory,
         memory_bandwidth_gbs=bw,
         memory_bound=True,
-        label=f"query scan of {name}",
+        label=f"query scan of {facts.name}",
     )
     measurement = WorkloadMeasurement(
         counters=counters,
@@ -230,16 +250,11 @@ def _decide_column(name: str, array: SmartArray, n_rows: int,
     )
     selection = select_configuration(caps, chars, measurement)
     config = selection.configuration
-    matches = (
-        config.placement.describe() == placement and config.bits == array.bits
-    )
-    return ColumnDecision(
-        name=name, bits=array.bits, placement=placement,
-        n_replicas=array.n_replicas, engine="blocked",
-        read_policy=read_policy, recommended=config.describe(),
-        matches_actual=matches, selection=selection,
-        generation=getattr(array, "generation_epoch", 0),
-        codec=codec,
+    return replace(
+        facts, recommended=config.describe(),
+        matches_actual=(config.placement.describe() == facts.placement
+                        and config.bits == facts.bits),
+        selection=selection,
     )
 
 
@@ -261,7 +276,12 @@ class PhysicalPlan:
     #: hard-pruning plan pays nothing per skipped morsel.
     active_morsels: Optional[np.ndarray]
     pushed: List[PushedPredicate]
-    decisions: Dict[str, ColumnDecision]
+    #: Per needed column, the storage facts captured at plan time (the
+    #: selector fields still ``None``; see :attr:`decisions`).
+    column_facts: Dict[str, ColumnDecision]
+    #: ``(machine, accesses_per_element)`` the selector is consulted
+    #: with; ``None`` = ``consult_selector=False``.
+    selector_inputs: Optional[Tuple[MachineSpec, float]]
     est_instructions: float
     #: ``"compiled"`` or ``"interpreted"`` — how the executor will
     #: evaluate predicate + aggregates (see :mod:`repro.query.codegen`).
@@ -272,10 +292,36 @@ class PhysicalPlan:
     #: The generated kernel (source + callable) when ``mode`` is
     #: ``"compiled"``.
     kernel: Optional[CompiledKernel] = None
+    _decisions: Optional[Dict[str, ColumnDecision]] = field(
+        default=None, init=False, repr=False)
 
     @property
     def table(self):
         return self.query.table
+
+    @property
+    def decisions(self) -> Dict[str, ColumnDecision]:
+        """Per needed column: the plan-time facts plus what the
+        section-6 selector recommends for this plan's post-pruning scan.
+
+        The selector feeds only this record, so it runs here, on first
+        access, not on every plan; its inputs were fixed at plan time,
+        so the answer does not depend on when it is asked.
+        """
+        if self._decisions is None:
+            decisions = self.column_facts
+            scan_elements = 64 * self.chunks_candidate
+            n_rows = self.table.n_rows
+            if self.selector_inputs is not None and n_rows and scan_elements:
+                machine, accesses_per_element = self.selector_inputs
+                caps = MachineCapabilities(machine)
+                decisions = {
+                    name: _consult_selector(facts, n_rows, scan_elements,
+                                            caps, accesses_per_element)
+                    for name, facts in decisions.items()
+                }
+            self._decisions = decisions
+        return self._decisions
 
     @property
     def predicted_replica_read_elements(self) -> Dict[str, int]:
@@ -346,6 +392,11 @@ class PhysicalPlan:
                     "    " + src_line
                     for src_line in self.kernel.source.rstrip().splitlines()
                 ]
+                if self.kernel.literals:
+                    lines.append("  literals: " + ", ".join(
+                        f"lits[{k}] = {value}"
+                        for k, value in enumerate(self.kernel.literals)
+                    ))
         else:
             reason = f" ({self.codegen_reason})" if self.codegen_reason else ""
             lines.append(f"  execution mode: interpreted{reason}")
@@ -394,15 +445,25 @@ def plan_query(
         return plan
 
 
-def _plan_query(
-    query: Query,
-    morsel: Optional[int],
-    prune: str,
-    pool,
-    accesses_per_element: float,
-    consult_selector: bool,
-    codegen: Optional[str] = None,
-) -> PhysicalPlan:
+class _PlanShape(NamedTuple):
+    """The part of a plan no literal decides (see :func:`_plan_shape`)."""
+
+    mode: str
+    codegen_reason: Optional[str]
+    needed_columns: Tuple[str, ...]
+    morsel_elements: int
+    morsels: List[Tuple[int, int]]
+    column_facts: Dict[str, ColumnDecision]
+    kernel: Optional[CompiledKernel]
+
+
+def _plan_shape(query: Query, morsel: Optional[int],
+                codegen: Optional[str]) -> _PlanShape:
+    """Everything about ``query``'s plan that its literals do not decide:
+    compile or interpret, the columns to decode, the morsel grid, each
+    column's storage facts and the compiled kernel (whose *function* is
+    shared by the whole shape; only ``kernel.literals`` is this
+    statement's)."""
     table = query.table
     n_rows = table.n_rows
 
@@ -427,7 +488,6 @@ def _plan_query(
         morsel = (COMPILED_MORSEL_ELEMENTS if mode == "compiled"
                   else DEFAULT_MORSEL_ELEMENTS)
     morsel_elements = check_superchunk(morsel)
-    n_chunks = bitpack.chunks_for(n_rows)
 
     # Needed columns, in first-use order: filter, group key, aggregates,
     # projection.  Each is decoded exactly once per candidate-chunk run.
@@ -454,6 +514,46 @@ def _plan_query(
                 query.predicate is not None:
             need(cheapest)
 
+    kernel: Optional[CompiledKernel] = None
+    if mode == "compiled":
+        # Specialize the kernel's aggregate folds on the *decoded value*
+        # width: for codec-encoded columns ``bits`` is the narrow
+        # payload (codes/deltas) while ``decode_chunks`` hands the
+        # kernel full-magnitude values — a fold sized to payload bits
+        # could silently wrap its uint64 accumulator.
+        kernel = compile_query(
+            query,
+            tuple(needed),
+            {name: getattr(table[name], "value_bits", table[name].bits)
+             for name in needed},
+            morsel_elements,
+        )
+
+    return _PlanShape(
+        mode=mode,
+        codegen_reason=codegen_reason,
+        needed_columns=tuple(needed),
+        morsel_elements=morsel_elements,
+        morsels=[
+            (start, min(start + morsel_elements, n_rows))
+            for start in range(0, n_rows, morsel_elements)
+        ],
+        column_facts={name: _column_facts(name, table[name])
+                      for name in needed},
+        kernel=kernel,
+    )
+
+
+def _bind(query: Query, shape: _PlanShape, prune: str,
+          ) -> Tuple[Optional[np.ndarray], List[PushedPredicate],
+                     Optional[np.ndarray]]:
+    """The statement's literals against the zone maps: ``(per-chunk
+    candidate mask, pushed predicates, active morsel indices)``, the
+    first and last ``None`` when nothing can be pruned."""
+    table = query.table
+    n_rows = table.n_rows
+    n_chunks = bitpack.chunks_for(n_rows)
+
     # Zone maps for sargable columns.
     zone_maps: Dict[str, ZoneMap] = {}
     if prune != "off" and query.predicate is not None and n_rows:
@@ -470,81 +570,67 @@ def _plan_query(
         query.predicate if prune != "off" else None,
         zone_maps, n_chunks, pushed,
     )
-    chunks_candidate = int(mask.sum()) if mask is not None else n_chunks
-    morsels = [
-        (start, min(start + morsel_elements, n_rows))
-        for start in range(0, n_rows, morsel_elements)
-    ]
 
-    morsels_pruned = 0
     active_morsels: Optional[np.ndarray] = None
-    if mask is not None and morsels:
+    n_morsels = len(shape.morsels)
+    if mask is not None and n_morsels:
         # Morsels are uniform superchunk windows, so per-morsel
         # candidacy is one padded reshape — no per-morsel Python.
-        per_morsel = morsel_elements // bitpack.CHUNK_ELEMENTS
-        padded = np.zeros(len(morsels) * per_morsel, dtype=bool)
+        per_morsel = shape.morsel_elements // bitpack.CHUNK_ELEMENTS
+        padded = np.zeros(n_morsels * per_morsel, dtype=bool)
         padded[:n_chunks] = mask
-        has_candidates = padded.reshape(len(morsels), per_morsel).any(axis=1)
+        has_candidates = padded.reshape(n_morsels, per_morsel).any(axis=1)
         active_morsels = np.nonzero(has_candidates)[0].astype(np.int64)
-        morsels_pruned = len(morsels) - int(active_morsels.size)
+    return mask, pushed, active_morsels
 
-    # Per-column adaptive decisions, sized by the post-pruning scan.
+
+def _plan_query(
+    query: Query,
+    morsel: Optional[int],
+    prune: str,
+    pool,
+    accesses_per_element: float,
+    consult_selector: bool,
+    codegen: Optional[str] = None,
+) -> PhysicalPlan:
+    shape = _plan_shape(query, morsel, codegen)
+    mask, pushed, active_morsels = _bind(query, shape, prune)
+
+    table = query.table
+    n_chunks = bitpack.chunks_for(table.n_rows)
+    chunks_candidate = int(mask.sum()) if mask is not None else n_chunks
     scan_elements = 64 * chunks_candidate
-    machine = pool.machine if pool is not None else None
-    if machine is None:
-        from ..core.allocate import default_machine
 
-        machine = default_machine()
-    caps = MachineCapabilities(machine)
-    decisions: Dict[str, ColumnDecision] = {}
-    est_instructions = 0.0
-    for name in needed:
-        array = table[name]
-        if consult_selector:
-            decisions[name] = _decide_column(
-                name, array, n_rows, scan_elements, caps,
-                accesses_per_element,
-            )
-        else:
-            decisions[name] = _decide_column(
-                name, array, 0, 0, caps, accesses_per_element
-            )
-        est_instructions += blocked_scan_instructions(
-            scan_elements, array.bits
-        )
+    selector_inputs = None
+    if consult_selector:
+        machine = pool.machine if pool is not None else None
+        if machine is None:
+            from ..core.allocate import default_machine
 
-    kernel: Optional[CompiledKernel] = None
-    if mode == "compiled":
-        # Specialize the kernel's aggregate folds on the *decoded value*
-        # width: for codec-encoded columns ``bits`` is the narrow
-        # payload (codes/deltas) while ``decode_chunks`` hands the
-        # kernel full-magnitude values — a fold sized to payload bits
-        # could silently wrap its uint64 accumulator.
-        kernel = compile_query(
-            query,
-            tuple(needed),
-            {name: getattr(table[name], "value_bits", table[name].bits)
-             for name in needed},
-            morsel_elements,
-        )
+            machine = default_machine()
+        selector_inputs = (machine, accesses_per_element)
 
     return PhysicalPlan(
         query=query,
-        needed_columns=tuple(needed),
-        morsel_elements=morsel_elements,
-        morsels=morsels,
+        needed_columns=shape.needed_columns,
+        morsel_elements=shape.morsel_elements,
+        morsels=shape.morsels,
         candidate_mask=mask,
         chunks_total=n_chunks,
         chunks_candidate=chunks_candidate,
         chunks_pruned=n_chunks - chunks_candidate,
-        morsels_pruned=morsels_pruned,
+        morsels_pruned=(len(shape.morsels) - int(active_morsels.size)
+                        if active_morsels is not None else 0),
         active_morsels=active_morsels,
         pushed=pushed,
-        decisions=decisions,
-        est_instructions=est_instructions,
-        mode=mode,
-        codegen_reason=codegen_reason,
-        kernel=kernel,
+        column_facts=shape.column_facts,
+        selector_inputs=selector_inputs,
+        est_instructions=sum(
+            (blocked_scan_instructions(scan_elements, facts.bits)
+             for facts in shape.column_facts.values()), 0.0),
+        mode=shape.mode,
+        codegen_reason=shape.codegen_reason,
+        kernel=shape.kernel,
     )
 
 

@@ -4,8 +4,8 @@ The paper's pitch is *language-independent* adaptive data; this package
 is the network face of it.  A :class:`SmartArrayServer` fronts a
 :class:`Catalog` of :class:`~repro.core.table.SmartTable`\\ s over a
 length-prefixed JSON-over-TCP protocol — SQL in, results out — with
-one session thread per connection and all queries sharing one morsel
-:class:`~repro.runtime.workers.WorkerPool`::
+one session thread per connection, each query running on its session's
+thread (see :mod:`repro.server.server` for why not on pool threads)::
 
     from repro.server import SmartArrayServer, demo_catalog
     from repro.server.client import connect

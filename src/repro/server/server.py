@@ -1,14 +1,26 @@
 """Threaded JSON-over-TCP server fronting the smart-array query engine.
 
 One accept thread, one session thread per connection (the classic
-thread-per-session layout — morsel parallelism *within* a query comes
-from the shared :class:`WorkerPool`, so session threads spend their
-time blocked on the socket or merging partials, not spinning).  The
+thread-per-session layout), and **a query runs on its session thread**:
+the default pool is a ``serial`` :class:`WorkerPool`, whose worker
+contexts take their turns on the calling thread (the first drains the
+morsel counter), so parallelism comes *across* queries, from the
+session threads.  Morsel parallelism *within* a query lost to that on
+every measurement: pool threads decode in NumPy but claim, pin, fold
+and merge in Python under one GIL, and spawning and joining four of
+them per query cost more than a point query's plan and kernel together
+(empty dispatch 0.4-1.1 ms; a 50 %-span scan ran 0.50-0.73x the speed
+of the serial run, and a 2-thread pool still lost; DESIGN.md has the
+end-to-end numbers).  An explicit
+``pool=`` (any mode) still wins; threads inside a query come back when
+they are processes (ROADMAP "make parallelism real", step 2) and
+``runtime.pool_speedup`` reads above 1.  The
 wire format is length-prefixed JSON frames (:mod:`repro.server.
 protocol`); requests are objects with an ``op`` key:
 
 ``{"op": "sql", "sql": "...", "id"?, "timeout_s"?, "codegen"?}``
-    Parse, bind against the catalog, and execute on the shared pool.
+    Parse, bind against the catalog, and execute (on this session's
+    thread unless the server was given a threaded ``pool=``).
     Responses carry the result (aggregates / groups / rows+columns)
     plus executor stats.  Frontend failures come back as *structured
     error frames* — ``{"ok": false, "error": {"type": "parse"|"bind",
@@ -260,7 +272,7 @@ class _Session:
 
 
 class SmartArrayServer:
-    """The wire server: catalog + shared pool + thread-per-session.
+    """The wire server: catalog + thread-per-session.
 
     ::
 
@@ -269,8 +281,11 @@ class SmartArrayServer:
         server.shutdown(drain=True)
 
     ``port=0`` binds an ephemeral port (read it back from ``.port``).
-    All sessions execute on one shared :class:`WorkerPool` — the
-    morsel executor is the unit of parallelism, not the session.
+    Each query executes on its session's thread: the default pool is
+    ``default_pool(n_workers, mode="serial")``, so ``n_workers`` shapes
+    the worker contexts (which sockets' replicas a static distribution
+    reads) and starts no thread.  Pass ``pool=`` to share a threaded
+    :class:`WorkerPool` between sessions instead.
     """
 
     def __init__(self, catalog: Catalog, host: str = "127.0.0.1",
@@ -281,7 +296,8 @@ class SmartArrayServer:
         self.catalog = catalog
         self.host = host
         self._requested_port = port
-        self.pool = pool if pool is not None else default_pool(n_workers)
+        self.pool = (pool if pool is not None
+                     else default_pool(n_workers, mode="serial"))
         self.default_timeout_s = default_timeout_s
         self.registry = _obs_registry()
 

@@ -124,7 +124,7 @@ class TestPlantedBugs:
         assert run_case(report.failures[0].case) is None
 
     def test_detects_miscompiled_constant(self, monkeypatch):
-        # A codegen bug that embeds every literal off by one produces
+        # A codegen bug that binds every literal off by one produces
         # kernels that disagree with the interpreted path on the same
         # case; the cross-path comparison (or the oracle check on the
         # compiled run) must flag it.
@@ -133,7 +133,7 @@ class TestPlantedBugs:
         orig = codegen._literal_u64
         monkeypatch.setattr(
             codegen, "_literal_u64",
-            lambda value: f"np.uint64({(value + 1) % (1 << 64)})",
+            lambda value, lits: orig((value + 1) % (1 << 64), lits),
         )
         report = run_check(seed=0, ops=400, profile="query",
                            max_failures=1)
@@ -149,9 +149,10 @@ class TestPlantedBugs:
         # the NumPy oracle still catches the wrong constants.
         import repro.query.codegen as codegen
 
+        orig = codegen._literal_u64
         monkeypatch.setattr(
             codegen, "_literal_u64",
-            lambda value: f"np.uint64({(value + 1) % (1 << 64)})",
+            lambda value, lits: orig((value + 1) % (1 << 64), lits),
         )
         report = run_check(seed=0, ops=400, profile="query",
                            max_failures=1, codegen="on")

@@ -138,6 +138,55 @@ class TestBitIdentity:
         serial = q.plan().execute(fan_out=False)
         assert fanned.aggregates == serial.aggregates
 
+    def test_auto_fan_out_runs_shards_on_the_calling_thread(self):
+        # Auto is sequential (the simulated nodes share one GIL); one
+        # thread per shard only on request.  Billing, merge and result
+        # are the same on every branch; n_workers says which one ran.
+        from repro.runtime import default_pool
+
+        table, _ = build(n_nodes=4)
+        q = Query(table).where(in_range("k", LO, HI)).group_by("g") \
+            .sum("v").count()
+        shard_threads = []
+        real_pin = type(table.shards[0].table["k"]).pin_generation
+
+        def recording_pin(array):
+            shard_threads.append(threading.current_thread().name)
+            return real_pin(array)
+
+        results = {}
+        pool = default_pool(2, mode="serial")
+        reg = registry()
+        for fan_out in (None, False, True):
+            shard_threads.clear()
+            before = reg.snapshot()
+            for shard in table.shards:
+                shard.table["k"].pin_generation = \
+                    recording_pin.__get__(shard.table["k"])
+            try:
+                result = q.plan().execute(fan_out=fan_out, pool=pool)
+            finally:
+                for shard in table.shards:
+                    del shard.table["k"].pin_generation
+            wire = {key: n for key, n in reg.delta(before).items()
+                    if key.startswith(("cluster.rpcs",
+                                       "cluster.bytes_shipped"))}
+            results[fan_out] = (result.groups, result.shipment.rpcs,
+                                result.shipment.bytes_shipped, wire)
+            here = threading.current_thread().name
+            if fan_out:
+                assert all(name.startswith("cluster-node")
+                           for name in shard_threads)
+                assert result.stats.n_workers == 4
+            else:
+                assert set(shard_threads) == {here}
+                assert result.stats.n_workers == pool.n_workers
+            assert sorted(result.plan.shard_stats) == [0, 1, 2, 3]
+            assert all(s.wall_time_s > 0
+                       for s in result.plan.shard_stats.values())
+        assert results[None] == results[False] == results[True]
+        assert results[None][1] == 4
+
     def test_empty_shards_do_not_participate(self):
         # Every key identical: range bounds collapse and all rows land
         # on the last shard; the others must be planned around.

@@ -31,6 +31,21 @@ class TestReadmeQuickstart:
         expected = 42 + int(values[1:].astype(object).sum())
         assert parallel_sum(sa) == expected
 
+        # ... and the same arrays behind SQL over TCP, each query on
+        # its session's thread.
+        from repro.server import SmartArrayServer, demo_catalog
+        from repro.server.client import connect
+
+        catalog = demo_catalog(rows=10_000)
+        ts = catalog.tables()["events"]["ts"].to_numpy()
+        amount = catalog.tables()["events"]["amount"].to_numpy()
+        with SmartArrayServer(catalog, port=0) as server:
+            assert server.pool.mode == "serial"
+            with connect(port=server.port) as conn:
+                assert conn.sql(
+                    "SELECT sum(amount) FROM events WHERE ts < 9000"
+                ).scalar() == int(amount[ts < 9000].sum())
+
     def test_install_surface(self):
         # Everything the README names must import.
         import repro
@@ -193,7 +208,16 @@ class TestApiGuideSnippets:
         assert g.run().stats.mode == "compiled"
         assert g.run().groups == g.run(codegen="off").groups
         with open(os.path.join(DOCS_DIR, "API.md"), encoding="utf-8") as fh:
-            assert g.plan().kernel.source in fh.read()
+            api = fh.read()
+        plan = g.plan()
+        assert plan.kernel.source in api
+        # The bounds are runtime parameters; explain() prints their
+        # values under the source, and the section shows that line.
+        assert "np.uint64(10000)" not in plan.kernel.source
+        assert plan.kernel.literals == (10_000, 20_000)
+        bound = "  literals: lits[0] = 10000, lits[1] = 20000"
+        assert plan.explain().endswith(bound)
+        assert bound in api
 
         # The section's execution-detail notes: constant comparisons
         # fail at construction; limit() skips morsels once satisfied.

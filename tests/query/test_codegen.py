@@ -303,8 +303,12 @@ class TestExplainAndCache:
         q = Query(t).where(col("k") >= 100).sum("v")
         text = q.explain()
         assert "execution mode: compiled (fused kernel)" in text
-        assert "def kernel(" in text
-        assert "np.uint64(100)" in text
+        assert "def kernel(runs, n_rows, lits, " in text
+        # The bound is a runtime parameter of the kernel; its value is
+        # printed under the source so the audit trail stays whole.
+        assert "mask = (c0 >= lits[0])" in text
+        assert "np.uint64(100)" not in text
+        assert text.endswith("  literals: lits[0] = 100")
         off = q.explain(codegen="off")
         assert "execution mode: interpreted (codegen knob off)" in off
         assert "def kernel(" not in off
@@ -529,9 +533,9 @@ class TestGroupByShapes:
 
 class TestGroupByKernelCache:
     def test_fold_is_shared_across_literals(self):
-        # Every fresh literal is a fresh kernel (its source embeds the
-        # constant), but the grouped reduce it calls is compiled once
-        # per width specialization.
+        # A fresh literal is the same kernel with another ``lits``
+        # tuple, and the grouped reduce it calls is compiled once per
+        # width specialization.
         from repro.query.codegen import group_fold
 
         t, k, v = group_table(12, 20, seed=8)
@@ -542,8 +546,9 @@ class TestGroupByKernelCache:
         assert group_fold.cache_info().hits == hits + 2
         assert first.fn is again.fn
         assert first.source in _KERNEL_CACHE
-        assert other.fn is not first.fn
-        assert other.fn.__globals__["fold"] is first.fn.__globals__["fold"]
+        assert other.fn is first.fn
+        assert other.source == first.source
+        assert (first.literals, other.literals) == ((100,), (101,))
         # A different width is a different fold.
         t2, _, _ = group_table(12, 40, seed=8)
         wider = grouped(t2, ("sum(v)",), col("v") >= 100).plan().kernel
@@ -559,7 +564,8 @@ class TestGroupByKernelCache:
         assert "np.bincount(idx, minlength=16)" in text
         assert "def kernel(" in text
         assert "fold(groups, v_c1, v_c0)" in text
-        assert "np.uint64(100)" in text
+        assert "mask = (c0 >= lits[0])" in text
+        assert text.endswith("  literals: lits[0] = 100")
 
     def test_compile_query_signature_is_positional(self):
         t, k, v = group_table(4, 20, seed=10)
@@ -598,3 +604,201 @@ class TestGroupByLiveMigration:
         assert_groups_identical(
             result.groups,
             oracle_groups(k, v, np.ones(GROUP_N, dtype=bool)))
+
+
+# -- literal-free kernels and the bounded kernel cache ------------------------
+
+
+@pytest.fixture
+def kernel_cache(monkeypatch):
+    """An empty kernel cache (and fold memo) for tests that count its
+    entries; the real one is back after the test."""
+    from collections import OrderedDict
+
+    import repro.query.codegen as codegen
+
+    cache = OrderedDict()
+    monkeypatch.setattr(codegen, "_KERNEL_CACHE", cache)
+    codegen.group_fold.cache_clear()
+    return cache
+
+
+def rss_bytes():
+    """Resident set size right now (Linux ``/proc``; skips elsewhere)."""
+    import gc
+    import os
+
+    gc.collect()
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:  # pragma: no cover - non-Linux
+        pytest.skip("needs /proc/self/statm")
+
+
+class TestLiteralFreeKernels:
+    def test_in_domain_literals_share_one_function(self):
+        # Every in-domain bound — 0, 2**63 and 2**64-1 included — is a
+        # runtime parameter: one source, one compiled function, the
+        # values in ``literals``, and the same answers as the
+        # interpreter and the oracle.
+        t, k, v = make_table(64, seed=30)
+        k[2], k[3] = 1 << 63, 5
+        t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True)
+        edges = (1, 1 << 63, U64_MAX)
+        first = None
+        for lo in edges:
+            for hi in edges:
+                for eq in (0, 1 << 63, U64_MAX):
+                    compiled = assert_both_paths(
+                        t, k, v,
+                        lambda: ((col("k") >= lo) & (col("k") < hi))
+                        | (col("k") == eq),
+                        ((k >= lo) & (k < hi)) | (k == eq),
+                    )
+                    kernel = compiled.plan.kernel
+                    first = first or kernel
+                    assert kernel.fn is first.fn
+                    assert kernel.source == first.source
+                    assert kernel.literals == (lo, hi, eq)
+                    assert all(type(x) is np.uint64 for x in kernel.literals)
+        assert ("mask = (((c0 >= lits[0]) & (c0 < lits[1])) | "
+                "(c0 == lits[2]))") in first.source
+
+    def test_arithmetic_literals_are_parameters_too(self):
+        t, k, v = make_table(13, seed=31)
+        kernels = []
+        for add, bound in ((3, 100), (7, 4000)):
+            compiled = assert_both_paths(
+                t, k, v,
+                lambda: (col("k") + lit(add)) < bound,
+                (k + np.uint64(add)) < np.uint64(bound),
+            )
+            kernels.append(compiled.plan.kernel)
+            assert kernels[-1].literals == (add, bound)
+        assert kernels[0].fn is kernels[1].fn
+
+    def test_clamped_bounds_are_a_different_shape_not_a_literal(
+            self, kernel_cache):
+        # A bound outside the uint64 domain folds at compile time: the
+        # leaf disappears from the source (another shape), however far
+        # outside it lies, so the cache grows per shape only.
+        t, k, v = make_table(13, seed=32)
+        inside = (k >= 100)
+        everything, nothing = np.ones(N, bool), np.zeros(N, bool)
+        shapes = [
+            (lambda far: (col("k") >= 100) & (col("k") >= -far),
+             inside, (100,)),
+            (lambda far: (col("k") >= 100) & (col("k") < (1 << 64) + far),
+             inside, (100,)),
+            (lambda far: (col("k") >= 100) | (col("k") < -far),
+             inside, (100,)),
+            (lambda far: (col("k") >= 100) | (col("k") > U64_MAX + far),
+             inside, (100,)),
+            (lambda far: (col("k") >= 100) & (col("k") == -far),
+             nothing, ()),
+            (lambda far: (col("k") >= 100) | (col("k") != (1 << 64) + far),
+             everything, ()),
+        ]
+        sources = set()
+        for build, mask, literals in shapes:
+            fns = set()
+            for far in (1, 3, 1 << 70):
+                compiled = assert_both_paths(
+                    t, k, v, lambda: build(far), mask)
+                kernel = compiled.plan.kernel
+                assert kernel.literals == literals
+                fns.add(kernel.fn)
+                sources.add(kernel.source)
+            assert len(fns) == 1
+        # Four of the six fold down to the one ``k >= lits[0]`` kernel.
+        assert len(sources) == 3
+        assert len(kernel_cache) == 3
+
+    def test_width_swap_with_bound_literals_falls_back(self):
+        # The kernel takes ``lits`` now; a morsel whose pinned width no
+        # longer matches the plan still folds through the interpreter.
+        import dataclasses
+
+        from repro.adapt import Configuration
+        from repro.core.allocate import default_allocator
+        from repro.live import LiveMigrator
+
+        t, k, v = make_table(13, seed=33)
+        q = full_query(t).where(in_range("k", 100, 4000))
+        plan = q.plan(codegen="on")
+        assert plan.kernel.literals == (100, 4000)
+        expected = oracle_aggs(k, v, (k >= 100) & (k < 4000))
+        assert plan.execute().aggregates == expected
+
+        def never(*args):
+            raise AssertionError("kernel ran against a swapped width")
+
+        plan.kernel = dataclasses.replace(plan.kernel, fn=never)
+        migration = LiveMigrator(default_allocator()).migrate(
+            t["v"], Configuration(t["v"].placement, 40))
+        assert migration.state == "completed"
+        assert plan.execute().aggregates == expected
+
+
+class TestKernelCacheBound:
+    def test_distinct_literals_leave_one_entry(self, kernel_cache):
+        # 20,000 statements of one shape: one compiled kernel, and no
+        # memory that grows with the number of statements (the parent's
+        # source-with-constants key kept all 20,000: +76.6 MB).
+        t, k, v = make_table(13, n=256, seed=34)
+        Query(t).where(in_range("k", 1, 2)).sum("v").plan()
+        before = rss_bytes()
+        fns = set()
+        for i in range(20_000):
+            plan = (Query(t).where(in_range("k", i + 1, i + 100))
+                    .sum("v").plan())
+            fns.add(plan.kernel.fn)
+        assert len(fns) == 1
+        assert len(kernel_cache) == 1
+        assert rss_bytes() - before < 5 << 20
+
+    def test_group_by_leaves_one_kernel_and_one_fold(self, kernel_cache):
+        t, k, v = group_table(4, 20, n=256, seed=35)
+        fns = set()
+        for i in range(2_000):
+            plan = grouped(t, ("sum(v)",), col("v") >= i + 1).plan()
+            fns.add(plan.kernel.fn)
+        assert len(fns) == 1
+        assert len(kernel_cache) == 2
+        assert sum(key.startswith("def fold(") and "def kernel(" not in key
+                   for key in kernel_cache) == 1
+
+    def test_cap_evicts_the_least_recently_planned_shape(self, kernel_cache):
+        import itertools
+
+        from repro.query.codegen import _KERNEL_CACHE_CAP as cap
+
+        t, k, v = make_table(13, n=256, seed=36)
+        folds = [(kind, column) for kind in ("sum", "min", "max", "mean")
+                 for column in ("k", "v")] + [("count", None)]
+        shapes = list(itertools.islice(
+            itertools.permutations(folds, 3), cap + 1))
+
+        def query(shape):
+            q = Query(t).where(col("k") >= 100)
+            for kind, column in shape:
+                q = q.count() if column is None else getattr(q, kind)(column)
+            return q
+
+        kernels = [query(shape).plan().kernel for shape in shapes[:cap]]
+        assert len(kernel_cache) == cap
+        # A hit refreshes: the oldest shape is planned again, so the
+        # next new shape evicts the second oldest instead.
+        assert query(shapes[0]).plan().kernel.fn is kernels[0].fn
+        query(shapes[cap]).plan()
+        assert len(kernel_cache) == cap
+        assert kernels[0].source in kernel_cache
+        assert kernels[1].source not in kernel_cache
+        # The evicted shape recompiles and still answers exactly.
+        again = query(shapes[1])
+        result = again.run()
+        assert result.plan.kernel.fn is not kernels[1].fn
+        assert result.plan.kernel.source == kernels[1].source
+        assert result.aggregates == again.run(codegen="off").aggregates
+        assert len(kernel_cache) == cap

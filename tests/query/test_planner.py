@@ -243,3 +243,136 @@ class TestLogicalValidation:
     def test_unknown_column_fails_fast(self, table):
         with pytest.raises(KeyError):
             Query(table).where(col("nope") >= 1)
+
+
+class TestPlanOnce:
+    """The second plan of a shape pays for nothing its literals do not
+    decide — pinned by counting the work, not by timing it."""
+
+    #: ``explain()`` of the plan below at the commit before the selector
+    #: went lazy, up to the generated kernel (whose text did change).
+    EAGER_EXPLAIN = """\
+== logical plan ==
+  scan 20,000 rows x 2 columns
+  filter ((k >= 1000) & (k < 50000))
+  aggregate sum(v)
+== physical plan ==
+  pushed-down predicates (zone-map pruning):
+    k in [1000, inf): 313 candidate / 0 pruned chunks
+    k in [0, 50000): 16 candidate / 297 pruned chunks
+  chunks: 313 total, 16 candidate, 297 pruned
+  morsels: 1 x 65536 elements (superchunk-aligned), 0 fully pruned
+  columns read (fused single pass):
+    k: 20b os_default (gen 0), engine=blocked, single-buffer reads; \
+selector recommends replicated / 20b (differs)
+      will decode 16 chunks = 1024 elements
+    v: 16b os_default (gen 0), engine=blocked, single-buffer reads; \
+selector recommends replicated / 16b (differs)
+      will decode 16 chunks = 1024 elements
+  estimated scan instructions: 7,872
+  execution mode: compiled (fused kernel)
+  generated kernel:
+"""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts of the three things a warm plan must not do."""
+        import builtins
+
+        import repro.query.codegen as codegen
+        import repro.query.planner as planner
+        from repro.core.smart_array import SmartArray
+
+        calls = {"compile": 0, "to_numpy": 0, "select_configuration": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(codegen, "compile",
+                            counting("compile", builtins.compile),
+                            raising=False)
+        monkeypatch.setattr(SmartArray, "to_numpy",
+                            counting("to_numpy", SmartArray.to_numpy))
+        monkeypatch.setattr(
+            planner, "select_configuration",
+            counting("select_configuration", planner.select_configuration))
+        return calls
+
+    def test_warm_shape_with_new_literals_does_no_shape_work(
+            self, table, counted):
+        def query(lo, hi):
+            return Query(table).where(in_range("k", lo, hi)).sum("v")
+
+        zm = table.zone_map("k")
+        cold = query(7, 9).plan()
+        assert counted["to_numpy"] == 2  # the map's mins and maxs, once
+        assert counted["select_configuration"] == 0
+
+        before = dict(counted)
+        unpacks = (zm.mins.stats.chunk_unpacks, zm.maxs.stats.chunk_unpacks)
+        plan = query(1000, 50_000).plan()
+        assert counted == before
+        assert (zm.mins.stats.chunk_unpacks,
+                zm.maxs.stats.chunk_unpacks) == unpacks
+        assert plan.kernel.fn is cold.kernel.fn
+        assert plan.kernel.literals == (1000, 50_000)
+
+        # The selector runs when its lines are asked for, once, and
+        # says what the eager planner said.
+        text = plan.explain()
+        assert counted["select_configuration"] == len(plan.needed_columns)
+        assert text.startswith(self.EAGER_EXPLAIN)
+        assert text.endswith("\n  literals: lits[0] = 1000, lits[1] = 50000")
+        assert plan.decisions["k"].describe() == (
+            "k: 20b os_default (gen 0), engine=blocked, single-buffer "
+            "reads; selector recommends replicated / 20b (differs)")
+        assert plan.decisions["v"].selection is not None
+        plan.explain()
+        assert counted["select_configuration"] == len(plan.needed_columns)
+        assert counted["compile"] == before["compile"]
+
+    def test_nothing_is_decoded_before_the_first_lookup(self, data, counted):
+        # Cached bounds fill lazily: registering a table and building
+        # its zone map decode the column once, never the zone arrays.
+        t = SmartTable.from_arrays(dict(data))
+        zm = t.build_zone_map("k")
+        assert counted["to_numpy"] == 0
+        assert zm.mins.stats.chunk_unpacks == 0
+        mins, maxs = zm.bounds()
+        assert counted["to_numpy"] == 2
+        assert zm.bounds()[0] is mins and not mins.flags.writeable
+        assert np.array_equal(mins, data["k"][::64])
+
+    def test_rebuilt_map_serves_fresh_bounds(self, data):
+        t = SmartTable.from_arrays(dict(data))
+        t.build_zone_map("k")
+        low = int(data["k"].min())
+        assert low > 0
+
+        def below_all():
+            return Query(t).where(col("k") < low).count()
+
+        assert below_all().plan().chunks_candidate == 0
+        t["k"][N - 1] = 0
+        t.build_zone_map("k")
+        plan = below_all().plan()
+        assert plan.chunks_candidate == 1
+        assert plan.execute().aggregates == {"count(*)": 1}
+
+    def test_decisions_describe_the_plan_time_generation(self, table):
+        # Facts are captured when the plan is made; asking for the
+        # selector's verdict after a migration does not re-read them.
+        from repro.adapt import Configuration
+        from repro.core.allocate import default_allocator
+        from repro.live import LiveMigrator
+
+        plan = Query(table).where(in_range("k", 0, 1000)).sum("v").plan()
+        migration = LiveMigrator(default_allocator()).migrate(
+            table["v"], Configuration(table["v"].placement, 32))
+        assert migration.state == "completed"
+        decision = plan.decisions["v"]
+        assert (decision.bits, decision.generation) == (16, 0)
+        assert decision.recommended is not None

@@ -368,3 +368,132 @@ class TestObservability:
         with connect(port=server.port) as c:
             c.ping()
             assert reg.value("server.sessions_active") >= 1
+
+
+class MorselGate:
+    """Holds a query inside its first morsel — past the boundary checks,
+    before anything is pinned — until ``release`` is set, and records
+    which threads ran morsels."""
+
+    def __init__(self, server, column="amount", hold=True):
+        self.array = server.catalog.tables()["events"][column]
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not hold:
+            self.release.set()
+        self.pins = 0
+        self.threads = set()
+
+    def __enter__(self):
+        pin = self.array.pin_generation
+
+        def gated():
+            self.pins += 1
+            self.threads.add(threading.current_thread().name)
+            if self.pins == 1:
+                self.entered.set()
+                assert self.release.wait(10)
+            return pin()
+
+        self.array.pin_generation = gated
+        return self
+
+    def __exit__(self, *exc):
+        self.release.set()
+        del self.array.pin_generation
+
+
+def run_in_thread(fn):
+    """Start ``fn`` on a thread; ``join()`` returns its result or the
+    exception it raised."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except Exception as exc:  # noqa: BLE001 - handed to the caller
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+
+    def join():
+        thread.join(10)
+        assert not thread.is_alive()
+        return box.get("result"), box.get("error")
+
+    return join
+
+
+class TestSessionThreadDefault:
+    """The default server runs a query on its session thread (a serial
+    pool): every bound on a query still bites at morsel boundaries."""
+
+    #: Five interpreted morsels of 4096 rows over one column.
+    SCAN = "SELECT sum(amount) FROM events"
+
+    def test_default_pool_is_serial_and_explicit_pool_wins(self):
+        from repro.runtime import default_pool
+
+        catalog, _ = build_catalog()
+        server = SmartArrayServer(catalog, port=0, n_workers=3)
+        assert (server.pool.mode, server.pool.n_workers) == ("serial", 3)
+        pool = default_pool(2)
+        assert SmartArrayServer(catalog, port=0, pool=pool).pool is pool
+
+    def test_morsels_run_on_the_session_thread(self, conn, server_and_data):
+        server, data = server_and_data
+        with MorselGate(server, hold=False) as gate:
+            result = conn.sql(self.SCAN, codegen="off")
+        assert result.scalar() == int(data["amount"].sum())
+        assert gate.pins == result.stats["morsels_executed"] == 5
+        (name,) = gate.threads
+        assert name.startswith("repro-session-")
+
+    def test_cancel_op_stops_at_the_next_morsel(self, server_and_data):
+        server, _ = server_and_data
+        with MorselGate(server) as gate, connect(port=server.port) as victim, \
+                connect(port=server.port) as other:
+            join = run_in_thread(lambda: victim.sql(
+                self.SCAN, query_id="held", codegen="off"))
+            assert gate.entered.wait(10)
+            assert other.cancel("held") is True
+            gate.release.set()
+            result, error = join()
+            assert result is None and error.type == "cancelled"
+            assert gate.pins == 1  # the second morsel never started
+            assert gate.array.generation.pin_count == 0
+            assert server.inflight_queries == 0
+            assert victim.sql("SELECT count(*) FROM events").scalar() \
+                == N_ROWS
+
+    def test_deadline_expires_between_morsels(self, server_and_data):
+        server, _ = server_and_data
+        with MorselGate(server) as gate, connect(port=server.port) as c:
+            join = run_in_thread(lambda: c.sql(
+                self.SCAN, timeout_s=0.05, codegen="off"))
+            assert gate.entered.wait(10)
+            time.sleep(0.1)
+            gate.release.set()
+            result, error = join()
+            assert result is None and error.type == "timeout"
+            assert gate.pins == 1
+            assert gate.array.generation.pin_count == 0
+
+    def test_drain_waits_for_the_query_on_its_session_thread(self):
+        catalog, data = build_catalog()
+        server = SmartArrayServer(catalog, port=0).start()
+        with MorselGate(server) as gate, connect(port=server.port) as c:
+            join = run_in_thread(lambda: c.sql(self.SCAN, codegen="off"))
+            assert gate.entered.wait(10)
+            join_shutdown = run_in_thread(
+                lambda: server.shutdown(drain=True))
+            assert server._stopping.wait(10)
+            time.sleep(0.05)
+            assert server.active_sessions == 1  # still draining
+            gate.release.set()
+            result, error = join()
+            assert error is None
+            assert result.scalar() == int(data["amount"].sum())
+            assert join_shutdown() == (None, None)
+        assert server.active_sessions == 0
