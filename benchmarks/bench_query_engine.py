@@ -33,9 +33,14 @@ A third section prices **planning** (``plan`` in the JSON), on 1M-row
 cache emptied first), for a warm shape with fresh literals, and per
 first ``explain()`` of a warm plan (which is where the section-6
 selector runs); then the kernel-cache entries and resident memory that
-20,000 distinct-literal plans of one shape leave behind.  The values
-measured at the parent commit by this same section are recorded beside
-the new ones (:data:`PLAN_BASELINE`).
+20,000 distinct-literal plans of one shape leave behind.  It also prices
+the other fixed costs of a repeated point statement: ``compile_sql``
+(lex, parse, bind) of a cold and of a warm statement shape, binding the
+literals to the zone map (``_bind``) over a sorted ``ts`` column
+(monotone chunk bounds) and over the same values shuffled (not
+monotone), and one metrics-registry lookup.  The values measured at the
+parent commit by this same section are recorded beside the new ones
+(:data:`PLAN_BASELINE`).
 
 Run as a script it writes ``benchmarks/results/query_engine.txt`` plus
 machine-readable ``benchmarks/results/BENCH_query_engine.json`` (per
@@ -57,8 +62,11 @@ import pytest
 from repro.cluster import ShardedTable, cluster_of
 from repro.core import scan_ops
 from repro.core.table import SmartTable
+from repro.obs.registry import registry
 from repro.query import Query, codegen, in_range
+from repro.query import planner
 from repro.runtime.loops import default_pool
+from repro.sql import compile_sql, parser
 
 try:
     from .common import RESULTS_DIR, emit
@@ -78,21 +86,27 @@ SLOW_RUN_S = 2.0
 PLAN_ROWS = 1_000_000
 PLAN_STATEMENTS = 20_000
 PLAN_TABLES = ("events", "events_enc", "events_sharded")
-#: This file's ``plan`` section run against the parent commit (5da8a0a:
-#: literals baked into kernel source, zone bounds decoded per plan,
-#: selector consulted per plan), same host, same day as the committed
-#: BENCH_query_engine.json.
+#: This file's ``plan`` section run against the parent commit's library
+#: (004a289: per-statement lexing and parsing, kernel cache keyed by
+#: generated source, every range bound by comparing all chunk bounds,
+#: registry lookups that rebuild the metric key), same host, same day as
+#: the committed BENCH_query_engine.json.
 PLAN_BASELINE = {
-    "commit": "5da8a0a",
-    "events": {"cold_shape_us": 693.1, "warm_fresh_literals_us": 657.4,
-               "explain_after_warm_plan_us": 11.3},
-    "events_enc": {"cold_shape_us": 657.4, "warm_fresh_literals_us": 641.6,
-                   "explain_after_warm_plan_us": 12.4},
-    "events_sharded": {"cold_shape_us": 1334.0,
-                       "warm_fresh_literals_us": 1307.6,
-                       "explain_after_warm_plan_us": 27.9},
-    "kernel_cache_entries": 20000,
-    "rss_growth_mb": 42.0,
+    "commit": "004a289",
+    "events": {"cold_shape_us": 439.6, "warm_fresh_literals_us": 185.1,
+               "explain_after_warm_plan_us": 90.6},
+    "events_enc": {"cold_shape_us": 454.4, "warm_fresh_literals_us": 190.9,
+                   "explain_after_warm_plan_us": 92.6},
+    "events_sharded": {"cold_shape_us": 883.7,
+                       "warm_fresh_literals_us": 585.9,
+                       "explain_after_warm_plan_us": 38.0},
+    "kernel_cache_entries": 1,
+    "rss_growth_mb": 0.0,
+    "fixed_cost_us": {"compile_sql_cold_shape": 73.6,
+                      "compile_sql_warm_shape": 73.7,
+                      "bind_monotone_map": 103.9,
+                      "bind_non_monotone_map": 136.3,
+                      "registry_lookup": 1.52},
 }
 
 
@@ -219,13 +233,19 @@ def _plan_tables(n):
     }
     events = SmartTable.from_arrays(data, replicated=True)
     events.build_zone_map("ts")
+    shuffled = SmartTable.from_arrays(
+        {"ts": rng.permutation(data["ts"]), "amount": data["amount"]},
+        replicated=True)
+    shuffled.build_zone_map("ts")
     enc = SmartTable.from_arrays(
         data, replicated=True, codecs={"ts": "delta", "region": "dict"})
     enc.build_zone_map("ts")
     sharded = ShardedTable.from_arrays(
         data, key="ts", cluster=cluster_of(4), mode="range",
         replicate=("amount",))
-    return dict(zip(PLAN_TABLES, (events, enc, sharded)))
+    tables = dict(zip(PLAN_TABLES, (events, enc, sharded)))
+    tables["events_shuffled"] = shuffled
+    return tables
 
 
 def _rss_mb():
@@ -303,7 +323,53 @@ def plan_report(n=PLAN_ROWS, statements=PLAN_STATEMENTS):
         f"[{PLAN_BASELINE['kernel_cache_entries']}], RSS "
         f"{section['rss_growth_mb']:+.1f} MB "
         f"[{PLAN_BASELINE['rss_growth_mb']}]")
+
+    section["fixed_cost_us"] = fixed = fixed_cost_us(tables, span, rng)
+    lines.append("  other fixed costs of one statement (us, median; "
+                 "parent in brackets):")
+    for key, value in fixed.items():
+        lines.append(f"    {key:<32} {value:>8.2f} "
+                     f"[{PLAN_BASELINE['fixed_cost_us'][key]}]")
     return lines, section
+
+
+def fixed_cost_us(tables, span, rng):
+    """µs per ``compile_sql`` (cold and warm shape), per zone binding
+    on a monotone and a non-monotone map, and per registry lookup."""
+    catalog = {"events": tables["events"]}
+    # The parse memo, where there is one.
+    memo = getattr(parser, "_PARSE_CACHE", {})
+
+    def sql():
+        lo = int(rng.integers(1, (1 << KEY_BITS) - span))
+        return (f"SELECT sum(amount), count(*) FROM events "
+                f"WHERE ts >= {lo} AND ts < {lo + span}")
+
+    def bind(table):
+        shape_query = Query(table).where(in_range("ts", 1, 2)).sum("amount")
+        shape = planner._plan_shape(shape_query, None, None)
+
+        def run():
+            lo = int(rng.integers(1, (1 << KEY_BITS) - span))
+            q = (Query(table).where(in_range("ts", lo, lo + span))
+                 .sum("amount"))
+            planner._bind(q, shape, "on")
+        return run
+
+    reg = registry()
+    return {
+        "compile_sql_cold_shape": _median_us(
+            lambda: compile_sql(sql(), catalog), 300, before=memo.clear),
+        "compile_sql_warm_shape": _median_us(
+            lambda: compile_sql(sql(), catalog), 1000),
+        "bind_monotone_map": _median_us(bind(tables["events"]), 1000),
+        "bind_non_monotone_map": _median_us(
+            bind(tables["events_shuffled"]), 1000),
+        # A lookup is below the timer's resolution: 100 per sample.
+        "registry_lookup": round(_median_us(
+            lambda: [reg.counter("server.queries", status="ok")
+                     for _ in range(100)], 1000) / 100, 2),
+    }
 
 
 def report(n=N_SCRIPT):

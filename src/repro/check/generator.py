@@ -302,6 +302,7 @@ _LIVE_OP_TABLE = (
     ("parallel_sum", 1, True),
     ("parallel_count", 2, True),
     ("query_filter_count", 1, False),
+    ("query_key_sum", 1, False),
 ) + _LIVE_MIGRATE_OPS
 
 #: SQL-frontend twins of the query ops: identical argument shapes plus
@@ -493,7 +494,7 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec,
                          int(rng.choice(_PARALLEL_BATCHES)),
                          int(rng.integers(0, 2))))
     if name in ("query_filter_sum", "query_filter_count",
-                "query_filter_minmax"):
+                "query_filter_minmax", "query_key_sum"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          int(rng.integers(0, 2)), int(rng.integers(0, 2))))
     if name in ("query_and_count", "query_or_select"):

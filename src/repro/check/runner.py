@@ -45,7 +45,9 @@ from ..obs.trace import TRACER, tracing
 from ..query import Query, col, in_range, unsupported_reason
 from ..runtime import parallel_scans
 from ..runtime.workers import WorkerPool
-from ..sql import SqlError, compile_sql
+from ..sql import SqlError, bind, compile_sql, parse
+from ..sql.nodes import SelectStmt
+from ..sql.parser import _parse_uncached
 from . import oracle as orc
 from .generator import (
     CODEC_TARGETS,
@@ -93,6 +95,22 @@ class _Divergence(Exception):
 def _fmt(value) -> str:
     text = repr(value)
     return text if len(text) <= 200 else text[:200] + "..."
+
+
+def _parse_checked(name: str, sql: str) -> SelectStmt:
+    """``parse(sql)`` — served from the parse memo whenever the shape
+    was seen before — checked against a fresh, uncached parse of the
+    same text: a memo that serves a tree its parser would no longer
+    build (a stale template, a key that confuses two shapes) diverges
+    here even when the served tree happens to bind."""
+    stmt = parse(sql)
+    fresh = _parse_uncached(sql)
+    if stmt != fresh:
+        raise _Divergence(
+            "sql",
+            f"{name}: {sql!r} parsed (memo) to\n{stmt!r}\n"
+            f"but a fresh parse gives\n{fresh!r}")
+    return stmt
 
 
 class CaseRunner:
@@ -1142,7 +1160,7 @@ class CaseRunner:
         o, ov = self.oracle, self._oracle_v
 
         if op.name in ("query_filter_sum", "query_filter_count",
-                       "query_filter_minmax"):
+                       "query_filter_minmax", "query_key_sum"):
             lo, hi, par, dist = op.args
             mask = o.range_mask(lo, hi)
             chunks = self._query_chunk_mask([(lo, hi)], [], union=False)
@@ -1156,6 +1174,12 @@ class CaseRunner:
             elif op.name == "query_filter_count":
                 q = q.count()
                 expected = (int(mask.sum()),)
+            elif op.name == "query_key_sum":
+                # Sums the case array itself — the column a live
+                # migration re-widths — so a kernel specialized on the
+                # old width has to be told apart from the new one.
+                q = q.sum("k")
+                expected = (int(o.values[mask].astype(object).sum()),)
             else:
                 q = q.min("v").max("v")
                 expected = (
@@ -1275,7 +1299,7 @@ class CaseRunner:
             raise AssertionError(f"unknown sql op {op.name!r}")
 
         try:
-            bound = compile_sql(sql, {"t": table})
+            bound = bind(_parse_checked(op.name, sql), {"t": table})
         except SqlError as exc:
             raise _Divergence(
                 "sql",
@@ -1617,7 +1641,7 @@ class CaseRunner:
             sql = _render_sql_op("sql_filter_sum", (lo, hi, fan, dist),
                                  style)
             try:
-                q = compile_sql(sql, {"t": st})
+                q = bind(_parse_checked(name, sql), {"t": st})
             except SqlError as exc:
                 raise _Divergence(
                     "sql", f"{name}: {sql!r} failed to compile against "
@@ -1698,9 +1722,12 @@ _SQL_ERROR_TEMPLATES = (
 def _render_sql_op(name: str, args, style: int) -> str:
     """Render a sql op's statement text in one of the surface styles.
 
-    Styles vary keyword/function case, clause whitespace, and a
-    trailing semicolon — never the statement's meaning, so every style
-    must lower to the identical logical plan.
+    Styles vary keyword/function case, clause whitespace, a trailing
+    semicolon and, on count and min/max statements, the digit in an
+    output alias — never the statement's meaning, so every style must
+    lower to the identical logical plan.  (The aliases give statements
+    that differ only in an identifier's digit, which one parse template
+    must never serve for both.)
     """
     def kw(s: str) -> str:
         return s.upper() if style % 2 == 0 else s.lower()
@@ -1712,10 +1739,11 @@ def _render_sql_op(name: str, args, style: int) -> str:
         select = f"{kw('select')} {kw('sum')}(v)"
         where = rng("k", args[0], args[1])
     elif name == "sql_filter_count":
-        select = f"{kw('select')} {kw('count')}(*)"
+        select = f"{kw('select')} {kw('count')}(*) {kw('as')} n{style}"
         where = rng("k", args[0], args[1])
     elif name == "sql_filter_minmax":
-        select = f"{kw('select')} {kw('min')}(v), {kw('max')}(v)"
+        select = (f"{kw('select')} {kw('min')}(v) {kw('as')} m{style}, "
+                  f"{kw('max')}(v)")
         where = rng("k", args[0], args[1])
     elif name == "sql_and_count":
         select = f"{kw('select')} {kw('count')}(*)"

@@ -17,6 +17,17 @@ The skipping is observable, not just asserted: scans go through the
 array's access statistics (``chunk_unpacks`` counts logical chunks
 decoded regardless of batching), so tests verify that a selective
 predicate decodes only the surviving chunks.
+
+**Monotone maps bind by binary search.**  A column stored in sorted
+order (a timestamp, an append-only key) has non-decreasing chunk mins
+*and* maxs.  On such a map the chunks with ``max >= lo`` form a suffix
+and those with ``min < hi`` a prefix, so a range's candidates are one
+run ``[searchsorted(maxs, lo), searchsorted(mins, hi))`` — O(log n)
+instead of two compares, a ``nonzero`` and an index scatter over every
+chunk bound.  The map records whether it is monotone when it decodes
+its bounds; every other map keeps the compare path, which is the only
+one an unsorted column ever takes.  Both paths return the same chunks
+and bump the same counters.
 """
 
 from __future__ import annotations
@@ -34,6 +45,18 @@ from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
 
 
+def _non_decreasing(bounds: np.ndarray) -> bool:
+    """True when every chunk bound is at least the one before it."""
+    return bool((bounds[1:] >= bounds[:-1]).all())
+
+
+def _split_run(first: int, count: int,
+               max_run: int) -> Iterator[Tuple[int, int]]:
+    """``(first, count)`` cut into runs at most ``max_run`` long."""
+    for done in range(0, count, max_run):
+        yield first + done, min(max_run, count - done)
+
+
 def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
     """Group sorted chunk indices into ``(first, count)`` runs of
     consecutive chunks, each at most ``max_run`` long."""
@@ -42,8 +65,7 @@ def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
     starts = np.concatenate(([0], np.flatnonzero(np.diff(chunks) != 1) + 1))
     lengths = np.diff(starts, append=chunks.size)
     for first, length in zip(chunks[starts].tolist(), lengths.tolist()):
-        for done in range(0, length, max_run):
-            yield first + done, min(max_run, length - done)
+        yield from _split_run(first, length, max_run)
 
 
 class ZoneMap:
@@ -63,6 +85,9 @@ class ZoneMap:
         #: ``(mins, maxs)`` decoded to NumPy by the first range lookup
         #: (see :meth:`bounds`); nothing is decoded at build time.
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Whether both decoded bound arrays are non-decreasing; set by
+        #: :meth:`bounds` before it publishes them.
+        self._monotone = False
 
     @classmethod
     def build(cls, array: SmartArray, allocator=None,
@@ -142,8 +167,47 @@ class ZoneMap:
             bounds = (self.mins.to_numpy(), self.maxs.to_numpy())
             for decoded in bounds:
                 decoded.flags.writeable = False
+            self._monotone = all(_non_decreasing(b) for b in bounds)
             self._bounds = bounds
         return bounds
+
+    @property
+    def monotone(self) -> bool:
+        """Whether chunk mins and maxs are both non-decreasing (decodes
+        the bounds on first use)."""
+        self.bounds()
+        return self._monotone
+
+    def _count_candidates(self, candidates: int) -> None:
+        # Observable skipping: every pruning decision lands in the
+        # registry, labelled by the array it spared from decoding.
+        reg = _obs_registry()
+        label = self.array.stats.array_label
+        reg.counter("zonemap.chunks_candidate", array=label).add(candidates)
+        reg.counter("zonemap.chunks_pruned",
+                    array=label).add(self.n_chunks - candidates)
+
+    def candidate_run(self, lo: int, hi: int) -> Optional[Tuple[int, int]]:
+        """The chunks whose zone intersects ``[lo, hi)`` as one run
+        ``(first, stop)`` of consecutive chunk indices — on a
+        :attr:`monotone` map, found by two binary searches.  ``None``
+        when the map is not monotone (use :meth:`candidate_chunks`).
+
+        Clamps and counts exactly like :meth:`candidate_chunks`; a range
+        no value can match is the empty run ``(0, 0)`` on any map.
+        """
+        bounds = clamp_u64_range(lo, hi)
+        if bounds is None or self.n_chunks == 0:
+            return 0, 0
+        mins, maxs = self.bounds()
+        if not self._monotone:
+            return None
+        lo64, hi64 = bounds
+        first = int(maxs.searchsorted(lo64))
+        stop = (self.n_chunks if hi64 is None
+                else max(first, int(mins.searchsorted(hi64))))
+        self._count_candidates(stop - first)
+        return first, stop
 
     def candidate_chunks(self, lo: int, hi: int) -> np.ndarray:
         """Chunks whose [min, max] zone intersects ``[lo, hi)``.
@@ -153,6 +217,14 @@ class ZoneMap:
         ``hi`` at or above ``2**64`` keeps every chunk with
         ``max >= lo`` instead of overflowing.
         """
+        run = self.candidate_run(lo, hi)
+        if run is not None:
+            return np.arange(*run, dtype=np.int64)
+        return self._compare_candidates(lo, hi)
+
+    def _compare_candidates(self, lo: int, hi: int) -> np.ndarray:
+        """:meth:`candidate_chunks` by comparing every chunk's bounds —
+        the path for maps that are not monotone."""
         bounds = clamp_u64_range(lo, hi)
         if bounds is None or self.n_chunks == 0:
             return np.empty(0, dtype=np.int64)
@@ -162,15 +234,17 @@ class ZoneMap:
         if hi64 is not None:
             mask &= mins < hi64
         candidates = np.nonzero(mask)[0].astype(np.int64)
-        # Observable skipping: every pruning decision lands in the
-        # registry, labelled by the array it spared from decoding.
-        reg = _obs_registry()
-        label = self.array.stats.array_label
-        reg.counter("zonemap.chunks_candidate",
-                    array=label).add(candidates.size)
-        reg.counter("zonemap.chunks_pruned",
-                    array=label).add(self.n_chunks - candidates.size)
+        self._count_candidates(candidates.size)
         return candidates
+
+    def _covered_elements(self, chunks: int, last_covered: bool) -> int:
+        """Elements in ``chunks`` whole chunks, one of them the trailing
+        partial chunk when ``last_covered``."""
+        elements = chunks * bitpack.CHUNK_ELEMENTS
+        tail = self.array.length % bitpack.CHUNK_ELEMENTS
+        if last_covered and tail:
+            elements -= bitpack.CHUNK_ELEMENTS - tail
+        return elements
 
     def count_in_range(self, lo: int, hi: int, socket: int = 0,
                        superchunk=None) -> int:
@@ -186,22 +260,42 @@ class ZoneMap:
 
     def _count_in_range(self, lo: int, hi: int, socket: int,
                         superchunk) -> int:
-        candidates = self.candidate_chunks(lo, hi)
-        if candidates.size == 0:
-            return 0
-        mins, maxs = self.bounds()
-        lo64, hi64 = clamp_u64_range(lo, hi)
-        covered = mins[candidates] >= lo64
-        if hi64 is not None:
-            covered &= maxs[candidates] < hi64
-        total = 0
-        for chunk in candidates[covered]:
-            start = int(chunk) * bitpack.CHUNK_ELEMENTS
-            total += min(self.array.length, start + bitpack.CHUNK_ELEMENTS) - start
         max_run = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
+        run = self.candidate_run(lo, hi)
+        if run is not None:
+            first, stop = run
+            if first == stop:
+                return 0
+            mins, maxs = self.bounds()
+            lo64, hi64 = clamp_u64_range(lo, hi)
+            # Covered chunks (min >= lo, max < hi) are a run inside the
+            # candidates by the same monotonicity.
+            cover_first = max(first, int(mins.searchsorted(lo64)))
+            cover_stop = (stop if hi64 is None
+                          else min(stop, int(maxs.searchsorted(hi64))))
+            if cover_stop <= cover_first:
+                cover_first = cover_stop = stop  # nothing covered
+            total = self._covered_elements(
+                cover_stop - cover_first,
+                cover_first < cover_stop and cover_stop == self.n_chunks)
+            runs = [*_split_run(first, cover_first - first, max_run),
+                    *_split_run(cover_stop, stop - cover_stop, max_run)]
+        else:
+            candidates = self._compare_candidates(lo, hi)
+            if candidates.size == 0:
+                return 0
+            mins, maxs = self.bounds()
+            lo64, hi64 = clamp_u64_range(lo, hi)
+            covered = mins[candidates] >= lo64
+            if hi64 is not None:
+                covered &= maxs[candidates] < hi64
+            total = self._covered_elements(
+                int(covered.sum()),
+                bool(covered[-1]) and candidates[-1] == self.n_chunks - 1)
+            runs = _chunk_runs(candidates[~covered], max_run)
         replica = self.array.get_replica(socket)
         buf = np.empty(max_run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
-        for first, n in _chunk_runs(candidates[~covered], max_run):
+        for first, n in runs:
             decoded = self.array.decode_chunks(first, n, replica=replica,
                                                out=buf)
             start = first * bitpack.CHUNK_ELEMENTS
@@ -219,15 +313,22 @@ class ZoneMap:
 
     def _select_in_range(self, lo: int, hi: int, socket: int,
                          superchunk) -> np.ndarray:
-        candidates = self.candidate_chunks(lo, hi)
-        if candidates.size == 0:
-            return np.empty(0, dtype=np.int64)
+        max_run = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
+        run = self.candidate_run(lo, hi)
+        if run is not None:
+            if run[0] == run[1]:
+                return np.empty(0, dtype=np.int64)
+            runs = _split_run(run[0], run[1] - run[0], max_run)
+        else:
+            candidates = self._compare_candidates(lo, hi)
+            if candidates.size == 0:
+                return np.empty(0, dtype=np.int64)
+            runs = _chunk_runs(candidates, max_run)
         lo64, hi64 = clamp_u64_range(lo, hi)
         out: List[np.ndarray] = []
-        max_run = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
         replica = self.array.get_replica(socket)
         buf = np.empty(max_run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
-        for first, n in _chunk_runs(candidates, max_run):
+        for first, n in runs:
             decoded = self.array.decode_chunks(first, n, replica=replica,
                                                out=buf)
             start = first * bitpack.CHUNK_ELEMENTS

@@ -22,6 +22,13 @@ Design points:
   :meth:`Counter.add_under_lock`.
 * **Snapshots are flat dicts** of ``"name{k=v,...}" -> number`` so
   delta/compare logic stays trivial for tests and the trace layer.
+* **Repeat lookups are one dict probe.**  Hot paths ask for the same
+  series on every request; ``counter()``/``gauge()``/``histogram()``
+  first try a dict keyed by the call itself — ``(kind, name, label
+  items as passed)`` — before building a label dict and a
+  ``metric_key`` string.  Only calls whose label values are all ``str``
+  are remembered there (``1`` and ``True`` are equal dict keys but
+  different labels), and a drop, once applied, clears it.
 
 The module is dependency-free (stdlib only) so ``repro.core`` can import
 it without cycles.
@@ -236,6 +243,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, object] = {}
+        #: ``(kind, name, label items as passed) -> metric`` for calls
+        #: whose label values are all ``str``; filled and cleared only
+        #: under ``_lock``, read without it.
+        self._lookups: Dict[tuple, object] = {}
         # Drops requested while the lock was already held (GC running a
         # per-array finalizer *inside* one of this registry's locked
         # regions lands on the owning thread — blocking there would
@@ -250,22 +261,44 @@ class MetricsRegistry:
                 keys = self._pending_drops.popleft()
             except IndexError:
                 return
-            for key in keys:
-                self._metrics.pop(key, None)
+            self._drop_locked(keys)
+
+    def _drop_locked(self, keys: Iterable[str]) -> None:
+        """Forget ``keys``.  Caller holds ``_lock``."""
+        dropped = False
+        for key in keys:
+            dropped |= self._metrics.pop(key, None) is not None
+        if dropped:
+            # Refilled by the next lookup of each surviving series.
+            self._lookups = {}
 
     # -- get-or-create -----------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, labels: Mapping[str, str],
+    def _get_or_create(self, cls, name: str, raw_labels: Dict[str, object],
                        **kwargs):
+        try:
+            lookup = (cls, name, tuple(raw_labels.items()))
+            metric = self._lookups.get(lookup)
+        except TypeError:  # an unhashable label value
+            lookup, metric = None, None
+        if metric is not None:
+            return metric
+        remember = lookup is not None and all(
+            type(v) is str for v in raw_labels.values())
+        labels = {k: str(v) for k, v in raw_labels.items()}
         key = metric_key(name, labels)
         metric = self._metrics.get(key)
-        if metric is None:
+        if metric is None or remember:
             with self._lock:
                 self._apply_pending_drops_locked()
                 metric = self._metrics.get(key)
                 if metric is None:
                     metric = cls(name, labels, **kwargs)
                     self._metrics[key] = metric
+                if remember and isinstance(metric, cls):
+                    # Filled under the lock, so a series whose drop was
+                    # applied can never be remembered again.
+                    self._lookups[lookup] = metric
         if not isinstance(metric, cls):
             raise TypeError(
                 f"metric {key!r} already registered as {metric.kind}"
@@ -274,22 +307,15 @@ class MetricsRegistry:
 
     def counter(self, name: str, lock: Optional[threading.Lock] = None,
                 **labels) -> Counter:
-        return self._get_or_create(
-            Counter, name, {k: str(v) for k, v in labels.items()}, lock=lock
-        )
+        return self._get_or_create(Counter, name, labels, lock=lock)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get_or_create(
-            Gauge, name, {k: str(v) for k, v in labels.items()}
-        )
+        return self._get_or_create(Gauge, name, labels)
 
     def histogram(self, name: str,
                   buckets: Optional[Iterable[float]] = None,
                   **labels) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, {k: str(v) for k, v in labels.items()},
-            buckets=buckets,
-        )
+        return self._get_or_create(Histogram, name, labels, buckets=buckets)
 
     # -- introspection -----------------------------------------------------
 
@@ -374,8 +400,7 @@ class MetricsRegistry:
             return
         try:
             self._apply_pending_drops_locked()
-            for key in keys:
-                self._metrics.pop(key, None)
+            self._drop_locked(keys)
         finally:
             self._lock.release()
 
@@ -384,6 +409,7 @@ class MetricsRegistry:
         with self._lock:
             self._pending_drops.clear()
             self._metrics.clear()
+            self._lookups = {}
 
     def __len__(self) -> int:
         return len(self._metrics)

@@ -52,7 +52,8 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -78,11 +79,12 @@ CODEGEN_MODES = ("auto", "on", "off")
 #: ``=on`` errors on any plan the kernel template cannot cover.
 CODEGEN_ENV_VAR = "REPRO_QUERY_CODEGEN"
 
-#: source -> compiled function, least recently used first; the source
-#: embeds every specialization input (columns, bit-width regime, mask
-#: expression, and for group-by plans the grouped reduce it calls) and
-#: no literal, so it is the key and one entry serves a whole shape.
-_KERNEL_CACHE: "OrderedDict[str, Callable]" = OrderedDict()
+#: structural key -> ``(source, compiled function)``, least recently
+#: used first.  A kernel's key is its :class:`_KernelKey` — everything
+#: its source is specialized on and no literal — so one entry serves a
+#: whole shape and a hit generates no source at all; a grouped reduce's
+#: key is ``("fold", *its group_fold arguments)``.
+_KERNEL_CACHE: "OrderedDict[Hashable, Tuple[str, Callable]]" = OrderedDict()
 
 #: Entries :data:`_KERNEL_CACHE` keeps (~4 KB of code object each).  A
 #: client can still send unboundedly many *shapes*; past the cap the
@@ -433,36 +435,54 @@ def group_fold(key_bits: int, value_bits: Tuple[int, ...],
         *[f"            {update}" for update in updates],
     ]
     source = "\n".join(lines) + "\n"
-    return GroupFold(source, _load(source, source, "fold"))
+    key = ("fold", key_bits, value_bits, aggregates, max_elements)
+    entry = _cached(key) or _load(key, source, "fold")
+    return GroupFold(source, entry[1])
 
 
-def _load(key: str, source: str, name: str, **bindings) -> Callable:
-    """The function ``name`` of ``source``, compiled once per ``key``
-    while the key stays among the :data:`_KERNEL_CACHE_CAP` most
-    recently used.
+def _cached(key: Hashable) -> Optional[Tuple[str, Callable]]:
+    """The ``(source, fn)`` kept under ``key``, refreshed as most
+    recently used; ``None`` when it is not (or no longer) kept.
 
     No lock: planners on different threads race benignly.  Each step is
     one ``OrderedDict`` call (atomic under the GIL); losing a race costs
     a duplicate compile or an early eviction, never a wrong function —
-    the caller keeps the ``fn`` it was handed whatever the cache does.
+    the caller keeps the entry it was handed whatever the cache does.
     """
-    fn = _KERNEL_CACHE.get(key)
-    if fn is not None:
+    entry = _KERNEL_CACHE.get(key)
+    if entry is not None:
         try:
             _KERNEL_CACHE.move_to_end(key)
         except KeyError:  # evicted since the get
             pass
-        return fn
-    namespace: Dict[str, object] = {
-        "np": np, "min": min, "max": max, **bindings}
-    exec(compile(source, "<repro.query.codegen>", "exec"), namespace)
-    fn = _KERNEL_CACHE[key] = namespace[name]
+    return entry
+
+
+def _load(key: Hashable, source: str, name: str, shown: str = "",
+          **bindings) -> Tuple[str, Callable]:
+    """Compile ``source``, keep ``(shown or source, its function
+    name)`` under ``key`` among the :data:`_KERNEL_CACHE_CAP` most
+    recently used, and return that entry.
+
+    Keys are finer than sources: columns whose widths differ but fall
+    in one sum regime (the shards of one table, say) generate the same
+    text, so a kept entry with identical text lends its function instead
+    of compiling it again."""
+    shown = shown or source
+    fn = next((kept_fn for kept, kept_fn in tuple(_KERNEL_CACHE.values())
+               if kept == shown), None)
+    if fn is None:
+        namespace: Dict[str, object] = {
+            "np": np, "min": min, "max": max, **bindings}
+        exec(compile(source, "<repro.query.codegen>", "exec"), namespace)
+        fn = namespace[name]
+    entry = _KERNEL_CACHE[key] = (shown, fn)
     while len(_KERNEL_CACHE) > _KERNEL_CACHE_CAP:
         try:
             _KERNEL_CACHE.popitem(last=False)
         except KeyError:  # another planner emptied it first
             break
-    return fn
+    return entry
 
 
 @dataclass(frozen=True)
@@ -551,6 +571,47 @@ def _group_fold_for(query: Query, masked: Dict[str, str],
     return fold, f"fold(groups, {args})"
 
 
+class _KernelKey(NamedTuple):
+    """Everything a kernel's source is specialized on, and no literal:
+    the :data:`_KERNEL_CACHE` key of a compiled shape."""
+
+    #: Needed columns in decode order (the kernel's argument order).
+    columns: Tuple[str, ...]
+    #: The predicate lowered by :func:`_emit_bool`: each comparison with
+    #: its normalized operator and its bound's clamp-fold class — an
+    #: in-domain bound is a ``lits[k]`` slot, a bound that folds the
+    #: comparison to true/false has simplified its connectives away —
+    #: or ``True``/``False`` for a predicate that folds whole.
+    predicate: _BoolIR
+    #: ``(kind, column)`` per aggregate output slot.
+    aggregates: Tuple[Tuple[str, Optional[str]], ...]
+    group_key: Optional[str]
+    #: Decoded value width per needed column, in ``columns`` order: the
+    #: folds' overflow regime and the grouped reduce's limbs.
+    value_bits: Tuple[int, ...]
+    morsel_elements: int
+
+
+def _kernel_signature(query: Query, needed_columns: Tuple[str, ...],
+                      column_bits: Dict[str, int], morsel_elements: int,
+                      lits: List[np.uint64]) -> _KernelKey:
+    """``query``'s kernel key; its in-domain literals are appended to
+    ``lits`` (through :func:`_literal_u64`) in ``lits[k]`` order."""
+    names = {name: f"c{i}" for i, name in enumerate(needed_columns)}
+    predicate: _BoolIR = True
+    if query.predicate is not None:
+        predicate = _emit_bool(query.predicate, names, lits)
+    return _KernelKey(
+        columns=needed_columns,
+        predicate=predicate,
+        aggregates=tuple((spec.kind, spec.column)
+                         for spec in query.aggregates),
+        group_key=query.group_key,
+        value_bits=tuple(column_bits[name] for name in needed_columns),
+        morsel_elements=morsel_elements,
+    )
+
+
 def compile_query(query: Query, needed_columns: Tuple[str, ...],
                   column_bits: Dict[str, int],
                   morsel_elements: int) -> CompiledKernel:
@@ -558,17 +619,35 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
 
     Caller guarantees :func:`unsupported_reason` returned ``None``.
     ``needed_columns`` is the plan's decode order; the kernel's
-    positional arguments follow it.
+    positional arguments follow it.  A shape planned before reuses its
+    kernel: only the literals are extracted, no source is generated.
     """
-    names = {name: f"c{i}" for i, name in enumerate(needed_columns)}
-    args = "".join(
-        f", dec{i}, rep{i}, buf{i}" for i in range(len(needed_columns))
+    needed_columns = tuple(needed_columns)
+    lits: List[np.uint64] = []
+    key = _kernel_signature(query, needed_columns, column_bits,
+                            morsel_elements, lits)
+    source, fn = _cached(key) or _generate_kernel(
+        key, query, column_bits, morsel_elements)
+    return CompiledKernel(
+        source=source,
+        fn=fn,
+        columns=needed_columns,
+        column_bits=dict(column_bits),
+        literals=tuple(lits),
     )
 
-    mask: _BoolIR = True
-    lits: List[np.uint64] = []
-    if query.predicate is not None:
-        mask = _emit_bool(query.predicate, names, lits)
+
+def _generate_kernel(key: _KernelKey, query: Query,
+                     column_bits: Dict[str, int],
+                     morsel_elements: int) -> Tuple[str, Callable]:
+    """Generate, compile and keep the kernel for ``key``: ``(source,
+    fn)``.  For a group-by plan the source opens with the grouped reduce
+    the kernel calls."""
+    names = {name: f"c{i}" for i, name in enumerate(key.columns)}
+    args = "".join(
+        f", dec{i}, rep{i}, buf{i}" for i in range(len(key.columns))
+    )
+    mask = key.predicate
 
     # Masked values once per distinct key / aggregate column.
     masked = {
@@ -602,7 +681,7 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
     lines.append("            span = end - base")
     # Decode every needed column unconditionally: identical accounting
     # to the interpreted pass (chunk_unpacks/replica_reads per column).
-    for i in range(len(needed_columns)):
+    for i in range(len(key.columns)):
         lines.append(
             f"            c{i} = dec{i}(first, count, "
             f"replica=rep{i}, out=buf{i})[:span]"
@@ -633,18 +712,9 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
     source = "\n".join(lines) + "\n"
 
     if fold is None:
-        fn = _load(source, source, "kernel")
-    else:
-        # The fold is compiled once per width specialization and bound
-        # into each kernel's namespace; prefixing its text keeps the
-        # audit trail (and the cache key) whole.
-        kernel_source = source
-        source = fold.source + "\n\n" + kernel_source
-        fn = _load(source, kernel_source, "kernel", fold=fold.fn)
-    return CompiledKernel(
-        source=source,
-        fn=fn,
-        columns=tuple(needed_columns),
-        column_bits=dict(column_bits),
-        literals=tuple(lits),
-    )
+        return _load(key, source, "kernel")
+    # The fold is compiled once per width specialization and bound into
+    # the kernel's namespace; prefixing its text keeps the audit trail
+    # whole.
+    return _load(key, source, "kernel", shown=fold.source + "\n\n" + source,
+                 fold=fold.fn)

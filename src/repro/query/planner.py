@@ -30,12 +30,15 @@ a :class:`PhysicalPlan` the morsel executor runs:
 **Plan once.**  Planning is two steps.  The *shape*
 (:func:`_plan_shape`: compile-or-interpret, needed columns, morsel grid,
 per-column facts, the compiled kernel) reads no literal, and everything
-it reuses is keyed by what it specializes on — the kernel cache by the
-literal-free source, the zone bounds by the map that owns them — so a
-repeat of a statement with new bounds compiles, decodes and selects
-nothing.  The *binding* (:func:`_bind`: literals -> candidate-chunk
-mask -> active morsels) is a handful of NumPy compares over the cached
-zone bounds.  Nothing is cached that a generation epoch could
+it reuses is keyed by what it specializes on — the kernel cache by a
+literal-free structural key, the zone bounds by the map that owns them
+— so a repeat of a statement with new bounds compiles, decodes and
+selects nothing.  The *binding* (:func:`_bind`: literals -> candidate-chunk
+mask -> active morsels) works on the cached zone bounds: on a map whose
+bounds are monotone (a sorted column) each sargable leaf is two binary
+searches giving one chunk run, and the mask and active morsels follow
+from the run by slicing and arithmetic; other maps compare every
+chunk's bounds.  Nothing is cached that a generation epoch could
 invalidate: the shape is rebuilt per plan from the live table.
 
 Everything the plan decides is visible through :meth:`PhysicalPlan.
@@ -48,7 +51,7 @@ execution's observed ``replica_read_elements`` deltas equal
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -159,30 +162,64 @@ class ColumnDecision:
         )
 
 
+class _Run(NamedTuple):
+    """Candidate chunks that are one run ``[first, stop)`` — what a
+    sargable leaf binds to on a monotone zone map."""
+
+    first: int
+    stop: int
+
+
+#: A subtree's candidate chunks: a run, a per-chunk mask, or ``None``
+#: when the subtree cannot prune.
+_Candidates = Union[_Run, np.ndarray, None]
+
+
+def _as_mask(candidates: Union[_Run, np.ndarray],
+             n_chunks: int) -> np.ndarray:
+    if isinstance(candidates, _Run):
+        mask = np.zeros(n_chunks, dtype=bool)
+        mask[candidates.first:candidates.stop] = True
+        return mask
+    return candidates
+
+
 def _candidate_mask(expr: Optional[Expr], zone_maps: Dict[str, ZoneMap],
                     n_chunks: int,
-                    pushed: List[PushedPredicate]) -> Optional[np.ndarray]:
-    """Per-chunk candidate mask for ``expr``; ``None`` = cannot prune.
+                    pushed: List[PushedPredicate]) -> _Candidates:
+    """Candidate chunks for ``expr``; ``None`` = cannot prune.
 
     Sound by construction: a chunk is dropped only when the zone maps
-    prove no row in it can satisfy the expression.
+    prove no row in it can satisfy the expression.  Leaves on monotone
+    maps bind to runs, and runs stay runs under AND (intersection) and
+    under OR when they touch (union), so a range over a sorted column
+    never materializes a per-chunk mask here.
     """
     if expr is None or n_chunks == 0:
         return None
-    if isinstance(expr, And):
+    if isinstance(expr, (And, Or)):
         left = _candidate_mask(expr.left, zone_maps, n_chunks, pushed)
         right = _candidate_mask(expr.right, zone_maps, n_chunks, pushed)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return left & right
-    if isinstance(expr, Or):
-        left = _candidate_mask(expr.left, zone_maps, n_chunks, pushed)
-        right = _candidate_mask(expr.right, zone_maps, n_chunks, pushed)
+        if isinstance(expr, And):
+            if left is None:
+                return right
+            if right is None:
+                return left
+            if isinstance(left, _Run) and isinstance(right, _Run):
+                first = max(left.first, right.first)
+                return _Run(first, max(first, min(left.stop, right.stop)))
+            return _as_mask(left, n_chunks) & _as_mask(right, n_chunks)
         if left is None or right is None:
             return None  # one side unprunable -> any chunk may match
-        return left | right
+        if isinstance(left, _Run) and isinstance(right, _Run):
+            if left.first == left.stop:
+                return right
+            if right.first == right.stop:
+                return left
+            if max(left.first, right.first) <= min(left.stop, right.stop):
+                return _Run(min(left.first, right.first),
+                            max(left.stop, right.stop))
+        return _as_mask(left, n_chunks) | _as_mask(right, n_chunks)
     if isinstance(expr, Compare):
         rng = expr.as_range()
         if rng is None:
@@ -191,18 +228,21 @@ def _candidate_mask(expr: Optional[Expr], zone_maps: Dict[str, ZoneMap],
         zm = zone_maps.get(column)
         if zm is None:
             return None
-        mask = np.zeros(n_chunks, dtype=bool)
-        candidates = zm.candidate_chunks(lo, hi)
-        mask[candidates] = True
+        run = zm.candidate_run(lo, hi)
+        if run is not None:
+            candidates: Union[_Run, np.ndarray] = _Run(*run)
+            count = run[1] - run[0]
+        else:
+            chunks = zm.candidate_chunks(lo, hi)
+            candidates = np.zeros(n_chunks, dtype=bool)
+            candidates[chunks] = True
+            count = int(chunks.size)
         pushed.append(PushedPredicate(
             column=column, lo=max(lo, 0), hi=hi,
-            candidate_chunks=int(candidates.size),
-            pruned_chunks=n_chunks - int(candidates.size),
+            candidate_chunks=count, pruned_chunks=n_chunks - count,
         ))
-        return mask
+        return candidates
     # NOT and anything else: no pruning information.
-    if isinstance(expr, Not):
-        return None
     return None
 
 
@@ -546,10 +586,11 @@ def _plan_shape(query: Query, morsel: Optional[int],
 
 def _bind(query: Query, shape: _PlanShape, prune: str,
           ) -> Tuple[Optional[np.ndarray], List[PushedPredicate],
-                     Optional[np.ndarray]]:
+                     Optional[np.ndarray], int]:
     """The statement's literals against the zone maps: ``(per-chunk
-    candidate mask, pushed predicates, active morsel indices)``, the
-    first and last ``None`` when nothing can be pruned."""
+    candidate mask, pushed predicates, active morsel indices, candidate
+    chunk count)``, the first and third ``None`` when nothing can be
+    pruned."""
     table = query.table
     n_rows = table.n_rows
     n_chunks = bitpack.chunks_for(n_rows)
@@ -566,22 +607,31 @@ def _bind(query: Query, shape: _PlanShape, prune: str,
                 zone_maps[name] = zm
 
     pushed: List[PushedPredicate] = []
-    mask = _candidate_mask(
+    candidates = _candidate_mask(
         query.predicate if prune != "off" else None,
         zone_maps, n_chunks, pushed,
     )
+    if candidates is None:
+        return None, pushed, None, n_chunks
 
-    active_morsels: Optional[np.ndarray] = None
+    # Morsels are uniform superchunk windows.
+    per_morsel = shape.morsel_elements // bitpack.CHUNK_ELEMENTS
+    if isinstance(candidates, _Run):
+        # A run's morsels are a run too: plain arithmetic.
+        first, stop = candidates
+        active_morsels = (
+            np.arange(first // per_morsel, -(-stop // per_morsel),
+                      dtype=np.int64)
+            if stop > first else np.empty(0, dtype=np.int64))
+        return (_as_mask(candidates, n_chunks), pushed, active_morsels,
+                stop - first)
+    # Per-morsel candidacy is one padded reshape — no per-morsel Python.
     n_morsels = len(shape.morsels)
-    if mask is not None and n_morsels:
-        # Morsels are uniform superchunk windows, so per-morsel
-        # candidacy is one padded reshape — no per-morsel Python.
-        per_morsel = shape.morsel_elements // bitpack.CHUNK_ELEMENTS
-        padded = np.zeros(n_morsels * per_morsel, dtype=bool)
-        padded[:n_chunks] = mask
-        has_candidates = padded.reshape(n_morsels, per_morsel).any(axis=1)
-        active_morsels = np.nonzero(has_candidates)[0].astype(np.int64)
-    return mask, pushed, active_morsels
+    padded = np.zeros(n_morsels * per_morsel, dtype=bool)
+    padded[:n_chunks] = candidates
+    has_candidates = padded.reshape(n_morsels, per_morsel).any(axis=1)
+    active_morsels = np.nonzero(has_candidates)[0].astype(np.int64)
+    return candidates, pushed, active_morsels, int(candidates.sum())
 
 
 def _plan_query(
@@ -594,11 +644,11 @@ def _plan_query(
     codegen: Optional[str] = None,
 ) -> PhysicalPlan:
     shape = _plan_shape(query, morsel, codegen)
-    mask, pushed, active_morsels = _bind(query, shape, prune)
+    mask, pushed, active_morsels, chunks_candidate = _bind(
+        query, shape, prune)
 
     table = query.table
     n_chunks = bitpack.chunks_for(table.n_rows)
-    chunks_candidate = int(mask.sum()) if mask is not None else n_chunks
     scan_elements = 64 * chunks_candidate
 
     selector_inputs = None

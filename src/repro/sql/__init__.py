@@ -1,6 +1,6 @@
 """SQL frontend over the smart-array query engine.
 
-A hand-written tokenizer (:mod:`repro.sql.lexer`), recursive-descent
+A one-pattern tokenizer (:mod:`repro.sql.lexer`), recursive-descent
 parser (:mod:`repro.sql.parser`) and binder (:mod:`repro.sql.binder`)
 for a ``SELECT`` subset — projection, wrapping uint64 arithmetic,
 comparisons, ``AND``/``OR``/``NOT``, ``WHERE``, ``GROUP BY``,

@@ -21,14 +21,25 @@ Operator precedence therefore matches the fluent builder exactly:
 silently associating.  Unary minus folds into the literal so boundary
 probes like ``ts >= -3`` reach the binder as negative numbers, where
 the engine's uint64 clamping contract applies.
+
+**Parse once per shape.**  Every decision the grammar makes reads token
+kinds and texts, never a number's value or a token's position, so two
+statements with one shape key (:func:`repro.sql.lexer.scan`: the token
+texts with numbers lifted out) parse to the same tree up to their
+numbers and positions.  :func:`parse` keeps the tree of each recent
+shape and answers a repeat by copying it with this statement's numbers,
+positions and text substituted — field-for-field what the parser would
+have built.  Only the syntax is memoized: binding against the live
+catalog still happens per statement.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from .errors import SqlError
-from .lexer import AGGREGATES, Token, tokenize
+from .lexer import AGGREGATES, RawToken, ShapeKey, Token, scan
 from .nodes import (
     AggItem,
     Binary,
@@ -47,10 +58,21 @@ from .nodes import (
 _CMP_OPS = frozenset(("<", "<=", ">", ">=", "=", "==", "!=", "<>"))
 
 
+#: Statement shapes :func:`parse` keeps a tree for, least recently used
+#: first.  A client can send unboundedly many shapes; past the cap the
+#: least recently parsed one is dropped and parses afresh on return.
+_PARSE_CACHE_CAP = 256
+
+#: shape key -> (a statement's tree, ``{token position: token index}``
+#: of that statement), least recently used first.
+_PARSE_CACHE: "OrderedDict[ShapeKey, Tuple[SelectStmt, Dict[int, int]]]" \
+    = OrderedDict()
+
+
 class _Parser:
-    def __init__(self, sql: str) -> None:
+    def __init__(self, sql: str, tokens: List[Token]) -> None:
         self.sql = sql
-        self.tokens: List[Token] = tokenize(sql)
+        self.tokens = tokens
         self.i = 0
 
     # -- token helpers -------------------------------------------------
@@ -277,7 +299,105 @@ class _Parser:
 
 def parse(sql: str) -> SelectStmt:
     """Parse one SELECT statement; raises :class:`SqlError` with the
-    offending position on any syntax problem."""
+    offending position on any syntax problem.
+
+    A statement whose shape was parsed recently is not parsed again: the
+    kept tree is copied with this statement's numbers, positions and
+    text (see the module docstring).  The result is equal to
+    :func:`_parse_uncached`'s in every field.
+    """
     if not sql or not sql.strip():
         raise SqlError("empty statement", sql or "", 0)
-    return _Parser(sql).parse()
+    raw, key = scan(sql)
+    entry = _PARSE_CACHE.get(key)
+    if entry is not None:
+        try:
+            _PARSE_CACHE.move_to_end(key)
+        except KeyError:  # evicted since the get
+            pass
+        return _substitute(entry, raw, sql)
+    stmt = _Parser(sql, [Token._make(tok) for tok in raw]).parse()
+    # No lock: racing parsers store equal trees; each step is one
+    # atomic OrderedDict call, as in the kernel cache.
+    _PARSE_CACHE[key] = (stmt, {tok[2]: i for i, tok in enumerate(raw)})
+    while len(_PARSE_CACHE) > _PARSE_CACHE_CAP:
+        try:
+            _PARSE_CACHE.popitem(last=False)
+        except KeyError:  # another parser emptied it first
+            break
+    return stmt
+
+
+def _parse_uncached(sql: str) -> SelectStmt:
+    """:func:`parse` without the shape memo: lex and parse afresh."""
+    if not sql or not sql.strip():
+        raise SqlError("empty statement", sql or "", 0)
+    return _Parser(sql, [Token._make(tok) for tok in scan(sql)[0]]).parse()
+
+
+def _substitute(entry: Tuple[SelectStmt, Dict[int, int]],
+                raw: List[RawToken], sql: str) -> SelectStmt:
+    """The kept tree of ``entry`` re-targeted at the statement ``sql``
+    lexed to ``raw``: token ``i`` of the kept statement is token ``i``
+    here, so each position maps through its token index, and each
+    number is read from the token its node starts at (a ``-`` token
+    means the negated number after it, as :meth:`_Parser.factor` folds
+    it).  Nodes are immutable, so a subtree whose positions and numbers
+    did not move is shared rather than copied."""
+    stmt, index = entry
+
+    def at(pos: int) -> int:
+        return raw[index[pos]][2] if pos >= 0 else pos  # -1: count(*)
+
+    def number(pos: int) -> int:
+        i = index[pos]
+        kind, _text, _pos, value = raw[i]
+        return value if kind == "number" else -raw[i + 1][3]
+
+    def expr(node: Expression) -> Expression:
+        cls = type(node)
+        pos = at(node.pos)
+        if cls is Binary:
+            left, right = expr(node.left), expr(node.right)
+            if (pos == node.pos and left is node.left
+                    and right is node.right):
+                return node
+            return Binary(node.op, left, right, pos)
+        if cls is ColRef:
+            return node if pos == node.pos else ColRef(node.name, pos)
+        if cls is Number:
+            value = number(node.pos)
+            if pos == node.pos and value == node.value:
+                return node
+            return Number(value, pos)
+        operand = expr(node.operand)
+        if pos == node.pos and operand is node.operand:
+            return node
+        return Unary(node.op, operand, pos)
+
+    def item(node: SelectItem) -> SelectItem:
+        cls = type(node)
+        pos = at(node.pos)
+        if cls is AggItem:
+            column_pos = at(node.column_pos)
+            if pos == node.pos and column_pos == node.column_pos:
+                return node
+            return AggItem(node.kind, node.column, pos, alias=node.alias,
+                           column_pos=column_pos)
+        if pos == node.pos:
+            return node
+        return (ColumnItem(node.name, pos) if cls is ColumnItem
+                else Star(pos))
+
+    items = tuple(map(item, stmt.items))
+    group_by, limit = stmt.group_by, stmt.limit
+    if group_by is not None and at(group_by.pos) != group_by.pos:
+        group_by = GroupBy(group_by.name, at(group_by.pos))
+    if limit is not None:
+        limit = Limit(number(limit.pos), at(limit.pos))
+    return SelectStmt(
+        items=items, table=stmt.table, table_pos=at(stmt.table_pos),
+        sql=sql, where=None if stmt.where is None else expr(stmt.where),
+        group_by=group_by, limit=limit,
+        pos=at(stmt.pos), select_pos=at(stmt.select_pos),
+    )

@@ -7,6 +7,8 @@ are all checked against the NumPy oracle, including the planner's
 candidate-chunk counts and both columns' decode accounting.
 """
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -173,8 +175,10 @@ class TestPlantedBugs:
         import repro.query.codegen as codegen
 
         orig = codegen._sum_limbs
-        # group_fold memoizes per width specialization: a fold built
-        # from the patched limbs must not outlive the patch.
+        # group_fold memoizes per width specialization and the kernel
+        # cache per shape: kernels built before the patch must not serve
+        # it, nor a fold built from the patched limbs outlive it.
+        monkeypatch.setattr(codegen, "_KERNEL_CACHE", OrderedDict())
         codegen.group_fold.cache_clear()
         monkeypatch.setattr(
             codegen, "_sum_limbs",
@@ -185,6 +189,7 @@ class TestPlantedBugs:
                                max_failures=1, codegen=forced)
         finally:
             codegen.group_fold.cache_clear()
+            codegen._KERNEL_CACHE.clear()
         assert not report.ok
         failure = report.failures[0]
         assert failure.op.name == "query_group_sum"

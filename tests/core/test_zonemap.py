@@ -8,6 +8,7 @@ from repro.core import allocate
 from repro.core.scan_ops import count_in_range, select_in_range
 from repro.core.zonemap import ZoneMap, _chunk_runs
 from repro.numa import NumaAllocator, machine_2x8_haswell
+from repro.obs.registry import registry
 
 
 @pytest.fixture
@@ -99,6 +100,108 @@ class TestZoneScans:
         assert zm.count_in_range(200, 400) == int(
             ((values >= 200) & (values < 400)).sum()
         )
+
+    @pytest.mark.parametrize("monotone", [True, False])
+    def test_covered_partial_tail_chunk(self, allocator, monotone):
+        # 100 elements: one full chunk and a 36-element tail.  A range
+        # covering both must count the tail as 36, not 64, undecoded.
+        values = np.arange(100, dtype=np.uint64)
+        if not monotone:
+            values[:64] = values[:64][::-1] + 100  # chunk 0 above chunk 1
+        sa = allocate(100, bits=8, values=values, allocator=allocator)
+        zm = ZoneMap.build(sa, allocator=allocator)
+        assert zm.monotone is monotone
+        sa.stats.reset()
+        assert zm.count_in_range(0, 200) == 100
+        assert sa.stats.chunk_unpacks == 0
+        # Only the tail covered (chunk 0 straddles ``lo`` when sorted).
+        lo = 64 if not monotone else 50
+        expected = int(((values >= lo) & (values < 100)).sum())
+        assert zm.count_in_range(lo, 100) == expected
+        np.testing.assert_array_equal(
+            zm.select_in_range(lo, 100),
+            np.nonzero((values >= lo) & (values < 100))[0])
+
+
+def zone_counters(zm):
+    reg = registry()
+    label = zm.array.stats.array_label
+    return (reg.value("zonemap.chunks_candidate", array=label),
+            reg.value("zonemap.chunks_pruned", array=label))
+
+
+def zone_map_of(kind, n, draw_values):
+    values = np.array(draw_values, dtype=np.uint64)[:n]
+    if kind == "sorted":
+        values = np.sort(values)
+    elif kind == "constant" and n:
+        values[:] = values[0]
+    sa = allocate(n, bits=64, values=values if n else None,
+                  allocator=NumaAllocator(machine_2x8_haswell()))
+    return ZoneMap.build(sa), values
+
+
+_EDGES = [-7, 0, 1, 2**63, 2**64 - 1, 2**64, 2**64 + 9]
+_VALUE = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1), st.integers(0, 300))
+_BOUND = st.one_of(st.sampled_from(_EDGES), st.integers(0, 300),
+                   st.integers(-2**65, 2**65))
+
+
+class TestRunBinding:
+    """On a monotone map, a range binds by two binary searches to one
+    chunk run; it must agree with comparing every chunk's bounds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["sorted", "random", "constant"]),
+           n=st.sampled_from([0, 1, 37, 64, 65, 200, 384]),
+           values=st.lists(_VALUE, min_size=384, max_size=384),
+           bounds=st.lists(st.tuples(_BOUND, _BOUND), min_size=1,
+                           max_size=6),
+           superchunk=st.sampled_from([64, 128, 4096]))
+    def test_run_path_matches_compare_path(self, kind, n, values, bounds,
+                                           superchunk):
+        zm, data = zone_map_of(kind, n, values)
+        mins, maxs = zm.bounds()
+        expect_monotone = bool(np.all(mins[1:] >= mins[:-1])
+                               and np.all(maxs[1:] >= maxs[:-1]))
+        assert zm.monotone is expect_monotone
+        if kind != "random":
+            assert zm.monotone
+        x = data.astype(object)
+        # lo == hi and an inverted range ride along with every pair.
+        for lo, hi in [*bounds, (bounds[0][0], bounds[0][0]),
+                       (bounds[0][1], bounds[0][0])]:
+            before = zone_counters(zm)
+            chunks = zm.candidate_chunks(lo, hi)
+            mid = zone_counters(zm)
+            compared = zm._compare_candidates(lo, hi)
+            after = zone_counters(zm)
+            np.testing.assert_array_equal(chunks, compared)
+            assert chunks.dtype == compared.dtype == np.int64
+            assert (tuple(m - b for m, b in zip(mid, before))
+                    == tuple(a - m for a, m in zip(after, mid)))
+            if zm.monotone:
+                run = zm.candidate_run(lo, hi)
+                assert run is not None
+                np.testing.assert_array_equal(np.arange(*run), chunks)
+
+            match = np.nonzero([lo <= v < hi for v in x])[0]
+            zm.array.stats.reset()
+            assert zm.count_in_range(lo, hi, superchunk=superchunk) \
+                == match.size
+            unpacks = zm.array.stats.chunk_unpacks
+            np.testing.assert_array_equal(
+                zm.select_in_range(lo, hi, superchunk=superchunk), match)
+            if zm.monotone:
+                # The same scans down the compare path decode the same
+                # chunks.
+                zm._monotone = False
+                zm.array.stats.reset()
+                assert zm.count_in_range(lo, hi, superchunk=superchunk) \
+                    == match.size
+                assert zm.array.stats.chunk_unpacks == unpacks
+                zm._monotone = True
 
 
 def chunk_runs_loop(chunks, max_run):

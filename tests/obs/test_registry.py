@@ -168,6 +168,40 @@ class TestRegistry:
         reg.clear()
         assert len(reg) == 0
 
+    def test_equal_raw_labels_that_render_apart_stay_apart(self):
+        # ``True == 1`` as dict keys, but they are different labels.
+        reg = MetricsRegistry()
+        one = reg.counter("m", flag=1)
+        true = reg.counter("m", flag=True)
+        assert one is not true
+        assert (one.labels, true.labels) == ({"flag": "1"}, {"flag": "True"})
+        assert reg.counter("m", flag=1) is one
+        assert reg.counter("m", flag=True) is true
+
+    def test_dropped_series_is_not_served_again(self):
+        reg = MetricsRegistry()
+        old = reg.counter("m", array="a0")
+        kept = reg.counter("k", array="a0")
+        assert reg.counter("m", array="a0") is old  # repeat lookup
+        reg.drop(["m{array=a0}"])
+        fresh = reg.counter("m", array="a0")
+        assert fresh is not old
+        assert reg.counter("m", array="a0") is fresh
+        assert reg.counter("k", array="a0") is kept
+        reg.clear()
+        assert reg.counter("k", array="a0") is not kept
+
+    def test_deferred_drop_applies_at_the_next_locked_operation(self):
+        reg = MetricsRegistry()
+        old = reg.counter("m", array="a0")
+        with reg._lock:
+            reg.drop(["m{array=a0}"])  # lock busy: queued
+        # As before the lookup dict: the queued series is still served
+        # until a locked operation applies the drop.
+        assert reg.counter("m", array="a0") is old
+        reg.counter("other")  # a miss takes the lock
+        assert reg.counter("m", array="a0") is not old
+
     def test_default_registry_is_shared(self):
         assert registry() is registry()
 

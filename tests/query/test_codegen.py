@@ -320,7 +320,7 @@ class TestExplainAndCache:
         k2 = q.plan().kernel
         assert k1.source == k2.source
         assert k1.fn is k2.fn
-        assert k1.source in _KERNEL_CACHE
+        assert (k1.source, k1.fn) in _KERNEL_CACHE.values()
 
     def test_zero_column_kernel_compiles(self):
         # A bare count(*) on an empty table needs no columns at all;
@@ -540,12 +540,13 @@ class TestGroupByKernelCache:
 
         t, k, v = group_table(12, 20, seed=8)
         first = grouped(t, ("sum(v)",), col("v") >= 100).plan().kernel
-        hits = group_fold.cache_info().hits
+        info = group_fold.cache_info()
         again = grouped(t, ("sum(v)",), col("v") >= 100).plan().kernel
         other = grouped(t, ("sum(v)",), col("v") >= 101).plan().kernel
-        assert group_fold.cache_info().hits == hits + 2
+        # A kernel-cache hit generates nothing, the fold included.
+        assert group_fold.cache_info() == info
         assert first.fn is again.fn
-        assert first.source in _KERNEL_CACHE
+        assert (first.source, first.fn) in _KERNEL_CACHE.values()
         assert other.fn is first.fn
         assert other.source == first.source
         assert (first.literals, other.literals) == ((100,), (101,))
@@ -758,16 +759,55 @@ class TestKernelCacheBound:
         assert len(kernel_cache) == 1
         assert rss_bytes() - before < 5 << 20
 
+    def test_second_plan_of_a_shape_generates_no_source(self, kernel_cache,
+                                                         monkeypatch):
+        import repro.query.codegen as codegen
+
+        generated = []
+        generate = codegen._generate_kernel
+
+        def counted(key, *args):
+            generated.append(key)
+            return generate(key, *args)
+
+        monkeypatch.setattr(codegen, "_generate_kernel", counted)
+        t, k, v = make_table(13, n=256, seed=37)
+        g, _, _ = group_table(4, 20, n=256, seed=38)
+        for lo, hi in ((1, 50), (7, 90), (-3, 2**64)):
+            Query(t).where(in_range("k", lo, hi)).sum("v").plan()
+            grouped(g, ("sum(v)",), col("v") >= lo + 1).plan()
+        # One generation per shape; ``-3`` folds each bound to true,
+        # which is a shape of its own.
+        assert len(generated) == len(set(generated)) == 4
+
+    def test_widths_in_one_sum_regime_share_one_compiled_function(
+            self, kernel_cache):
+        # 31- and 32-bit columns both sum in one uint64 accumulator: two
+        # keys (the widths differ), one source text, one compile.
+        plans = [Query(make_table(bits, n=256, seed=bits)[0])
+                 .where(in_range("k", 1, 50)).sum("v").plan()
+                 for bits in (31, 32)]
+        assert len(kernel_cache) == 2
+        assert plans[0].kernel.source == plans[1].kernel.source
+        assert plans[0].kernel.fn is plans[1].kernel.fn
+        # Across the split-sum threshold the text, and the function,
+        # differ.
+        wide = Query(make_table(60, n=256, seed=60)[0]).where(
+            in_range("k", 1, 50)).sum("v").plan()
+        assert wide.kernel.fn is not plans[0].kernel.fn
+
     def test_group_by_leaves_one_kernel_and_one_fold(self, kernel_cache):
         t, k, v = group_table(4, 20, n=256, seed=35)
         fns = set()
-        for i in range(2_000):
+        for i in range(20_000):
             plan = grouped(t, ("sum(v)",), col("v") >= i + 1).plan()
             fns.add(plan.kernel.fn)
         assert len(fns) == 1
         assert len(kernel_cache) == 2
-        assert sum(key.startswith("def fold(") and "def kernel(" not in key
-                   for key in kernel_cache) == 1
+        assert sum(key[0] == "fold" for key in kernel_cache) == 1
+        source, fn = next(entry for key, entry in kernel_cache.items()
+                          if key[0] != "fold")
+        assert fn is plan.kernel.fn and source == plan.kernel.source
 
     def test_cap_evicts_the_least_recently_planned_shape(self, kernel_cache):
         import itertools
@@ -793,8 +833,9 @@ class TestKernelCacheBound:
         assert query(shapes[0]).plan().kernel.fn is kernels[0].fn
         query(shapes[cap]).plan()
         assert len(kernel_cache) == cap
-        assert kernels[0].source in kernel_cache
-        assert kernels[1].source not in kernel_cache
+        kept = {source for source, _fn in kernel_cache.values()}
+        assert kernels[0].source in kept
+        assert kernels[1].source not in kept
         # The evicted shape recompiles and still answers exactly.
         again = query(shapes[1])
         result = again.run()

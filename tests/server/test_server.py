@@ -164,6 +164,17 @@ class TestStructuredErrors:
         assert "^" in err.context
         assert not excepthook_capture
 
+    @pytest.mark.parametrize("digits", ["²", "١٢"])
+    def test_non_ascii_digit_is_a_parse_frame_not_internal(
+            self, conn, excepthook_capture, digits):
+        sql = f"SELECT count(*) FROM events WHERE ts >= {digits}"
+        with pytest.raises(ServerError) as info:
+            conn.sql(sql)
+        err = info.value
+        assert err.type == "parse"
+        assert err.error["position"] == sql.index(digits)
+        assert not excepthook_capture
+
     def test_bind_error_frame_points_at_column(self, conn,
                                                excepthook_capture):
         sql = "SELECT sum(wat) FROM events"

@@ -72,6 +72,28 @@ class TestLexErrors:
         assert info.value.pos == sql.index("?")
         assert "unexpected character" in info.value.message
 
+    @pytest.mark.parametrize("digits", ["²", "١٢", "٣"])
+    def test_non_ascii_digits_are_positioned_parse_errors(self, digits):
+        # int() accepts Unicode digits: "²" used to escape as a bare
+        # ValueError and "١٢" to read silently as 12.
+        sql = f"SELECT count(*) FROM t WHERE a >= {digits}"
+        with pytest.raises(SqlError) as info:
+            tokenize(sql)
+        assert info.value.kind == "parse"
+        assert info.value.pos == sql.index(digits)
+        assert "non-ASCII digit" in info.value.message
+
+    def test_non_ascii_digit_after_ascii_ones(self):
+        sql = "SELECT v FROM t WHERE k > 12²"
+        with pytest.raises(SqlError) as info:
+            tokenize(sql)
+        assert info.value.pos == sql.index("²")
+
+    def test_unicode_letters_and_digits_inside_identifiers(self):
+        # Only a *number* must be ASCII; identifiers keep any script.
+        assert texts("é1 x² a١")[:3] == ["é1", "x²", "a١"]
+        assert kinds("é1 x² a١")[:3] == ["ident"] * 3
+
     def test_error_renders_caret(self):
         with pytest.raises(SqlError) as info:
             tokenize("k @ 1")

@@ -1,6 +1,7 @@
 """Parser: grammar coverage, precedence shape, positioned rejections."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sql import SqlError, parse
 from repro.sql.nodes import (
@@ -145,3 +146,147 @@ class TestParseErrors:
         with pytest.raises(SqlError) as info:
             parse(sql)
         assert info.value.pos == len(sql)
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty parse memo, and a count of the parses it did not serve."""
+    from collections import OrderedDict
+
+    import repro.sql.parser as parser
+
+    cache = OrderedDict()
+    monkeypatch.setattr(parser, "_PARSE_CACHE", cache)
+    misses = []
+    real = parser._Parser.parse
+
+    def counted(self):
+        misses.append(self.sql)
+        return real(self)
+
+    monkeypatch.setattr(parser._Parser, "parse", counted)
+    return cache, misses
+
+
+def generator_statements():
+    """The ``sql`` smartcheck profile's statements at seed 0."""
+    from repro.check import generate_cases
+    from repro.check.runner import _render_sql_op
+
+    return [_render_sql_op(op.name, op.args, op.args[-1])
+            for case in generate_cases(0, 400, profile="sql")
+            for op in case.ops
+            if op.name.startswith("sql_") and op.name != "sql_error"]
+
+
+_IDENT = st.sampled_from(["c1", "c2", "é1", "é2", "k", "v"])
+_NUMBER = st.one_of(
+    st.integers(0, 2**70).map(str),
+    st.sampled_from(["1000", "1_000", "0", "00", "1_0_0", "18446744073709551616"]),
+)
+
+
+@st.composite
+def shaped_statements(draw):
+    """Statements of a few shapes that differ in numbers, unary minus,
+    spacing and identifier digits."""
+    def num():
+        text = draw(_NUMBER)
+        return draw(st.sampled_from(["", "-", "- "])) + text
+
+    def space():
+        return draw(st.sampled_from([" ", "  ", "\n  "]))
+
+    a, b = draw(_IDENT), draw(_IDENT)
+    where = (f"{a} >={space()}{num()} AND {b} <{space()}{num()}"
+             f" OR NOT {a} * {num()} + {b} <> {num()}")
+    head = draw(st.sampled_from([
+        f"SELECT count(*) AS {draw(_IDENT)}, sum({a})",
+        f"SELECT {a}, {b}",
+        f"select min({b}) as m{draw(st.integers(0, 12))}",
+    ]))
+    tail = draw(st.sampled_from(["", f" LIMIT {draw(_NUMBER)}", " ;"]))
+    return f"{head}{space()}FROM t WHERE {where}{tail}"
+
+
+class TestParseMemo:
+    """``parse`` serves a repeated shape from its memo; what it serves
+    must equal an uncached parse in every field, positions included."""
+
+    def test_generator_statements_equal_uncached_parses(self, memo):
+        from repro.sql.parser import _parse_uncached
+
+        cache, misses = memo
+        statements = generator_statements()
+        served = [parse(sql) for sql in statements]
+        # Most statements repeat a shape with new bounds: served.
+        assert len(misses) == len(cache) < len(statements) // 4
+        for sql, stmt in zip(statements, served):
+            assert stmt == _parse_uncached(sql), sql
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(shaped_statements(), min_size=2, max_size=6))
+    def test_served_trees_equal_uncached_parses(self, statements):
+        from repro.sql.parser import _parse_uncached
+
+        for sql in statements:
+            served = parse(sql)
+            assert served == _parse_uncached(sql), sql
+            assert served.sql == sql
+
+    @pytest.mark.parametrize("first, second", [
+        ("SELECT sum(c1) FROM t WHERE c1 >= 5",
+         "SELECT sum(c2) FROM t WHERE c2 >= 5"),
+        ("SELECT sum(é1) FROM t WHERE é1 >= 5",
+         "SELECT sum(é2) FROM t WHERE é2 >= 5"),
+        ("SELECT count(*) AS n1 FROM t", "SELECT count(*) AS n2 FROM t"),
+    ])
+    def test_identifier_digits_are_not_numbers(self, memo, first, second):
+        from repro.sql.parser import _parse_uncached
+
+        cache, misses = memo
+        parse(first)
+        stmt = parse(second)
+        assert len(misses) == len(cache) == 2
+        assert stmt.items[0].column in (None, "c2", "é2")
+        assert stmt == _parse_uncached(second)
+
+    @pytest.mark.parametrize("first, second", [
+        ("SELECT v FROM t WHERE k >= 1000", "SELECT v FROM t WHERE k >= 1_000"),
+        ("SELECT v FROM t WHERE k >= 3", "SELECT v FROM t WHERE k >=   7"),
+        ("SELECT v FROM t WHERE k >= -3", "SELECT v FROM t WHERE k >= - 30"),
+        ("SELECT v FROM t LIMIT 5", "SELECT v\nFROM t LIMIT 500"),
+    ])
+    def test_numbers_and_spacing_share_a_shape(self, memo, first, second):
+        from repro.sql.parser import _parse_uncached
+
+        cache, misses = memo
+        parse(first)
+        stmt = parse(second)
+        assert len(misses) == len(cache) == 1
+        assert stmt == _parse_uncached(second)
+
+    def test_unary_minus_is_part_of_the_shape(self, memo):
+        cache, _ = memo
+        assert self.bound(parse("SELECT v FROM t WHERE k >= 3")) == 3
+        assert self.bound(parse("SELECT v FROM t WHERE k >= -3")) == -3
+        assert len(cache) == 2
+
+    @staticmethod
+    def bound(stmt):
+        return stmt.where.right.value
+
+    def test_failed_parses_are_not_kept(self, memo):
+        cache, _ = memo
+        for _ in range(2):
+            with pytest.raises(SqlError, match="expected a row count"):
+                parse("SELECT v FROM t LIMIT v")
+        assert not cache
+
+    def test_cap_bounds_the_memo(self, memo):
+        from repro.sql.parser import _PARSE_CACHE_CAP
+
+        cache, _ = memo
+        for i in range(_PARSE_CACHE_CAP + 10):
+            parse(f"SELECT count(*) AS a{i} FROM t WHERE k >= {i}")
+        assert len(cache) == _PARSE_CACHE_CAP
