@@ -90,7 +90,7 @@ def _best_of(fn, repeats=3):
 def _measure(data, n_nodes, lo, hi, expected):
     """One point on the curve: per-node times + verified wire stats."""
     table = _shard(data, n_nodes)
-    dplan = _query(table, lo, hi).plan(codegen="on")
+    dplan = _query(table, lo, hi).plan()
     node_times = {
         shard.node_id: _best_of(
             lambda sid=shard.shard_id: execute(dplan.shard_plans[sid])
@@ -220,7 +220,7 @@ def test_distributed_aggregate(benchmark, bench_data, n_nodes):
 
 def test_single_shard_node_local(benchmark, bench_data):
     data, lo, hi, expected = bench_data
-    dplan = _query(_shard(data, 4), lo, hi).plan(codegen="on")
+    dplan = _query(_shard(data, 4), lo, hi).plan()
     shard_id = dplan.participants[0].shard_id
     result = benchmark(lambda: execute(dplan.shard_plans[shard_id]))
     assert result.aggregates["0:sum(v)"] <= expected["sum(v)"]

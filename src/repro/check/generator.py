@@ -311,8 +311,7 @@ _LIVE_OP_TABLE = (
 #: the statement's meaning.  The runner renders the SQL text, compiles
 #: it through :mod:`repro.sql`, asserts the bound logical plan matches
 #: the fluent twin's, then reuses the full query differential checks
-#: (oracle results, candidate chunks, exact decode accounting, codegen
-#: cross-check).  ``sql_error`` draws from a malformed-statement table
+#: (oracle results, candidate chunks, exact decode accounting).  ``sql_error`` draws from a malformed-statement table
 #: and expects a positioned :class:`~repro.sql.SqlError`.
 _SQL_OPS = (
     ("sql_filter_sum", 3, False),
@@ -334,7 +333,7 @@ _SQL_OP_TABLE = (
 
 #: Codec-migration targets (codec profile).  ``bitpack`` is a real
 #: target: migrating *back* exercises the encoded-source repack path
-#: and re-enables the interpreted accounting expectations.
+#: and re-enables the bit-packed accounting expectations.
 CODEC_TARGETS: Tuple[str, ...] = ("dict", "rle", "delta", "bitpack")
 
 #: The codec profile is write-free after the initial fill (encoded

@@ -23,7 +23,6 @@ class CheckReport:
     seed: int
     ops_requested: int
     profile: str = "mixed"
-    codegen: str = "both"
     ops_run: int = 0
     cases_run: int = 0
     placements_seen: Set[str] = field(default_factory=set)
@@ -39,7 +38,6 @@ class CheckReport:
     def format(self) -> str:
         lines = [
             f"smartcheck: seed={self.seed} profile={self.profile} "
-            f"codegen={self.codegen} "
             f"ops={self.ops_run}/{self.ops_requested} "
             f"cases={self.cases_run}",
             f"  grid: {len(self.placements_seen)} placements "
@@ -67,8 +65,7 @@ class CheckReport:
 def run_check(seed: int = 0, ops: int = 500, n_workers: int = 4,
               max_failures: int = 5,
               shrink: bool = True,
-              profile: str = "mixed",
-              codegen: str = "both") -> CheckReport:
+              profile: str = "mixed") -> CheckReport:
     """Run the differential fuzz harness for an op budget.
 
     ``profile`` selects the op mix: ``"mixed"`` (everything),
@@ -89,16 +86,11 @@ def run_check(seed: int = 0, ops: int = 500, n_workers: int = 4,
     under exact oracle-predicted ``cluster.bytes_shipped`` /
     ``cluster.rpcs`` wire accounting, including mid-query shard
     migrations; the CI cluster job's setting).
-    ``codegen`` picks the query-op execution paths: ``"both"`` proves
-    compiled == interpreted on every supported shape, ``"on"`` forces
-    the compiled path alone (the codegen CI job), ``"off"`` the
-    interpreter alone.
     Stops early once ``max_failures`` distinct failing cases were found
     (each already shrunk): the budget is better spent on the report
     than on piling up repetitions of the same bug.
     """
-    report = CheckReport(seed=seed, ops_requested=ops, profile=profile,
-                         codegen=codegen)
+    report = CheckReport(seed=seed, ops_requested=ops, profile=profile)
     for case in generate_cases(seed, ops, profile):
         report.cases_run += 1
         report.ops_run += len(case.ops)
@@ -106,15 +98,12 @@ def run_check(seed: int = 0, ops: int = 500, n_workers: int = 4,
         report.bit_widths_seen.add(case.spec.bits)
         report.pool_modes_seen.add(case.spec.pool_mode)
         report.superchunks_seen.add(case.spec.superchunk)
-        failure = run_case(case, n_workers=n_workers, codegen=codegen)
+        failure = run_case(case, n_workers=n_workers)
         if failure is None:
             continue
         if shrink:
-            shrunk = shrink_case(
-                case, lambda c: run_case(c, n_workers, codegen=codegen)
-            )
-            refailure = run_case(shrunk, n_workers=n_workers,
-                                 codegen=codegen)
+            shrunk = shrink_case(case, lambda c: run_case(c, n_workers))
+            refailure = run_case(shrunk, n_workers=n_workers)
             failure = refailure if refailure is not None else failure
         report.failures.append(failure)
         if len(report.failures) >= max_failures:

@@ -42,7 +42,7 @@ from ..numa.allocator import NumaAllocator
 from ..numa.topology import machine_2x8_haswell
 from ..obs.registry import registry as _obs_registry
 from ..obs.trace import TRACER, tracing
-from ..query import Query, col, in_range, unsupported_reason
+from ..query import Query, col, in_range
 from ..runtime import parallel_scans
 from ..runtime.workers import WorkerPool
 from ..sql import SqlError, bind, compile_sql, parse
@@ -71,7 +71,7 @@ class CaseFailure:
     op_index: int
     op: Op
     # "result" | "storage" | "zonemap" | "accounting" | "obs" |
-    # "codegen" | "sql" | "cluster" | "exception"
+    # "sql" | "cluster" | "exception"
     kind: str
     detail: str
 
@@ -116,17 +116,8 @@ def _parse_checked(name: str, sql: str) -> SelectStmt:
 class CaseRunner:
     """Executes one case, op by op, with differential + invariant checks."""
 
-    def __init__(self, case: Case, n_workers: int = 4,
-                 codegen: str = "both") -> None:
-        if codegen not in ("both", "on", "off"):
-            raise ValueError(
-                f"codegen must be 'both', 'on', or 'off', got {codegen!r}"
-            )
+    def __init__(self, case: Case, n_workers: int = 4) -> None:
         self.case = case
-        #: Query-op execution paths: ``"both"`` cross-checks compiled
-        #: against interpreted on every supported shape, ``"on"`` runs
-        #: only the compiled path (forced), ``"off"`` only interpreted.
-        self.codegen = codegen
         spec = case.spec
         self.machine = machine_2x8_haswell()
         self.allocator = NumaAllocator(self.machine)
@@ -385,81 +376,47 @@ class CaseRunner:
                      expected_chunks: int, par: int, dist: int) -> None:
         """Run ``query`` and check result, plan, and decode accounting.
 
-        The query runs once per requested codegen path (``"both"`` —
-        the default — runs interpreted then compiled for every shape
-        the kernel template supports), every path is checked against
-        the oracle *and* against the exact per-path accounting deltas,
-        and the paths' results (aggregates or groups, key order
-        included) must be bit-identical to each other — a miscompiled
-        kernel diverges here with kind ``"codegen"``.
+        The result must equal the oracle's — group results as ordered
+        item lists against the key-sorted expectation, so key order
+        counts too — and the plan's candidate chunks and every needed
+        column's decode accounting must equal the oracle's prediction.
         """
         spec = self.case.spec
         pool = self._pool_for_case() if par else None
-        compilable = unsupported_reason(query) is None
-        if self.codegen == "off" or not compilable:
-            paths = ["off"]
-        elif self.codegen == "on":
-            paths = ["on"]
-        else:  # "both"
-            paths = ["off", "on"]
-
-        baseline = None
-        for mode in paths:
-            before = self._snapshot()
-            result = query.run(pool=pool, distribution=_DISTRIBUTIONS[dist],
-                               morsel=spec.superchunk, codegen=mode)
-            if mode == "on" and result.plan.mode != "compiled":
+        before = self._snapshot()
+        result = query.run(pool=pool, distribution=_DISTRIBUTIONS[dist],
+                           morsel=spec.superchunk)
+        if result.kind == "aggregate":
+            self._compare(tuple(result.aggregates.values()), expected,
+                          op.name)
+        elif result.kind == "groups":
+            actual = [(k, tuple(v.values())) for k, v in result.groups.items()]
+            self._compare(actual, sorted(expected.items()), op.name)
+        else:
+            self._compare(result.rows, expected[0], f"{op.name}.rows")
+            self._compare(result.columns["v"], expected[1],
+                          f"{op.name}.values")
+        plan = result.plan
+        if plan.chunks_candidate != expected_chunks:
+            raise _Divergence(
+                "result",
+                f"{op.name}: plan kept {plan.chunks_candidate} candidate "
+                f"chunks, oracle predicts {expected_chunks}")
+        for name in plan.needed_columns:
+            if result.stats.decoded_chunks[name] != expected_chunks:
                 raise _Divergence(
-                    "codegen",
-                    f"{op.name}: codegen='on' planned mode "
-                    f"{result.plan.mode!r}")
-            # Twin first: the interpreted run already matched the
-            # oracle, so a mismatch here is the kernel's.  Aggregates
-            # and groups each stay empty for the other result kind.
-            if baseline is None:
-                baseline = result
-            elif (result.aggregates != baseline.aggregates
-                  or list(result.groups.items())
-                  != list(baseline.groups.items())):
-                raise _Divergence(
-                    "codegen",
-                    f"{op.name}: compiled "
-                    f"{_fmt(result.aggregates or result.groups)} != "
-                    f"interpreted "
-                    f"{_fmt(baseline.aggregates or baseline.groups)}")
-            if result.kind == "aggregate":
-                self._compare(tuple(result.aggregates.values()), expected,
-                              f"{op.name}[{result.plan.mode}]")
-            elif result.kind == "groups":
-                actual = {k: tuple(v.values())
-                          for k, v in result.groups.items()}
-                self._compare(actual, expected, f"{op.name}[{result.plan.mode}]")
-            else:
-                self._compare(result.rows, expected[0], f"{op.name}.rows")
-                self._compare(result.columns["v"], expected[1],
-                              f"{op.name}.values")
-            plan = result.plan
-            if plan.chunks_candidate != expected_chunks:
-                raise _Divergence(
-                    "result",
-                    f"{op.name}: plan kept {plan.chunks_candidate} candidate "
-                    f"chunks, oracle predicts {expected_chunks}")
-            for name in plan.needed_columns:
-                if result.stats.decoded_chunks[name] != expected_chunks:
-                    raise _Divergence(
-                        "accounting",
-                        f"{op.name}[{plan.mode}]: "
-                        f"stats.decoded_chunks[{name!r}] = "
-                        f"{result.stats.decoded_chunks[name]}, expected "
-                        f"{expected_chunks}")
-            delta = {}
-            if "k" in plan.needed_columns:
-                delta["unpacks"] = expected_chunks
-                delta["replica_reads"] = 64 * expected_chunks
-            if "v" in plan.needed_columns:
-                delta["v_unpacks"] = expected_chunks
-                delta["v_replica_reads"] = 64 * expected_chunks
-            self._check_stats(before, delta, f"{op.name}[{plan.mode}]")
+                    "accounting",
+                    f"{op.name}: stats.decoded_chunks[{name!r}] = "
+                    f"{result.stats.decoded_chunks[name]}, expected "
+                    f"{expected_chunks}")
+        delta = {}
+        if "k" in plan.needed_columns:
+            delta["unpacks"] = expected_chunks
+            delta["replica_reads"] = 64 * expected_chunks
+        if "v" in plan.needed_columns:
+            delta["v_unpacks"] = expected_chunks
+            delta["v_replica_reads"] = 64 * expected_chunks
+        self._check_stats(before, delta, op.name)
 
     # -- op execution ------------------------------------------------------
 
@@ -1059,7 +1016,7 @@ class CaseRunner:
                 expected = o.select_in_range(lo, hi)
             self._compare(actual, expected, op.name)
             # The encoded-domain fast path must decode *zero* chunks;
-            # the bit-packed interpreted path decodes the full span.
+            # the bit-packed path decodes the full span.
             chunks = 0
             if not enc and orc.clamp_range(lo, hi) is not None:
                 chunks = orc.span_chunks(0, length, sc)
@@ -1233,8 +1190,8 @@ class CaseRunner:
         :func:`repro.sql.compile_sql`, asserts the bound logical plan
         is *identical* to the directly-built fluent twin's, then runs
         the bound query through the full query differential checks —
-        oracle results, planner candidate chunks, exact decode
-        accounting, compiled-vs-interpreted cross-check — so a SQL
+        oracle results (group key order included), planner candidate
+        chunks, exact decode accounting — so a SQL
         statement and its twin are provably bit-identical end to end.
         """
         table = self._ensure_query_table()
@@ -1472,8 +1429,7 @@ class CaseRunner:
             lines = q.describe().splitlines()
             lines[0] = f"scan {shard.n_rows:,} rows x {n_cols} columns"
             plan = {"op": "execute", "shard": shard.shard_id,
-                    "plan": "\n".join(lines),
-                    "codegen": q.codegen_mode or "auto"}
+                    "plan": "\n".join(lines)}
             node = shard.node_id
             keys = (
                 (f"cluster.rpcs{{node={node}}}", 1),
@@ -1496,7 +1452,8 @@ class CaseRunner:
         if kind == "aggregate":
             self._compare(result.aggregates, payload, f"{op.name}.{which}")
         elif kind == "groups":
-            self._compare(result.groups, payload, f"{op.name}.{which}")
+            self._compare(list(result.groups.items()),
+                          sorted(payload.items()), f"{op.name}.{which}")
         else:
             rows, columns = payload
             self._compare(result.rows, rows, f"{op.name}.{which}.rows")
@@ -1776,7 +1733,6 @@ def _render_sql_op(name: str, args, style: int) -> str:
     return sql
 
 
-def run_case(case: Case, n_workers: int = 4,
-             codegen: str = "both") -> Optional[CaseFailure]:
+def run_case(case: Case, n_workers: int = 4) -> Optional[CaseFailure]:
     """Run one case; ``None`` means every check passed."""
-    return CaseRunner(case, n_workers=n_workers, codegen=codegen).run()
+    return CaseRunner(case, n_workers=n_workers).run()

@@ -184,8 +184,7 @@ def _cmd_check(args) -> str:
     report = run_check(seed=args.seed, ops=args.ops,
                        n_workers=args.workers,
                        shrink=not args.no_shrink,
-                       profile=args.profile,
-                       codegen=args.codegen)
+                       profile=args.profile)
     text = report.format()
     if not report.ok:
         # Print the full report (shrunk repros included) on stderr and
@@ -284,20 +283,6 @@ def _cmd_query(args) -> str:
     lines += ["serial run (compiled kernel):",
               f"  {result.describe()}",
               *("  " + l for l in result.stats.describe().splitlines()), ""]
-
-    import time as _time
-
-    t0 = _time.perf_counter()
-    interp = q.run(codegen="off")
-    interp_s = _time.perf_counter() - t0
-    t0 = _time.perf_counter()
-    comp = q.run(codegen="on")
-    comp_s = _time.perf_counter() - t0
-    assert comp.aggregates == interp.aggregates
-    lines += ["codegen comparison (serial, identical results):",
-              f"  interpreted: {interp_s * 1e3:8.2f} ms",
-              f"  compiled:    {comp_s * 1e3:8.2f} ms "
-              f"({interp_s / max(comp_s, 1e-9):.2f}x)", ""]
 
     pool = default_pool(args.workers)
     par = Query(table).where(in_range("ts", lo, hi)).sum("amount") \
@@ -686,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sharded simulated cluster and proven "
                             "bit-identical to the single-node gather "
                             "twin under exact wire accounting")
-    check.add_argument("--codegen", default="both",
-                       choices=["both", "on", "off"],
-                       help="query-op execution paths: cross-check "
-                            "compiled vs interpreted (both), force the "
-                            "compiled kernel (on), or interpret only (off)")
 
     query = sub.add_parser(
         "query",

@@ -11,8 +11,8 @@ against a :class:`~repro.cluster.table.ShardedTable` and
    ``cluster.rpcs`` / ``cluster.bytes_shipped`` counters and the
    network's :class:`~repro.numa.counters.PerfCounters` pricing;
 3. **executes node-locally** — each shard runs the unmodified morsel
-   executor (interpreted or compiled kernels, generation pinning, the
-   lot) on its node;
+   executor (compiled kernels, generation pinning, the lot) on its
+   node;
 4. **gathers deterministically** — partial aggregates / group states /
    limit prefixes merge **in shard order**, with the same primitives
    the thread pool's morsel-order merge uses, so results are
@@ -108,7 +108,6 @@ def _rebind(query: Query, shard_table, shipped: List[AggSpec]) -> Query:
     q.group_key = query.group_key
     q.projection = query.projection
     q.limit_rows = query.limit_rows
-    q.codegen_mode = query.codegen_mode
     return q
 
 
@@ -136,8 +135,6 @@ class DistributedPlan:
     :class:`~repro.query.stats.QueryResult` carrying one is
     indistinguishable downstream.
     """
-
-    mode = "distributed"
 
     def __init__(self, query: Query, table: ShardedTable,
                  shard_plans: Dict[int, PhysicalPlan],
@@ -198,7 +195,7 @@ class DistributedPlan:
                 f"chunks: {plan.chunks_total} total, "
                 f"{plan.chunks_candidate} candidate, "
                 f"{plan.chunks_pruned} pruned; "
-                f"{len(plan.morsels)} morsels, {plan.mode}, "
+                f"{len(plan.morsels)} morsels, "
                 f"plan frame {self.plan_bytes[shard.shard_id]} B"
             )
         lines.append(
@@ -231,7 +228,7 @@ def plan_distributed(query: Query, table: ShardedTable,
     """Plan ``query`` against every owning (non-empty) shard.
 
     ``knobs`` are the single-node planner's (``morsel``, ``prune``,
-    ``pool``, ``codegen``, …) and apply uniformly to every shard —
+    ``pool``, …) and apply uniformly to every shard —
     the plan is decided *once*, then shipped.
     """
     query.validate()
@@ -251,7 +248,6 @@ def _merged_stats(dplan: DistributedPlan, fan_out: bool, pool,
                   wall_time_s: float) -> QueryStats:
     """Shard stats summed into one coordinator-level QueryStats."""
     stats = QueryStats(distribution="scatter-gather")
-    modes = set()
     for shard in dplan.participants:
         s = dplan.shard_stats[shard.shard_id]
         stats.morsels_total += s.morsels_total
@@ -263,7 +259,6 @@ def _merged_stats(dplan: DistributedPlan, fan_out: bool, pool,
         stats.rows_scanned += s.rows_scanned
         stats.rows_matched += s.rows_matched
         stats.est_instructions += s.est_instructions
-        modes.add(s.mode)
         for name, n in s.decoded_chunks.items():
             stats.decoded_chunks[name] = stats.decoded_chunks.get(name, 0) + n
         for name, n in s.decoded_elements.items():
@@ -272,7 +267,6 @@ def _merged_stats(dplan: DistributedPlan, fan_out: bool, pool,
             )
         for name, bits in s._bits.items():
             stats._bits[name] = max(stats._bits.get(name, 0), bits)
-    stats.mode = modes.pop() if len(modes) == 1 else "mixed"
     stats.n_workers = (
         len(dplan.participants) if fan_out
         else (pool.n_workers if pool is not None else 1)
@@ -437,8 +431,8 @@ def _merge(dplan: DistributedPlan, results: Dict[int, QueryResult],
     for shard in parts:
         res = results[shard.shard_id]
         idx_all.append(res.rows + np.int64(shard.offset))
-        for name in (query.projection or ()):
-            val_all[name].append(res.columns[name])
+        for name, pieces in val_all.items():
+            pieces.append(res.columns[name])
     rows = (np.concatenate(idx_all) if idx_all
             else np.empty(0, dtype=np.int64))
     columns = {

@@ -13,7 +13,7 @@ per-shard results.
 Two payload shapes exist:
 
 * :func:`plan_payload` — the request a coordinator ships to one owning
-  shard: the logical plan text plus execution knobs.  Plan shipping is
+  shard: the logical plan text.  Plan shipping is
   the point of the design: the plan is a few hundred bytes regardless
   of table size, so scatter cost does not grow with data volume.
 * :func:`result_payload` — the response a shard ships back: finalized
@@ -43,7 +43,7 @@ def frame_bytes(obj: dict) -> int:
 
 
 def plan_payload(query, shard_id: int) -> dict:
-    """The scatter request for one shard: plan text + knobs.
+    """The scatter request for one shard: the plan text.
 
     Uses the *logical* plan (``query.describe()``): each shard replans
     physically against its own zone maps and storage generations, which
@@ -53,7 +53,6 @@ def plan_payload(query, shard_id: int) -> dict:
         "op": "execute",
         "shard": shard_id,
         "plan": query.describe(),
-        "codegen": query.codegen_mode or "auto",
     }
 
 

@@ -16,13 +16,7 @@ the Callisto-style worker pool with socket-local replica reads.
     result.scalar(), result.stats.describe()
 """
 
-from .codegen import (
-    CODEGEN_ENV_VAR,
-    CODEGEN_MODES,
-    CompiledKernel,
-    compile_query,
-    unsupported_reason,
-)
+from .codegen import CompiledKernel, compile_query
 from .executor import QueryCancelled, QueryTimeout, execute
 from .expr import (
     And,
@@ -40,7 +34,6 @@ from .expr import (
 )
 from .logical import AGG_KINDS, AggSpec, Query
 from .planner import (
-    COMPILED_MORSEL_ELEMENTS,
     ColumnDecision,
     DEFAULT_MORSEL_ELEMENTS,
     PhysicalPlan,
@@ -54,9 +47,6 @@ __all__ = [
     "AggSpec",
     "And",
     "Arith",
-    "CODEGEN_ENV_VAR",
-    "CODEGEN_MODES",
-    "COMPILED_MORSEL_ELEMENTS",
     "Col",
     "ColumnDecision",
     "Compare",
@@ -81,7 +71,6 @@ __all__ = [
     "lit",
     "plan_query",
     "query_table",
-    "unsupported_reason",
 ]
 
 

@@ -1,11 +1,9 @@
 """Fused-kernel compilation of planned queries (string codegen -> exec).
 
-The interpreted executor walks the expression AST once per decoded span:
-every ``evaluate()`` call materializes a NumPy temporary, re-enters
-``np.errstate``, and re-derives literal clamping — per AST node, per
-morsel.  This module compiles a planned aggregate query into **one
-generated Python function** so unpack + predicate + reduce happen in a
-single pass over each candidate-chunk run — ungrouped or ``group_by``:
+Every plan runs one **generated Python function** per morsel, so
+unpack + predicate + output happen in a single pass over each
+candidate-chunk run, whatever the query's shape — ungrouped aggregate,
+``group_by`` or row query:
 
 * the predicate tree is lowered to a single NumPy mask expression whose
   literals are **runtime parameters** (``lits[k]``, bound per statement
@@ -21,8 +19,7 @@ single pass over each candidate-chunk run — ungrouped or ``group_by``:
   width: when ``bits + ceil_log2(morsel_elements) <= 64`` a masked
   span's sum provably fits uint64 and one ``sum(dtype=np.uint64)``
   suffices, otherwise the kernel splits 32-bit halves exactly like
-  :func:`repro.runtime.loops._exact_sum` — results are bit-identical
-  to the interpreted path in both regimes;
+  :func:`repro.runtime.loops._exact_sum`;
 * a ``group_by`` plan folds each masked run through one generated
   **grouped reduce** (:func:`group_fold`) specialized on the key's and
   every aggregate column's width: narrow keys index ``np.bincount``
@@ -32,15 +29,14 @@ single pass over each candidate-chunk run — ungrouped or ``group_by``:
   one stable argsort + ``reduceat`` — no per-group Python fold, only a
   per-*present*-group dict update in the executor's
   ``MorselPartial.groups`` shape;
-* decoding still goes through ``SmartArray.decode_chunks`` with the
-  executor's pinned replica buffers, so the chunk-unpack / replica-read
-  accounting the smartcheck harness asserts on is **identical** in both
-  modes.
-
-Compilation is sound only for shapes the kernel template covers;
-:func:`unsupported_reason` names what falls back (row queries, exotic
-Expr subclasses).  The planner consults it and
-records the decision; ``codegen="on"`` turns a fallback into an error.
+* a row query (projection, with or without a predicate) is one more
+  structure: the kernel appends each run's matching row indices and
+  the projected columns' matching values, and ``LIMIT`` stays the
+  executor's morsel-level concern — the kernel never sees it;
+* decoding goes through ``SmartArray.decode_chunks`` with the
+  executor's pinned replica buffers, once per needed column per run,
+  so the chunk-unpack / replica-read accounting the smartcheck harness
+  asserts on is exactly what the plan predicted.
 
 The generated source is kept on the :class:`CompiledKernel` (and shown
 by ``explain()``) so a human can audit exactly what will run.
@@ -48,7 +44,6 @@ by ``explain()``) so a human can audit exactly what will run.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -70,15 +65,6 @@ from .expr import (
 )
 from .logical import Query
 
-#: Recognized values for the compile/interpret knob (planner kwarg,
-#: ``Query.codegen()``, or the ``REPRO_QUERY_CODEGEN`` env var).
-CODEGEN_MODES = ("auto", "on", "off")
-
-#: Env var consulted when neither the planner call nor the query set a
-#: mode: ``REPRO_QUERY_CODEGEN=off`` forces the interpreter everywhere,
-#: ``=on`` errors on any plan the kernel template cannot cover.
-CODEGEN_ENV_VAR = "REPRO_QUERY_CODEGEN"
-
 #: structural key -> ``(source, compiled function)``, least recently
 #: used first.  A kernel's key is its :class:`_KernelKey` — everything
 #: its source is specialized on and no literal — so one entry serves a
@@ -98,56 +84,6 @@ _DIRECT_KEY_BITS = 16
 #: Integers below 2**53 are exact in float64, the accumulator
 #: ``np.bincount(weights=)`` sums in.
 _FLOAT_EXACT_BITS = 53
-
-
-def resolve_mode(explicit: Optional[str], query_mode: Optional[str]) -> str:
-    """Resolve the compile/interpret knob: planner kwarg beats the
-    query's fluent setting beats ``REPRO_QUERY_CODEGEN`` beats auto."""
-    mode = explicit or query_mode or os.environ.get(CODEGEN_ENV_VAR) or "auto"
-    if mode not in CODEGEN_MODES:
-        raise ValueError(
-            f"codegen mode must be one of {CODEGEN_MODES}, got {mode!r} "
-            f"(check the {CODEGEN_ENV_VAR} env var)"
-        )
-    return mode
-
-
-def unsupported_reason(query: Query) -> Optional[str]:
-    """Why ``query`` cannot run compiled (``None`` = it can).
-
-    The kernel template covers fused filter+aggregate scans, grouped or
-    not — the hot shape the paper measures.  Row materialization keeps
-    the interpreted path: its output is the matching rows themselves,
-    so there is no fold to fuse.
-    """
-    if not query.aggregates:
-        return "row queries (select/limit) run interpreted"
-    if query.predicate is not None:
-        reason = _expr_unsupported(query.predicate)
-        if reason is not None:
-            return reason
-    return None
-
-
-def _expr_unsupported(expr: Expr) -> Optional[str]:
-    if isinstance(expr, (And, Or)):
-        return (_expr_unsupported(expr.left)
-                or _expr_unsupported(expr.right))
-    if isinstance(expr, Not):
-        return _expr_unsupported(expr.child)
-    if isinstance(expr, Compare):
-        return (_value_unsupported(expr.left)
-                or _value_unsupported(expr.right))
-    return f"unknown boolean node {type(expr).__name__}"
-
-
-def _value_unsupported(expr: Expr) -> Optional[str]:
-    if isinstance(expr, (Col, Lit)):
-        return None
-    if isinstance(expr, Arith):
-        return (_value_unsupported(expr.left)
-                or _value_unsupported(expr.right))
-    return f"unknown value node {type(expr).__name__}"
 
 
 def _literal_u64(value: int, lits: List[np.uint64]) -> str:
@@ -492,21 +428,21 @@ class CompiledKernel:
     ``fn(runs, n_rows, lits, dec0, rep0, buf0, ...)`` consumes the
     morsel's candidate-chunk runs, the statement's :attr:`literals` and
     per-column (decode-method, replica, scratch) triples in
-    :attr:`columns` order, returning
-    ``(rows_scanned, rows_matched, decoded_chunks, agg_partials,
-    group_partials)`` in the executor's
-    :class:`~repro.query.stats.MorselPartial` shapes (``group_by``
-    plans fill the last and leave ``agg_partials`` empty; ungrouped
-    plans return ``None`` groups).  For a ``group_by`` plan
-    :attr:`source` opens with the grouped reduce the kernel calls.
+    :attr:`columns` order, returning ``(rows_scanned, rows_matched,
+    decoded_chunks, *output)`` where ``output`` fills the executor's
+    :class:`~repro.query.stats.MorselPartial` slots: ``(agg_partials,
+    group_partials)`` for an aggregate plan (``group_by`` plans fill the
+    second and leave the first empty; ungrouped plans return ``None``
+    groups), ``(indices, values)`` for a row plan.  For a ``group_by``
+    plan :attr:`source` opens with the grouped reduce the kernel calls.
     """
 
     source: str
     fn: Callable = field(repr=False, compare=False)
     columns: Tuple[str, ...]
-    #: Bit widths the aggregate folds were specialized on; the executor
-    #: falls back to the interpreter for a morsel whose pinned
-    #: generation no longer matches (a live migration mid-query).
+    #: Bit widths the aggregate folds were specialized on; a morsel
+    #: whose pinned generation no longer matches (a live migration
+    #: mid-query) runs the kernel compiled for the pinned widths.
     column_bits: Dict[str, int] = field(compare=False)
     #: The statement's in-domain literals in ``lits[k]`` order — the one
     #: part of a kernel that differs between two statements of a shape.
@@ -551,6 +487,31 @@ def _emit_folds(aggregates, masked: Dict[str, str],
     return init, folds, "[" + ", ".join(returns) + "], None"
 
 
+def _emit_rows(projection: Tuple[str, ...], names: Dict[str, str],
+               mask: _BoolIR) -> Tuple[List[str], List[str], str]:
+    """Row output: ``(init lines, per-run append lines, result
+    expression)`` — the run's matching row indices and, per projected
+    column, its matching values (``MorselPartial.indices/values``).
+
+    Every list starts with an empty piece so the concatenation is never
+    empty.  Unmasked spans are views of the reused decode buffer, so
+    they are copied; a boolean-mask gather already is a copy.
+    """
+    init = ["rows = [np.empty(0, dtype=np.int64)]"]
+    if isinstance(mask, str):
+        appends = ["rows.append(np.flatnonzero(mask) + base)"]
+        picked = "[mask]"
+    else:
+        appends = ["rows.append(np.arange(base, end, dtype=np.int64))"]
+        picked = ".copy()"
+    values: List[str] = []
+    for j, column in enumerate(projection):
+        init.append(f"p{j} = [np.empty(0, dtype=np.uint64)]")
+        appends.append(f"p{j}.append({names[column]}{picked})")
+        values.append(f"{column!r}: np.concatenate(p{j})")
+    return init, appends, "np.concatenate(rows), {" + ", ".join(values) + "}"
+
+
 def _group_fold_for(query: Query, masked: Dict[str, str],
                     column_bits: Dict[str, int],
                     morsel_elements: int) -> Tuple[GroupFold, str]:
@@ -586,6 +547,9 @@ class _KernelKey(NamedTuple):
     #: ``(kind, column)`` per aggregate output slot.
     aggregates: Tuple[Tuple[str, Optional[str]], ...]
     group_key: Optional[str]
+    #: Distinct projected columns of a row query, in output order;
+    #: ``None`` for an aggregate query.
+    projection: Optional[Tuple[str, ...]]
     #: Decoded value width per needed column, in ``columns`` order: the
     #: folds' overflow regime and the grouped reduce's limbs.
     value_bits: Tuple[int, ...]
@@ -607,6 +571,8 @@ def _kernel_signature(query: Query, needed_columns: Tuple[str, ...],
         aggregates=tuple((spec.kind, spec.column)
                          for spec in query.aggregates),
         group_key=query.group_key,
+        projection=(None if query.aggregates
+                    else tuple(dict.fromkeys(query.projection or ()))),
         value_bits=tuple(column_bits[name] for name in needed_columns),
         morsel_elements=morsel_elements,
     )
@@ -617,7 +583,6 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
                   morsel_elements: int) -> CompiledKernel:
     """Lower ``query`` to a :class:`CompiledKernel`.
 
-    Caller guarantees :func:`unsupported_reason` returned ``None``.
     ``needed_columns`` is the plan's decode order; the kernel's
     positional arguments follow it.  A shape planned before reuses its
     kernel: only the literals are extracted, no source is generated.
@@ -642,7 +607,8 @@ def _generate_kernel(key: _KernelKey, query: Query,
                      morsel_elements: int) -> Tuple[str, Callable]:
     """Generate, compile and keep the kernel for ``key``: ``(source,
     fn)``.  For a group-by plan the source opens with the grouped reduce
-    the kernel calls."""
+    the kernel calls.  Aggregate kernels end in folds, row kernels in
+    appends; the decode-and-mask loop around them is shared."""
     names = {name: f"c{i}" for i, name in enumerate(key.columns)}
     args = "".join(
         f", dec{i}, rep{i}, buf{i}" for i in range(len(key.columns))
@@ -661,6 +627,8 @@ def _generate_kernel(key: _KernelKey, query: Query,
         fold, call = _group_fold_for(query, masked, column_bits,
                                      morsel_elements)
         init, folds, result = ["groups = {}"], [call], "[], groups"
+    elif key.projection is not None:
+        init, folds, result = _emit_rows(key.projection, names, mask)
     else:
         init, folds, result = _emit_folds(query.aggregates, masked,
                                           column_bits, morsel_elements)
@@ -679,8 +647,8 @@ def _generate_kernel(key: _KernelKey, query: Query,
     lines.append("            if end > n_rows:")
     lines.append("                end = n_rows")
     lines.append("            span = end - base")
-    # Decode every needed column unconditionally: identical accounting
-    # to the interpreted pass (chunk_unpacks/replica_reads per column).
+    # Decode every needed column unconditionally: exactly the planned
+    # accounting (chunk_unpacks/replica_reads per column).
     for i in range(len(key.columns)):
         lines.append(
             f"            c{i} = dec{i}(first, count, "
@@ -699,7 +667,7 @@ def _generate_kernel(key: _KernelKey, query: Query,
     lines.append("            if n == 0:")
     lines.append("                continue")
 
-    if mask is not False:  # folds are unreachable under a false mask
+    if mask is not False:  # output is unreachable under a false mask
         for column, var in masked.items():
             src = names[column]
             picked = f"{src}[mask]" if isinstance(mask, str) else src

@@ -9,11 +9,12 @@ read inside a morsel goes through the socket-local replica of the
 claiming worker (``array.get_replica(ctx.socket)``) — the paper's
 ``getReplica()``-at-batch-start discipline lifted to whole morsels.
 
-Inside a morsel the pipeline is fully fused: candidate chunks (after
-zone-map pruning) are decoded in consecutive runs through the blocked
-kernel *once per needed column*, the predicate is evaluated span-at-a-
-time on the decoded buffers, and aggregates/group partials/row output
-fold directly off the mask — no operator-at-a-time materialization.
+Inside a morsel the pipeline is fully fused: the plan's generated
+kernel (:mod:`repro.query.codegen`) decodes candidate chunks (after
+zone-map pruning) in consecutive runs through the blocked decoder *once
+per needed column*, evaluates the predicate span-at-a-time on the
+decoded buffers, and folds aggregates/group partials/row output
+directly off the mask — no operator-at-a-time materialization.
 
 The full predicate is always re-evaluated on decoded spans; pruning
 only decides *which chunks to decode*.  That keeps correctness
@@ -27,13 +28,6 @@ precise: per needed column, executing a query adds exactly
 morsels once the completed morsel prefix covers the row budget, so it
 may decode *fewer* chunks — see :class:`_LimitTracker`.)
 
-Compiled plans (``plan.mode == "compiled"``, see
-:mod:`repro.query.codegen`) run a generated fused kernel per morsel on
-this same machinery — same pinned generations, same replica buffers,
-same ``decode_chunks`` accounting, same morsel-order merge — so serial,
-threaded, interpreted, and compiled runs all produce bit-identical
-results.
-
 Determinism: morsel boundaries and per-morsel work are independent of
 the claiming order, and partials merge in morsel order, so results —
 including group dicts and row order — are bit-identical between
@@ -44,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,9 +46,9 @@ from ..core import bitpack
 from ..core.zonemap import _chunk_runs
 from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
-from ..runtime.loops import _exact_sum, parallel_for
+from ..runtime.loops import parallel_for
 from ..runtime.workers import ThreadContext, WorkerPool
-from .logical import AggSpec
+from .codegen import CompiledKernel, compile_query
 from .planner import PhysicalPlan
 from .stats import MorselPartial, QueryResult, QueryStats
 
@@ -86,33 +80,6 @@ def _new_agg_partials(specs) -> List[object]:
     return out
 
 
-def _fold_agg(partials: List[object], specs, env: Dict[str, np.ndarray],
-              mask: Optional[np.ndarray], n_matched: int) -> None:
-    """Fold one decoded span into per-spec partials, in place."""
-    for slot, spec in enumerate(specs):
-        if spec.kind == "count":
-            partials[slot] += n_matched
-            continue
-        values = env[spec.column]
-        if mask is not None:
-            values = values[mask]
-        if values.size == 0:
-            continue
-        if spec.kind == "sum":
-            partials[slot] += _exact_sum(values)
-        elif spec.kind == "min":
-            lo = int(values.min())
-            cur = partials[slot]
-            partials[slot] = lo if cur is None else min(cur, lo)
-        elif spec.kind == "max":
-            hi = int(values.max())
-            cur = partials[slot]
-            partials[slot] = hi if cur is None else max(cur, hi)
-        else:  # mean
-            s, c = partials[slot]
-            partials[slot] = (s + _exact_sum(values), c + values.size)
-
-
 def _merge_agg(into: List[object], other: List[object], specs) -> None:
     for slot, spec in enumerate(specs):
         if spec.kind in ("sum", "count"):
@@ -141,35 +108,6 @@ def _finalize_agg(partials: List[object], specs) -> Dict[str, object]:
         else:
             out[spec.name] = partials[slot]
     return out
-
-
-def _fold_groups(groups: Dict[int, List[object]], specs,
-                 keys: np.ndarray, env: Dict[str, np.ndarray],
-                 mask: Optional[np.ndarray]) -> None:
-    """Group one decoded span by key and fold per-group partials."""
-    if mask is not None:
-        keys = keys[mask]
-    if keys.size == 0:
-        return
-    # Sort-and-slice (the exact-arithmetic idiom group_by_sum uses):
-    # one argsort per span, then contiguous per-group slices.
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    bounds = np.append(starts, keys.size)
-    masked_cols = {
-        spec.column: (env[spec.column][mask] if mask is not None
-                      else env[spec.column])[order]
-        for spec in specs if spec.column is not None
-    }
-    for g in range(uniq.size):
-        key = int(uniq[g])
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        partials = groups.get(key)
-        if partials is None:
-            partials = groups[key] = _new_agg_partials(specs)
-        genv = {name: vals[lo:hi] for name, vals in masked_cols.items()}
-        _fold_agg(partials, specs, genv, None, hi - lo)
 
 
 class _LimitTracker:
@@ -252,7 +190,8 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     table = plan.table
     specs = list(query.aggregates)
     group_key = query.group_key
-    projection = query.projection
+    # Distinct projected columns: a repeated name is one output column.
+    projection = tuple(dict.fromkeys(query.projection or ()))
     is_rows = not specs
     t0 = time.perf_counter()
     deadline = t0 + timeout_s if timeout_s is not None else None
@@ -264,7 +203,6 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
         est_instructions=plan.est_instructions,
         n_workers=pool.n_workers if pool is not None else 1,
         distribution=distribution if pool is not None else "serial",
-        mode=plan.mode,
     )
     for name in plan.needed_columns:
         stats._bits[name] = table[name].bits
@@ -272,7 +210,6 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     n_morsels = len(plan.morsels)
     partials: List[Optional[MorselPartial]] = [None] * n_morsels
     max_chunks = plan.morsel_elements // bitpack.CHUNK_ELEMENTS
-    predicate = query.predicate
     n_rows = table.n_rows
 
     # Only morsels with candidate chunks are ever visited; fully pruned
@@ -284,6 +221,24 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
         if is_rows and query.limit_rows is not None else None
     )
     limit_skipped = [False] * n_morsels
+
+    # Kernels by the value widths they were compiled for: the plan's,
+    # plus one per distinct width tuple a morsel pinned mid-migration.
+    kernels: Dict[Tuple[int, ...], CompiledKernel] = {
+        tuple(plan.kernel.column_bits[name]
+              for name in plan.needed_columns): plan.kernel,
+    }
+    kernels_lock = threading.Lock()
+
+    def kernel_for(bits: Tuple[int, ...]) -> CompiledKernel:
+        with kernels_lock:
+            kernel = kernels.get(bits)
+            if kernel is None:
+                kernel = kernels[bits] = compile_query(
+                    query, plan.needed_columns,
+                    dict(zip(plan.needed_columns, bits)),
+                    plan.morsel_elements)
+            return kernel
 
     def run_morsel(index: int, pos: int,
                    ctx: Optional[ThreadContext]) -> None:
@@ -323,90 +278,29 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
             name: np.empty(plan.morsel_elements, dtype=np.uint64)
             for name in plan.needed_columns
         }
-        # The compiled kernel's aggregate folds are specialized on the
-        # planned *value* widths; if a live migration swapped a column's
+        # The kernel's aggregate folds are specialized on the planned
+        # *value* widths; a live migration may have swapped a column's
         # width (or codec — value_bits covers both) between plan and
-        # this morsel's pin, fall back to the interpreter for the morsel
-        # (results are identical either way).
-        kernel = plan.kernel
-        if kernel is not None and any(
-            gens[name].value_bits != kernel.column_bits[name]
-            for name in plan.needed_columns
-        ):
-            kernel = None
+        # this morsel's pin, so the morsel runs the kernel compiled for
+        # the widths it pinned.
+        bits = tuple(gens[name].value_bits for name in plan.needed_columns)
+        kernel = kernel_for(bits)
         try:
-            if kernel is not None:
-                args: List[object] = []
-                for name in plan.needed_columns:
-                    args += (table[name].decode_chunks,
-                             replicas[name], bufs[name])
-                (part.rows_scanned, part.rows_matched,
-                 part.decoded_chunks, part.agg, part.groups) = kernel.fn(
-                    list(_chunk_runs(candidates, max_chunks)),
-                    n_rows, kernel.literals, *args,
-                )
-                return
-            if specs:
-                part.agg = _new_agg_partials(specs)
-                if group_key is not None:
-                    part.groups = {}
-            else:
-                idx_pieces: List[np.ndarray] = []
-                val_pieces: Dict[str, List[np.ndarray]] = {
-                    name: [] for name in (projection or ())
-                }
-            for first, count in _chunk_runs(candidates, max_chunks):
-                base = first * bitpack.CHUNK_ELEMENTS
-                end = min(n_rows, base + count * bitpack.CHUNK_ELEMENTS)
-                env: Dict[str, np.ndarray] = {}
-                for name in plan.needed_columns:
-                    decoded = table[name].decode_chunks(
-                        first, count, replica=replicas[name], out=bufs[name]
-                    )
-                    env[name] = decoded[:end - base]
-                part.decoded_chunks += count
-                span_len = end - base
-                part.rows_scanned += span_len
-                if predicate is not None:
-                    mask = predicate.evaluate(env)
-                    n_matched = int(mask.sum())
-                else:
-                    mask = None
-                    n_matched = span_len
-                part.rows_matched += n_matched
-                if n_matched == 0:
-                    continue
-                if specs:
-                    if group_key is not None:
-                        _fold_groups(part.groups, specs, env[group_key],
-                                     env, mask)
-                    else:
-                        _fold_agg(part.agg, specs, env, mask, n_matched)
-                else:
-                    local = (np.nonzero(mask)[0] if mask is not None
-                             else np.arange(span_len))
-                    idx_pieces.append(local.astype(np.int64) + base)
-                    for name in projection or ():
-                        vals = env[name]
-                        val_pieces[name].append(
-                            (vals[mask] if mask is not None else vals).copy()
-                        )
-            if not specs:
-                if idx_pieces:
-                    part.indices = np.concatenate(idx_pieces)
-                    part.values = {
-                        name: np.concatenate(pieces)
-                        for name, pieces in val_pieces.items()
-                    }
-                else:
-                    part.indices = np.empty(0, dtype=np.int64)
-                    part.values = {
-                        name: np.empty(0, dtype=np.uint64)
-                        for name in (projection or ())
-                    }
+            args: List[object] = []
+            for name in plan.needed_columns:
+                args += (table[name].decode_chunks, replicas[name], bufs[name])
+            (part.rows_scanned, part.rows_matched, part.decoded_chunks,
+             *output) = kernel.fn(
+                list(_chunk_runs(candidates, max_chunks)),
+                n_rows, kernel.literals, *args,
+            )
         finally:
             for gen in gens.values():
                 gen.unpin()
+        if specs:
+            part.agg, part.groups = output
+        else:
+            part.indices, part.values = output
         if limiter is not None:
             limiter.record(pos, part.rows_matched)
 
@@ -425,9 +319,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     agg_total = _new_agg_partials(specs)
     group_total: Dict[int, List[object]] = {}
     idx_all: List[np.ndarray] = []
-    val_all: Dict[str, List[np.ndarray]] = {
-        name: [] for name in (projection or ())
-    }
+    val_all: Dict[str, List[np.ndarray]] = {name: [] for name in projection}
     for index, part in enumerate(partials):
         if part is None:
             # Fully pruned at plan time — or skipped because a limit()
@@ -458,7 +350,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                 _merge_agg(agg_total, part.agg, specs)
         elif part.indices is not None:
             idx_all.append(part.indices)
-            for name in (projection or ()):
+            for name in projection:
                 val_all[name].append(part.values[name])
     for name in plan.needed_columns:
         stats.decoded_elements[name] = (

@@ -69,7 +69,6 @@ class Query:
         self.group_key: Optional[str] = None
         self.projection: Optional[Tuple[str, ...]] = None
         self.limit_rows: Optional[int] = None
-        self.codegen_mode: Optional[str] = None
 
     # -- filter ------------------------------------------------------------
 
@@ -134,22 +133,6 @@ class Query:
         if n < 0:
             raise ValueError(f"limit must be >= 0, got {n}")
         self.limit_rows = int(n)
-        return self
-
-    # -- execution knobs ----------------------------------------------------
-
-    def codegen(self, mode: str) -> "Query":
-        """Pin the compile-vs-interpret decision for this query:
-        ``"on"`` (error if the shape cannot compile), ``"off"``
-        (always interpret), or ``"auto"`` (compile when supported —
-        the default, also settable via ``REPRO_QUERY_CODEGEN``)."""
-        from .codegen import CODEGEN_MODES
-
-        if mode not in CODEGEN_MODES:
-            raise ValueError(
-                f"codegen mode must be one of {CODEGEN_MODES}, got {mode!r}"
-            )
-        self.codegen_mode = mode
         return self
 
     # -- shape --------------------------------------------------------------

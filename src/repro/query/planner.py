@@ -28,8 +28,8 @@ a :class:`PhysicalPlan` the morsel executor runs:
   facts captured at plan time.
 
 **Plan once.**  Planning is two steps.  The *shape*
-(:func:`_plan_shape`: compile-or-interpret, needed columns, morsel grid,
-per-column facts, the compiled kernel) reads no literal, and everything
+(:func:`_plan_shape`: needed columns, morsel grid, per-column facts,
+the compiled kernel) reads no literal, and everything
 it reuses is keyed by what it specializes on — the kernel cache by a
 literal-free structural key, the zone bounds by the map that owns them
 — so a repeat of a statement with new bounds compiles, decodes and
@@ -63,8 +63,7 @@ from ..adapt import (
     select_configuration,
 )
 from ..core import bitpack
-from ..core.map_api import check_superchunk
-from ..core.scan_ops import clamp_u64_range
+from ..core.map_api import SUPERCHUNK_ELEMENTS, check_superchunk
 from ..core.smart_array import SmartArray
 from ..core.zonemap import ZoneMap
 from ..numa.counters import PerfCounters
@@ -72,28 +71,21 @@ from ..numa.topology import MachineSpec
 from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
 from ..perfmodel.workload import blocked_scan_instructions
-from .codegen import (
-    CompiledKernel,
-    compile_query,
-    resolve_mode,
-    unsupported_reason,
-)
+from .codegen import CompiledKernel, compile_query
 from .expr import And, Compare, Expr, Not, Or
 from .logical import Query
 
-#: Default morsel: one superchunk (64 chunks), the scan engine's decode
-#: granule — every morsel boundary is a chunk boundary, so no chunk is
-#: ever decoded by two morsels.
-DEFAULT_MORSEL_ELEMENTS = 4096
-
-#: Default morsel for compiled plans: 16 superchunks.  The blocked
-#: decoder runs a fixed number of shift/mask passes per run regardless
-#: of run length, and the fused kernel touches each span a constant
-#: number of times, so larger runs amortize per-call overhead without
-#: changing any result (aggregation is exact integer arithmetic,
-#: independent of morsel boundaries).  An explicit ``morsel=`` knob
-#: still wins in either mode.
-COMPILED_MORSEL_ELEMENTS = 65536
+#: Default morsel: 16 superchunks.  Morsels are superchunk-aligned, so
+#: no chunk is ever decoded by two morsels.  The blocked decoder runs a
+#: fixed number of shift/mask passes per run regardless of run length,
+#: and the kernel touches each span a constant number of times, so
+#: larger runs amortize per-call overhead without changing any result
+#: (aggregation is exact integer arithmetic, independent of morsel
+#: boundaries).  A ``limit()`` query defaults to one superchunk
+#: (:data:`~repro.core.map_api.SUPERCHUNK_ELEMENTS`) instead: its early
+#: exit skips whole morsels, so a smaller morsel decodes less past the
+#: budget.  An explicit ``morsel=`` knob wins either way.
+DEFAULT_MORSEL_ELEMENTS = 65536
 
 #: Analytics tables are scanned repeatedly over their lifetime; the
 #: selector's replication rules need an accesses-per-element estimate to
@@ -323,15 +315,9 @@ class PhysicalPlan:
     #: with; ``None`` = ``consult_selector=False``.
     selector_inputs: Optional[Tuple[MachineSpec, float]]
     est_instructions: float
-    #: ``"compiled"`` or ``"interpreted"`` — how the executor will
-    #: evaluate predicate + aggregates (see :mod:`repro.query.codegen`).
-    mode: str = "interpreted"
-    #: Why the plan interprets (knob setting or unsupported shape);
-    #: ``None`` when compiled.
-    codegen_reason: Optional[str] = None
-    #: The generated kernel (source + callable) when ``mode`` is
-    #: ``"compiled"``.
-    kernel: Optional[CompiledKernel] = None
+    #: The generated morsel kernel (source + callable) the executor
+    #: runs; see :mod:`repro.query.codegen`.
+    kernel: CompiledKernel
     _decisions: Optional[Dict[str, ColumnDecision]] = field(
         default=None, init=False, repr=False)
 
@@ -424,22 +410,17 @@ class PhysicalPlan:
         lines.append(
             f"  estimated scan instructions: {self.est_instructions:,.0f}"
         )
-        if self.mode == "compiled":
-            lines.append("  execution mode: compiled (fused kernel)")
-            if self.kernel is not None:
-                lines.append("  generated kernel:")
-                lines += [
-                    "    " + src_line
-                    for src_line in self.kernel.source.rstrip().splitlines()
-                ]
-                if self.kernel.literals:
-                    lines.append("  literals: " + ", ".join(
-                        f"lits[{k}] = {value}"
-                        for k, value in enumerate(self.kernel.literals)
-                    ))
-        else:
-            reason = f" ({self.codegen_reason})" if self.codegen_reason else ""
-            lines.append(f"  execution mode: interpreted{reason}")
+        lines.append("  execution mode: compiled (fused kernel)")
+        lines.append("  generated kernel:")
+        lines += [
+            "    " + src_line
+            for src_line in self.kernel.source.rstrip().splitlines()
+        ]
+        if self.kernel.literals:
+            lines.append("  literals: " + ", ".join(
+                f"lits[{k}] = {value}"
+                for k, value in enumerate(self.kernel.literals)
+            ))
         return "\n".join(lines)
 
 
@@ -450,7 +431,6 @@ def plan_query(
     pool=None,
     accesses_per_element: float = DEFAULT_ACCESSES_PER_ELEMENT,
     consult_selector: bool = True,
-    codegen: Optional[str] = None,
 ) -> PhysicalPlan:
     """Build the physical plan for ``query``.
 
@@ -460,11 +440,8 @@ def plan_query(
     extra scan per column — worth it for repeated queries), ``"off"``
     disables pruning.
 
-    ``codegen`` controls fused-kernel compilation: ``"auto"`` compiles
-    every supported shape (aggregates, grouped or not), ``"on"``
-    errors when the shape cannot compile, ``"off"`` always interprets.
-    ``None`` defers to :meth:`Query.codegen`, then the
-    ``REPRO_QUERY_CODEGEN`` env var, then ``"auto"``.
+    ``morsel`` defaults to :data:`DEFAULT_MORSEL_ELEMENTS`, or one
+    superchunk for a ``limit()`` query.
     """
     query.validate()
     if prune not in ("auto", "build", "off"):
@@ -473,12 +450,9 @@ def plan_query(
         )
     with trace("query.plan", prune=prune):
         plan = _plan_query(query, morsel, prune, pool,
-                           accesses_per_element, consult_selector, codegen)
+                           accesses_per_element, consult_selector)
         reg = _obs_registry()
         reg.counter("query.plans").add(1)
-        reg.counter("query.plans_compiled").add(
-            1 if plan.mode == "compiled" else 0
-        )
         reg.counter("query.chunks_candidate").add(plan.chunks_candidate)
         reg.counter("query.chunks_pruned").add(plan.chunks_pruned)
         reg.counter("query.morsels_pruned_at_plan").add(plan.morsels_pruned)
@@ -488,44 +462,23 @@ def plan_query(
 class _PlanShape(NamedTuple):
     """The part of a plan no literal decides (see :func:`_plan_shape`)."""
 
-    mode: str
-    codegen_reason: Optional[str]
     needed_columns: Tuple[str, ...]
     morsel_elements: int
     morsels: List[Tuple[int, int]]
     column_facts: Dict[str, ColumnDecision]
-    kernel: Optional[CompiledKernel]
+    kernel: CompiledKernel
 
 
-def _plan_shape(query: Query, morsel: Optional[int],
-                codegen: Optional[str]) -> _PlanShape:
+def _plan_shape(query: Query, morsel: Optional[int]) -> _PlanShape:
     """Everything about ``query``'s plan that its literals do not decide:
-    compile or interpret, the columns to decode, the morsel grid, each
-    column's storage facts and the compiled kernel (whose *function* is
-    shared by the whole shape; only ``kernel.literals`` is this
-    statement's)."""
+    the columns to decode, the morsel grid, each column's storage facts
+    and the compiled kernel (whose *function* is shared by the whole
+    shape; only ``kernel.literals`` is this statement's)."""
     table = query.table
     n_rows = table.n_rows
 
-    # Compile-vs-interpret decision comes first: compiled plans default
-    # to larger morsels (an explicit ``morsel=`` knob wins regardless).
-    requested = resolve_mode(codegen, query.codegen_mode)
-    if requested == "off":
-        mode, codegen_reason = "interpreted", "codegen knob off"
-    else:
-        codegen_reason = unsupported_reason(query)
-        if codegen_reason is None:
-            mode = "compiled"
-        elif requested == "on":
-            raise ValueError(
-                f"codegen='on' but this query cannot compile: "
-                f"{codegen_reason}"
-            )
-        else:
-            mode = "interpreted"
-
     if morsel is None:
-        morsel = (COMPILED_MORSEL_ELEMENTS if mode == "compiled"
+        morsel = (SUPERCHUNK_ELEMENTS if query.limit_rows is not None
                   else DEFAULT_MORSEL_ELEMENTS)
     morsel_elements = check_superchunk(morsel)
 
@@ -554,24 +507,20 @@ def _plan_shape(query: Query, morsel: Optional[int],
                 query.predicate is not None:
             need(cheapest)
 
-    kernel: Optional[CompiledKernel] = None
-    if mode == "compiled":
-        # Specialize the kernel's aggregate folds on the *decoded value*
-        # width: for codec-encoded columns ``bits`` is the narrow
-        # payload (codes/deltas) while ``decode_chunks`` hands the
-        # kernel full-magnitude values — a fold sized to payload bits
-        # could silently wrap its uint64 accumulator.
-        kernel = compile_query(
-            query,
-            tuple(needed),
-            {name: getattr(table[name], "value_bits", table[name].bits)
-             for name in needed},
-            morsel_elements,
-        )
+    # Specialize the kernel's aggregate folds on the *decoded value*
+    # width: for codec-encoded columns ``bits`` is the narrow payload
+    # (codes/deltas) while ``decode_chunks`` hands the kernel
+    # full-magnitude values — a fold sized to payload bits could
+    # silently wrap its uint64 accumulator.
+    kernel = compile_query(
+        query,
+        tuple(needed),
+        {name: getattr(table[name], "value_bits", table[name].bits)
+         for name in needed},
+        morsel_elements,
+    )
 
     return _PlanShape(
-        mode=mode,
-        codegen_reason=codegen_reason,
         needed_columns=tuple(needed),
         morsel_elements=morsel_elements,
         morsels=[
@@ -641,9 +590,8 @@ def _plan_query(
     pool,
     accesses_per_element: float,
     consult_selector: bool,
-    codegen: Optional[str] = None,
 ) -> PhysicalPlan:
-    shape = _plan_shape(query, morsel, codegen)
+    shape = _plan_shape(query, morsel)
     mask, pushed, active_morsels, chunks_candidate = _bind(
         query, shape, prune)
 
@@ -678,8 +626,6 @@ def _plan_query(
         est_instructions=sum(
             (blocked_scan_instructions(scan_elements, facts.bits)
              for facts in shape.column_facts.values()), 0.0),
-        mode=shape.mode,
-        codegen_reason=shape.codegen_reason,
         kernel=shape.kernel,
     )
 
@@ -696,8 +642,3 @@ def _sargable_columns(expr: Expr) -> set:
             out.add(rng[0])
     return out
 
-
-def validate_range(lo: int, hi: int) -> bool:
-    """True when ``[lo, hi)`` can match any storable value (shared
-    clamping contract; thin wrapper kept for query-level callers)."""
-    return clamp_u64_range(lo, hi) is not None

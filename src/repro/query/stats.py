@@ -51,9 +51,9 @@ class QueryStats:
     est_instructions: float = 0.0
     n_workers: int = 1
     distribution: str = "dynamic"
-    #: How predicate + aggregates were evaluated: ``"interpreted"``
-    #: (AST walk per span) or ``"compiled"`` (generated fused kernel).
-    mode: str = "interpreted"
+    #: How predicate and output were evaluated: always ``"compiled"``
+    #: (the plan's generated kernel, see :mod:`repro.query.codegen`).
+    mode: str = "compiled"
 
     @property
     def chunks_pruned(self) -> int:

@@ -120,16 +120,13 @@ class Connection:
         return response["physical"]
 
     def sql(self, sql: str, timeout_s: Optional[float] = None,
-            query_id: Optional[str] = None,
-            codegen: Optional[str] = None) -> SqlResult:
+            query_id: Optional[str] = None) -> SqlResult:
         """Execute one SELECT; raises :class:`ServerError` on failure."""
         request: dict = {"op": "sql", "sql": sql}
         if timeout_s is not None:
             request["timeout_s"] = timeout_s
         if query_id is not None:
             request["id"] = query_id
-        if codegen is not None:
-            request["codegen"] = codegen
         return SqlResult(self._checked(request))
 
     def cancel(self, query_id: str) -> bool:

@@ -18,7 +18,7 @@ they are processes (ROADMAP "make parallelism real", step 2) and
 wire format is length-prefixed JSON frames (:mod:`repro.server.
 protocol`); requests are objects with an ``op`` key:
 
-``{"op": "sql", "sql": "...", "id"?, "timeout_s"?, "codegen"?}``
+``{"op": "sql", "sql": "...", "id"?, "timeout_s"?}``
     Parse, bind against the catalog, and execute (on this session's
     thread unless the server was given a threaded ``pool=``).
     Responses carry the result (aggregates / groups / rows+columns)
@@ -214,12 +214,6 @@ class _Session:
                 "server.queries", status=f"{exc.kind}_error"
             ).add(1)
             return None, {"ok": False, "error": exc.to_dict()}
-        codegen = request.get("codegen")
-        if codegen is not None:
-            try:
-                query.codegen(str(codegen))
-            except ValueError as exc:
-                return None, _error_frame("bad_request", str(exc))
         return query, None
 
     def _handle_explain(self, request: dict) -> dict:

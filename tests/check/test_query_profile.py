@@ -38,13 +38,12 @@ class TestAcceptance:
         assert "profile=query" in report.format()
 
     def test_seed0_codegen_forced_on_passes(self):
-        # Acceptance gate for the compiled path: every compilable case
-        # runs through the generated kernels only, checked against the
-        # oracle and the accounting deltas.
-        report = run_check(seed=0, ops=500, profile="query",
-                           codegen="on")
+        # Every query op runs its generated kernel — there is no other
+        # path to force — checked against the oracle and the accounting
+        # deltas at the CI query job's op budget.
+        report = run_check(seed=0, ops=500, profile="query")
         assert report.ok, report.format()
-        assert "codegen=on" in report.format()
+        assert "codegen" not in report.format()
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_other_seeds_pass(self, seed):
@@ -127,9 +126,8 @@ class TestPlantedBugs:
 
     def test_detects_miscompiled_constant(self, monkeypatch):
         # A codegen bug that binds every literal off by one produces
-        # kernels that disagree with the interpreted path on the same
-        # case; the cross-path comparison (or the oracle check on the
-        # compiled run) must flag it.
+        # kernels that disagree with the oracle; the result check must
+        # flag it.
         import repro.query.codegen as codegen
 
         orig = codegen._literal_u64
@@ -140,15 +138,15 @@ class TestPlantedBugs:
         report = run_check(seed=0, ops=400, profile="query",
                            max_failures=1)
         assert not report.ok
-        assert report.failures[0].kind in ("codegen", "result")
+        assert report.failures[0].kind == "result"
         # The same case is clean once the compiler is fixed.
         monkeypatch.setattr(codegen, "_literal_u64", orig)
         assert run_case(report.failures[0].case) is None
 
     def test_forced_codegen_catches_miscompile_without_baseline(
             self, monkeypatch):
-        # Even with codegen="on" (no interpreted twin to diff against)
-        # the NumPy oracle still catches the wrong constants.
+        # With no second execution path to diff against, the NumPy
+        # oracle alone catches the wrong constants.
         import repro.query.codegen as codegen
 
         orig = codegen._literal_u64
@@ -157,21 +155,14 @@ class TestPlantedBugs:
             lambda value, lits: orig((value + 1) % (1 << 64), lits),
         )
         report = run_check(seed=0, ops=400, profile="query",
-                           max_failures=1, codegen="on")
+                           max_failures=1)
         assert not report.ok
         assert report.failures[0].kind == "result"
 
-    @pytest.mark.parametrize("forced,kind", [
-        ("both", "codegen"),
-        # No interpreted twin to diff against: the oracle compare
-        # reports it, as for the miscompiled constant above.
-        ("on", "result"),
-    ])
-    def test_detects_miscompiled_group_sum(self, monkeypatch, forced, kind):
+    def test_detects_miscompiled_group_sum(self, monkeypatch):
         # A grouped reduce that keeps only the low limb of a wide sum
         # still gets keys and counts right; only the group *values*
-        # differ, which the aggregates-only twin comparison was blind
-        # to (group results leave ``aggregates`` empty on both paths).
+        # differ, and the oracle compare reports them.
         import repro.query.codegen as codegen
 
         orig = codegen._sum_limbs
@@ -186,16 +177,39 @@ class TestPlantedBugs:
         )
         try:
             report = run_check(seed=0, ops=400, profile="query",
-                               max_failures=1, codegen=forced)
+                               max_failures=1)
         finally:
             codegen.group_fold.cache_clear()
             codegen._KERNEL_CACHE.clear()
         assert not report.ok
         failure = report.failures[0]
         assert failure.op.name == "query_group_sum"
-        assert failure.kind == kind
+        assert failure.kind == "result"
         monkeypatch.setattr(codegen, "_sum_limbs", orig)
-        assert run_case(failure.case, codegen=forced) is None
+        assert run_case(failure.case) is None
+
+    def test_detects_reversed_group_key_order(self, monkeypatch):
+        # Right keys, right values, wrong order: a dict ``==`` cannot
+        # see it, the ordered item compare against the key-sorted
+        # oracle must.
+        import repro.query.executor as executor
+
+        orig = executor.QueryResult
+
+        def result(kind, stats, plan, groups=None, **kwargs):
+            if groups is not None:
+                groups = dict(reversed(list(groups.items())))
+            return orig(kind, stats, plan, groups=groups, **kwargs)
+
+        monkeypatch.setattr(executor, "QueryResult", result)
+        report = run_check(seed=0, ops=400, profile="query",
+                           max_failures=1)
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.op.name == "query_group_sum"
+        assert failure.kind == "result"
+        monkeypatch.setattr(executor, "QueryResult", orig)
+        assert run_case(failure.case) is None
 
     def test_replay_line_names_profile(self, monkeypatch):
         import repro.query.executor as executor

@@ -5,7 +5,7 @@ keyword case, clause whitespace, trailing semicolons) next to their
 directly-built fluent-``Query`` twins, requires the bound logical plans
 to be *identical*, then pushes each statement through the full query
 differential checks — oracle results, planner candidate chunks, exact
-decode accounting, compiled-vs-interpreted cross-check.  A batch of
+decode accounting.  A batch of
 known-malformed statements must come back as positioned ``SqlError``\\ s.
 """
 
@@ -28,10 +28,6 @@ class TestAcceptance:
         assert report.ok, report.format()
         assert report.ops_run == 400
         assert "profile=sql" in report.format()
-
-    def test_codegen_forced_on_passes(self):
-        report = run_check(seed=0, ops=300, profile="sql", codegen="on")
-        assert report.ok, report.format()
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_other_seeds_pass(self, seed):

@@ -103,6 +103,18 @@ class TestBitIdentity:
         np.testing.assert_array_equal(tk[distributed.rows],
                                       distributed.columns["k"])
 
+    def test_repeated_projection_is_one_column(self):
+        table, _ = build(n_nodes=2)
+        twin = table.gather()
+
+        def q(t):
+            return Query(t).where(in_range("k", LO, HI)).select("k", "k")
+
+        distributed = q(table).run()
+        assert_identical(distributed, q(twin).run())
+        assert list(distributed.columns) == ["k"]
+        assert distributed.columns["k"].size == distributed.rows.size
+
     def test_mean_ships_partials_not_averages(self):
         # Skewed shards: averaging per-shard means would be wrong, so
         # correctness here proves the (sum, count) rewrite.

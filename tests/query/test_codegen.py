@@ -1,23 +1,23 @@
-"""Fused-kernel codegen: compiled == interpreted, knobs, edge cases.
+"""Fused-kernel codegen: every shape against NumPy/Python oracles.
 
-Every equivalence test runs the same query through both executor paths
-(``codegen="on"`` vs ``codegen="off"``) and against a Python-int oracle,
-asserting bit-identical aggregates — the compiled kernel must be
-indistinguishable from the AST interpreter on results and accounting.
+Every plan runs its generated kernel; there is no second execution path
+to diff against.  Aggregate tests check exact Python-int oracles, and
+the predicate's mask is checked twice — ``Expr.evaluate`` (the predicate
+reference) against the NumPy mask the test states, and the row kernel's
+matching indices against both.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.map_api import SUPERCHUNK_ELEMENTS
 from repro.core.table import SmartTable
 from repro.query import (
-    COMPILED_MORSEL_ELEMENTS,
     DEFAULT_MORSEL_ELEMENTS,
     Query,
     col,
     in_range,
     lit,
-    unsupported_reason,
 )
 from repro.query.codegen import compile_query, _KERNEL_CACHE
 from repro.runtime import default_pool
@@ -60,18 +60,21 @@ def full_query(t):
 
 
 def assert_both_paths(t, k, v, predicate, mask, pool=None):
-    """compiled == interpreted == oracle for the full aggregate set."""
-    q_on = full_query(t).codegen("on")
-    q_off = full_query(t).codegen("off")
+    """The aggregate kernel == the Python-int oracle, and the row
+    kernel's matches == ``Expr.evaluate`` == the stated NumPy mask."""
+    aggregates, rows = full_query(t), Query(t).select("v")
     if predicate is not None:
-        q_on.where(predicate())
-        q_off.where(predicate())
-    compiled = q_on.run(pool=pool)
-    interpreted = q_off.run(pool=pool)
-    assert compiled.plan.mode == "compiled"
-    assert interpreted.plan.mode == "interpreted"
-    assert compiled.aggregates == interpreted.aggregates
+        aggregates.where(predicate())
+        rows.where(predicate())
+        with np.errstate(over="ignore"):
+            reference = predicate().evaluate({"k": k, "v": v})
+        np.testing.assert_array_equal(reference, mask)
+    compiled = aggregates.run(pool=pool)
+    assert compiled.stats.mode == "compiled"
     assert compiled.aggregates == oracle_aggs(k, v, mask)
+    selected = rows.run(pool=pool)
+    np.testing.assert_array_equal(selected.rows, np.flatnonzero(mask))
+    np.testing.assert_array_equal(selected.columns["v"], v[mask])
     return compiled
 
 
@@ -147,7 +150,7 @@ class TestOutOfDomainBounds:
     def test_folded_constants_simplify_connectives(self):
         # TRUE & p -> p, FALSE | p -> p, ~TRUE -> FALSE: the generated
         # mask must shed everywhere-true/false branches yet agree with
-        # the interpreter's full array algebra.
+        # Expr.evaluate's full array algebra.
         t, k, v = make_table(13, seed=6)
         p = (k >= 100) & (k < 4000)
         compiled = assert_both_paths(
@@ -195,7 +198,7 @@ class TestBooleanNesting:
 class TestCandidateMasks:
     def test_empty_candidates_after_pruning(self):
         # Zone maps prune every chunk: the kernel never runs, partials
-        # stay empty, and both paths agree on the empty aggregates.
+        # stay empty, and the aggregates are the empty selection's.
         t, k, v = make_table(13, sorted_keys=True, seed=9)
         t.build_zone_map("k")
         beyond = 1 << 13
@@ -222,7 +225,7 @@ class TestParallelDeterminism:
         t, k, v = make_table(33, sorted_keys=True, seed=11)
         t.build_zone_map("k")
         lo, hi = 1 << 30, 1 << 32
-        q = full_query(t).where(in_range("k", lo, hi)).codegen("on")
+        q = full_query(t).where(in_range("k", lo, hi))
         serial = q.run()
         par = q.run(pool=default_pool(8), distribution=distribution)
         assert serial.aggregates == par.aggregates
@@ -233,8 +236,7 @@ class TestAccountingParity:
     def test_compiled_decodes_exactly_candidate_chunks(self):
         t, k, v = make_table(33, sorted_keys=True, seed=12)
         t.build_zone_map("k")
-        q = (Query(t).where(in_range("k", 1 << 30, 1 << 32))
-             .sum("v").codegen("on"))
+        q = Query(t).where(in_range("k", 1 << 30, 1 << 32)).sum("v")
         before_k = t["k"].stats.chunk_unpacks
         before_v = t["v"].stats.chunk_unpacks
         result = q.run(morsel=DEFAULT_MORSEL_ELEMENTS)
@@ -245,56 +247,71 @@ class TestAccountingParity:
 
 
 class TestKnobs:
+    """The compile/interpret switches are gone: one execution path."""
+
     def test_query_knob_and_plan_kwarg_precedence(self):
         t, k, v = make_table(13, seed=13)
-        q = Query(t).sum("v").codegen("off")
-        assert q.plan().mode == "interpreted"
-        # The planner kwarg beats the query's fluent setting.
-        assert q.plan(codegen="on").mode == "compiled"
+        assert not hasattr(Query(t), "codegen")
+        with pytest.raises(TypeError):
+            Query(t).sum("v").plan(codegen="off")
+        # The planner kwargs that remain still beat the defaults.
+        assert Query(t).sum("v").plan(morsel=256).morsel_elements == 256
 
     def test_env_var_default(self, monkeypatch):
+        # The environment is not read: no value changes or breaks a plan.
         t, k, v = make_table(13, seed=14)
-        monkeypatch.setenv("REPRO_QUERY_CODEGEN", "off")
-        plan = Query(t).sum("v").plan()
-        assert plan.mode == "interpreted"
-        assert plan.codegen_reason == "codegen knob off"
-        monkeypatch.setenv("REPRO_QUERY_CODEGEN", "banana")
-        with pytest.raises(ValueError, match="REPRO_QUERY_CODEGEN"):
-            Query(t).sum("v").plan()
+        for value in ("off", "banana"):
+            monkeypatch.setenv("REPRO_QUERY_CODEGEN", value)
+            result = Query(t).sum("v").run()
+            assert result.stats.mode == "compiled"
+            assert result["sum(v)"] == int(v.astype(object).sum())
 
     def test_auto_compiles_supported_interprets_rest(self):
         t, k, v = make_table(13, seed=15)
-        assert Query(t).sum("v").plan().mode == "compiled"
-        rows = Query(t).where(col("k") >= 5).select("v").plan()
-        assert rows.mode == "interpreted"
-        assert "row queries" in rows.codegen_reason
-        grouped = Query(t).group_by("k").sum("v").plan()
-        assert grouped.mode == "compiled"
-        assert grouped.codegen_reason is None
+        for q in (Query(t).sum("v"),
+                  Query(t).where(col("k") >= 5).select("v"),
+                  Query(t).group_by("k").sum("v"),
+                  Query(t).select("k", "v").limit(3),
+                  Query(t).limit(3),
+                  Query(t)):
+            plan = q.plan()
+            assert "def kernel(" in plan.kernel.source
+            assert q.run().stats.mode == "compiled"
 
     def test_forcing_on_for_unsupported_shape_errors(self):
+        # The row shape that forced compilation used to reject runs its
+        # kernel and matches NumPy.
         t, k, v = make_table(13, seed=16)
-        with pytest.raises(ValueError, match="cannot compile"):
-            Query(t).where(col("k") >= 5).select("v").plan(codegen="on")
-        assert Query(t).group_by("k").sum("v").plan(codegen="on").mode == \
-            "compiled"
-        with pytest.raises(ValueError, match="codegen mode"):
-            Query(t).sum("v").codegen("sometimes")
+        result = Query(t).where(col("k") >= 5).select("v").run()
+        np.testing.assert_array_equal(result.rows, np.flatnonzero(k >= 5))
+        np.testing.assert_array_equal(result.columns["v"], v[k >= 5])
 
     def test_unsupported_reason_surface(self):
-        t, k, v = make_table(13, seed=17)
-        assert unsupported_reason(Query(t).sum("v")) is None
-        assert unsupported_reason(Query(t).select("v")) is not None
-        assert unsupported_reason(Query(t).group_by("k").count()) is None
+        import repro.query as query
+        import repro.query.codegen as codegen
+        import repro.query.planner as planner
+
+        for name in ("unsupported_reason", "CODEGEN_MODES",
+                     "CODEGEN_ENV_VAR", "COMPILED_MORSEL_ELEMENTS"):
+            assert not hasattr(query, name)
+        for name in ("unsupported_reason", "resolve_mode", "CODEGEN_MODES",
+                     "CODEGEN_ENV_VAR"):
+            assert not hasattr(codegen, name)
+        assert not hasattr(planner, "validate_range")
 
     def test_compiled_default_morsel_is_larger(self):
         t, k, v = make_table(13, seed=18)
         assert Query(t).sum("v").plan().morsel_elements == \
-            COMPILED_MORSEL_ELEMENTS
-        assert Query(t).sum("v").plan(codegen="off").morsel_elements == \
+            DEFAULT_MORSEL_ELEMENTS == 65536
+        assert Query(t).select("v").plan().morsel_elements == \
             DEFAULT_MORSEL_ELEMENTS
-        # An explicit knob wins in either mode.
+        # LIMIT keeps one-superchunk morsels: its early exit skips
+        # whole morsels, so smaller ones decode less past the budget.
+        assert Query(t).select("v").limit(5).plan().morsel_elements == \
+            SUPERCHUNK_ELEMENTS
+        # An explicit knob wins either way.
         assert Query(t).sum("v").plan(morsel=256).morsel_elements == 256
+        assert Query(t).limit(5).plan(morsel=256).morsel_elements == 256
 
 
 class TestExplainAndCache:
@@ -309,9 +326,7 @@ class TestExplainAndCache:
         assert "mask = (c0 >= lits[0])" in text
         assert "np.uint64(100)" not in text
         assert text.endswith("  literals: lits[0] = 100")
-        off = q.explain(codegen="off")
-        assert "execution mode: interpreted (codegen knob off)" in off
-        assert "def kernel(" not in off
+        assert "interpreted" not in text
 
     def test_identical_plans_share_compiled_functions(self):
         t, k, v = make_table(13, seed=20)
@@ -328,10 +343,10 @@ class TestExplainAndCache:
         t = SmartTable.from_arrays(
             {"k": np.empty(0, dtype=np.uint64)}, replicated=True
         )
-        plan = Query(t).count().plan(codegen="on")
-        assert plan.mode == "compiled"
+        plan = Query(t).count().plan()
         assert plan.needed_columns == ()
-        result = Query(t).count().run(codegen="on")
+        assert "def kernel(runs, n_rows, lits):" in plan.kernel.source
+        result = Query(t).count().run()
         assert result["count(*)"] == 0
 
 
@@ -406,14 +421,15 @@ def assert_groups_identical(a, b):
 
 def assert_grouped_paths(t, k, v, predicate, mask, names=tuple(AGGREGATES),
                          **run):
-    compiled = grouped(t, names, predicate).run(codegen="on", **run)
-    interpreted = grouped(t, names, predicate).run(codegen="off", **run)
+    """The grouped kernel == the plain-Python oracle, key order and
+    value types included, decoding exactly the planned chunks."""
+    compiled = grouped(t, names, predicate).run(**run)
     assert compiled.stats.mode == "compiled"
-    assert interpreted.stats.mode == "interpreted"
-    assert_groups_identical(compiled.groups, interpreted.groups)
     assert_groups_identical(compiled.groups,
                             oracle_groups(k, v, mask, names))
-    assert compiled.stats.decoded_chunks == interpreted.stats.decoded_chunks
+    plan = compiled.plan
+    assert compiled.stats.decoded_chunks == {
+        name: plan.chunks_candidate for name in plan.needed_columns}
     assert compiled.stats.rows_matched == int(mask.sum())
     return compiled
 
@@ -441,7 +457,7 @@ class TestGroupByWidths:
                 assert (compiled.plan.chunks_candidate == 0) is pruned
             # Each aggregate alone takes its own fold specialization.
             for name in AGGREGATES:
-                alone = grouped(t, (name,), predicate).run(codegen="on")
+                alone = grouped(t, (name,), predicate).run()
                 assert_groups_identical(
                     alone.groups, oracle_groups(k, v, mask, (name,)))
 
@@ -456,10 +472,13 @@ class TestGroupByWidths:
 
     def test_key_column_also_aggregated(self):
         t, k, v = group_table(12, 20, seed=2)
-        q = lambda: Query(t).group_by("k").sum("k").max("k").count()
-        compiled = q().run(codegen="on")
-        assert_groups_identical(compiled.groups,
-                                q().run(codegen="off").groups)
+        compiled = Query(t).group_by("k").sum("k").max("k").count().run()
+        expected = {
+            key: {"sum(k)": key * n, "max(k)": key, "count(*)": n}
+            for key, n in zip(*(x.tolist() for x in
+                                np.unique(k, return_counts=True)))
+        }
+        assert_groups_identical(compiled.groups, expected)
         key, aggs = next(iter(compiled.groups.items()))
         assert aggs["sum(k)"] == key * aggs["count(*)"]
         assert aggs["max(k)"] == key
@@ -525,7 +544,7 @@ class TestGroupByShapes:
                                       morsel=4096)
         for distribution in ("dynamic", "static"):
             pooled = grouped(t, predicate=predicate()).run(
-                codegen="on", morsel=4096, pool=default_pool(8),
+                morsel=4096, pool=default_pool(8),
                 distribution=distribution)
             assert pooled.stats.morsels_executed > 1
             assert_groups_identical(pooled.groups, serial.groups)
@@ -575,33 +594,58 @@ class TestGroupByKernelCache:
         kernel = compile_query(q, plan.needed_columns,
                                plan.kernel.column_bits, plan.morsel_elements)
         assert kernel.fn is plan.kernel.fn
-        assert plan.morsel_elements == COMPILED_MORSEL_ELEMENTS
+        assert plan.morsel_elements == DEFAULT_MORSEL_ELEMENTS
+
+
+def swap_width(plan, array, bits):
+    """Disarm ``plan``'s kernel, then migrate ``array`` to ``bits``: a
+    morsel that still ran the planned kernel would raise."""
+    import dataclasses
+
+    from repro.adapt import Configuration
+    from repro.core.allocate import default_allocator
+    from repro.live import LiveMigrator
+
+    def never(*args):
+        raise AssertionError("kernel ran against a swapped width")
+
+    plan.kernel = dataclasses.replace(plan.kernel, fn=never)
+    migration = LiveMigrator(default_allocator()).migrate(
+        array, Configuration(array.placement, bits))
+    assert migration.state == "completed"
+
+
+@pytest.fixture
+def recompiles(monkeypatch):
+    """Column widths of every kernel the executor compiles for a
+    morsel's pinned generations, in call order."""
+    import repro.query.executor as executor
+
+    calls = []
+    compile_query = executor.compile_query
+
+    def recorded(query, columns, column_bits, morsel_elements):
+        calls.append(dict(column_bits))
+        return compile_query(query, columns, column_bits, morsel_elements)
+
+    monkeypatch.setattr(executor, "compile_query", recorded)
+    return calls
 
 
 class TestGroupByLiveMigration:
     @pytest.mark.parametrize("column,bits", [("k", 32), ("v", 64)])
-    def test_width_swap_between_plan_and_pin_falls_back(self, column, bits):
-        import dataclasses
-
-        from repro.adapt import Configuration
-        from repro.core.allocate import default_allocator
-        from repro.live import LiveMigrator
-
+    def test_width_swap_between_plan_and_pin_falls_back(self, column, bits,
+                                                        recompiles):
         t, k, v = group_table(12, 20, seed=11)
-        plan = grouped(t).plan(codegen="on")
-
-        def never(*args):
-            raise AssertionError("kernel ran against a swapped width")
-
-        plan.kernel = dataclasses.replace(plan.kernel, fn=never)
-        array = t[column]
-        migration = LiveMigrator(default_allocator()).migrate(
-            array, Configuration(array.placement, bits))
-        assert migration.state == "completed"
-        assert array.value_bits == bits != plan.kernel.column_bits[column]
-        # Every morsel pins the swapped generation, sees the width the
-        # fold was not sized for, and folds through the interpreter.
+        plan = grouped(t).plan(morsel=1024)
+        planned = dict(plan.kernel.column_bits)
+        swap_width(plan, t[column], bits)
+        assert t[column].value_bits == bits != planned[column]
+        # Every morsel pins the swapped generation and runs the kernel
+        # compiled for it — compiled once, not once per morsel.
         result = plan.execute()
+        assert result.stats.morsels_executed == 3
+        assert recompiles == [{**planned, column: bits}]
         assert_groups_identical(
             result.groups,
             oracle_groups(k, v, np.ones(GROUP_N, dtype=bool)))
@@ -641,8 +685,8 @@ class TestLiteralFreeKernels:
     def test_in_domain_literals_share_one_function(self):
         # Every in-domain bound — 0, 2**63 and 2**64-1 included — is a
         # runtime parameter: one source, one compiled function, the
-        # values in ``literals``, and the same answers as the
-        # interpreter and the oracle.
+        # values in ``literals``, and the same answers as
+        # ``Expr.evaluate`` and the oracle.
         t, k, v = make_table(64, seed=30)
         k[2], k[3] = 1 << 63, 5
         t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True)
@@ -712,34 +756,30 @@ class TestLiteralFreeKernels:
                 fns.add(kernel.fn)
                 sources.add(kernel.source)
             assert len(fns) == 1
-        # Four of the six fold down to the one ``k >= lits[0]`` kernel.
+        # Four of the six fold down to the one ``k >= lits[0]`` shape;
+        # each shape is kept once as an aggregate and once as a row
+        # kernel.
         assert len(sources) == 3
-        assert len(kernel_cache) == 3
+        assert len(kernel_cache) == 2 * 3
 
-    def test_width_swap_with_bound_literals_falls_back(self):
-        # The kernel takes ``lits`` now; a morsel whose pinned width no
-        # longer matches the plan still folds through the interpreter.
-        import dataclasses
-
-        from repro.adapt import Configuration
-        from repro.core.allocate import default_allocator
-        from repro.live import LiveMigrator
-
+    def test_width_swap_with_bound_literals_falls_back(self, recompiles):
+        # The kernel takes ``lits``; a morsel whose pinned width no
+        # longer matches the plan runs the kernel for its widths, bound
+        # to the same literals.
         t, k, v = make_table(13, seed=33)
         q = full_query(t).where(in_range("k", 100, 4000))
-        plan = q.plan(codegen="on")
+        plan = q.plan()
         assert plan.kernel.literals == (100, 4000)
         expected = oracle_aggs(k, v, (k >= 100) & (k < 4000))
         assert plan.execute().aggregates == expected
+        assert recompiles == []
 
-        def never(*args):
-            raise AssertionError("kernel ran against a swapped width")
-
-        plan.kernel = dataclasses.replace(plan.kernel, fn=never)
-        migration = LiveMigrator(default_allocator()).migrate(
-            t["v"], Configuration(t["v"].placement, 40))
-        assert migration.state == "completed"
+        swap_width(plan, t["v"], 40)
         assert plan.execute().aggregates == expected
+        assert recompiles == [{"k": 13, "v": 40}]
+        # Each execution compiles its own: a cache hit, no new source.
+        assert plan.execute().aggregates == expected
+        assert recompiles == [{"k": 13, "v": 40}] * 2
 
 
 class TestKernelCacheBound:
@@ -841,5 +881,257 @@ class TestKernelCacheBound:
         result = again.run()
         assert result.plan.kernel.fn is not kernels[1].fn
         assert result.plan.kernel.source == kernels[1].source
-        assert result.aggregates == again.run(codegen="off").aggregates
+        cols, sel = {"k": k, "v": v}, k >= 100
+        fold = {"sum": sum, "min": min, "max": max,
+                "mean": lambda xs: sum(xs) / len(xs)}
+        assert result.aggregates == {
+            spec.name: (int(sel.sum()) if spec.column is None
+                        else fold[spec.kind](cols[spec.column][sel].tolist()))
+            for spec in again.aggregates}
         assert len(kernel_cache) == cap
+
+
+# -- row kernels -------------------------------------------------------------
+
+ROW_N = 20_000
+PROJECTION_BITS = (1, 7, 20, 33, 64)
+#: name -> (predicate builder or None, NumPy mask of (k, p), whether the
+#: zone map on the sorted ``k`` can prune it).
+ROW_PREDICATES = {
+    "none": (None, lambda k, p: np.ones(k.size, dtype=bool)),
+    "selective": (lambda: in_range("k", 1 << 18, 1 << 19),
+                  lambda k, p: (k >= 1 << 18) & (k < 1 << 19)),
+    # Clamped bounds fold the mask to a constant; ``p`` has no zone
+    # map, so every chunk is still decoded.
+    "folded true": (lambda: col("p") >= -3,
+                    lambda k, p: np.ones(k.size, dtype=bool)),
+    "folded false": (lambda: col("p") > U64_MAX,
+                     lambda k, p: np.zeros(k.size, dtype=bool)),
+    "fully pruned": (lambda: col("k") >= 1 << 20,
+                     lambda k, p: np.zeros(k.size, dtype=bool)),
+}
+
+
+def row_table(bits, seed=0, codecs=None, p=None):
+    """Sorted 20-bit ``k`` (zone-mapped) plus a ``bits``-wide ``p``."""
+    rng = np.random.default_rng([seed, bits])
+    k = np.sort(rng.integers(0, 1 << 20, ROW_N, dtype=np.uint64))
+    if p is None:
+        p = random_column(rng, bits, ROW_N)
+    t = SmartTable.from_arrays({"k": k, "p": p}, replicated=True,
+                               codecs=codecs)
+    t.build_zone_map("k")
+    return t, k, p
+
+
+def row_query(t, predicate=None, limit=None, projection=("p", "k")):
+    q = Query(t)
+    if predicate is not None:
+        q.where(predicate())
+    q.select(*projection)
+    if limit is not None:
+        q.limit(limit)
+    return q
+
+
+def zone_candidates(k, predicate_name):
+    """Per-chunk candidacy the zone map on ``k`` must arrive at."""
+    n_chunks = -(-k.size // 64)
+    padded = np.concatenate([k, np.full(n_chunks * 64 - k.size, k[-1])])
+    lo_k, hi_k = (padded.reshape(n_chunks, 64).min(axis=1),
+                  padded.reshape(n_chunks, 64).max(axis=1))
+    if predicate_name == "selective":
+        return (hi_k >= 1 << 18) & (lo_k < 1 << 19)
+    if predicate_name == "fully pruned":
+        return hi_k >= 1 << 20
+    return np.ones(n_chunks, dtype=bool)
+
+
+def limit_oracle(candidates, mask, limit, morsel_chunks):
+    """``(decoded chunks, morsels skipped)`` of a serial run: morsels in
+    order, each decoding its candidate chunks, until the matched rows of
+    the completed prefix cover ``limit``; fully pruned morsels are
+    never visited."""
+    decoded = skipped = matched = 0
+    satisfied = limit == 0
+    for first in range(0, candidates.size, morsel_chunks):
+        chunks = candidates[first:first + morsel_chunks]
+        if not chunks.any():
+            continue
+        if limit is not None and satisfied:
+            skipped += 1
+            continue
+        decoded += int(chunks.sum())
+        matched += int(mask[first * 64:(first + morsel_chunks) * 64].sum())
+        satisfied = limit is not None and matched >= limit
+    return decoded, skipped
+
+
+def assert_rows(result, mask, columns, limit=None):
+    """Indices, values and dtypes equal the NumPy oracle's."""
+    idx = np.flatnonzero(mask)[:limit]
+    assert result.kind == "rows" and result.stats.mode == "compiled"
+    assert result.rows.dtype == np.int64
+    np.testing.assert_array_equal(result.rows, idx)
+    assert list(result.columns) == list(columns)
+    for name, values in columns.items():
+        assert result.columns[name].dtype == np.uint64
+        np.testing.assert_array_equal(result.columns[name], values[idx])
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("bits", PROJECTION_BITS)
+    def test_projection_predicate_limit_matrix(self, bits):
+        t, k, p = row_table(bits)
+        for name, (predicate, mask_of) in ROW_PREDICATES.items():
+            mask = mask_of(k, p)
+            candidates = zone_candidates(k, name)
+            for limit in (None, 0, 1, int(mask.sum()) + 7):
+                result = row_query(t, predicate, limit).run()
+                assert_rows(result, mask, {"p": p, "k": k}, limit)
+                plan = result.plan
+                assert plan.chunks_candidate == int(candidates.sum())
+                decoded, skipped = limit_oracle(
+                    candidates, mask, limit, plan.morsel_elements // 64)
+                assert result.stats.decoded_chunks == {
+                    column: decoded for column in plan.needed_columns}
+                assert result.stats.morsels_skipped == skipped
+                assert plan.morsel_elements == (
+                    DEFAULT_MORSEL_ELEMENTS if limit is None
+                    else SUPERCHUNK_ELEMENTS)
+
+    def test_limit_skips_as_many_morsels_as_before(self):
+        # Counts measured on the interpreted executor this kernel
+        # replaced (one-superchunk morsels for every row query): a
+        # LIMIT plan still decodes and skips exactly that much.
+        t, k, p = row_table(20)
+        pred = ROW_PREDICATES["selective"][0]
+        stats = {limit: row_query(t, pred, limit).run().stats
+                 for limit in (0, 1, 5000)}
+        assert {limit: (s.morsels_skipped, s.decoded_chunks["k"])
+                for limit, s in stats.items()} == {
+            0: (2, 0), 1: (1, 51), 5000: (0, 79)}
+        unfiltered = row_query(t, None, 4097).run().stats
+        assert (unfiltered.morsels_skipped,
+                unfiltered.decoded_chunks["p"]) == (3, 128)
+
+    def test_zero_column_shapes(self):
+        # ``Query(t).limit(n)`` and ``Query(t)`` decode no column at
+        # all; the kernel still counts rows and yields indices.
+        t, k, p = row_table(7)
+        for limit in (None, 0, 5, ROW_N + 1):
+            q = Query(t) if limit is None else Query(t).limit(limit)
+            result = q.run()
+            assert result.plan.needed_columns == ()
+            assert "def kernel(runs, n_rows, lits):" in \
+                result.plan.kernel.source
+            assert_rows(result, np.ones(ROW_N, dtype=bool), {}, limit)
+            assert result.stats.decoded_chunks == {}
+        # An empty projection still scans the cheapest column.
+        result = Query(t).select().run()
+        assert result.plan.needed_columns == ("p",)
+        assert_rows(result, np.ones(ROW_N, dtype=bool), {})
+
+    def test_repeated_projection_is_one_column(self):
+        t, k, p = row_table(33)
+        result = row_query(t, ROW_PREDICATES["selective"][0],
+                           projection=("p", "k", "p")).run()
+        assert_rows(result, (k >= 1 << 18) & (k < 1 << 19),
+                    {"p": p, "k": k})
+
+    def test_dict_and_delta_columns(self):
+        rng = np.random.default_rng(12)
+        palette = random_column(rng, 45, 40)
+        p = palette[rng.integers(0, palette.size, ROW_N)]
+        t, k, p = row_table(45, codecs={"k": "delta", "p": "dict"}, p=p)
+        assert t["k"].bits < t["k"].value_bits
+        assert t["p"].bits < t["p"].value_bits
+        for name, (predicate, mask_of) in ROW_PREDICATES.items():
+            mask = mask_of(k, p)
+            for limit in (None, 1):
+                result = row_query(t, predicate, limit).run()
+                assert_rows(result, mask, {"p": p, "k": k}, limit)
+
+    @pytest.mark.parametrize("limit", [None, 3, 2500])
+    def test_serial_threaded_static_identical(self, limit):
+        t, k, p = row_table(33, seed=3)
+        pred = ROW_PREDICATES["selective"][0]
+        mask = ROW_PREDICATES["selective"][1](k, p)
+        serial = row_query(t, pred, limit).run(morsel=4096)
+        assert_rows(serial, mask, {"p": p, "k": k}, limit)
+        for distribution in ("dynamic", "static"):
+            pooled = row_query(t, pred, limit).run(
+                morsel=4096, pool=default_pool(8),
+                distribution=distribution)
+            np.testing.assert_array_equal(pooled.rows, serial.rows)
+            for name in ("p", "k"):
+                np.testing.assert_array_equal(pooled.columns[name],
+                                              serial.columns[name])
+
+    def test_second_plan_of_a_shape_generates_no_source(self, kernel_cache,
+                                                        monkeypatch):
+        import repro.query.codegen as codegen
+
+        generated = []
+        generate = codegen._generate_kernel
+
+        def counted(key, *args):
+            generated.append(key)
+            return generate(key, *args)
+
+        monkeypatch.setattr(codegen, "_generate_kernel", counted)
+        t, k, p = row_table(20, seed=4)
+        for lo, limit in ((1, 5), (70, 9), (9000, 0)):
+            plan = row_query(t, lambda: col("k") >= lo, limit).plan()
+            assert plan.kernel.literals == (lo,)
+        assert len(generated) == 1
+        assert generated[0].projection == ("p", "k")
+
+    def test_explain_prints_the_row_kernel(self):
+        t, k, p = row_table(20, seed=5)
+        text = row_query(t, lambda: col("k") >= 100, 10).explain()
+        assert "execution mode: compiled (fused kernel)" in text
+        assert "def kernel(runs, n_rows, lits, dec0, rep0, buf0, " \
+            "dec1, rep1, buf1):" in text
+        assert "mask = (c0 >= lits[0])" in text
+        assert "rows.append(np.flatnonzero(mask) + base)" in text
+        assert "p0.append(c1[mask])" in text
+        assert "p1.append(c0[mask])" in text
+        assert text.endswith("  literals: lits[0] = 100")
+        # No predicate: every decoded row, copied out of the buffer.
+        bare = row_query(t).explain()
+        assert "rows.append(np.arange(base, end, dtype=np.int64))" in bare
+        assert "p0.append(c0.copy())" in bare
+
+    @pytest.mark.parametrize("limit", [None, 4097])
+    def test_width_swap_mid_query_runs_the_pinned_kernel(self, limit,
+                                                        recompiles):
+        # The first morsel runs the planned kernel, then a migration
+        # widens ``p``: every later morsel pins the new generation and
+        # runs the kernel compiled for it — once per execution.
+        import dataclasses
+
+        from repro.adapt import Configuration
+        from repro.core.allocate import default_allocator
+        from repro.live import LiveMigrator
+
+        t, k, p = row_table(20, seed=6)
+        plan = row_query(t, limit=limit).plan(morsel=4096)
+        planned = plan.kernel
+        ran = []
+
+        def then_migrate(*args):
+            out = planned.fn(*args)
+            if not ran:
+                migration = LiveMigrator(default_allocator()).migrate(
+                    t["p"], Configuration(t["p"].placement, 40))
+                assert migration.state == "completed"
+            ran.append(1)
+            return out
+
+        plan.kernel = dataclasses.replace(planned, fn=then_migrate)
+        result = plan.execute()
+        assert ran == [1]
+        assert recompiles == [{"p": 40, "k": 20}]
+        assert_rows(result, np.ones(ROW_N, dtype=bool), {"p": p, "k": k},
+                    limit)

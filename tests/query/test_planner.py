@@ -5,9 +5,9 @@ import pytest
 
 from repro.core import bitpack
 from repro.core.table import SmartTable
+from repro.core.map_api import SUPERCHUNK_ELEMENTS
 from repro.query import (
     DEFAULT_MORSEL_ELEMENTS,
-    COMPILED_MORSEL_ELEMENTS,
     Query,
     col,
     in_range,
@@ -129,19 +129,21 @@ class TestPruneModes:
 
 class TestPlanShape:
     def test_morsels_are_superchunk_aligned(self, table):
-        # Interpreted plans keep the one-superchunk default; compiled
-        # plans default larger (COMPILED_MORSEL_ELEMENTS) to amortize
-        # per-run decode overhead.  Both stay superchunk-aligned.
-        plan = Query(table).count().plan(codegen="off")
-        assert plan.morsel_elements == DEFAULT_MORSEL_ELEMENTS
+        # A limit() plan keeps one-superchunk morsels (its early exit
+        # skips whole morsels); every other plan defaults larger
+        # (DEFAULT_MORSEL_ELEMENTS) to amortize per-run decode
+        # overhead.  Both stay superchunk-aligned.
+        plan = Query(table).select("v").limit(10).plan()
+        assert plan.morsel_elements == SUPERCHUNK_ELEMENTS
         for start, stop in plan.morsels[:-1]:
-            assert start % DEFAULT_MORSEL_ELEMENTS == 0
-            assert stop - start == DEFAULT_MORSEL_ELEMENTS
+            assert start % SUPERCHUNK_ELEMENTS == 0
+            assert stop - start == SUPERCHUNK_ELEMENTS
         assert plan.morsels[-1][1] == N
-        compiled = Query(table).count().plan(codegen="on")
-        assert compiled.morsel_elements == COMPILED_MORSEL_ELEMENTS
-        assert compiled.morsel_elements % 64 == 0
-        assert compiled.morsels[-1][1] == N
+        for q in (Query(table).count(), Query(table).select("v")):
+            wide = q.plan()
+            assert wide.morsel_elements == DEFAULT_MORSEL_ELEMENTS
+            assert wide.morsel_elements % SUPERCHUNK_ELEMENTS == 0
+            assert wide.morsels[-1][1] == N
 
     def test_morsel_knob_validated(self, table):
         with pytest.raises(ValueError):

@@ -137,13 +137,13 @@ class TestSqlResults:
             result.columns["amount"], data["amount"][rows]
         )
 
-    def test_codegen_paths_identical(self, conn):
-        sql = ("SELECT sum(amount), count(*) FROM events "
-               "WHERE ts >= 500 AND ts < 40000")
-        off = conn.sql(sql, codegen="off")
-        on = conn.sql(sql, codegen="on")
-        assert off.aggregates == on.aggregates
-        assert off.stats["decoded_chunks"] == on.stats["decoded_chunks"]
+    def test_former_codegen_field_is_an_unread_key(self, conn):
+        # Every plan runs its kernel; the old switch is ignored like
+        # any key the server does not read.
+        frame = conn._checked({"op": "sql", "codegen": "off",
+                               "sql": "SELECT amount FROM events LIMIT 3"})
+        assert frame["stats"]["mode"] == "compiled"
+        assert frame["rows"] == [0, 1, 2]
 
     def test_explicit_query_id_echoed(self, conn):
         result = conn.sql("SELECT count(*) FROM events", query_id="mine")
@@ -440,8 +440,9 @@ class TestSessionThreadDefault:
     """The default server runs a query on its session thread (a serial
     pool): every bound on a query still bites at morsel boundaries."""
 
-    #: Five interpreted morsels of 4096 rows over one column.
-    SCAN = "SELECT sum(amount) FROM events"
+    #: Five morsels of 4096 rows over one column: a LIMIT plan keeps
+    #: one-superchunk morsels, and this budget outlasts the table.
+    SCAN = f"SELECT amount FROM events LIMIT {5 * 4096}"
 
     def test_default_pool_is_serial_and_explicit_pool_wins(self):
         from repro.runtime import default_pool
@@ -455,8 +456,9 @@ class TestSessionThreadDefault:
     def test_morsels_run_on_the_session_thread(self, conn, server_and_data):
         server, data = server_and_data
         with MorselGate(server, hold=False) as gate:
-            result = conn.sql(self.SCAN, codegen="off")
-        assert result.scalar() == int(data["amount"].sum())
+            result = conn.sql(self.SCAN)
+        np.testing.assert_array_equal(result.columns["amount"],
+                                      data["amount"])
         assert gate.pins == result.stats["morsels_executed"] == 5
         (name,) = gate.threads
         assert name.startswith("repro-session-")
@@ -466,7 +468,7 @@ class TestSessionThreadDefault:
         with MorselGate(server) as gate, connect(port=server.port) as victim, \
                 connect(port=server.port) as other:
             join = run_in_thread(lambda: victim.sql(
-                self.SCAN, query_id="held", codegen="off"))
+                self.SCAN, query_id="held"))
             assert gate.entered.wait(10)
             assert other.cancel("held") is True
             gate.release.set()
@@ -482,7 +484,7 @@ class TestSessionThreadDefault:
         server, _ = server_and_data
         with MorselGate(server) as gate, connect(port=server.port) as c:
             join = run_in_thread(lambda: c.sql(
-                self.SCAN, timeout_s=0.05, codegen="off"))
+                self.SCAN, timeout_s=0.05))
             assert gate.entered.wait(10)
             time.sleep(0.1)
             gate.release.set()
@@ -495,7 +497,7 @@ class TestSessionThreadDefault:
         catalog, data = build_catalog()
         server = SmartArrayServer(catalog, port=0).start()
         with MorselGate(server) as gate, connect(port=server.port) as c:
-            join = run_in_thread(lambda: c.sql(self.SCAN, codegen="off"))
+            join = run_in_thread(lambda: c.sql(self.SCAN))
             assert gate.entered.wait(10)
             join_shutdown = run_in_thread(
                 lambda: server.shutdown(drain=True))
@@ -505,6 +507,7 @@ class TestSessionThreadDefault:
             gate.release.set()
             result, error = join()
             assert error is None
-            assert result.scalar() == int(data["amount"].sum())
+            np.testing.assert_array_equal(result.columns["amount"],
+                                          data["amount"])
             assert join_shutdown() == (None, None)
         assert server.active_sessions == 0
