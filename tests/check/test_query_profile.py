@@ -159,10 +159,16 @@ class TestPlantedBugs:
         assert not report.ok
         assert report.failures[0].kind == "result"
 
-    def test_detects_miscompiled_group_sum(self, monkeypatch):
-        # A grouped reduce that keeps only the low limb of a wide sum
-        # still gets keys and counts right; only the group *values*
-        # differ, and the oracle compare reports them.
+    # The ids are the cases' stable names; each plants a different
+    # truncation of a wide value's limbs.
+    @pytest.mark.parametrize("truncate", [
+        lambda limbs: limbs[:1],
+        lambda limbs: limbs[1:] or limbs,
+    ], ids=["both-codegen", "on-result"])
+    def test_detects_miscompiled_group_sum(self, monkeypatch, truncate):
+        # A grouped reduce that keeps only the low limb (or drops it) of
+        # a wide sum still gets keys and counts right; only the group
+        # *values* differ, and the oracle compare reports them.
         import repro.query.codegen as codegen
 
         orig = codegen._sum_limbs
@@ -173,7 +179,7 @@ class TestPlantedBugs:
         codegen.group_fold.cache_clear()
         monkeypatch.setattr(
             codegen, "_sum_limbs",
-            lambda bits, max_elements: orig(bits, max_elements)[:1],
+            lambda bits, max_elements: truncate(orig(bits, max_elements)),
         )
         try:
             report = run_check(seed=0, ops=400, profile="query",
