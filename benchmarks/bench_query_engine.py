@@ -42,6 +42,15 @@ monotone), and one metrics-registry lookup.  The values measured at the
 parent commit by this same section are recorded beside the new ones
 (:data:`PLAN_BASELINE`).
 
+A fourth section (``covered`` in the JSON) runs a 50 %-span
+``SUM(amount)`` and a 50 %-span ``GROUP BY region, SUM(amount)`` on the
+same 1M-row ``events`` and ``events_enc``, reporting the median time
+beside the elements decoded per column: on the sorted ``ts`` most of the
+span's morsels are *covered* (the zone map proves the predicate), so
+they run without decoding ``ts``.  The values measured at the parent
+commit by this same section are recorded beside the new ones
+(:data:`COVERED_BASELINE`).
+
 Run as a script it writes ``benchmarks/results/query_engine.txt`` plus
 machine-readable ``benchmarks/results/BENCH_query_engine.json`` (per
 config: seconds, rows/s, speedup vs the recorded interpreted path);
@@ -105,6 +114,22 @@ PLAN_BASELINE = {
                       "bind_monotone_map": 103.9,
                       "bind_non_monotone_map": 136.3,
                       "registry_lookup": 1.52},
+}
+
+#: This file's ``covered`` section run against the parent commit's
+#: library (cd63937: every morsel evaluates the predicate, so ``ts``
+#: decodes every candidate chunk), same host, same hour as the committed
+#: BENCH_query_engine.json.
+COVERED_BASELINE = {
+    "commit": "cd63937",
+    "events.aggregate": {"ms": 3.022, "decoded_elements": {
+        "ts": 500224, "amount": 500224}},
+    "events.group_by": {"ms": 6.475, "decoded_elements": {
+        "ts": 500224, "region": 500224, "amount": 500224}},
+    "events_enc.aggregate": {"ms": 4.683, "decoded_elements": {
+        "ts": 500224, "amount": 500224}},
+    "events_enc.group_by": {"ms": 9.51, "decoded_elements": {
+        "ts": 500224, "region": 500224, "amount": 500224}},
 }
 
 #: Seconds per run of the interpreted engine as this file last recorded
@@ -388,11 +413,51 @@ def fixed_cost_us(tables, span, rng):
     }
 
 
+def covered_report(n=PLAN_ROWS, repeats=50):
+    """The ``covered`` section: (text lines, JSON dict).  Median ms per
+    run of a 50 %-span aggregate and group-by, and the elements each
+    column decoded (exact, from ``QueryStats``)."""
+    tables = _plan_tables(n)
+    lo, hi = (1 << KEY_BITS) // 4, 3 * (1 << KEY_BITS) // 4
+    shapes = {
+        "aggregate": lambda t: Query(t).where(in_range("ts", lo, hi))
+        .sum("amount"),
+        "group_by": lambda t: Query(t).where(in_range("ts", lo, hi))
+        .group_by("region").sum("amount"),
+    }
+    section = {"simulated": False, "rows": n, "span": "50%",
+               "repeats": repeats, "baseline": COVERED_BASELINE}
+    lines = [
+        "",
+        f"50%-span queries over {n:,} rows (ms per run, median of "
+        f"{repeats}; elements decoded per column; parent "
+        f"{COVERED_BASELINE['commit']} in brackets):",
+    ]
+    for name in ("events", "events_enc"):
+        for shape, build in shapes.items():
+            q = build(tables[name])
+            result = q.run()
+            row = {"ms": round(_median_us(q.run, repeats) / 1e3, 3),
+                   "decoded_elements": dict(result.stats.decoded_elements)}
+            section[f"{name}.{shape}"] = row
+            base = COVERED_BASELINE.get(f"{name}.{shape}")
+            decoded = ", ".join(
+                f"{column} {elements:,}" + (
+                    f" [{base['decoded_elements'][column]:,}]"
+                    if base else "")
+                for column, elements in row["decoded_elements"].items())
+            was = f" [{base['ms']}]" if base else ""
+            lines.append(f"  {name + ' ' + shape:<22} {row['ms']:>7.2f} ms"
+                         f"{was}  decoded: {decoded}")
+    return lines, section
+
+
 def report(n=N_SCRIPT):
     """Return (text report, machine-readable result dict)."""
     # Planning first: its RSS reading wants a heap the 10M-row tables
     # have not churned yet.
     plan_lines, plan_section = plan_report()
+    covered_lines, covered_section = covered_report()
     table, data = _table(n)
     pool = default_pool(WORKERS)
     lines = [
@@ -448,6 +513,8 @@ def report(n=N_SCRIPT):
     lines += group_lines
     results["plan"] = plan_section
     lines += plan_lines
+    results["covered"] = covered_section
+    lines += covered_lines
     lines += [
         "",
         "parallel runs use the simulated-NUMA threads pool; Python-"

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
+from ..obs.registry import registry as _obs_registry
 from .generator import generate_cases
 from .runner import CaseFailure, run_case
 from .shrink import shrink_case
@@ -29,6 +30,9 @@ class CheckReport:
     bit_widths_seen: Set[int] = field(default_factory=set)
     pool_modes_seen: Set[str] = field(default_factory=set)
     superchunks_seen: Set[int] = field(default_factory=set)
+    #: Query plans (cluster: shard plans) with at least one covered
+    #: morsel — proof the run reached the predicate-free kernels.
+    covered_plans: int = 0
     failures: List[CaseFailure] = field(default_factory=list)
 
     @property
@@ -46,6 +50,8 @@ class CheckReport:
             f"({', '.join(map(str, sorted(self.bit_widths_seen)))}), "
             f"superchunks {sorted(self.superchunks_seen)}, "
             f"pools {sorted(self.pool_modes_seen)}",
+            f"  covered: {self.covered_plans} query plans had covered "
+            f"morsels",
         ]
         if self.ok:
             lines.append("  PASS: zero oracle divergences")
@@ -91,6 +97,7 @@ def run_check(seed: int = 0, ops: int = 500, n_workers: int = 4,
     than on piling up repetitions of the same bug.
     """
     report = CheckReport(seed=seed, ops_requested=ops, profile=profile)
+    reg = _obs_registry()
     for case in generate_cases(seed, ops, profile):
         report.cases_run += 1
         report.ops_run += len(case.ops)
@@ -98,7 +105,10 @@ def run_check(seed: int = 0, ops: int = 500, n_workers: int = 4,
         report.bit_widths_seen.add(case.spec.bits)
         report.pool_modes_seen.add(case.spec.pool_mode)
         report.superchunks_seen.add(case.spec.superchunk)
+        covered_before = reg.value("query.plans_covered")
         failure = run_case(case, n_workers=n_workers)
+        report.covered_plans += int(reg.value("query.plans_covered")
+                                    - covered_before)
         if failure is None:
             continue
         if shrink:

@@ -185,6 +185,20 @@ class OracleArray:
             mask &= mins < np.uint64(hi)
         return mask
 
+    def zonemap_covered_mask(self, lo: int, hi: int) -> np.ndarray:
+        """Per-chunk mask of chunks whose every element lies in
+        ``[lo, hi)`` (``min >= lo`` and ``max < hi``)."""
+        n_chunks = chunks_for(self.length)
+        bounds = clamp_range(lo, hi)
+        if bounds is None or n_chunks == 0:
+            return np.zeros(n_chunks, dtype=bool)
+        lo, hi = bounds
+        mins, maxs = self.chunk_min_max()
+        mask = mins >= np.uint64(lo)
+        if hi is not None:
+            mask &= maxs < np.uint64(hi)
+        return mask
+
     def zonemap_decoded_chunks(self, lo: int, hi: int,
                                count_only: bool) -> int:
         """Chunks a zone-mapped scan must decode: the candidates, minus
@@ -194,12 +208,7 @@ class OracleArray:
             return 0
         if not count_only:
             return int(candidates.size)
-        bounds = clamp_range(lo, hi)
-        lo, hi = bounds
-        mins, maxs = self.chunk_min_max()
-        covered = mins[candidates] >= np.uint64(lo)
-        if hi is not None:
-            covered &= maxs[candidates] < np.uint64(hi)
+        covered = self.zonemap_covered_mask(lo, hi)[candidates]
         return int((~covered).sum())
 
     # -- iterator accounting ----------------------------------------------

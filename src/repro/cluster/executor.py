@@ -195,7 +195,8 @@ class DistributedPlan:
                 f"chunks: {plan.chunks_total} total, "
                 f"{plan.chunks_candidate} candidate, "
                 f"{plan.chunks_pruned} pruned; "
-                f"{len(plan.morsels)} morsels, "
+                f"{len(plan.morsels)} morsels "
+                f"({plan.covered_morsels.size} covered), "
                 f"plan frame {self.plan_bytes[shard.shard_id]} B"
             )
         lines.append(
@@ -254,6 +255,7 @@ def _merged_stats(dplan: DistributedPlan, fan_out: bool, pool,
         stats.morsels_pruned += s.morsels_pruned
         stats.morsels_executed += s.morsels_executed
         stats.morsels_skipped += s.morsels_skipped
+        stats.morsels_covered += s.morsels_covered
         stats.chunks_total += s.chunks_total
         stats.chunks_candidate += s.chunks_candidate
         stats.rows_scanned += s.rows_scanned

@@ -31,6 +31,7 @@ Socket-parallel versions of these operators live in
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -43,6 +44,7 @@ from ..obs.trace import trace
 U64_MAX = (1 << 64) - 1
 
 
+@lru_cache(maxsize=64)
 def clamp_u64_range(lo: int, hi: int) -> Optional[Tuple[np.uint64,
                                                         Optional[np.uint64]]]:
     """Clamp the half-open predicate range ``[lo, hi)`` to ``uint64``.
@@ -54,14 +56,18 @@ def clamp_u64_range(lo: int, hi: int) -> Optional[Tuple[np.uint64,
     Converting unclamped bounds with ``np.uint64`` would raise
     ``OverflowError`` beyond the 64-bit boundary; every range operator
     goes through this helper instead.
+
+    Memoized (the result is an immutable pair of scalars): a planner
+    clamps each range leaf twice in a row, for its candidate and its
+    covered chunks.
     """
     if hi <= 0 or lo >= hi:
         return None
-    lo = max(int(lo), 0)
+    lo = int(lo)
     if lo > U64_MAX:
         return None
     hi64 = None if int(hi) > U64_MAX else np.uint64(hi)
-    return np.uint64(lo), hi64
+    return np.uint64(lo if lo > 0 else 0), hi64
 
 
 def _range_mask(span: np.ndarray, lo64: np.uint64,

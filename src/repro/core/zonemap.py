@@ -28,6 +28,13 @@ chunk bound.  The map records whether it is monotone when it decodes
 its bounds; every other map keeps the compare path, which is the only
 one an unsorted column ever takes.  Both paths return the same chunks
 and bump the same counters.
+
+**Covered chunks.**  A chunk whose whole zone lies inside the range
+(``min >= lo`` and ``max < hi``) matches in every element, so nothing
+in it needs decoding to be counted.  :meth:`ZoneMap.covered_run` (two
+more binary searches on a monotone map) and its compare-path twin
+:meth:`ZoneMap._compare_covered` are the one proof of that, shared by
+:meth:`ZoneMap.count_in_range` and the query planner's covered morsels.
 """
 
 from __future__ import annotations
@@ -203,7 +210,7 @@ class ZoneMap:
         if not self._monotone:
             return None
         lo64, hi64 = bounds
-        first = int(maxs.searchsorted(lo64))
+        first = int(maxs.searchsorted(lo64)) if lo64 else 0
         stop = (self.n_chunks if hi64 is None
                 else max(first, int(mins.searchsorted(hi64))))
         self._count_candidates(stop - first)
@@ -237,6 +244,43 @@ class ZoneMap:
         self._count_candidates(candidates.size)
         return candidates
 
+    def covered_run(self, lo: int, hi: int) -> Optional[Tuple[int, int]]:
+        """The chunks whose zone lies inside ``[lo, hi)`` — every element
+        of them matches — as one run ``(first, stop)``: on a
+        :attr:`monotone` map the chunks with ``min >= lo`` are a suffix
+        and those with ``max < hi`` a prefix, so two binary searches
+        find it.  ``None`` when the map is not monotone (use
+        :meth:`_compare_covered`).
+
+        Clamps like :meth:`candidate_run`; the run lies inside the
+        candidate run, and a range no value can match is ``(0, 0)``.
+        Counts nothing: the chunks were already counted as candidates.
+        """
+        bounds = clamp_u64_range(lo, hi)
+        if bounds is None or self.n_chunks == 0:
+            return 0, 0
+        mins, maxs = self.bounds()
+        if not self._monotone:
+            return None
+        lo64, hi64 = bounds
+        first = int(mins.searchsorted(lo64)) if lo64 else 0
+        stop = (self.n_chunks if hi64 is None
+                else int(maxs.searchsorted(hi64)))
+        return first, max(first, stop)
+
+    def _compare_covered(self, lo: int, hi: int) -> np.ndarray:
+        """Per-chunk mask of :meth:`covered_run`'s chunks by comparing
+        every chunk's bounds — the path for maps that are not monotone."""
+        bounds = clamp_u64_range(lo, hi)
+        if bounds is None or self.n_chunks == 0:
+            return np.zeros(self.n_chunks, dtype=bool)
+        lo64, hi64 = bounds
+        mins, maxs = self.bounds()
+        covered = mins >= lo64
+        if hi64 is not None:
+            covered &= maxs < hi64
+        return covered
+
     def _covered_elements(self, chunks: int, last_covered: bool) -> int:
         """Elements in ``chunks`` whole chunks, one of them the trailing
         partial chunk when ``last_covered``."""
@@ -266,13 +310,11 @@ class ZoneMap:
             first, stop = run
             if first == stop:
                 return 0
-            mins, maxs = self.bounds()
-            lo64, hi64 = clamp_u64_range(lo, hi)
             # Covered chunks (min >= lo, max < hi) are a run inside the
             # candidates by the same monotonicity.
-            cover_first = max(first, int(mins.searchsorted(lo64)))
-            cover_stop = (stop if hi64 is None
-                          else min(stop, int(maxs.searchsorted(hi64))))
+            cover_first, cover_stop = self.covered_run(lo, hi)
+            cover_first, cover_stop = max(first, cover_first), min(
+                stop, cover_stop)
             if cover_stop <= cover_first:
                 cover_first = cover_stop = stop  # nothing covered
             total = self._covered_elements(
@@ -284,15 +326,12 @@ class ZoneMap:
             candidates = self._compare_candidates(lo, hi)
             if candidates.size == 0:
                 return 0
-            mins, maxs = self.bounds()
-            lo64, hi64 = clamp_u64_range(lo, hi)
-            covered = mins[candidates] >= lo64
-            if hi64 is not None:
-                covered &= maxs[candidates] < hi64
+            covered = self._compare_covered(lo, hi)[candidates]
             total = self._covered_elements(
                 int(covered.sum()),
                 bool(covered[-1]) and candidates[-1] == self.n_chunks - 1)
             runs = _chunk_runs(candidates[~covered], max_run)
+        lo64, hi64 = clamp_u64_range(lo, hi)
         replica = self.array.get_replica(socket)
         buf = np.empty(max_run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
         for first, n in runs:

@@ -11,22 +11,33 @@ claiming worker (``array.get_replica(ctx.socket)``) — the paper's
 
 Inside a morsel the pipeline is fully fused: the plan's generated
 kernel (:mod:`repro.query.codegen`) decodes candidate chunks (after
-zone-map pruning) in consecutive runs through the blocked decoder *once
-per needed column*, evaluates the predicate span-at-a-time on the
+zone-map pruning) in consecutive runs through the blocked decoder *at
+most once per needed column*, evaluates the predicate span-at-a-time on the
 decoded buffers, and folds aggregates/group partials/row output
 directly off the mask — no operator-at-a-time materialization.
 
-The full predicate is always re-evaluated on decoded spans; pruning
-only decides *which chunks to decode*.  That keeps correctness
-independent of the pruning analysis (a chunk the zone maps could not
-rule out still filters exactly) and makes the decode accounting
-precise: per needed column, executing a query adds exactly
-``chunks_candidate`` to ``stats.chunk_unpacks`` and
-``64 * chunks_candidate`` to the column's summed
-``replica_read_elements`` — which is what ``explain()`` predicted.
-(The one deliberate exception: a ``limit()`` row query stops claiming
-morsels once the completed morsel prefix covers the row budget, so it
-may decode *fewer* chunks — see :class:`_LimitTracker`.)
+The zone maps decide two things per morsel, and the decoded spans
+decide the rest.  Pruning decides *which chunks to decode*; on every
+morsel that still has a chunk the zone maps could not prove, the full
+predicate is re-evaluated on the decoded spans, so a chunk they could
+not rule out still filters exactly.  A *covered* morsel — every one of
+its candidate chunks proven to match the whole predicate by its
+min/max (:attr:`PhysicalPlan.covered_morsels`) — runs the plan's
+predicate-free :attr:`~PhysicalPlan.covered_kernel` instead: the
+predicate is not evaluated there, and the columns only it reads are
+not decoded.  Both proofs share the zone map's validity: a written
+column needs ``build_zone_map`` again before it prunes or covers.
+
+The decode accounting is exact per column: executing a query adds
+:attr:`PhysicalPlan.predicted_decoded_chunks` ``[name]`` — the
+candidate chunks, minus those of covered morsels for a predicate-only
+column — to that column's ``stats.chunk_unpacks``, 64 times that to its
+summed ``replica_read_elements``, and the same to
+``QueryStats.decoded_chunks`` and the ``query.decoded_chunks{column}``
+counter — which is what ``explain()`` predicted.  (The one deliberate
+exception: a ``limit()`` row query stops claiming morsels once the
+completed morsel prefix covers the row budget, so it may decode
+*fewer* chunks — see :class:`_LimitTracker`.)
 
 Determinism: morsel boundaries and per-morsel work are independent of
 the claiming order, and partials merge in morsel order, so results —
@@ -49,7 +60,7 @@ from ..obs.trace import trace
 from ..runtime.loops import parallel_for
 from ..runtime.workers import ThreadContext, WorkerPool
 from .codegen import CompiledKernel, compile_query
-from .planner import PhysicalPlan
+from .planner import PhysicalPlan, _without_predicate
 from .stats import MorselPartial, QueryResult, QueryStats
 
 
@@ -206,6 +217,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     )
     for name in plan.needed_columns:
         stats._bits[name] = table[name].bits
+        stats.decoded_chunks[name] = 0
 
     n_morsels = len(plan.morsels)
     partials: List[Optional[MorselPartial]] = [None] * n_morsels
@@ -222,23 +234,30 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     )
     limit_skipped = [False] * n_morsels
 
-    # Kernels by the value widths they were compiled for: the plan's,
-    # plus one per distinct width tuple a morsel pinned mid-migration.
-    kernels: Dict[Tuple[int, ...], CompiledKernel] = {
-        tuple(plan.kernel.column_bits[name]
-              for name in plan.needed_columns): plan.kernel,
+    # Kernels by (covered, value widths they were compiled for): the
+    # plan's two, plus one per distinct width tuple a morsel pinned
+    # mid-migration.
+    bare = plan.covered_kernel
+    kernels: Dict[Tuple[bool, Tuple[int, ...]], CompiledKernel] = {
+        (covered, tuple(kernel.column_bits[name] for name in kernel.columns)):
+            kernel
+        for covered, kernel in ((False, plan.kernel), (True, bare))
+        if kernel is not None
     }
     kernels_lock = threading.Lock()
 
-    def kernel_for(bits: Tuple[int, ...]) -> CompiledKernel:
+    def kernel_for(covered: bool, bits: Tuple[int, ...]) -> CompiledKernel:
         with kernels_lock:
-            kernel = kernels.get(bits)
+            kernel = kernels.get((covered, bits))
             if kernel is None:
-                kernel = kernels[bits] = compile_query(
-                    query, plan.needed_columns,
-                    dict(zip(plan.needed_columns, bits)),
+                planned = bare if covered else plan.kernel
+                kernel = kernels[covered, bits] = compile_query(
+                    _without_predicate(query) if covered else query,
+                    planned.columns, dict(zip(planned.columns, bits)),
                     plan.morsel_elements)
             return kernel
+
+    covered_morsels = frozenset(plan.covered_morsels.tolist())
 
     def run_morsel(index: int, pos: int,
                    ctx: Optional[ThreadContext]) -> None:
@@ -255,7 +274,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
             limit_skipped[index] = True
             return
         start, stop = plan.morsels[index]
-        part = MorselPartial(morsel=index)
+        part = MorselPartial(morsel=index, covered=index in covered_morsels)
         partials[index] = part
         candidates = plan.morsel_candidates(start, stop)
         if candidates.size == 0:
@@ -263,39 +282,31 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                 limiter.record(pos, 0)
             return
         socket = ctx.socket if ctx is not None else 0
-        # Pin each needed column's storage generation for the morsel:
+        columns = (bare if part.covered else plan.kernel).columns
+        # Pin each decoded column's storage generation for the morsel:
         # a live migration swapping a column mid-query cannot tear a
         # morsel, and the next morsel reads the freshest generation.
-        gens = {
-            name: table[name].pin_generation()
-            for name in plan.needed_columns
-        }
-        replicas = {
-            name: gens[name].buffer_for_socket(socket)
-            for name in plan.needed_columns
-        }
-        bufs = {
-            name: np.empty(plan.morsel_elements, dtype=np.uint64)
-            for name in plan.needed_columns
-        }
+        gens = [table[name].pin_generation() for name in columns]
         # The kernel's aggregate folds are specialized on the planned
         # *value* widths; a live migration may have swapped a column's
         # width (or codec — value_bits covers both) between plan and
         # this morsel's pin, so the morsel runs the kernel compiled for
         # the widths it pinned.
-        bits = tuple(gens[name].value_bits for name in plan.needed_columns)
-        kernel = kernel_for(bits)
+        kernel = kernel_for(part.covered,
+                            tuple(gen.value_bits for gen in gens))
         try:
             args: List[object] = []
-            for name in plan.needed_columns:
-                args += (table[name].decode_chunks, replicas[name], bufs[name])
+            for name, gen in zip(columns, gens):
+                args += (table[name].decode_chunks,
+                         gen.buffer_for_socket(socket),
+                         np.empty(plan.morsel_elements, dtype=np.uint64))
             (part.rows_scanned, part.rows_matched, part.decoded_chunks,
              *output) = kernel.fn(
                 list(_chunk_runs(candidates, max_chunks)),
                 n_rows, kernel.literals, *args,
             )
         finally:
-            for gen in gens.values():
+            for gen in gens:
                 gen.unpin()
         if specs:
             part.agg, part.groups = output
@@ -335,10 +346,9 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
             stats.morsels_pruned += 1
         else:
             stats.morsels_executed += 1
-        for name in plan.needed_columns:
-            stats.decoded_chunks[name] = (
-                stats.decoded_chunks.get(name, 0) + part.decoded_chunks
-            )
+            stats.morsels_covered += part.covered
+        for name in plan.decoded_columns(part.covered):
+            stats.decoded_chunks[name] += part.decoded_chunks
         if specs:
             if group_key is not None and part.groups:
                 for key in sorted(part.groups):
@@ -354,9 +364,8 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                 val_all[name].append(part.values[name])
     for name in plan.needed_columns:
         stats.decoded_elements[name] = (
-            stats.decoded_chunks.get(name, 0) * bitpack.CHUNK_ELEMENTS
+            stats.decoded_chunks[name] * bitpack.CHUNK_ELEMENTS
         )
-        stats.decoded_chunks.setdefault(name, 0)
     stats.wall_time_s = time.perf_counter() - t0
 
     # QueryStats registers into the observability registry: the same
@@ -366,13 +375,14 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     reg = _obs_registry()
     reg.counter("query.executions").add(1)
     reg.counter("query.morsels_executed").add(stats.morsels_executed)
+    reg.counter("query.morsels_covered").add(stats.morsels_covered)
     reg.counter("query.morsels_pruned").add(stats.morsels_pruned)
     reg.counter("query.morsels_skipped_limit").add(stats.morsels_skipped)
     reg.counter("query.rows_scanned").add(stats.rows_scanned)
     reg.counter("query.rows_matched").add(stats.rows_matched)
     for name in plan.needed_columns:
         reg.counter("query.decoded_chunks", column=name).add(
-            stats.decoded_chunks.get(name, 0)
+            stats.decoded_chunks[name]
         )
     reg.histogram("query.wall_time_s").observe(stats.wall_time_s)
 

@@ -11,10 +11,20 @@ a :class:`PhysicalPlan` the morsel executor runs:
   conservatively keeps every chunk, so pruning is always sound.
 * **Fusion** — filters and aggregates share one scan: the plan carries
   the needed-column set (filter ∪ aggregate ∪ group-key ∪ projection)
-  and the executor decodes each needed column's *candidate chunks
-  exactly once* per morsel, evaluates the predicate on the decoded
-  spans, and folds aggregates in the same pass — no row-index list, no
+  and the executor decodes each needed column's candidate chunks at
+  most once per morsel, evaluates the predicate on the decoded spans,
+  and folds aggregates in the same pass — no row-index list, no
   per-operator materialization.
+* **Covered morsels** — the same zone-map walk also proves which
+  chunks match the whole predicate in every row (each leaf's
+  ``min >= lo`` and ``max < hi``; AND intersects, OR unions, NOT and
+  unsargable leaves cover nothing).  An active morsel whose candidate
+  chunks are all covered runs the query's kernel *without* its
+  predicate, compiled only for a plan that has one: columns only the
+  predicate reads are not decoded there, and no mask is built.  Each
+  needed column decodes the candidate chunks, minus those of covered
+  morsels when only the predicate reads it
+  (:attr:`PhysicalPlan.predicted_decoded_chunks`).
 * **Adaptive read policy** — the section-6 selector
   (:func:`repro.adapt.select_configuration`) is consulted once per
   referenced column, fed the query's projected scan shape
@@ -34,18 +44,18 @@ it reuses is keyed by what it specializes on — the kernel cache by a
 literal-free structural key, the zone bounds by the map that owns them
 — so a repeat of a statement with new bounds compiles, decodes and
 selects nothing.  The *binding* (:func:`_bind`: literals -> candidate-chunk
-mask -> active morsels) works on the cached zone bounds: on a map whose
-bounds are monotone (a sorted column) each sargable leaf is two binary
-searches giving one chunk run, and the mask and active morsels follow
-from the run by slicing and arithmetic; other maps compare every
-chunk's bounds.  Nothing is cached that a generation epoch could
+mask -> active and covered morsels) works on the cached zone bounds: on
+a map whose bounds are monotone (a sorted column) each sargable leaf is
+four binary searches giving a candidate run and a covered run, and the
+mask and morsels follow from the runs by slicing and arithmetic; other
+maps compare every chunk's bounds.  Nothing is cached that a generation epoch could
 invalidate: the shape is rebuilt per plan from the live table.
 
 Everything the plan decides is visible through :meth:`PhysicalPlan.
 explain`, including exact pruned/candidate chunk counts — the numbers
 are computed from the zone maps at plan time, so tests can assert that
 execution's observed ``replica_read_elements`` deltas equal
-``64 * candidate_chunks`` per needed column.
+:attr:`PhysicalPlan.predicted_replica_read_elements` per needed column.
 """
 
 from __future__ import annotations
@@ -154,88 +164,108 @@ class ColumnDecision:
         )
 
 
-class _Run(NamedTuple):
-    """Candidate chunks that are one run ``[first, stop)`` — what a
-    sargable leaf binds to on a monotone zone map."""
+#: Chunks that are one run ``(first, stop)`` — what a sargable leaf binds
+#: to on a monotone zone map — or a per-chunk boolean mask.  Runs are
+#: plain tuples: a point query builds several per plan.
+_Chunks = Union[Tuple[int, int], np.ndarray]
 
-    first: int
-    stop: int
+#: A subtree's candidate chunks, ``None`` when the subtree cannot prune.
+_Candidates = Optional[_Chunks]
+
+#: No chunk: what an unprovable subtree covers.
+_NO_CHUNKS = (0, 0)
 
 
-#: A subtree's candidate chunks: a run, a per-chunk mask, or ``None``
-#: when the subtree cannot prune.
-_Candidates = Union[_Run, np.ndarray, None]
-
-
-def _as_mask(candidates: Union[_Run, np.ndarray],
-             n_chunks: int) -> np.ndarray:
-    if isinstance(candidates, _Run):
+def _as_mask(chunks: _Chunks, n_chunks: int) -> np.ndarray:
+    if isinstance(chunks, tuple):
         mask = np.zeros(n_chunks, dtype=bool)
-        mask[candidates.first:candidates.stop] = True
+        mask[chunks[0]:chunks[1]] = True
         return mask
-    return candidates
+    return chunks
+
+
+def _intersect(left: _Chunks, right: _Chunks, n_chunks: int) -> _Chunks:
+    if isinstance(left, tuple) and isinstance(right, tuple):
+        first = left[0] if left[0] > right[0] else right[0]
+        stop = left[1] if left[1] < right[1] else right[1]
+        return (first, stop if stop > first else first)
+    return _as_mask(left, n_chunks) & _as_mask(right, n_chunks)
+
+
+def _union(left: _Chunks, right: _Chunks, n_chunks: int) -> _Chunks:
+    if isinstance(left, tuple) and isinstance(right, tuple):
+        if left[0] == left[1]:
+            return right
+        if right[0] == right[1]:
+            return left
+        if max(left[0], right[0]) <= min(left[1], right[1]):
+            return (min(left[0], right[0]), max(left[1], right[1]))
+    return _as_mask(left, n_chunks) | _as_mask(right, n_chunks)
 
 
 def _candidate_mask(expr: Optional[Expr], zone_maps: Dict[str, ZoneMap],
-                    n_chunks: int,
-                    pushed: List[PushedPredicate]) -> _Candidates:
-    """Candidate chunks for ``expr``; ``None`` = cannot prune.
+                    n_chunks: int, pushed: List[PushedPredicate],
+                    ) -> Tuple[_Candidates, _Chunks]:
+    """``(candidates, covered)`` chunks for ``expr``: candidates ``None``
+    = cannot prune; covered = chunks the zone maps prove match ``expr``
+    in every row.
 
     Sound by construction: a chunk is dropped only when the zone maps
-    prove no row in it can satisfy the expression.  Leaves on monotone
-    maps bind to runs, and runs stay runs under AND (intersection) and
-    under OR when they touch (union), so a range over a sorted column
-    never materializes a per-chunk mask here.
+    prove no row in it can satisfy the expression, and covered only when
+    they prove every row does (a leaf's ``min >= lo`` and ``max < hi``).
+    AND intersects both sets, OR unions them; NOT and unsargable leaves
+    prune nothing and cover nothing.  Leaves on monotone maps bind to
+    runs, and runs stay runs under AND and under OR when they touch, so
+    a range over a sorted column never materializes a per-chunk mask
+    here.
     """
     if expr is None or n_chunks == 0:
-        return None
+        return None, _NO_CHUNKS
     if isinstance(expr, (And, Or)):
-        left = _candidate_mask(expr.left, zone_maps, n_chunks, pushed)
-        right = _candidate_mask(expr.right, zone_maps, n_chunks, pushed)
+        left, left_cov = _candidate_mask(expr.left, zone_maps, n_chunks,
+                                         pushed)
+        right, right_cov = _candidate_mask(expr.right, zone_maps, n_chunks,
+                                           pushed)
         if isinstance(expr, And):
+            covered = _intersect(left_cov, right_cov, n_chunks)
             if left is None:
-                return right
+                return right, covered
             if right is None:
-                return left
-            if isinstance(left, _Run) and isinstance(right, _Run):
-                first = max(left.first, right.first)
-                return _Run(first, max(first, min(left.stop, right.stop)))
-            return _as_mask(left, n_chunks) & _as_mask(right, n_chunks)
+                return left, covered
+            return _intersect(left, right, n_chunks), covered
+        covered = _union(left_cov, right_cov, n_chunks)
         if left is None or right is None:
-            return None  # one side unprunable -> any chunk may match
-        if isinstance(left, _Run) and isinstance(right, _Run):
-            if left.first == left.stop:
-                return right
-            if right.first == right.stop:
-                return left
-            if max(left.first, right.first) <= min(left.stop, right.stop):
-                return _Run(min(left.first, right.first),
-                            max(left.stop, right.stop))
-        return _as_mask(left, n_chunks) | _as_mask(right, n_chunks)
+            return None, covered  # one side unprunable -> any chunk may match
+        return _union(left, right, n_chunks), covered
     if isinstance(expr, Compare):
         rng = expr.as_range()
         if rng is None:
-            return None
+            return None, _NO_CHUNKS
         column, lo, hi = rng
         zm = zone_maps.get(column)
         if zm is None:
-            return None
+            return None, _NO_CHUNKS
         run = zm.candidate_run(lo, hi)
         if run is not None:
-            candidates: Union[_Run, np.ndarray] = _Run(*run)
+            candidates: _Chunks = run
+            covered: _Chunks = (zm.covered_run(lo, hi) if run[1] > run[0]
+                                else _NO_CHUNKS)
+            if covered is None:
+                covered = zm._compare_covered(lo, hi)
             count = run[1] - run[0]
         else:
             chunks = zm.candidate_chunks(lo, hi)
             candidates = np.zeros(n_chunks, dtype=bool)
             candidates[chunks] = True
+            covered = zm._compare_covered(lo, hi)
             count = int(chunks.size)
         pushed.append(PushedPredicate(
             column=column, lo=max(lo, 0), hi=hi,
             candidate_chunks=count, pruned_chunks=n_chunks - count,
         ))
-        return candidates
-    # NOT and anything else: no pruning information.
-    return None
+        return candidates, covered
+    # NOT and anything else: no pruning or covering information.
+    return None, _NO_CHUNKS
 
 
 def _column_facts(name: str, array: SmartArray) -> ColumnDecision:
@@ -298,7 +328,9 @@ class PhysicalPlan:
     needed_columns: Tuple[str, ...]
     morsel_elements: int
     morsels: List[Tuple[int, int]]
-    candidate_mask: Optional[np.ndarray]  # per chunk; None = all candidates
+    #: Candidate chunks: a run ``(first, stop)`` (a range on a sorted
+    #: column), a per-chunk mask, or ``None`` = every chunk.
+    candidates: _Candidates
     chunks_total: int
     chunks_candidate: int
     chunks_pruned: int
@@ -307,6 +339,13 @@ class PhysicalPlan:
     #: every morsel).  The executor only ever visits these, so a
     #: hard-pruning plan pays nothing per skipped morsel.
     active_morsels: Optional[np.ndarray]
+    #: Indices of *covered* morsels: active morsels whose every candidate
+    #: chunk the zone maps prove matches the whole predicate.  They run
+    #: :attr:`covered_kernel` instead of :attr:`kernel`.
+    covered_morsels: np.ndarray
+    #: Candidate chunks inside covered morsels — chunks the columns only
+    #: the predicate reads are not decoded for.
+    chunks_covered: int
     pushed: List[PushedPredicate]
     #: Per needed column, the storage facts captured at plan time (the
     #: selector fields still ``None``; see :attr:`decisions`).
@@ -318,6 +357,9 @@ class PhysicalPlan:
     #: The generated morsel kernel (source + callable) the executor
     #: runs; see :mod:`repro.query.codegen`.
     kernel: CompiledKernel
+    #: The same query's kernel without its predicate, over the columns it
+    #: outputs; compiled only when :attr:`covered_morsels` is non-empty.
+    covered_kernel: Optional[CompiledKernel]
     _decisions: Optional[Dict[str, ColumnDecision]] = field(
         default=None, init=False, repr=False)
 
@@ -349,14 +391,32 @@ class PhysicalPlan:
             self._decisions = decisions
         return self._decisions
 
+    def decoded_columns(self, covered: bool) -> Tuple[str, ...]:
+        """The columns a morsel decodes, and is billed for: every needed
+        column, or on a covered morsel only those
+        :attr:`covered_kernel` reads."""
+        return self.covered_kernel.columns if covered else self.needed_columns
+
+    @property
+    def predicted_decoded_chunks(self) -> Dict[str, int]:
+        """Per needed column: chunks the scan will decode — the
+        candidates, minus those of covered morsels for a column only the
+        predicate reads."""
+        skipped = (set(self.needed_columns) - set(self.decoded_columns(True))
+                   if self.covered_kernel is not None else set())
+        return {
+            name: self.chunks_candidate - (
+                self.chunks_covered if name in skipped else 0)
+            for name in self.needed_columns
+        }
+
     @property
     def predicted_replica_read_elements(self) -> Dict[str, int]:
         """Per needed column: elements the scan engine will decode
         (padding slots of a trailing partial chunk included, matching
         ``replica_read_elements`` accounting)."""
-        return {
-            name: 64 * self.chunks_candidate for name in self.needed_columns
-        }
+        return {name: 64 * chunks
+                for name, chunks in self.predicted_decoded_chunks.items()}
 
     def execute(self, pool=None, distribution: str = "dynamic",
                 cancel=None, timeout_s=None):
@@ -371,13 +431,25 @@ class PhysicalPlan:
         return execute(self, pool=pool, distribution=distribution,
                        cancel=cancel, timeout_s=timeout_s)
 
+    @property
+    def candidate_mask(self) -> Optional[np.ndarray]:
+        """Per-chunk candidate mask (``None`` = all candidates),
+        materialized on access."""
+        if self.candidates is None:
+            return None
+        return _as_mask(self.candidates, self.chunks_total)
+
     def morsel_candidates(self, start: int, stop: int) -> np.ndarray:
         """Candidate chunk indices covering rows ``[start, stop)``."""
         first = start // bitpack.CHUNK_ELEMENTS
         end = -(-stop // bitpack.CHUNK_ELEMENTS)
-        if self.candidate_mask is None:
+        candidates = self.candidates
+        if candidates is None:
             return np.arange(first, end, dtype=np.int64)
-        local = np.nonzero(self.candidate_mask[first:end])[0]
+        if isinstance(candidates, tuple):
+            return np.arange(max(first, candidates[0]),
+                             min(end, candidates[1]), dtype=np.int64)
+        local = np.nonzero(candidates[first:end])[0]
         return local.astype(np.int64) + first
 
     def explain(self) -> str:
@@ -400,12 +472,16 @@ class PhysicalPlan:
             f"elements (superchunk-aligned), "
             f"{self.morsels_pruned} fully pruned"
         )
+        active = len(self.morsels) - self.morsels_pruned
+        lines.append(
+            f"  covered morsels: {self.covered_morsels.size} of {active} "
+            f"(zone maps prove the predicate; it is not evaluated there)"
+        )
         lines.append("  columns read (fused single pass):")
-        for name in self.needed_columns:
+        for name, chunks in self.predicted_decoded_chunks.items():
             lines.append("    " + self.decisions[name].describe())
             lines.append(
-                f"      will decode {self.chunks_candidate} chunks = "
-                f"{64 * self.chunks_candidate} elements"
+                f"      will decode {chunks} chunks = {64 * chunks} elements"
             )
         lines.append(
             f"  estimated scan instructions: {self.est_instructions:,.0f}"
@@ -421,6 +497,13 @@ class PhysicalPlan:
                 f"lits[{k}] = {value}"
                 for k, value in enumerate(self.kernel.literals)
             ))
+        if self.covered_kernel is not None:
+            lines.append("  covered-morsel kernel (no predicate):")
+            lines += [
+                "    " + src_line
+                for src_line in self.covered_kernel.source.rstrip()
+                .splitlines()
+            ]
         return "\n".join(lines)
 
 
@@ -456,6 +539,8 @@ def plan_query(
         reg.counter("query.chunks_candidate").add(plan.chunks_candidate)
         reg.counter("query.chunks_pruned").add(plan.chunks_pruned)
         reg.counter("query.morsels_pruned_at_plan").add(plan.morsels_pruned)
+        if plan.covered_kernel is not None:
+            reg.counter("query.plans_covered").add(1)
         return plan
 
 
@@ -483,7 +568,7 @@ def _plan_shape(query: Query, morsel: Optional[int]) -> _PlanShape:
     morsel_elements = check_superchunk(morsel)
 
     # Needed columns, in first-use order: filter, group key, aggregates,
-    # projection.  Each is decoded exactly once per candidate-chunk run.
+    # projection.  Each is decoded at most once per candidate-chunk run.
     needed: List[str] = []
 
     def need(name: str) -> None:
@@ -533,13 +618,21 @@ def _plan_shape(query: Query, morsel: Optional[int]) -> _PlanShape:
     )
 
 
-def _bind(query: Query, shape: _PlanShape, prune: str,
-          ) -> Tuple[Optional[np.ndarray], List[PushedPredicate],
-                     Optional[np.ndarray], int]:
-    """The statement's literals against the zone maps: ``(per-chunk
-    candidate mask, pushed predicates, active morsel indices, candidate
-    chunk count)``, the first and third ``None`` when nothing can be
-    pruned."""
+#: What :func:`_bind` returns: ``(candidates, pushed, active morsel
+#: indices or None, candidate chunk count, covered morsel indices,
+#: candidate chunks inside covered morsels)``.
+_Binding = Tuple[_Candidates, List[PushedPredicate], Optional[np.ndarray],
+                 int, np.ndarray, int]
+
+
+_NO_MORSELS = np.empty(0, dtype=np.int64)
+_NO_MORSELS.flags.writeable = False
+
+
+def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
+    """The statement's literals against the zone maps: candidate chunks
+    and the morsels they activate, and the morsels whose candidates are
+    all covered.  A plan that cannot prune covers nothing."""
     table = query.table
     n_rows = table.n_rows
     n_chunks = bitpack.chunks_for(n_rows)
@@ -556,31 +649,57 @@ def _bind(query: Query, shape: _PlanShape, prune: str,
                 zone_maps[name] = zm
 
     pushed: List[PushedPredicate] = []
-    candidates = _candidate_mask(
+    candidates, covered = _candidate_mask(
         query.predicate if prune != "off" else None,
         zone_maps, n_chunks, pushed,
     )
     if candidates is None:
-        return None, pushed, None, n_chunks
+        return None, pushed, None, n_chunks, _NO_MORSELS, 0
 
     # Morsels are uniform superchunk windows.
     per_morsel = shape.morsel_elements // bitpack.CHUNK_ELEMENTS
-    if isinstance(candidates, _Run):
-        # A run's morsels are a run too: plain arithmetic.
+    if isinstance(candidates, tuple) and isinstance(covered, tuple):
+        # A run's morsels are a run too, and so are the covered ones:
+        # plain arithmetic, no per-chunk work.
         first, stop = candidates
-        active_morsels = (
-            np.arange(first // per_morsel, -(-stop // per_morsel),
-                      dtype=np.int64)
-            if stop > first else np.empty(0, dtype=np.int64))
-        return (_as_mask(candidates, n_chunks), pushed, active_morsels,
-                stop - first)
+        if stop == first:
+            return candidates, pushed, _NO_MORSELS, 0, _NO_MORSELS, 0
+        active_morsels = np.arange(first // per_morsel,
+                                   -(-stop // per_morsel), dtype=np.int64)
+        cover_first = max(first, covered[0])
+        cover_stop = min(stop, covered[1])
+        covered_morsels, chunks_covered = _NO_MORSELS, 0
+        if cover_stop > cover_first:
+            # A morsel is covered when its candidates, the run clipped
+            # to the morsel, lie inside the covered run.
+            m_first = (first // per_morsel if cover_first == first
+                       else -(-cover_first // per_morsel))
+            m_stop = (-(-stop // per_morsel) if cover_stop == stop
+                      else cover_stop // per_morsel)
+            if m_stop > m_first:
+                covered_morsels = np.arange(m_first, m_stop, dtype=np.int64)
+                chunks_covered = (min(stop, m_stop * per_morsel)
+                                  - max(first, m_first * per_morsel))
+        return (candidates, pushed, active_morsels, stop - first,
+                covered_morsels, chunks_covered)
     # Per-morsel candidacy is one padded reshape — no per-morsel Python.
+    candidates = _as_mask(candidates, n_chunks)
     n_morsels = len(shape.morsels)
     padded = np.zeros(n_morsels * per_morsel, dtype=bool)
     padded[:n_chunks] = candidates
-    has_candidates = padded.reshape(n_morsels, per_morsel).any(axis=1)
+    grid = padded.reshape(n_morsels, per_morsel)
+    has_candidates = grid.any(axis=1)
     active_morsels = np.nonzero(has_candidates)[0].astype(np.int64)
-    return candidates, pushed, active_morsels, int(candidates.sum())
+    covered_morsels, chunks_covered = _NO_MORSELS, 0
+    covered = _as_mask(covered, n_chunks)
+    if covered.any():
+        per_morsel_candidates = grid.sum(axis=1)
+        padded[:n_chunks] &= ~covered  # candidates left uncovered
+        is_covered = has_candidates & ~grid.any(axis=1)
+        covered_morsels = np.nonzero(is_covered)[0].astype(np.int64)
+        chunks_covered = int(per_morsel_candidates[covered_morsels].sum())
+    return (candidates, pushed, active_morsels, int(candidates.sum()),
+            covered_morsels, chunks_covered)
 
 
 def _plan_query(
@@ -592,12 +711,22 @@ def _plan_query(
     consult_selector: bool,
 ) -> PhysicalPlan:
     shape = _plan_shape(query, morsel)
-    mask, pushed, active_morsels, chunks_candidate = _bind(
-        query, shape, prune)
+    (candidates, pushed, active_morsels, chunks_candidate, covered_morsels,
+     chunks_covered) = _bind(query, shape, prune)
 
     table = query.table
     n_chunks = bitpack.chunks_for(table.n_rows)
-    scan_elements = 64 * chunks_candidate
+
+    covered_kernel = None
+    if covered_morsels.size:
+        # Compiled only for a plan that has a covered morsel: the same
+        # query without its predicate, over the columns it outputs.
+        kernel = shape.kernel
+        columns = _output_columns(query, shape.needed_columns)
+        covered_kernel = compile_query(
+            _without_predicate(query), columns,
+            {name: kernel.column_bits[name] for name in columns},
+            shape.morsel_elements)
 
     selector_inputs = None
     if consult_selector:
@@ -608,26 +737,52 @@ def _plan_query(
             machine = default_machine()
         selector_inputs = (machine, accesses_per_element)
 
-    return PhysicalPlan(
+    plan = PhysicalPlan(
         query=query,
         needed_columns=shape.needed_columns,
         morsel_elements=shape.morsel_elements,
         morsels=shape.morsels,
-        candidate_mask=mask,
+        candidates=candidates,
         chunks_total=n_chunks,
         chunks_candidate=chunks_candidate,
         chunks_pruned=n_chunks - chunks_candidate,
         morsels_pruned=(len(shape.morsels) - int(active_morsels.size)
                         if active_morsels is not None else 0),
         active_morsels=active_morsels,
+        covered_morsels=covered_morsels,
+        chunks_covered=chunks_covered,
         pushed=pushed,
         column_facts=shape.column_facts,
         selector_inputs=selector_inputs,
         est_instructions=sum(
-            (blocked_scan_instructions(scan_elements, facts.bits)
+            (blocked_scan_instructions(64 * chunks_candidate, facts.bits)
              for facts in shape.column_facts.values()), 0.0),
         kernel=shape.kernel,
+        covered_kernel=covered_kernel,
     )
+    if covered_kernel is not None:
+        plan.est_instructions = sum(
+            (blocked_scan_instructions(64 * chunks,
+                                       shape.column_facts[name].bits)
+             for name, chunks in plan.predicted_decoded_chunks.items()), 0.0)
+    return plan
+
+
+def _without_predicate(query: Query) -> Query:
+    """``query`` with its filter dropped: what a covered morsel runs (a
+    shallow copy; ``copy.copy`` costs five times as much per plan)."""
+    bare = Query.__new__(Query)
+    bare.__dict__.update(query.__dict__, predicate=None)
+    return bare
+
+
+def _output_columns(query: Query,
+                    needed_columns: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The needed columns a covered morsel still decodes — group key,
+    aggregate and projected columns — in decode order."""
+    outputs = {query.group_key, *(query.projection or ())}
+    outputs.update(spec.column for spec in query.aggregates)
+    return tuple(name for name in needed_columns if name in outputs)
 
 
 def _sargable_columns(expr: Expr) -> set:

@@ -35,11 +35,14 @@ class QueryStats:
     #: already satisfied by the completed morsel prefix (their chunks
     #: are counted in ``chunks_candidate`` but never decoded).
     morsels_skipped: int = 0
+    #: Executed morsels that ran the plan's predicate-free kernel
+    #: because the zone maps proved every candidate chunk matches.
+    morsels_covered: int = 0
     chunks_total: int = 0
     chunks_candidate: int = 0
-    #: Chunks actually decoded, per needed column (candidate chunks
-    #: reachable from non-empty morsels; equals ``chunks_candidate``
-    #: for every column since pruning is per-chunk, not per-column).
+    #: Chunks actually decoded, per needed column: the candidate chunks
+    #: of executed morsels, minus those of covered morsels for a column
+    #: only the predicate reads (``PhysicalPlan.predicted_decoded_chunks``).
     decoded_chunks: Dict[str, int] = field(default_factory=dict)
     #: Elements handed to the blocked kernel per column (64 per decoded
     #: chunk, trailing-padding slots included — the exact unit
@@ -112,8 +115,10 @@ class QueryStats:
             f"{self.morsels_skipped} skipped (limit), "
             if self.morsels_skipped else ""
         )
+        covered = (f" ({self.morsels_covered} covered)"
+                   if self.morsels_covered else "")
         lines = [
-            f"morsels: {self.morsels_executed} executed, "
+            f"morsels: {self.morsels_executed} executed{covered}, "
             f"{self.morsels_pruned} pruned, {skipped}"
             f"{self.morsels_total} total "
             f"({self.n_workers} workers, {self.distribution}, {self.mode})",
@@ -210,7 +215,11 @@ class MorselPartial:
     morsel: int
     rows_scanned: int = 0
     rows_matched: int = 0
+    #: Chunks in the morsel's candidate runs; each column its kernel
+    #: read decoded all of them (``PhysicalPlan.decoded_columns``).
     decoded_chunks: int = 0
+    #: Whether the morsel ran the plan's predicate-free covered kernel.
+    covered: bool = False
     #: Aggregate partials, one slot per AggSpec (sum -> int, count ->
     #: int, min/max -> Optional[int], mean -> (sum, count)).
     agg: List[object] = field(default_factory=list)

@@ -40,10 +40,14 @@ class TestAcceptance:
     def test_seed0_codegen_forced_on_passes(self):
         # Every query op runs its generated kernel — there is no other
         # path to force — checked against the oracle and the accounting
-        # deltas at the CI query job's op budget.
+        # deltas at the CI query job's op budget, and some of its plans
+        # run covered morsels through the predicate-free kernel.
         report = run_check(seed=0, ops=500, profile="query")
         assert report.ok, report.format()
         assert "codegen" not in report.format()
+        assert report.covered_plans > 0
+        assert (f"covered: {report.covered_plans} query plans had covered "
+                f"morsels") in report.format()
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_other_seeds_pass(self, seed):
@@ -215,6 +219,43 @@ class TestPlantedBugs:
         assert failure.op.name == "query_group_sum"
         assert failure.kind == "result"
         monkeypatch.setattr(executor, "QueryResult", orig)
+        assert run_case(failure.case) is None
+
+    def test_detects_covering_a_chunk_whose_max_is_hi(self, monkeypatch):
+        # Off by one in the covering proof (``max <= hi`` instead of
+        # ``max < hi``): a covered morsel then counts rows equal to
+        # ``hi`` without evaluating the predicate that excludes them.
+        orig_run = ZoneMap.covered_run
+        orig_compare = ZoneMap._compare_covered
+        monkeypatch.setattr(ZoneMap, "covered_run",
+                            lambda self, lo, hi: orig_run(self, lo, hi + 1))
+        monkeypatch.setattr(ZoneMap, "_compare_covered",
+                            lambda self, lo, hi: orig_compare(self, lo,
+                                                              hi + 1))
+        report = run_check(seed=0, ops=400, profile="query",
+                           max_failures=1)
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.kind == "result"
+        monkeypatch.setattr(ZoneMap, "covered_run", orig_run)
+        monkeypatch.setattr(ZoneMap, "_compare_covered", orig_compare)
+        assert run_case(failure.case) is None
+
+    def test_detects_billing_skipped_predicate_chunks(self, monkeypatch):
+        # A covered morsel decodes only the columns it outputs; billing
+        # the predicate-only columns too (as if every needed column were
+        # decoded) must show as an accounting divergence.
+        from repro.query.planner import PhysicalPlan
+
+        monkeypatch.setattr(PhysicalPlan, "decoded_columns",
+                            lambda self, covered: self.needed_columns)
+        report = run_check(seed=0, ops=400, profile="query",
+                           max_failures=1)
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.kind == "accounting"
+        assert "decoded_chunks" in failure.detail
+        monkeypatch.undo()
         assert run_case(failure.case) is None
 
     def test_replay_line_names_profile(self, monkeypatch):

@@ -213,6 +213,88 @@ class TestBitIdentity:
         assert result.aggregates["sum(v)"] == sum(range(100))
 
 
+class TestCoveredMorsels:
+    """Shards cover morsels against their own zone maps; the merged
+    result stays bit-identical to the gather twin and the oracle."""
+
+    MORSEL = 1024
+
+    @staticmethod
+    def sorted_build(n_nodes, mode):
+        # Sorted keys stay sorted inside every shard (hash and range
+        # partitioning both keep relative order): monotone shard maps.
+        table, data = build(n_nodes=n_nodes, mode=mode)
+        order = np.argsort(data["k"], kind="stable")
+        data = {name: values[order] for name, values in data.items()}
+        return ShardedTable.from_arrays(
+            data, key="k", cluster=cluster_of(n_nodes), mode=mode), data
+
+    QUERIES = {
+        "aggregates": lambda q: q.sum("v").count().min("v").max("v")
+        .mean("v"),
+        "count": lambda q: q.count(),
+        "group_by": lambda q: q.group_by("g").sum("v").count(),
+        "select": lambda q: q.select("v", "g"),
+        "limit": lambda q: q.select("v").limit(777),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    @pytest.mark.parametrize("mode", ["hash", "range"])
+    @pytest.mark.parametrize("n_nodes", [1, 2, 4])
+    def test_identical_to_twin_and_oracle(self, n_nodes, mode, shape):
+        table, data = self.sorted_build(n_nodes, mode)
+        twin_table = table.gather()
+
+        def q(t):
+            return self.QUERIES[shape](
+                Query(t).where(in_range("k", LO, HI)))
+
+        distributed = q(table).run(morsel=self.MORSEL)
+        twin = q(twin_table).run(morsel=self.MORSEL)
+        assert_identical(distributed, twin)
+        assert distributed.stats.morsels_covered > 0
+        assert twin.stats.morsels_covered > 0
+        if shape != "limit":
+            plans = distributed.plan.shard_plans.values()
+            predicted = {}
+            for plan in plans:
+                for name, n in plan.predicted_decoded_chunks.items():
+                    predicted[name] = predicted.get(name, 0) + n
+            assert distributed.stats.decoded_chunks == predicted
+            assert twin.stats.decoded_chunks == \
+                twin.plan.predicted_decoded_chunks
+
+        # Oracle over the gather order (``table.gather_arrays()``).
+        gathered = table.gather_arrays()
+        mask = (gathered["k"] >= LO) & (gathered["k"] < HI)
+        v = gathered["v"][mask].astype(object)
+        if shape == "aggregates":
+            assert distributed.aggregates == {
+                "sum(v)": int(v.sum()), "count(*)": int(mask.sum()),
+                "min(v)": int(v.min()), "max(v)": int(v.max()),
+                "mean(v)": int(v.sum()) / int(mask.sum())}
+        elif shape == "count":
+            assert distributed.scalar() == int(mask.sum())
+            # The key is only the predicate's: covered morsels skip it.
+            assert distributed.stats.decoded_chunks["k"] < \
+                distributed.stats.chunks_candidate
+        elif shape == "group_by":
+            expected = {}
+            for g, x in zip(gathered["g"][mask].tolist(), v.tolist()):
+                s, c = expected.get(g, (0, 0))
+                expected[g] = (s + x, c + 1)
+            assert list(distributed.groups.items()) == [
+                (g, {"sum(v)": s, "count(*)": c})
+                for g, (s, c) in sorted(expected.items())]
+        else:
+            rows = np.flatnonzero(mask)
+            if shape == "limit":
+                rows = rows[:777]
+            np.testing.assert_array_equal(distributed.rows, rows)
+            np.testing.assert_array_equal(distributed["v"],
+                                          gathered["v"][rows])
+
+
 class TestShipmentAccounting:
     def test_bytes_shipped_are_exact_frame_sums(self):
         table, _ = build(n_nodes=2)
@@ -334,3 +416,4 @@ class TestExplain:
         assert "scatter: 2 of 2 shards participate" in text
         assert "candidate" in text and "plan frame" in text
         assert "gather: merge in shard order" in text
+        assert "covered)" in text

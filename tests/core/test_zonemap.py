@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import allocate
-from repro.core.scan_ops import count_in_range, select_in_range
+from repro.core.scan_ops import (clamp_u64_range, count_in_range,
+                                  select_in_range)
 from repro.core.zonemap import ZoneMap, _chunk_runs
 from repro.numa import NumaAllocator, machine_2x8_haswell
 from repro.obs.registry import registry
@@ -150,7 +151,8 @@ _BOUND = st.one_of(st.sampled_from(_EDGES), st.integers(0, 300),
 
 class TestRunBinding:
     """On a monotone map, a range binds by two binary searches to one
-    chunk run; it must agree with comparing every chunk's bounds."""
+    chunk run, and its covered chunks by two more; both must agree with
+    comparing every chunk's bounds."""
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["sorted", "random", "constant"]),
@@ -185,6 +187,21 @@ class TestRunBinding:
                 run = zm.candidate_run(lo, hi)
                 assert run is not None
                 np.testing.assert_array_equal(np.arange(*run), chunks)
+
+            # Covered chunks: every element matches, by either path.
+            covered = zm._compare_covered(lo, hi)
+            assert covered.tolist() == [
+                all(lo <= v < hi for v in x[c * 64:(c + 1) * 64])
+                for c in range(zm.n_chunks)]
+            assert set(np.flatnonzero(covered)) <= set(chunks.tolist())
+            covered_run = zm.covered_run(lo, hi)
+            # ``None`` only off a monotone map; an empty range is (0, 0).
+            assert (covered_run is None) is (
+                not zm.monotone and zm.n_chunks > 0
+                and clamp_u64_range(lo, hi) is not None)
+            if covered_run is not None:
+                assert list(range(*covered_run)) == \
+                    np.flatnonzero(covered).tolist()
 
             match = np.nonzero([lo <= v < hi for v in x])[0]
             zm.array.stats.reset()

@@ -240,10 +240,11 @@ class TestAccountingParity:
         before_k = t["k"].stats.chunk_unpacks
         before_v = t["v"].stats.chunk_unpacks
         result = q.run(morsel=DEFAULT_MORSEL_ELEMENTS)
-        expected = result.plan.chunks_candidate
-        assert t["k"].stats.chunk_unpacks - before_k == expected
-        assert t["v"].stats.chunk_unpacks - before_v == expected
-        assert result.stats.decoded_chunks == {"k": expected, "v": expected}
+        expected = result.plan.predicted_decoded_chunks
+        assert expected["v"] == result.plan.chunks_candidate
+        assert t["k"].stats.chunk_unpacks - before_k == expected["k"]
+        assert t["v"].stats.chunk_unpacks - before_v == expected["v"]
+        assert result.stats.decoded_chunks == expected
 
 
 class TestKnobs:
@@ -427,9 +428,8 @@ def assert_grouped_paths(t, k, v, predicate, mask, names=tuple(AGGREGATES),
     assert compiled.stats.mode == "compiled"
     assert_groups_identical(compiled.groups,
                             oracle_groups(k, v, mask, names))
-    plan = compiled.plan
-    assert compiled.stats.decoded_chunks == {
-        name: plan.chunks_candidate for name in plan.needed_columns}
+    assert compiled.stats.decoded_chunks == \
+        compiled.plan.predicted_decoded_chunks
     assert compiled.stats.rows_matched == int(mask.sum())
     return compiled
 
@@ -1084,8 +1084,14 @@ class TestRowKernels:
         for lo, limit in ((1, 5), (70, 9), (9000, 0)):
             plan = row_query(t, lambda: col("k") >= lo, limit).plan()
             assert plan.kernel.literals == (lo,)
-        assert len(generated) == 1
-        assert generated[0].projection == ("p", "k")
+            if lo == 1:
+                first = list(generated)
+        # The first plan generates its kernel, and the predicate-free
+        # twin its covered morsels run; later plans generate nothing.
+        assert generated == first
+        assert [key.predicate for key in generated] == ["(c0 >= lits[0])",
+                                                        True]
+        assert all(key.projection == ("p", "k") for key in generated)
 
     def test_explain_prints_the_row_kernel(self):
         t, k, p = row_table(20, seed=5)
@@ -1097,7 +1103,10 @@ class TestRowKernels:
         assert "rows.append(np.flatnonzero(mask) + base)" in text
         assert "p0.append(c1[mask])" in text
         assert "p1.append(c0[mask])" in text
-        assert text.endswith("  literals: lits[0] = 100")
+        assert "\n  literals: lits[0] = 100\n" in text
+        # Covered morsels run the same row kernel without the predicate.
+        assert text.split("covered-morsel kernel (no predicate):")[1] \
+            .count("rows.append(np.arange(base, end, dtype=np.int64))") == 1
         # No predicate: every decoded row, copied out of the buffer.
         bare = row_query(t).explain()
         assert "rows.append(np.arange(base, end, dtype=np.int64))" in bare

@@ -196,10 +196,12 @@ class TestExplain:
             f"{plan.chunks_pruned} pruned" in text
         )
         assert f"{plan.morsels_pruned} fully pruned" in text
-        for name in plan.needed_columns:
+        assert (f"covered morsels: {plan.covered_morsels.size} of "
+                f"{len(plan.morsels) - plan.morsels_pruned}") in text
+        for name, chunks in plan.predicted_decoded_chunks.items():
             assert (
-                f"will decode {plan.chunks_candidate} chunks = "
-                f"{64 * plan.chunks_candidate} elements" in text
+                f"will decode {chunks} chunks = {64 * chunks} elements"
+                in text
             )
             assert plan.decisions[name].describe() in text
 
@@ -217,8 +219,11 @@ class TestPredictions:
         plan = Query(table).where(in_range("k", 1000, 50_000)).sum("v").plan()
         predicted = plan.predicted_replica_read_elements
         assert set(predicted) == set(plan.needed_columns)
-        for elements in predicted.values():
-            assert elements == 64 * plan.chunks_candidate
+        # Per column: every candidate chunk, minus those of covered
+        # morsels for the predicate-only ``k``.
+        assert predicted["v"] == 64 * plan.chunks_candidate
+        assert predicted["k"] == 64 * (plan.chunks_candidate
+                                       - plan.chunks_covered)
 
     def test_morsel_candidates_cover_mask(self, table):
         plan = Query(table).where(in_range("k", 1000, 50_000)).count().plan()
@@ -264,6 +269,8 @@ class TestPlanOnce:
     k in [0, 50000): 16 candidate / 297 pruned chunks
   chunks: 313 total, 16 candidate, 297 pruned
   morsels: 1 x 65536 elements (superchunk-aligned), 0 fully pruned
+  covered morsels: 0 of 1 (zone maps prove the predicate; it is not \
+evaluated there)
   columns read (fused single pass):
     k: 20b os_default (gen 0), engine=blocked, single-buffer reads; \
 selector recommends replicated / 20b (differs)

@@ -206,7 +206,11 @@ class TestLimitEarlyExit:
         result = self._limited(table, want)
         assert result.n_rows == int(full_mask.sum())
         assert result.stats.morsels_skipped == 0
-        assert result.stats.decoded_chunks["k"] == \
+        # Every predicted chunk is decoded: all candidates for the
+        # projected column, fewer for ``k`` where morsels are covered.
+        assert result.stats.decoded_chunks == \
+            result.plan.predicted_decoded_chunks
+        assert result.stats.decoded_chunks["v"] == \
             result.plan.chunks_candidate
 
 
@@ -253,20 +257,25 @@ class TestExplainAccuracy:
             table[name].reset_replica_reads()
         result = execute(plan)
 
+        chunks = plan.predicted_decoded_chunks
         predicted = plan.predicted_replica_read_elements
+        # The aggregate column decodes every candidate chunk; the
+        # predicate-only ``k`` skips those of covered morsels.
+        assert chunks["v"] == plan.chunks_candidate
+        assert chunks["k"] == plan.chunks_candidate - plan.chunks_covered
         for name in plan.needed_columns:
             array = table[name]
-            # The executor decoded exactly the candidate chunks, once.
-            assert array.stats.chunk_unpacks == plan.chunks_candidate
+            # The executor decoded exactly the predicted chunks, once.
+            assert array.stats.chunk_unpacks == chunks[name]
             assert sum(array.replica_read_elements) == predicted[name]
             # And the query's own stats agree with both.
-            assert result.stats.decoded_chunks[name] == plan.chunks_candidate
+            assert result.stats.decoded_chunks[name] == chunks[name]
             assert result.stats.decoded_elements[name] == predicted[name]
 
         # The explain text carries the same numbers.
         text = plan.explain()
         assert (
-            f"will decode {plan.chunks_candidate} chunks = "
+            f"will decode {chunks['k']} chunks = "
             f"{predicted['k']} elements" in text
         )
         assert f"{plan.chunks_pruned} pruned" in text
@@ -281,9 +290,10 @@ class TestExplainAccuracy:
             table[name].reset_replica_reads()
         execute(plan, pool=pool)
         for name in plan.needed_columns:
-            assert table[name].stats.chunk_unpacks == plan.chunks_candidate
+            assert table[name].stats.chunk_unpacks == \
+                plan.predicted_decoded_chunks[name]
             assert sum(table[name].replica_read_elements) == \
-                64 * plan.chunks_candidate
+                plan.predicted_replica_read_elements[name]
 
     def test_stats_morsel_counts_match_plan(self, table):
         result = Query(table).where(in_range("k", LO, HI)).sum("v").run()
