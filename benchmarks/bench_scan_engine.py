@@ -10,6 +10,11 @@ Times the real functional path against the pre-engine baseline:
   every width 1..64, decoding the whole array in morsels of 4,096 /
   65,536 elements and in one call, so a single width that regresses is
   visible;
+* **pack sweep** — Melem/s of ``bitpack_fast.pack_words_blocked`` for
+  every width 1..64, packing the whole array in 4,096-element calls and
+  in one call, asserted bit-identical to the per-element scatter
+  (paper Function 2 in bulk) and set beside the slot-wise kernel it
+  replaced (``SLOT_KERNEL_MELEMS_S``, recorded before the swap);
 * **scan** — serial superchunk ``count_in_range`` vs the same scan
   forced to chunk granularity (``superchunk=64``, the pre-engine loop
   shape), and the socket-parallel operators vs serial.
@@ -21,6 +26,7 @@ machine-readable ``benchmarks/results/BENCH_scan_engine.json``; under
 
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -45,6 +51,32 @@ JSON_NAME = "BENCH_scan_engine.json"
 #: Whole chunks, so every morsel size divides the sweep evenly.
 SWEEP_N = 1 << 20
 SWEEP_MORSELS = (4_096, 65_536, SWEEP_N)
+#: Elements per ``pack_words_blocked`` call in the pack sweep.
+PACK_SIZES = (4_096, SWEEP_N)
+#: Pack Melem/s of the slot-wise kernel this one replaced (64 strided
+#: slot passes per chunk for widths that do not divide 64, one pass per
+#: slot of a word otherwise), by width: ``(4,096-element calls, one
+#: call)`` over ``SWEEP_N`` elements, best of 3, measured with this
+#: script's ``pack_rates`` on a 2-vCPU x86-64 Linux VM (NumPy 2.4).
+SLOT_KERNEL_MELEMS_S = {
+    1: (27.8, 93.2), 2: (48.7, 101.4), 3: (24.8, 81.3), 4: (80.9, 122.3),
+    5: (24.9, 81.5), 6: (25.1, 78.4), 7: (24.6, 77.2), 8: (125.6, 171.2),
+    9: (24.0, 69.9), 10: (24.0, 72.5), 11: (23.1, 67.1), 12: (23.8, 70.1),
+    13: (23.2, 68.5), 14: (21.9, 67.9), 15: (22.1, 62.9),
+    16: (170.0, 220.1), 17: (21.5, 59.1), 18: (21.6, 62.9),
+    19: (20.8, 58.6), 20: (21.7, 67.7), 21: (22.0, 59.0), 22: (21.9, 59.8),
+    23: (21.6, 54.6), 24: (22.4, 63.2), 25: (19.2, 57.4), 26: (20.6, 53.9),
+    27: (20.2, 51.6), 28: (21.1, 54.9), 29: (19.7, 54.6), 30: (18.1, 53.6),
+    31: (18.8, 48.8), 32: (206.7, 245.9), 33: (17.7, 47.3),
+    34: (17.9, 51.6), 35: (18.2, 48.3), 36: (19.6, 53.9), 37: (18.1, 49.9),
+    38: (17.5, 49.6), 39: (16.7, 52.8), 40: (17.2, 55.0), 41: (16.8, 50.4),
+    42: (16.8, 43.4), 43: (15.6, 45.4), 44: (15.7, 42.9), 45: (14.2, 42.5),
+    46: (16.5, 48.8), 47: (15.6, 40.5), 48: (14.7, 39.8), 49: (15.0, 39.0),
+    50: (12.7, 30.3), 51: (15.3, 39.7), 52: (12.8, 33.3), 53: (12.8, 36.5),
+    54: (9.0, 33.2), 55: (12.2, 32.7), 56: (8.4, 36.3), 57: (8.8, 29.9),
+    58: (7.7, 31.0), 59: (7.8, 30.3), 60: (11.1, 33.8), 61: (12.2, 31.0),
+    62: (8.1, 29.8), 63: (6.8, 27.4), 64: (337.5, 578.7),
+}
 
 
 def _data(bits, n=N):
@@ -105,6 +137,50 @@ def width_sweep():
         lines.append(f"{bits:>4} " + " ".join(
             f"{results[bits][m]:>11.1f}" for m in SWEEP_MORSELS))
     return "\n".join(lines), results
+
+
+def pack_rates(kernel, values, bits):
+    """``{size: Melem/s}`` of ``kernel`` packing ``values`` in
+    ``size``-element calls, and the words of the last (whole) pass."""
+    rates, words = {}, None
+    for size in PACK_SIZES:
+        def pack():
+            return [kernel(values[at:at + size], bits)
+                    for at in range(0, values.size, size)]
+
+        rates[size] = round(values.size / _best_of(pack, repeats=3) / 1e6, 1)
+        words = np.concatenate(pack())
+    return rates, words
+
+
+def pack_sweep():
+    """Pack Melem/s per width: ``(text, {bits: {size: x}})``."""
+    results = {}
+    lines = [f"bits {'4,096':>9} {'whole':>9} {'slot 4,096':>11} "
+             f"{'slot whole':>11} {'gain':>6}"]
+    for bits in range(1, bitpack.WORD_BITS + 1):
+        values = _data(bits, SWEEP_N)
+        results[bits], words = pack_rates(bitpack_fast.pack_words_blocked,
+                                          values, bits)
+        # Bit-identical to the per-element scatter pack_array keeps for
+        # one superchunk, which the tests hold to paper Function 2.
+        scatter = np.concatenate([
+            bitpack.pack_array(values[at:at + 4096], bits)
+            for at in range(0, SWEEP_N, 4096)])
+        np.testing.assert_array_equal(words, scatter)
+        slot = SLOT_KERNEL_MELEMS_S[bits]
+        lines.append(
+            f"{bits:>4} {results[bits][4096]:>9.1f} "
+            f"{results[bits][SWEEP_N]:>9.1f} {slot[0]:>11.1f} "
+            f"{slot[1]:>11.1f} {results[bits][SWEEP_N] / slot[1]:>5.1f}x")
+    return "\n".join(lines), results
+
+
+def host() -> str:
+    """The machine the numbers were measured on."""
+    return (f"{platform.machine()} {platform.system()}, "
+            f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
+            f"NumPy {np.__version__}")
 
 
 def scan_report() -> str:
@@ -185,19 +261,28 @@ def test_parallel_sum_blocked(benchmark):
 
 def main() -> None:
     sweep_text, sweep = width_sweep()
+    pack_text, pack = pack_sweep()
     body = (
+        f"host: {host()}\n\n"
         f"Blocked all-width decode vs per-element gather "
         f"({N:,} elements, best of 5):\n{decode_report()}\n\n"
         f"unpack_chunk_range Melem/s by morsel size ({SWEEP_N:,} elements, "
         f"best of 3):\n{sweep_text}\n\n"
+        f"pack_words_blocked Melem/s by call size ({SWEEP_N:,} elements, "
+        f"best of 3), against the slot-wise kernel it replaced:\n"
+        f"{pack_text}\n\n"
         f"{scan_report()}"
     )
     emit("Bulk-span scan engine — decode and scan throughput", body,
          "scan_engine.txt")
     path = os.path.join(RESULTS_DIR, JSON_NAME)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n_elements": SWEEP_N, "unit": "Melem/s",
-                   "unpack_melems_s": sweep}, fh, indent=2)
+        json.dump({"n_elements": SWEEP_N, "unit": "Melem/s", "host": host(),
+                   "unpack_melems_s": sweep, "pack_melems_s": pack,
+                   "slot_pack_melems_s": {
+                       bits: dict(zip(PACK_SIZES, rates))
+                       for bits, rates in SLOT_KERNEL_MELEMS_S.items()}},
+                  fh, indent=2)
         fh.write("\n")
     print(f"wrote {path}")
 

@@ -45,11 +45,18 @@ WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
 
 #: Up to one superchunk :func:`pack_array` scatters per element; above
-#: it the blocked kernel takes over.  At exactly one superchunk the two
-#: cost the same (the blocked kernel's ~64 fixed slot passes against one
-#: 4,096-element scatter), and the live migrator's default step sits
-#: there: its many short GIL-holding passes slow concurrent readers for
-#: no gain, so the boundary case stays on the scatter.
+#: it the byte-period kernel takes over.  At 4,096 elements the kernel
+#: is the faster of the two (1.0-4x by width), but the live migrator's
+#: default 64-chunk step sits exactly here, and routing those steps
+#: through the kernel's many short GIL-holding passes buys migration
+#: speed with reader latency.  Measured on a 2-vCPU x86-64 VM
+#: (``embedded_write_read``, two traced seeds and four untraced pairs):
+#: ``live.chunks_per_s`` rose 30-40k -> 62-123k and ``live.migrate_s``
+#: fell 1.6-2.0 -> 0.5-1.1 s, but ``live.reader_slowdown`` rose
+#: 1.38-1.42 -> 1.45-1.67 and the untraced reader ``p50_ms`` rose
+#: 4-12 % in 4/4 pairs.  Readers come first, so the boundary case stays
+#: on the scatter (``benchmarks/bench_live_adaptation.py`` re-measures
+#: the reader side).
 _SCATTER_PACK_MAX = 64 * CHUNK_ELEMENTS
 
 
@@ -253,8 +260,8 @@ def pack_array(values, bits: int) -> np.ndarray:
     """Pack ``values`` into a fresh word buffer (vectorized Function 2).
 
     Equivalent to calling :func:`init_scalar` for every index on a
-    zeroed buffer, but runs as a handful of NumPy ufunc passes; bulk
-    inputs dispatch to the blocked kernel
+    zeroed buffer, but runs as a handful of NumPy ufunc passes; inputs
+    above one superchunk dispatch to the byte-period kernel
     (:func:`repro.core.bitpack_fast.pack_words_blocked`), the way
     :func:`unpack_array` does.  Raises :class:`ValueOverflowError` if
     any value does not fit.

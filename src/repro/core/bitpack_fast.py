@@ -2,8 +2,9 @@
 
 The paper's related work applies SIMD to bit-compressed scans (Willhalm
 et al., Polychroniou & Ross — section 8).  NumPy's vectorized ufuncs are
-this repo's SIMD analogue, and unpack (paper Function 3) is **one
-byte-period kernel** specialized on a single axis, the width.
+this repo's SIMD analogue.  Unpack (paper Function 3) and bulk pack
+(Function 2 over a whole array) are **one byte-period layout** driven in
+two directions, specialized on a single axis, the width.
 
 Packed data is one little-endian bit stream: element ``i`` starts at bit
 ``i * bits``.  With ``g = gcd(bits, 8)`` the layout repeats every
@@ -31,12 +32,22 @@ decided against the whole buffer, not the requested range, so interior
 morsels never pay it.  Work proceeds in ``_BLOCK_ELEMENTS`` blocks with
 ``out=`` ufunc arguments: no array-sized temporaries.
 
+Pack is the same table read the other way (:func:`_pack_periods`): per
+lane one left shift into a block-sized scratch of the load dtype and one
+OR into the strided little-endian view the decode loads from; a lane
+that spills ORs its top bits into the ninth byte, and a lane that owns
+exactly its load's bytes (8/16/32/64 bits) is one narrowing copy.  The
+stores reach as far past a period as the loads do, so a partial last
+chunk, or a whole one whose stores would run off the buffer, is packed
+from a zero-padded 64-element scratch into a spare-word buffer and
+copied into place; every padding slot stays zero.
+
 :func:`unpack_array_fast` is the single bulk-decode entry point;
 :func:`unpack_chunk_range` is the superchunk kernel the scan engine
-decodes through.  The gather path remains only for true random access;
-pack still works slot by slot over the ``(n_chunks, bits)`` word grid.
-Tests assert bit-identical results against the scalar reference kernels
-(paper Functions 1-3) for every width 1..64.
+decodes through; :func:`pack_words_blocked` is the bulk encoder.  The
+gather path remains only for true random access.  Tests assert
+bit-identical results against the scalar reference kernels (paper
+Functions 1-3) for every width 1..64.
 """
 
 from __future__ import annotations
@@ -190,65 +201,79 @@ def unpack_array_fast(words: np.ndarray, length: int, bits: int) -> np.ndarray:
     return unpack_words_blocked(words, length, bits)
 
 
-def _slot_layout(bits: int):
-    """Fixed per-slot layout of a 64-element chunk at ``bits`` wide.
-
-    Returns a list of ``(slot, word_in_chunk, bit_in_word, spills)``
-    tuples: slot ``k`` of *every* chunk starts at bit ``k * bits`` of
-    the chunk, i.e. bit ``(k * bits) % 64`` of word ``(k * bits) // 64``
-    relative to the chunk's first word.  Because a chunk is exactly
-    ``bits`` words, a spilling slot always continues into word
-    ``word_in_chunk + 1`` of the *same* chunk.
-    """
-    layout = []
-    for k in range(bitpack.CHUNK_ELEMENTS):
-        bit_in_chunk = k * bits
-        word = bit_in_chunk // bitpack.WORD_BITS
-        bit = bit_in_chunk % bitpack.WORD_BITS
-        layout.append((k, word, bit, bit + bits > bitpack.WORD_BITS))
-    return layout
+def _pack_periods(grid: np.ndarray, raw: np.ndarray, period: int,
+                  layout) -> None:
+    """OR ``grid`` (n_periods, lanes) into the zeroed bytes ``raw``: the
+    store side of :func:`_unpack_periods`, lane by lane through the same
+    ``layout``."""
+    step = _BLOCK_ELEMENTS // len(layout)
+    scratch = None
+    for lo in range(0, len(grid), step):
+        rows = grid[lo:lo + step]
+        n = len(rows)
+        for lane, (byte, load, shift, mask, spills) in enumerate(layout):
+            at = lo * period + byte
+            dest = np.ndarray((n,), load, raw, at, (period,))
+            src = rows[:, lane]
+            if shift is None and mask is None:
+                # The element owns exactly the load's bytes: one copy.
+                np.copyto(dest, src, casting="unsafe")
+                continue
+            if scratch is None:
+                scratch = np.empty(n, dtype=_WORD)
+            part = scratch.view(load)[:n]
+            if shift is None:
+                np.copyto(part, src, casting="unsafe")
+            else:
+                np.left_shift(src, _WORD.type(shift), out=part,
+                              casting="unsafe")
+            np.bitwise_or(dest, part, out=dest)
+            if spills:
+                # The element's top bits run into a ninth byte.
+                ninth = np.ndarray((n,), _BYTE, raw, at + 8, (period,))
+                high = scratch.view(_BYTE)[:n]
+                np.right_shift(src, np.uint64(64) - _WORD.type(shift),
+                               out=high, casting="unsafe")
+                np.bitwise_or(ninth, high, out=ninth)
 
 
 def pack_words_blocked(values: np.ndarray, bits: int) -> np.ndarray:
-    """The inverse kernel: pack ``values`` slot by slot, any width.
+    """Pack ``values`` into ``words_for(n, bits)`` words, any width.
 
-    Bit-identical to repeated paper Function 2 writes on a zeroed
-    buffer, but built from fixed per-slot OR passes over the
-    ``(n_chunks, bits)`` word grid instead of the per-element
-    ``ufunc.at`` scatter :func:`repro.core.bitpack.pack_array` keeps for
-    inputs up to one superchunk (it dispatches here above that).
+    The inverse of :func:`unpack_chunk_range`, driven by the same
+    :func:`_byte_period` table: per lane one shift into a block-sized
+    scratch and one OR into a strided little-endian view of the lane's
+    load dtype (a single copy for 8/16/32/64 bits), plus a ninth-byte
+    OR for lanes that spill past 64 bits.  Whole chunks are packed in
+    place; a partial last chunk, or a whole one whose stores would run
+    off the buffer, is packed from a zero-padded 64-element scratch.  The
+    result owns its memory, holds zeros in every padding slot and is
+    bit-identical to repeated paper Function 2 writes on a zeroed
+    buffer.  :func:`repro.core.bitpack.pack_array` dispatches here above
+    one superchunk.
     """
     bits = bitpack.check_bits(bits)
     values = np.ascontiguousarray(values, dtype=np.uint64)
     n = values.size
-    n_storage = bitpack.words_for(n, bits)
+    words = np.zeros(bitpack.words_for(n, bits), dtype=_WORD)
     if n == 0:
-        return np.zeros(0, dtype=np.uint64)
+        return words.astype(np.uint64, copy=False)
     if bits < bitpack.WORD_BITS and int(values.max()) >> bits:
         bad = values[(values >> np.uint64(bits)) != 0][0]
         raise bitpack.ValueOverflowError(int(bad), bits)
-    words = np.zeros(n_storage, dtype=np.uint64)
-    if bits == bitpack.WORD_BITS:
-        words[:n] = values
-        return words
-    if bitpack.WORD_BITS % bits == 0:
-        per_word = bitpack.WORD_BITS // bits
-        n_words = (n + per_word - 1) // per_word
-        padded = np.zeros(n_words * per_word, dtype=np.uint64)
-        padded[:n] = values
-        grid = padded.reshape(n_words, per_word)
-        for k in range(per_word):
-            words[:n_words] |= grid[:, k] << np.uint64(k * bits)
-        return words
-    n_chunks = bitpack.chunks_for(n)
-    padded = np.zeros(n_chunks * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
-    padded[:n] = values
-    value_grid = padded.reshape(n_chunks, bitpack.CHUNK_ELEMENTS)
-    word_grid = words.reshape(n_chunks, bits)
-    for k, word, bit, spills in _slot_layout(bits):
-        word_grid[:, word] |= value_grid[:, k] << np.uint64(bit)
-        if spills:
-            word_grid[:, word + 1] |= (
-                value_grid[:, k] >> np.uint64(bitpack.WORD_BITS - bit)
-            )
-    return words
+    period, lanes, overread, layout = _byte_period(bits)
+    body = n - n % bitpack.CHUNK_ELEMENTS
+    if overread and body == n:
+        # The stores reach past the last period: keep them on the buffer.
+        body -= bitpack.CHUNK_ELEMENTS
+    _pack_periods(values[:body].reshape(-1, lanes), words.view(_BYTE),
+                  period, layout)
+    if body < n:
+        last = np.zeros(bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
+        last[:n - body] = values[body:]
+        tail = np.zeros(bits + 1, dtype=_WORD)
+        _pack_periods(last.reshape(-1, lanes), tail.view(_BYTE), period,
+                      layout)
+        words[words.size - bits:] = tail[:bits]
+    # Built little-endian: a big-endian host swaps once, here.
+    return words.astype(np.uint64, copy=False)

@@ -150,8 +150,32 @@ class DeltaMeta:
 # ---------------------------------------------------------------------------
 
 
+#: Dictionary domains whose maximum is below this are ranked by one
+#: ``np.bincount`` presence vector (a 2**16-slot count array is 512 KiB)
+#: instead of ``np.unique``'s sort — the same cut the grouped reduce
+#: uses for direct keys.
+_DIRECT_DOMAIN = 1 << 16
+
+
 def _encode_dict(values: np.ndarray):
-    dictionary, codes = np.unique(values, return_inverse=True)
+    """Sorted-dictionary encode: ``(words, DictMeta, code_bits)``.
+
+    The dictionary is the sorted distinct values and each code the
+    value's rank in it.  A domain whose maximum is below
+    ``_DIRECT_DOMAIN`` (2**16) is ranked without sorting: one
+    ``np.bincount`` presence vector gives the dictionary and its
+    exclusive ``cumsum`` the codes.  Larger domains keep
+    ``np.unique(return_inverse=True)``; both yield identical words.
+    """
+    if values.size and int(values.max()) < _DIRECT_DOMAIN:
+        small = values.astype(np.uint16)
+        present = np.bincount(small) != 0
+        rank = np.cumsum(present, dtype=np.uint64) - present
+        dictionary = np.flatnonzero(present).astype(np.uint64)
+        codes = rank[small]
+    else:
+        dictionary, codes = np.unique(values, return_inverse=True)
+        codes = codes.astype(np.uint64)
     code_bits = max(1, int(dictionary.size - 1).bit_length()) \
         if dictionary.size else 1
     dict_bits = bitpack.max_bits_needed(dictionary) if dictionary.size else 1
@@ -160,9 +184,7 @@ def _encode_dict(values: np.ndarray):
         code_bits=code_bits, dict_bits=dict_bits, value_bits=dict_bits,
     )
     words = np.empty(meta.n_words, dtype=np.uint64)
-    words[:meta.code_words] = bitpack.pack_array(
-        codes.astype(np.uint64), code_bits
-    )
+    words[:meta.code_words] = bitpack.pack_array(codes, code_bits)
     words[meta.code_words:] = bitpack.pack_array(dictionary, dict_bits)
     return words, meta, code_bits
 

@@ -254,16 +254,16 @@ class Migration:
             gen = array.generation
             # Codec-aware: decodes bitpack and encoded generations alike
             # (slots past the logical length come back zeroed either
-            # way, so the peak check below is safe).
+            # way, so pack_array's overflow check sees only real data).
             values = decode_generation_chunks(gen, first, count)
-            if tbits < 64 and values.size:
-                peak = int(values.max())
-                if peak >> tbits:
-                    self._abort_locked(
-                        f"value {peak} does not fit target width {tbits}"
-                    )
-                    return
-            packed = bitpack.pack_array(values, tbits)
+            try:
+                packed = bitpack.pack_array(values, tbits)
+            except ValueOverflowError as exc:
+                self._abort_locked(
+                    f"chunks {first}..{first + count - 1} do not fit "
+                    f"target width {tbits}: {exc}"
+                )
+                return
             lo, hi = first * tbits, (first + count) * tbits
             for buf in self._new_allocation.buffers:
                 buf[lo:hi] = packed

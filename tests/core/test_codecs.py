@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.adapt.selector import Configuration
+from repro.core import bitpack_fast, codecs
 from repro.core.allocate import allocate
 from repro.core.errors import CodecWriteError
 from repro.core.map_api import sum_range
@@ -328,3 +329,57 @@ class TestEncodedQueries:
         mask = (k >= lo) & (k < hi)
         result = Query(table).where(in_range("k", lo, hi)).count().run()
         assert result["count(*)"] == int(mask.sum())
+
+
+class TestDictRank:
+    """Small domains are ranked by a bincount presence vector, larger
+    ones by ``np.unique``; both must yield the same encoding, so
+    ``bytes_per_row`` cannot move with the cut."""
+
+    CASES = {
+        "empty": np.zeros(0, dtype=np.uint64),
+        "one distinct": np.full(100, 7, dtype=np.uint64),
+        "only zero": np.zeros(70, dtype=np.uint64),
+        "max 2**16 - 1": np.array([3, 2**16 - 1, 0, 3, 9], dtype=np.uint64),
+        "max 2**16": np.array([3, 2**16, 0, 3, 9], dtype=np.uint64),
+        "12 regions": np.random.default_rng(0).integers(
+            0, 12, size=5000).astype(np.uint64) * np.uint64(37),
+        "dense 2**16": np.random.default_rng(1).integers(
+            0, 2**16, size=70_000, dtype=np.uint64),
+    }
+
+    @staticmethod
+    def unique_encoding(values, monkeypatch):
+        # A zero cut routes every domain through np.unique.
+        with monkeypatch.context() as patch:
+            patch.setattr(codecs, "_DIRECT_DOMAIN", 0)
+            return codecs.encode_words(values, "dict")
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bincount_rank_matches_unique(self, name, monkeypatch):
+        values = self.CASES[name]
+        words, meta, bits = codecs.encode_words(values, "dict")
+        ref_words, ref_meta, ref_bits = self.unique_encoding(values,
+                                                             monkeypatch)
+        assert meta == ref_meta and bits == ref_bits
+        np.testing.assert_array_equal(words, ref_words)
+        code_sec, dict_sec = codecs._dict_sections(words, meta)
+        dictionary, codes = np.unique(values, return_inverse=True)
+        np.testing.assert_array_equal(
+            bitpack_fast.unpack_array_fast(dict_sec, meta.cardinality,
+                                           meta.dict_bits), dictionary)
+        np.testing.assert_array_equal(
+            bitpack_fast.unpack_array_fast(code_sec, meta.length,
+                                           meta.code_bits), codes)
+        np.testing.assert_array_equal(codecs.decode_words(words, meta),
+                                      values)
+
+    def test_the_cut_is_the_largest_value(self, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: (
+            calls.append(1), unique(*a, **k))[1])
+        codecs.encode_words(self.CASES["max 2**16 - 1"], "dict")
+        assert not calls
+        codecs.encode_words(self.CASES["max 2**16"], "dict")
+        assert calls

@@ -121,6 +121,32 @@ class TestRepack:
         assert np.array_equal(arr.to_numpy(), values)
         assert free_per_socket(allocator) == free_before
 
+    @pytest.mark.parametrize("chunks_per_step", [3, 64, 80])
+    def test_mid_migration_overflow_names_value_and_width(
+            self, allocator, migrator, chunks_per_step):
+        # 80-chunk steps pack through the byte-period kernel, smaller
+        # ones through the scatter: both must abort on pack_array's own
+        # overflow check, after earlier chunks were already repacked.
+        n = 200 * 64
+        values = data(n, 20)
+        values[n - 100] = np.uint64((1 << 40) + 5)
+        arr = make(allocator, values, bits=64)
+        free_before = free_per_socket(allocator)
+        migration = migrator.migrate(
+            arr, Configuration(Placement.interleaved(), 20),
+            budget=MigrationBudget(max_chunks_per_step=chunks_per_step))
+        assert migration.state == "aborted"
+        assert migration.chunks_repacked > 0
+        assert str((1 << 40) + 5) in migration.abort_reason
+        assert "target width 20" in migration.abort_reason
+        assert "does not fit in 20 bits" in migration.abort_reason
+        # The source generation is untouched and still readable.
+        assert arr.bits == 64 and arr.generation_epoch == 0
+        assert arr._migration is None
+        assert np.array_equal(arr.to_numpy(), values)
+        assert arr.get(n - 100) == (1 << 40) + 5
+        assert free_per_socket(allocator) == free_before
+
     def test_zero_length_array(self, allocator, migrator):
         arr = allocate(0, bits=64, allocator=allocator)
         migration = migrator.migrate(
