@@ -18,7 +18,7 @@ figures:
 	cd benchmarks && for f in bench_*.py; do $(PYTHON) $$f; done
 
 examples:
-	for f in examples/*.py; do $(PYTHON) $$f; done
+	for f in examples/*.py; do $(PYTHON) $$f || exit 1; done
 
 # Live-adaptation demo (daemon-driven online migration) + its report.
 live:

@@ -2,7 +2,8 @@
 
 Times the §7 extensions' real operations — hash vs sorted lookups,
 dictionary/RLE encode and scan — and, in script mode, prints the
-footprint comparison across schemes for representative column shapes.
+footprint comparison across the codec layouts (:func:`encode_array`)
+for representative column shapes.
 """
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 
 from repro._util import ascii_table, human_bytes
 from repro.core import (
-    DictionaryEncodedArray,
-    RunLengthArray,
     SmartMap,
     SortedSmartMap,
     allocate_like,
+    count_in_range,
+    encode_array,
+    sum_range,
 )
 from repro.numa import NumaAllocator, machine_2x8_haswell
 
@@ -43,17 +45,13 @@ def footprint_report() -> str:
     for label, column in columns.items():
         plain = column.size * 8
         packed = allocate_like(column).storage_bytes
-        dictionary = DictionaryEncodedArray.encode(column).storage_bytes
-        rle = RunLengthArray.encode(column).storage_bytes
-        rows.append([
-            label,
-            human_bytes(plain),
-            human_bytes(packed),
-            human_bytes(dictionary),
-            human_bytes(rle),
+        rows.append([label, human_bytes(plain), human_bytes(packed)] + [
+            human_bytes(encode_array(column, codec).storage_bytes)
+            for codec in ("dict", "rle", "delta")
         ])
     return ascii_table(
-        ["column", "plain 64b", "bit-packed", "dictionary", "RLE"], rows
+        ["column", "plain 64b", "bit-packed", "dictionary", "RLE", "delta"],
+        rows,
     )
 
 
@@ -90,15 +88,15 @@ def test_sorted_map_range_query(benchmark, maps):
 def test_dictionary_encode(benchmark):
     rng = np.random.default_rng(1)
     column = rng.integers(0, 1000, size=100_000, dtype=np.uint64)
-    enc = benchmark(lambda: DictionaryEncodedArray.encode(column))
-    assert enc.cardinality <= 1000
+    enc = benchmark(lambda: encode_array(column, "dict"))
+    assert enc.generation.meta.cardinality <= 1000
 
 
 def test_dictionary_predicate_scan(benchmark):
     rng = np.random.default_rng(2)
     column = rng.integers(0, 1000, size=100_000, dtype=np.uint64)
-    enc = DictionaryEncodedArray.encode(column)
-    count = benchmark(lambda: enc.count_in_range(100, 200))
+    enc = encode_array(column, "dict")
+    count = benchmark(lambda: count_in_range(enc, 100, 200))
     assert count == int(((column >= 100) & (column < 200)).sum())
 
 
@@ -108,8 +106,7 @@ def test_rle_encode_and_sum(benchmark):
     ).astype(np.uint64)
 
     def encode_and_sum():
-        rle = RunLengthArray.encode(column)
-        return rle.sum()
+        return sum_range(encode_array(column, "rle"))
 
     assert benchmark(encode_and_sum) == int(column.sum())
 

@@ -21,9 +21,9 @@ everything) and a **non-selective** one (~50%) run serially and on an
 8-worker pool with dynamic batch claiming.
 
 A second section times whole-table ``GROUP BY key, SUM(amount)`` at 12
-and 50,000 distinct keys: the eager ``SmartTable.group_by_sum`` and the
-compiled group-by kernel, serial and pooled, against the recorded
-interpreted per-span sort-and-slice fold (one argsort, one
+and 50,000 distinct keys: the compiled group-by kernel, serial and
+pooled (``SmartTable.group_by_sum`` is the serial run), against the
+recorded interpreted per-span sort-and-slice fold (one argsort, one
 ``np.unique`` and a Python fold per group per 4,096-row span).
 
 A third section prices **planning** (``plan`` in the JSON), on 1M-row
@@ -228,7 +228,6 @@ def _group_runs(table, key, pool):
                         for k, aggs in q.run(**knobs).groups.items()}
 
     return (
-        ("eager", "serial", lambda: table.group_by_sum(key, "amount")),
         ("compiled", "serial", fluent()),
         ("compiled", "parallel", fluent(pool=pool)),
     )

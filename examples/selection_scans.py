@@ -16,9 +16,9 @@ import numpy as np
 
 from repro._util import human_bytes
 from repro.core import (
-    DictionaryEncodedArray,
     allocate,
     count_in_range,
+    encode_array,
     min_max,
     select_in_range,
 )
@@ -71,11 +71,11 @@ def main() -> None:
 
     # 3. dictionary push-down on a low-cardinality companion column
     categories = rng.integers(0, 50, size=N, dtype=np.uint64) * 1_000_003
-    enc = DictionaryEncodedArray.encode(categories)
+    enc = encode_array(categories, "dict")
     some = int(np.unique(categories)[10])
-    matches = enc.count_in_range(some, some + 1)
-    print(f"\ndictionary column: {enc.cardinality} distincts, "
-          f"{enc.codes.bits}-bit codes")
+    matches = count_in_range(enc, some, some + 1)
+    print(f"\ndictionary column: {enc.generation.meta.cardinality} "
+          f"distincts, {enc.bits}-bit codes")
     print(f"equality predicate via code range: {matches:,} rows "
           f"(expected {(categories == some).sum():,})")
 

@@ -24,13 +24,14 @@ from repro.adapt import (
     WorkloadMeasurement,
 )
 from repro.core import (
-    DictionaryEncodedArray,
-    RunLengthArray,
     SmartBag,
     SmartMap,
     SmartSet,
     SortedSmartMap,
+    count_in_range,
+    encode_array,
     layout_tradeoff,
+    sum_range,
 )
 from repro.numa import PerfCounters, machine_2x18_haswell
 
@@ -67,18 +68,19 @@ def compression_demo() -> None:
     column = dictionary[rng.integers(0, 500, size=100_000)]
 
     plain_bytes = column.size * 8
-    enc = DictionaryEncodedArray.encode(column)
+    enc = encode_array(column, "dict")
     print(f"plain 64-bit column:   {human_bytes(plain_bytes)}")
     print(f"dictionary encoded:    {human_bytes(enc.storage_bytes)} "
-          f"({enc.codes.bits}-bit codes, {enc.cardinality} distincts)")
+          f"({enc.bits}-bit codes, "
+          f"{enc.generation.meta.cardinality} distincts)")
     lo, hi = int(dictionary.min()), int(np.median(dictionary))
-    print(f"predicate on codes: {enc.count_in_range(lo, hi):,} rows in range")
+    print(f"predicate on codes: {count_in_range(enc, lo, hi):,} rows in range")
 
     sorted_column = np.sort(rng.integers(0, 30, size=100_000)).astype(np.uint64)
-    rle = RunLengthArray.encode(sorted_column)
+    rle = encode_array(sorted_column, "rle")
     print(f"sorted column RLE:     {human_bytes(rle.storage_bytes)} "
-          f"({rle.n_runs} runs for {len(rle):,} elements)")
-    assert rle.sum() == int(sorted_column.sum())
+          f"({rle.generation.meta.n_runs} runs for {len(rle):,} elements)")
+    assert sum_range(rle) == int(sorted_column.sum())
 
 
 def dynamic_adaptivity_demo() -> None:

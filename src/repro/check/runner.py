@@ -164,7 +164,6 @@ class CaseRunner:
         self._table: Optional[SmartTable] = None
         self._companion = None
         self._oracle_v: Optional[orc.OracleArray] = None
-        self._table_k_dirty = True
         # The obs profile runs every op inside a trace span and
         # cross-checks the registry / per-span counter deltas against
         # the same oracle-predicted accounting `_check_stats` enforces.
@@ -315,7 +314,6 @@ class CaseRunner:
 
     def _mark_written(self) -> None:
         self._zonemap_dirty = True
-        self._table_k_dirty = True
 
     # -- query-op helpers --------------------------------------------------
 
@@ -340,13 +338,15 @@ class CaseRunner:
 
     def _ensure_query_zonemaps(self) -> None:
         """(Re)build the table's cached zone maps, charging each build's
-        exact decode cost, so query plans always prune on fresh maps."""
+        exact decode cost, so query plans always prune on fresh maps.
+        A write to ``k`` makes ``SmartTable.zone_map`` drop its map, which
+        is what triggers the rebuild here."""
         table = self._ensure_query_table()
         spec = self.case.spec
         if spec.length == 0:
             return
         chunks = orc.chunks_for(spec.length)
-        if table.zone_map("k") is None or self._table_k_dirty:
+        if table.zone_map("k") is None:
             before = self._snapshot()
             table.build_zone_map("k", allocator=self.allocator,
                                  superchunk=spec.superchunk)
@@ -354,7 +354,6 @@ class CaseRunner:
                 before,
                 {"unpacks": chunks, "replica_reads": 64 * chunks},
                 "build_zone_map(k)")
-            self._table_k_dirty = False
         if table.zone_map("v") is None:  # the value column is never written
             before = self._snapshot()
             table.build_zone_map("v", allocator=self.allocator,

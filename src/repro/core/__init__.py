@@ -5,6 +5,11 @@ Public surface:
 * :func:`allocate` / :func:`allocate_like` — create smart arrays with a
   NUMA placement and a bit width;
 * :class:`SmartArray` and its concrete subclasses;
+* :func:`encode_array` / :class:`CodecArray` — the same arrays under a
+  dictionary, run-length or delta layout (:mod:`repro.core.codecs`),
+  read by the same scan operators (:func:`count_in_range`,
+  :func:`select_in_range`, :func:`count_equal`, :func:`min_max`) and
+  :func:`sum_range`;
 * :class:`SmartArrayIterator` and its concrete subclasses;
 * :mod:`repro.core.bitpack` — the raw Function 1/2/3 kernels;
 * :mod:`repro.core.entry_points` — the flat handle-based API that
@@ -27,7 +32,6 @@ from .bitpack import (
     words_for,
 )
 from .codecs import CODECS, CodecArray, encode_array
-from .delta import DeltaEncodedArray
 from .errors import (
     AllocationError,
     CodecError,
@@ -47,7 +51,6 @@ from .iterators import (
     Uncompressed64Iterator,
 )
 from .bitpack_fast import unpack_array_fast
-from .dictionary import DictionaryEncodedArray
 from .map_api import (
     SUPERCHUNK_ELEMENTS,
     for_each_chunk,
@@ -66,7 +69,6 @@ from .scan_ops import (
 )
 from .placement import Placement, PlacementKind, STANDARD_PLACEMENTS
 from .randomization import RandomizedArray
-from .rle import RunLengthArray
 from .smart_map import SmartMap, SmartMapFullError
 from .smart_set import SmartBag, SmartSet
 from .smart_sorted import SortedSmartMap, layout_tradeoff
@@ -89,9 +91,6 @@ __all__ = [
     "CodecError",
     "CodecWriteError",
     "CompressedIterator",
-    "DeltaEncodedArray",
-    "DictionaryEncodedArray",
-    "RunLengthArray",
     "encode_array",
     "SmartBag",
     "SmartSet",

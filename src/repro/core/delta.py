@@ -12,9 +12,8 @@ Each frame also records its maximum, so range predicates prune whole
 frames from min/max alone — the frame-granular analogue of the chunk
 zone maps in :mod:`repro.core.zonemap`.
 
-:class:`DeltaEncodedArray` is the standalone user-facing class;
-the generation-level codec in :mod:`repro.core.codecs` reuses
-:func:`delta_frames` for its single-buffer layout.
+The generation-level codec in :mod:`repro.core.codecs` stores the
+frames :func:`delta_frames` computes in its single-buffer layout.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from typing import Tuple
 import numpy as np
 
 from . import bitpack
-from .allocate import allocate
-from .scan_ops import clamp_u64_range
-from .smart_array import SmartArray
 
 #: Elements per frame: 64 chunks, so frame boundaries always align with
 #: the engine's 64-element chunk grid and a frame decode is a plain
@@ -61,160 +57,3 @@ def delta_frames(
             frame - refs[f]
     delta_bits = bitpack.max_bits_needed(deltas) if deltas.size else 1
     return refs, maxs, deltas, delta_bits
-
-
-class DeltaEncodedArray:
-    """A column stored as (frame refs, frame maxs, packed deltas)."""
-
-    def __init__(self, refs: SmartArray, frame_maxs: SmartArray,
-                 deltas: SmartArray, length: int,
-                 frame_elements: int = FRAME_ELEMENTS):
-        if refs.length != frame_maxs.length:
-            raise ValueError("frame refs and maxs must align")
-        self.refs = refs
-        self.frame_maxs = frame_maxs
-        self.deltas = deltas
-        self._length = int(length)
-        self.frame_elements = int(frame_elements)
-
-    @classmethod
-    def encode(cls, values, allocator=None,
-               frame_elements: int = FRAME_ELEMENTS,
-               **placement) -> "DeltaEncodedArray":
-        values = np.ascontiguousarray(values, dtype=np.uint64)
-        refs, maxs, deltas, delta_bits = delta_frames(values, frame_elements)
-        ref_bits = bitpack.max_bits_needed(maxs) if maxs.size else 1
-        refs_array = allocate(refs.size, bits=ref_bits, values=refs,
-                              allocator=allocator, **placement)
-        maxs_array = allocate(maxs.size, bits=ref_bits, values=maxs,
-                              allocator=allocator, **placement)
-        deltas_array = allocate(deltas.size, bits=delta_bits, values=deltas,
-                                allocator=allocator, **placement)
-        return cls(refs_array, maxs_array, deltas_array, values.size,
-                   frame_elements)
-
-    # -- access ------------------------------------------------------------
-
-    @property
-    def length(self) -> int:
-        return self._length
-
-    @property
-    def n_frames(self) -> int:
-        return self.refs.length
-
-    def get(self, index: int, socket: int = 0) -> int:
-        if not 0 <= index < self._length:
-            raise IndexError(
-                f"index {index} out of range for length {self._length}"
-            )
-        frame = index // self.frame_elements
-        ref = self.refs.get(frame, self.refs.get_replica(socket))
-        delta = self.deltas.get(index, self.deltas.get_replica(socket))
-        return ref + delta
-
-    def __getitem__(self, index: int) -> int:
-        if index < 0:
-            index += self._length
-        return self.get(index)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def to_numpy(self) -> np.ndarray:
-        if self._length == 0:
-            return np.empty(0, dtype=np.uint64)
-        deltas = self.deltas.to_numpy()
-        refs = np.repeat(self.refs.to_numpy(), self.frame_elements)
-        return refs[:self._length] + deltas
-
-    # -- predicate push-down ------------------------------------------------
-
-    def min_max(self) -> Tuple[int, int]:
-        """(min, max) from frame metadata alone, no delta decode."""
-        if self._length == 0:
-            raise ValueError("min_max over an empty array")
-        return (int(self.refs.to_numpy().min()),
-                int(self.frame_maxs.to_numpy().max()))
-
-    def _frame_masks(self, lo64, hi64) -> Tuple[np.ndarray, np.ndarray]:
-        """(touched, covered) frame masks for a clamped range.
-
-        ``touched`` frames may hold matches; ``covered`` frames match
-        entirely and never need their deltas decoded.
-        """
-        refs = self.refs.to_numpy()
-        maxs = self.frame_maxs.to_numpy()
-        touched = maxs >= lo64
-        covered = refs >= lo64
-        if hi64 is not None:
-            touched &= refs < hi64
-            covered &= maxs < hi64
-        return touched, covered
-
-    def count_in_range(self, lo: int, hi: int) -> int:
-        """COUNT(*) WHERE lo <= v < hi, decoding only partial frames."""
-        bounds = clamp_u64_range(lo, hi)
-        if bounds is None or self._length == 0:
-            return 0
-        lo64, hi64 = bounds
-        touched, covered = self._frame_masks(lo64, hi64)
-        fe = self.frame_elements
-        total = 0
-        for f in np.nonzero(touched)[0]:
-            start = int(f) * fe
-            stop = min(self._length, start + fe)
-            if covered[f]:
-                total += stop - start
-                continue
-            ref = np.uint64(self.refs.get(int(f)))
-            deltas = self.deltas.gather_many(np.arange(start, stop))
-            frame = ref + deltas
-            mask = frame >= lo64
-            if hi64 is not None:
-                mask &= frame < hi64
-            total += int(mask.sum())
-        return total
-
-    def select_in_range(self, lo: int, hi: int) -> np.ndarray:
-        """Indices of elements in ``[lo, hi)``, frame-pruned."""
-        bounds = clamp_u64_range(lo, hi)
-        if bounds is None or self._length == 0:
-            return np.empty(0, dtype=np.int64)
-        lo64, hi64 = bounds
-        touched, covered = self._frame_masks(lo64, hi64)
-        fe = self.frame_elements
-        pieces = []
-        for f in np.nonzero(touched)[0]:
-            start = int(f) * fe
-            stop = min(self._length, start + fe)
-            if covered[f]:
-                pieces.append(np.arange(start, stop, dtype=np.int64))
-                continue
-            ref = np.uint64(self.refs.get(int(f)))
-            deltas = self.deltas.gather_many(np.arange(start, stop))
-            frame = ref + deltas
-            mask = frame >= lo64
-            if hi64 is not None:
-                mask &= frame < hi64
-            pieces.append(np.nonzero(mask)[0].astype(np.int64) + start)
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces)
-
-    # -- accounting ---------------------------------------------------------
-
-    @property
-    def storage_bytes(self) -> int:
-        return (self.refs.storage_bytes + self.frame_maxs.storage_bytes
-                + self.deltas.storage_bytes)
-
-    def compression_vs_plain(self) -> float:
-        plain = self._length * 8
-        return self.storage_bytes / plain if plain else 1.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<DeltaEncodedArray n={self._length} frames={self.n_frames} "
-            f"deltas@{self.deltas.bits}b>"
-        )

@@ -282,6 +282,10 @@ class SmartArray(abc.ABC):
         #: makes dual-writing into an in-flight migration's target
         #: race-free.  See docs/API.md "Live adaptation: write policy".
         self._write_gate = threading.Lock()
+        #: Bumped under the write gate by every in-place write, so
+        #: metadata derived from the contents (a zone map) can tell it
+        #: went stale without rescanning.
+        self._write_epoch = 0
         #: The in-flight migration (repro.live.Migration) or None.
         self._migration = None
         #: Retired generations still pinned by in-flight readers.
@@ -380,6 +384,11 @@ class SmartArray(abc.ABC):
     @property
     def generation_epoch(self) -> int:
         return self._generation.epoch
+
+    @property
+    def write_epoch(self) -> int:
+        """Count of in-place writes (``init``/``fill``/``scatter_many``)."""
+        return self._write_epoch
 
     def pin_generation(self) -> StorageGeneration:
         """Pin and return the active generation for a read operation.
@@ -645,6 +654,7 @@ class SmartArray(abc.ABC):
             packed = bitpack.pack_array(values, gen.bits)
             for buf in gen.buffers:
                 np.copyto(buf, packed)
+            self._write_epoch += 1
             if self._migration is not None:
                 self._migration.mirror_fill(values)
         self.stats.add("bulk_elements_written", values.size)
@@ -695,6 +705,7 @@ class SmartArray(abc.ABC):
             _check_gen_writable(gen)
             for buf in gen.buffers:
                 bitpack.scatter(buf, indices, values, gen.bits)
+            self._write_epoch += 1
             if self._migration is not None:
                 self._migration.mirror_scatter(indices, values)
         self.stats.add("bulk_elements_written", indices.size)
@@ -766,6 +777,7 @@ class BitCompressedArray(SmartArray):
             gen = self._generation
             _check_gen_writable(gen)
             bitpack.init_scalar(gen.buffers, index, value, gen.bits)
+            self._write_epoch += 1
             if self._migration is not None:
                 self._migration.mirror_write(index, value)
 
@@ -802,6 +814,7 @@ class Uncompressed64Array(BitCompressedArray):
             gen = self._generation
             _check_gen_writable(gen)
             _scalar_init(gen.buffers, index, value, gen.bits)
+            self._write_epoch += 1
             if self._migration is not None:
                 self._migration.mirror_write(index, value)
 
@@ -841,6 +854,7 @@ class Uncompressed32Array(BitCompressedArray):
             gen = self._generation
             _check_gen_writable(gen)
             _scalar_init(gen.buffers, index, value, gen.bits)
+            self._write_epoch += 1
             if self._migration is not None:
                 self._migration.mirror_write(index, value)
 

@@ -16,7 +16,11 @@ Query surface (deliberately small and analytics-shaped):
 * ``group_by_sum(key_column, value_column)`` — hash aggregation.
 
 All results are exact (Python-integer arithmetic through the same
-paths the runtime uses).
+paths the runtime uses).  Whole-column ``sum``/``mean`` and
+``group_by_sum`` run as compiled queries (:meth:`query`); the reads the
+query would make slower stay direct: ``filter_range`` (a zone-map
+selection), whole-column ``min``/``max`` (codec metadata) and any
+aggregate over ``rows`` (an index gather).
 """
 
 from __future__ import annotations
@@ -137,22 +141,15 @@ class SmartTable:
             raise ValueError("predicate must return one bool per row")
         return np.nonzero(mask)[0]
 
-    def filter_range(self, name: str, lo: int, hi: int,
-                     zone_map=None) -> np.ndarray:
+    def filter_range(self, name: str, lo: int, hi: int) -> np.ndarray:
         """Row indices with ``lo <= column < hi``.
 
         Runs the chunked selection scan (never a full decode).  With a
-        zone map — passed explicitly or previously cached via
-        :meth:`build_zone_map` — non-candidate chunks are skipped
-        entirely.
+        current zone map cached by :meth:`build_zone_map`,
+        non-candidate chunks are skipped entirely.
         """
-        if zone_map is None:
-            zone_map = self._zone_maps.get(name)
+        zone_map = self.zone_map(name)
         if zone_map is not None:
-            if zone_map.array is not self.column(name):
-                raise ValueError(
-                    "zone map was built over a different column"
-                )
             return zone_map.select_in_range(lo, hi)
         from .scan_ops import select_in_range
 
@@ -165,10 +162,10 @@ class SmartTable:
         """Build (or rebuild) and cache a zone map for ``name``.
 
         Cached maps are consulted by :meth:`filter_range` and by the
-        query planner's predicate pushdown.  They index the column's
-        *current* contents; after writing to the column, call this again
-        (or :meth:`invalidate_zone_maps`) — a stale map may keep pruned
-        chunks that now match.
+        query planner's predicate pushdown while they index the
+        column's current contents: a write or a migration makes
+        :meth:`zone_map` drop the map, and pruning resumes once this is
+        called again.
         """
         from .zonemap import ZoneMap
 
@@ -181,14 +178,16 @@ class SmartTable:
         """The cached zone map for ``name``, or ``None``.
 
         A map built against an older storage generation of the column
-        (i.e. before a live migration) is dropped, not returned: the
-        planner must never prune against metadata whose epoch does not
-        match the storage it will decode.
+        (i.e. before a live migration), or before an in-place write to
+        it, is dropped, not returned: the planner must never prune or
+        cover chunks against metadata that no longer describes the
+        storage it will decode.
         """
         column = self.column(name)
         zm = self._zone_maps.get(name)
         if zm is not None and (
             zm.built_epoch != getattr(column, "generation_epoch", 0)
+            or zm.built_write_epoch != getattr(column, "write_epoch", 0)
         ):
             del self._zone_maps[name]
             return None
@@ -210,15 +209,11 @@ class SmartTable:
         )
 
     def sum(self, name: str, rows: Optional[np.ndarray] = None) -> int:
-        from ..runtime.loops import _exact_sum
-
         if rows is not None:
-            return _exact_sum(self._gathered(name, rows))
-        # Whole-column path: stream superchunk spans through the
-        # blocked kernel — never materializes the column.
-        from .map_api import sum_range
+            from ..runtime.loops import _exact_sum
 
-        return sum_range(self.column(name))
+            return _exact_sum(self._gathered(name, rows))
+        return self.query().sum(name).run().scalar()
 
     def min(self, name: str, rows: Optional[np.ndarray] = None) -> int:
         if rows is not None:
@@ -250,35 +245,10 @@ class SmartTable:
             raise ValueError("mean of an empty selection")
         return self.sum(name, rows) / n
 
-    def group_by_sum(
-        self, key: str, value: str
-    ) -> Dict[int, int]:
-        """SELECT key, SUM(value) GROUP BY key (exact arithmetic).
-
-        Streams both columns one superchunk span at a time through the
-        blocked kernel — peak extra memory is two span buffers, not two
-        decoded columns — folding each span pair through the grouped
-        reduce compiled query kernels use
-        (:func:`repro.query.codegen.group_fold`), specialized on the
-        widths the span's own values need: exact under any concurrent
-        migration, since no storage width read apart from the decode is
-        trusted.
-        """
-        from ..query.codegen import group_fold
-        from .map_api import SUPERCHUNK_ELEMENTS, iter_spans
-
-        groups: Dict[int, List[int]] = {}
-        # Each generator owns its buffer, so zipping spans is safe.
-        for (_, keys), (_, values) in zip(
-            iter_spans(self.column(key)), iter_spans(self.column(value))
-        ):
-            group_fold(
-                bitpack.max_bits_needed(keys),
-                (bitpack.max_bits_needed(values),),
-                (("sum", 0),),
-                SUPERCHUNK_ELEMENTS,
-            ).fn(groups, keys, values)
-        return {k: groups[k][0] for k in sorted(groups)}
+    def group_by_sum(self, key: str, value: str) -> Dict[int, int]:
+        """SELECT key, SUM(value) GROUP BY key (exact, keys ascending)."""
+        result = self.query().group_by(key).sum(value).run()
+        return {k: aggs[f"sum({value})"] for k, aggs in result.groups.items()}
 
     # -- accounting ------------------------------------------------------------
 

@@ -89,6 +89,11 @@ class ZoneMap:
         #: *contents* survive a value-preserving migration, but the
         #: epoch is the cheap, conservative invalidation signal).
         self.built_epoch = getattr(array, "generation_epoch", 0)
+        #: ``array.write_epoch`` when the build scan started (see
+        #: :meth:`_build`).  An in-place write bumps the array's epoch,
+        #: and ``SmartTable.zone_map`` then drops this map rather than
+        #: prune or cover chunks whose contents it no longer describes.
+        self.built_write_epoch = getattr(array, "write_epoch", 0)
         #: ``(mins, maxs)`` decoded to NumPy by the first range lookup
         #: (see :meth:`bounds`); nothing is decoded at build time.
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -116,6 +121,9 @@ class ZoneMap:
     def _build(cls, array: SmartArray, n_chunks: int, allocator,
                superchunk) -> "ZoneMap":
         chunks_per_step = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
+        # Read before the scan: a write racing the build leaves the map
+        # stale, never current.
+        write_epoch = getattr(array, "write_epoch", 0)
         mins = np.zeros(max(1, n_chunks), dtype=np.uint64)
         maxs = np.zeros(max(1, n_chunks), dtype=np.uint64)
         buf = np.empty(chunks_per_step * bitpack.CHUNK_ELEMENTS,
@@ -151,7 +159,9 @@ class ZoneMap:
         if n_chunks:
             zmins.fill(mins[:n_chunks])
             zmaxs.fill(maxs[:n_chunks])
-        return cls(array, zmins, zmaxs)
+        zm = cls(array, zmins, zmaxs)
+        zm.built_write_epoch = write_epoch
+        return zm
 
     @property
     def n_chunks(self) -> int:

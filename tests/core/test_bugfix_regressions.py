@@ -607,76 +607,135 @@ class TestGenValuesPurity:
 
 
 class TestCodecU64BoundaryRegressions:
-    """uint64-boundary bugs in the codec modules' range paths.
+    """uint64-boundary bugs in the codec range paths.
 
-    ``codes_for_range`` fed raw Python ints straight into
+    Dictionary code-range translation fed raw Python ints straight into
     ``np.searchsorted`` against a uint64 dictionary, so ``hi = 2**64``
     (the canonical "unbounded above" sentinel every other range
     operator accepts) promoted through float64 — or raised, depending
     on the NumPy era — and values near ``2**64`` compared wrong.  The
     RLE paths had the same hole.  All of them now route through
     ``clamp_u64_range``; these pin the *exact results* at the
-    boundaries, not merely that nothing raises.
+    boundaries of the dict and RLE layouts, not merely that nothing
+    raises.
     """
 
     def _dict(self, values):
-        from repro.core import DictionaryEncodedArray
+        from repro.core import encode_array
 
-        return DictionaryEncodedArray.encode(
-            np.asarray(values, dtype=np.uint64), allocator=_allocator()
-        )
+        return encode_array(np.asarray(values, dtype=np.uint64), "dict",
+                            allocator=_allocator())
 
     def _rle(self, values):
-        from repro.core import RunLengthArray
+        from repro.core import encode_array
 
-        return RunLengthArray.encode(
-            np.asarray(values, dtype=np.uint64), allocator=_allocator()
-        )
+        return encode_array(np.asarray(values, dtype=np.uint64), "rle",
+                            allocator=_allocator())
 
     def test_codes_for_range_full_u64_domain(self):
         enc = self._dict([10, 20, 30, 20, 10])
-        assert enc.codes_for_range(0, 2 ** 64) == (0, enc.cardinality)
-        assert enc.count_in_range(0, 2 ** 64) == 5
+        assert count_in_range(enc, 0, 2 ** 64) == 5
         np.testing.assert_array_equal(
-            enc.select_in_range(0, 2 ** 64), np.arange(5)
+            select_in_range(enc, 0, 2 ** 64), np.arange(5)
         )
 
     def test_dict_boundaries_near_u64_max(self):
         enc = self._dict([0, U64_MAX, U64_MAX - 1, U64_MAX])
-        assert enc.count_in_range(U64_MAX, 2 ** 64) == 2
-        assert enc.count_in_range(U64_MAX - 1, U64_MAX) == 1
+        assert count_in_range(enc, U64_MAX, 2 ** 64) == 2
+        assert count_in_range(enc, U64_MAX - 1, U64_MAX) == 1
         np.testing.assert_array_equal(
-            enc.select_in_range(U64_MAX, 2 ** 65), [1, 3]
+            select_in_range(enc, U64_MAX, 2 ** 65), [1, 3]
         )
 
     def test_dict_degenerate_ranges(self):
         enc = self._dict([5, 6, 7])
-        assert enc.count_in_range(6, 6) == 0          # empty half-open
-        assert enc.count_in_range(7, 6) == 0          # lo > hi
-        assert enc.count_in_range(-10, 6) == 1        # negative lo clamps
-        assert enc.select_in_range(9, 2).size == 0
+        assert count_in_range(enc, 6, 6) == 0          # empty half-open
+        assert count_in_range(enc, 7, 6) == 0          # lo > hi
+        assert count_in_range(enc, -10, 6) == 1        # negative lo clamps
+        assert select_in_range(enc, 9, 2).size == 0
 
     def test_rle_full_domain_and_degenerate_ranges(self):
         enc = self._rle([4, 4, 4, 9, 9, 4])
-        assert enc.count_in_range(0, 2 ** 64) == 6
-        assert enc.count_in_range(9, 4) == 0
-        assert enc.count_in_range(-3, 5) == 4
+        assert count_in_range(enc, 0, 2 ** 64) == 6
+        assert count_in_range(enc, 9, 4) == 0
+        assert count_in_range(enc, -3, 5) == 4
         np.testing.assert_array_equal(
-            enc.select_in_range(0, 2 ** 70), np.arange(6)
+            select_in_range(enc, 0, 2 ** 70), np.arange(6)
         )
 
     def test_rle_near_u64_max(self):
         enc = self._rle([U64_MAX, U64_MAX, 1, U64_MAX - 1])
-        assert enc.count_in_range(U64_MAX, 2 ** 64) == 2
-        assert enc.count_equal(U64_MAX) == 2
-        assert enc.count_equal(2 ** 64) == 0          # out of domain
-        assert enc.count_equal(-1) == 0
+        assert count_in_range(enc, U64_MAX, 2 ** 64) == 2
+        assert count_equal(enc, U64_MAX) == 2
+        assert count_equal(enc, 2 ** 64) == 0          # out of domain
+        assert count_equal(enc, -1) == 0
 
     def test_rle_sum_is_exact_not_wrapping(self):
         # Two max-value runs: a uint64 accumulator would wrap; the
         # engine's sum contract is exact arbitrary-precision.
+        from repro.core import sum_range
+
         enc = self._rle([U64_MAX] * 5 + [7] * 3)
-        assert enc.sum() == 5 * U64_MAX + 21
+        assert sum_range(enc) == 5 * U64_MAX + 21
+
+
+class TestStaleZoneMapRegression:
+    """An in-place write after ``build_zone_map`` left the cached map in
+    use: ``count(*) WHERE ts >= 4000`` kept answering 96 after
+    ``ts[10] = 4090`` (the right answer is 97), through both the query
+    planner and ``filter_range``.  Every write path now bumps the
+    column's write epoch and ``SmartTable.zone_map`` drops a map built
+    before it.
+    """
+
+    def _table(self):
+        from repro.core import SmartTable
+
+        n = 4096
+        t = SmartTable.from_arrays(
+            {"ts": np.arange(n), "v": np.ones(n, dtype=np.uint64)},
+            allocator=_allocator(),
+        )
+        t.build_zone_map("ts")
+        return t
+
+    @staticmethod
+    def _count(t):
+        from repro.query import Query, col
+
+        return (Query(t).where(col("ts") >= 4000).count().run().scalar(),
+                t.filter_range("ts", 4000, 2 ** 64).size)
+
+    def test_probe_returns_97(self):
+        t = self._table()
+        assert self._count(t) == (96, 96)
+        t["ts"][10] = 4090
+        assert self._count(t) == (97, 97)
+        assert t.zone_map("ts") is None
+        t.build_zone_map("ts")
+        assert self._count(t) == (97, 97)
+
+    @pytest.mark.parametrize("write", [
+        "init", "setitem", "setitem_slice", "scatter_many", "fill"])
+    def test_every_write_path_drops_the_map(self, write):
+        t = self._table()
+        ts = t["ts"]
+        epoch = ts.write_epoch
+        if write == "init":
+            ts.init(10, 4090)
+        elif write == "setitem":
+            ts[10] = 4090
+        elif write == "setitem_slice":
+            ts[10:11] = 4090
+        elif write == "scatter_many":
+            ts.scatter_many(np.array([10]), np.array([4090], np.uint64))
+        else:
+            values = np.arange(4096, dtype=np.uint64)
+            values[10] = 4090
+            ts.fill(values)
+        assert ts.write_epoch > epoch
+        assert t.zone_map("ts") is None
+        assert self._count(t) == (97, 97)
 
 
 class TestCodecClassSwapRaceRegression:

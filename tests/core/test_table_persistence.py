@@ -110,9 +110,8 @@ class TestQueries:
         (4, 64), (16, 41), (17, 40), (64, 64), (1, 1),
     ])
     def test_group_by_sum_exact_at_every_width(self, key_bits, value_bits):
-        # Spans fold through the query kernels' grouped reduce, sized on
-        # each span's own values: wide keys, sums past 2**64, and spans
-        # whose widths differ (the low half of the table is narrow).
+        # The compiled group_by query: wide keys, sums past 2**64, and
+        # a table whose low half is narrow.
         rng = np.random.default_rng([key_bits, value_bits])
         n = 10_000
         keys = rng.integers(0, 6, n, dtype=np.uint64) << np.uint64(
@@ -136,21 +135,11 @@ class TestQueries:
         np.testing.assert_array_equal(fast, slow)
 
     def test_filter_range_with_zone_map(self, table):
-        from repro.core import ZoneMap
-
         t, data = table
-        zm = ZoneMap.build(t["price"])
-        fast = t.filter_range("price", 1000, 5000, zone_map=zm)
+        t.build_zone_map("price")
+        fast = t.filter_range("price", 1000, 5000)
         slow = t.filter("price", lambda p: (p >= 1000) & (p < 5000))
         np.testing.assert_array_equal(np.sort(fast), np.sort(slow))
-
-    def test_filter_range_foreign_zone_map_rejected(self, table):
-        from repro.core import ZoneMap
-
-        t, _ = table
-        zm = ZoneMap.build(t["quantity"])
-        with pytest.raises(ValueError):
-            t.filter_range("price", 0, 10, zone_map=zm)
 
     def test_select_projection_shares_columns(self, table):
         t, _ = table
@@ -218,3 +207,72 @@ class TestPersistence:
         save_array(path, sa)
         loaded = load_array(path, allocator=allocator)
         assert len(loaded) == 0
+
+
+def _wide_values(rng, n, bits):
+    """``n`` uint64 values below ``2**bits`` whose maximum needs ``bits``."""
+    raw = (rng.integers(0, 1 << 63, n, dtype=np.uint64) << np.uint64(1)) \
+        | rng.integers(0, 2, n, dtype=np.uint64)
+    values = raw >> np.uint64(64 - bits)
+    if n:
+        values[n // 2] |= np.uint64(1 << (bits - 1))
+    return values
+
+
+class TestEagerSurface:
+    """Every eager read equals NumPy / Python ints, plain and encoded."""
+
+    @pytest.mark.parametrize("codecs", [None, {"ts": "delta",
+                                               "region": "dict"}],
+                             ids=["plain", "encoded"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 65, 4_097, 70_000])
+    @pytest.mark.parametrize("bits", [1, 20, 33, 63, 64])
+    def test_matches_numpy(self, codecs, n, bits):
+        rng = np.random.default_rng([n, bits])
+        data = {
+            "ts": np.sort(_wide_values(rng, n, bits)),
+            # A handful of distinct keys at the full width.
+            "region": _wide_values(rng, 7, bits)[rng.integers(0, 7, n)],
+            "amount": _wide_values(rng, n, bits),
+        }
+        t = SmartTable.from_arrays(data, codecs=codecs)
+        for name, values in data.items():
+            exact = values.astype(object)
+            assert t.sum(name) == int(exact.sum())
+            if n:
+                assert t.min(name) == int(values.min())
+                assert t.max(name) == int(values.max())
+                assert t.mean(name) == int(exact.sum()) / n
+            else:
+                for aggregate in (t.min, t.max, t.mean):
+                    with pytest.raises(ValueError):
+                        aggregate(name)
+
+        keys, amount = data["region"], data["amount"]
+        expected = sorted(
+            (int(k), int(amount[keys == k].astype(object).sum()))
+            for k in np.unique(keys))
+        result = t.group_by_sum("region", "amount")
+        assert list(result.items()) == expected
+        assert all(type(total) is int for total in result.values())
+
+        ts = data["ts"]
+        bounds = [(0, 2 ** 64), (1, 2)]
+        if n:
+            bounds.append((int(ts[n // 4]), int(ts[3 * n // 4])))
+        for zone_map in (False, True):
+            if zone_map:
+                t.build_zone_map("ts")
+            for lo, hi in bounds:
+                want = np.flatnonzero((ts >= np.uint64(lo))
+                                      & (ts.astype(object) < hi))
+                rows = t.filter_range("ts", lo, hi)
+                np.testing.assert_array_equal(np.sort(rows), want)
+                assert t.sum("amount", rows) == int(
+                    amount[want].astype(object).sum())
+
+        none = np.array([], dtype=np.int64)
+        assert t.sum("amount", none) == 0
+        for aggregate in (t.min, t.max, t.mean):
+            with pytest.raises(ValueError):
+                aggregate("amount", none)

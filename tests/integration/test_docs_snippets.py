@@ -88,24 +88,24 @@ class TestApiGuideSnippets:
 
     def test_collections_forms(self):
         from repro.core import (
-            DictionaryEncodedArray,
             RandomizedArray,
-            RunLengthArray,
             SmartMap,
             SortedSmartMap,
             ZoneMap,
             allocate,
+            count_in_range,
+            encode_array,
+            sum_range,
         )
 
         m = SmartMap.from_items([(1, 10), (2, 20)])
         assert m[2] == 20
         s = SortedSmartMap.from_items([(1, 10), (5, 50)])
         assert list(s.range_query(0, 6)) == [(1, 10), (5, 50)]
-        enc = DictionaryEncodedArray.encode(np.array([9, 9, 4],
-                                                     dtype=np.uint64))
-        assert enc.count_in_range(4, 5) == 1
-        rle = RunLengthArray.encode(np.array([7, 7, 8], dtype=np.uint64))
-        assert rle.sum() == 22
+        enc = encode_array(np.array([9, 9, 4], dtype=np.uint64), "dict")
+        assert count_in_range(enc, 4, 5) == 1
+        rle = encode_array(np.array([7, 7, 8], dtype=np.uint64), "rle")
+        assert sum_range(rle) == 22
         r = RandomizedArray(allocate(10, bits=8))
         r.fill(np.arange(10))
         assert r[3] == 3
