@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures examples live clean all
+.PHONY: install test bench figures examples live loc clean all
 
 install:
 	pip install -e .
@@ -24,6 +24,10 @@ examples:
 live:
 	$(PYTHON) -m repro live
 	cd benchmarks && $(PYTHON) bench_live_adaptation.py
+
+# Python source lines under src/ (the tracked size metric).
+loc:
+	@find src -name '*.py' -exec cat {} + | wc -l
 
 artifacts: ## the final paper-trail outputs
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -1,17 +1,25 @@
 """smartcheck: differential fuzz + invariant harness for the smart-array
 stack.
 
-PR 1's bulk-span scan engine made every read path (scan operators, zone
-maps, iterators, parallel scans) a second implementation of the same
-semantics.  This package machine-checks that they all agree: a seeded
-generator (:mod:`repro.check.generator`) produces random operation
-sequences across the full grid of placements x bit widths x superchunk
-sizes x pool modes, a plain-NumPy oracle (:mod:`repro.check.oracle`)
-independently models every operator, the runner
-(:mod:`repro.check.runner`) compares results and standing invariants
-(replica consistency, zone-map bounds, decode accounting), and failing
-sequences shrink to minimal deterministic repros
-(:mod:`repro.check.shrink`).
+Every read path (scan operators, zone maps, iterators, parallel scans,
+the query engine, the SQL frontend, encoded layouts, sharded tables)
+is a separate implementation of the same semantics.  This package
+machine-checks that they all agree with one plain-NumPy oracle:
+
+* :mod:`~repro.check.generator` — seeded cases (array spec + op
+  sequence) per profile, across the placements x bit widths x
+  superchunk sizes x pool modes grid;
+* :mod:`~repro.check.oracle` — independent answers and predicted
+  decode accounting for every op, query results included;
+* :mod:`~repro.check.runner` — the core: case setup, counter
+  snapshots, the standing invariants (replica consistency, zone-map
+  bounds, decode accounting, obs counters) and one name -> handler
+  table over the op families :mod:`~repro.check.ops_array`,
+  :mod:`~repro.check.ops_query`, :mod:`~repro.check.ops_migrate` and
+  :mod:`~repro.check.ops_cluster`;
+* :mod:`~repro.check.shrink` — failing cases shrink to minimal
+  deterministic repros; :mod:`~repro.check.harness` runs a budget and
+  formats the report.
 
 Entry points::
 

@@ -14,6 +14,10 @@ gets/inits an op issues.  These counts are deterministic even for
 thread-pool parallel scans (dynamic claiming changes *which worker* runs
 a batch, never the batch boundaries), which is what makes the
 conservation invariant checkable under every pool mode.
+
+For query ops, :func:`expected_result` computes a query's answer from
+its declared shape over plain columns — the one expectation the query,
+SQL and cluster ops all compare against.
 """
 
 from __future__ import annotations
@@ -39,6 +43,77 @@ def clamp_range(lo: int, hi: int) -> Optional[Tuple[int, Optional[int]]]:
     if lo > U64_MAX:
         return None
     return lo, (None if int(hi) > U64_MAX else int(hi))
+
+
+def range_mask(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows of a plain ``uint64`` array with ``lo <= value < hi``, under
+    :func:`clamp_range`'s semantics."""
+    bounds = clamp_range(lo, hi)
+    if bounds is None:
+        return np.zeros(values.size, dtype=bool)
+    lo, hi = bounds
+    mask = values >= np.uint64(lo)
+    if hi is not None:
+        mask &= values < np.uint64(hi)
+    return mask
+
+
+def _aggregate(spec, columns: Dict[str, np.ndarray], mask: np.ndarray):
+    """One aggregate's exact value over the masked rows."""
+    if spec.kind == "count":
+        return int(mask.sum())
+    vals = columns[spec.column][mask]
+    if spec.kind == "sum":
+        return int(vals.astype(object).sum()) if vals.size else 0
+    if not vals.size:
+        return None
+    return int(vals.min() if spec.kind == "min" else vals.max())
+
+
+def _group_states(specs, columns: Dict[str, np.ndarray], key: str,
+                  mask: np.ndarray) -> Dict[int, Dict[str, object]]:
+    """Per-key aggregate states over the masked rows, keys in row order."""
+    groups: Dict[int, Dict[str, object]] = {}
+    for i in np.nonzero(mask)[0].tolist():
+        g = groups.setdefault(int(columns[key][i]), {})
+        for spec in specs:
+            if spec.kind == "count":
+                g[spec.name] = g.get(spec.name, 0) + 1
+                continue
+            v = int(columns[spec.column][i])
+            cur = g.get(spec.name)
+            if spec.kind == "sum":
+                g[spec.name] = (cur or 0) + v
+            elif spec.kind == "min":
+                g[spec.name] = v if cur is None else min(cur, v)
+            else:
+                g[spec.name] = v if cur is None else max(cur, v)
+    return groups
+
+
+def expected_result(query, columns: Dict[str, np.ndarray], mask: np.ndarray,
+                    aggregates=None) -> Tuple[str, object]:
+    """``(kind, payload)`` a query must return over ``columns`` (name ->
+    ``uint64`` values) restricted to the rows ``mask`` selects.
+
+    Reads only the query's declared shape — its aggregate specs (or
+    ``aggregates``, e.g. the specs a shard ships), group key, projection
+    and limit — and computes every answer with Python ints:
+    ``"aggregate"`` -> ``{name: value}``, ``"groups"`` -> ``{key: {name:
+    value}}``, ``"rows"`` -> ``(row indices, {name: values})``.
+    """
+    specs = query.aggregates if aggregates is None else aggregates
+    if specs and query.group_key is not None:
+        return "groups", _group_states(specs, columns, query.group_key,
+                                       mask)
+    if specs:
+        return "aggregate", {spec.name: _aggregate(spec, columns, mask)
+                             for spec in specs}
+    rows = np.nonzero(mask)[0].astype(np.int64)
+    if query.limit_rows is not None:
+        rows = rows[:query.limit_rows]
+    return "rows", (rows, {name: columns[name][rows]
+                           for name in (query.projection or ())})
 
 
 def chunks_for(length: int) -> int:
@@ -117,14 +192,7 @@ class OracleArray:
         return self.values[indices]
 
     def range_mask(self, lo: int, hi: int) -> np.ndarray:
-        bounds = clamp_range(lo, hi)
-        if bounds is None:
-            return np.zeros(self.length, dtype=bool)
-        lo, hi = bounds
-        mask = self.values >= np.uint64(lo)
-        if hi is not None:
-            mask &= self.values < np.uint64(hi)
-        return mask
+        return range_mask(self.values, lo, hi)
 
     def count_in_range(self, lo: int, hi: int, start: int = 0,
                        stop: Optional[int] = None) -> int:

@@ -51,12 +51,6 @@ CODECS = ("bitpack", "dict", "rle", "delta")
 #: Codecs with an encoded representation (everything but bitpack).
 ENCODED_CODECS = ("dict", "rle", "delta")
 
-#: Fault-injection seam for the smartcheck codec profile's planted-bug
-#: test: when flipped, dictionary code-range translation uses the wrong
-#: searchsorted side for the lower bound, silently excluding elements
-#: equal to ``lo`` whenever ``lo`` is present in the dictionary.
-_PLANTED_WRONG_CODE_RANGE = False
-
 
 def check_codec(codec: str) -> str:
     if codec not in CODECS:
@@ -408,8 +402,7 @@ def get_encoded(words, meta, index: int) -> int:
 
 
 def _dict_code_range(dictionary: np.ndarray, lo64, hi64) -> Tuple[int, int]:
-    side_lo = "right" if _PLANTED_WRONG_CODE_RANGE else "left"
-    code_lo = int(np.searchsorted(dictionary, lo64, side=side_lo))
+    code_lo = int(np.searchsorted(dictionary, lo64, side="left"))
     if hi64 is None:
         return code_lo, int(dictionary.size)
     return code_lo, int(np.searchsorted(dictionary, hi64, side="left"))

@@ -115,12 +115,6 @@ def iter_spans(
             gen.unpin()
 
 
-def _chunks(array: SmartArray, start: int, stop: int, socket: int,
-            superchunk: Optional[int] = None):
-    """Backward-compatible alias for :func:`iter_spans`."""
-    return iter_spans(array, start, stop, socket, superchunk)
-
-
 def map_range(
     array: SmartArray,
     fn: Callable[[np.ndarray], np.ndarray],

@@ -270,14 +270,7 @@ class Migration:
             self._next_chunk = first + count
             self.chunks_repacked += count
             self.migrator._chunks.add(count)
-        remaining = self._total_chunks - self._next_chunk
-        # Planted-bug seam for the smartcheck live profile: a positive
-        # _planted_early_swap commits with that many chunks still
-        # uncopied — the torn-migration bug the profile must catch.
-        if remaining <= 0 or (
-            self.migrator._planted_early_swap
-            and remaining <= self.migrator._planted_early_swap
-        ):
+        if self._next_chunk >= self._total_chunks:
             self._commit_locked()
 
     # -- encode mode -----------------------------------------------------
@@ -469,11 +462,6 @@ class LiveMigrator:
     retired generations' storage is returned to the same memory ledger
     it was charged against.
     """
-
-    #: Planted-bug seam for smartcheck's live profile: when positive,
-    #: repack migrations commit with this many chunks still uncopied.
-    #: Never set outside the torn-migration detection tests.
-    _planted_early_swap = 0
 
     def __init__(self, allocator, registry=None) -> None:
         self.allocator = allocator

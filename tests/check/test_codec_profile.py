@@ -9,6 +9,7 @@ oracle.  Encoded-domain fast paths are additionally proven to decode
 zero chunks via the per-op counter deltas.
 """
 
+import numpy as np
 import pytest
 
 import repro.core.codecs as codecs
@@ -64,24 +65,34 @@ class TestGenerator:
         assert run_case(case) is None
 
 
+def _plant_wrong_code_range(monkeypatch):
+    # The classic order-preserving-dictionary boundary bug: the lower
+    # bound is resolved with searchsorted side="right", silently
+    # dropping rows whose value equals ``lo`` whenever ``lo`` is itself
+    # in the dictionary.
+    real = codecs._dict_code_range
+
+    def wrong_code_range(dictionary, lo64, hi64):
+        _, code_hi = real(dictionary, lo64, hi64)
+        return int(np.searchsorted(dictionary, lo64, side="right")), code_hi
+
+    monkeypatch.setattr(codecs, "_dict_code_range", wrong_code_range)
+
+
 class TestPlantedBugs:
     def test_detects_wrong_dictionary_code_range(self, monkeypatch):
-        # Plant the classic order-preserving-dictionary boundary bug:
-        # the lower bound is resolved with searchsorted side="right",
-        # silently dropping rows whose value equals ``lo`` whenever
-        # ``lo`` is itself in the dictionary.  The profile's
-        # oracle-checked range scans must flag it as a result
-        # divergence.
-        monkeypatch.setattr(codecs, "_PLANTED_WRONG_CODE_RANGE", True)
+        # The profile's oracle-checked range scans must flag the planted
+        # bug as a result divergence.
+        _plant_wrong_code_range(monkeypatch)
         report = run_check(seed=0, ops=300, profile="codec",
                            max_failures=1, shrink=False)
         assert not report.ok
         assert report.failures[0].kind == "result"
 
     def test_failure_replays_clean_after_unpatching(self, monkeypatch):
-        monkeypatch.setattr(codecs, "_PLANTED_WRONG_CODE_RANGE", True)
+        _plant_wrong_code_range(monkeypatch)
         report = run_check(seed=0, ops=300, profile="codec",
                            max_failures=1, shrink=False)
         assert not report.ok
-        monkeypatch.setattr(codecs, "_PLANTED_WRONG_CODE_RANGE", False)
+        monkeypatch.undo()
         assert run_case(report.failures[0].case) is None

@@ -16,7 +16,7 @@ import pytest
 from repro.check import generate_cases, make_case, run_check
 from repro.check.runner import run_case
 from repro.cli import main
-from repro.live.migrator import LiveMigrator
+from repro.live.migrator import Migration
 
 MIGRATE_OPS = {
     "migrate", "migrate_during_scan", "migrate_with_writes", "migrate_abort",
@@ -59,24 +59,36 @@ class TestGenerator:
         assert run_case(case) is None
 
 
+def _plant_early_swap(monkeypatch):
+    # The canonical torn-migration bug: a repack migration commits the
+    # new generation while its last two chunks are still uncopied, so
+    # readers observe a half-migrated array.
+    real = Migration._step_repack_locked
+
+    def early_swap(self):
+        real(self)
+        if not self.done and self._total_chunks - self._next_chunk <= 2:
+            self._commit_locked()
+
+    monkeypatch.setattr(Migration, "_step_repack_locked", early_swap)
+
+
 class TestPlantedBugs:
     def test_detects_early_generation_swap(self, monkeypatch):
-        # Plant the canonical torn-migration bug: the migrator commits
-        # the new generation while the last chunks are still uncopied,
-        # so readers observe a half-migrated array.  The per-step
-        # storage check must catch it as a divergence from the oracle.
-        monkeypatch.setattr(LiveMigrator, "_planted_early_swap", 2)
+        # The per-step storage check must catch the planted bug as a
+        # divergence from the oracle.
+        _plant_early_swap(monkeypatch)
         report = run_check(seed=0, ops=300, profile="live",
                            max_failures=1, shrink=False)
         assert not report.ok
         assert report.failures[0].kind == "storage"
 
     def test_failure_replays_clean_after_unpatching(self, monkeypatch):
-        monkeypatch.setattr(LiveMigrator, "_planted_early_swap", 2)
+        _plant_early_swap(monkeypatch)
         report = run_check(seed=0, ops=300, profile="live",
                            max_failures=1, shrink=False)
         assert not report.ok
-        monkeypatch.setattr(LiveMigrator, "_planted_early_swap", 0)
+        monkeypatch.undo()
         assert run_case(report.failures[0].case) is None
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from repro.check import generate_cases, make_case, run_check
 from repro.check.generator import N_SQL_ERROR_TEMPLATES, N_SQL_STYLES
-from repro.check.runner import _SQL_ERROR_TEMPLATES, run_case
+from repro.check.ops_query import _SQL_ERROR_TEMPLATES
+from repro.check.runner import run_case
 from repro.cli import main
 
 SQL_OPS = {
@@ -104,10 +105,10 @@ class TestPlantedBugs:
     def test_detects_error_swallowing(self, monkeypatch):
         # If compile_sql stops rejecting malformed statements the
         # sql_error ops must notice.
-        import repro.check.runner as runner_mod
+        import repro.check.ops_query as ops_query
 
         monkeypatch.setattr(
-            runner_mod, "_SQL_ERROR_TEMPLATES",
+            ops_query, "_SQL_ERROR_TEMPLATES",
             ("SELECT count(*) FROM t",) * N_SQL_ERROR_TEMPLATES,
         )
         report = run_check(seed=0, ops=400, profile="sql",

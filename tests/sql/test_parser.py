@@ -171,7 +171,7 @@ def memo(monkeypatch):
 def generator_statements():
     """The ``sql`` smartcheck profile's statements at seed 0."""
     from repro.check import generate_cases
-    from repro.check.runner import _render_sql_op
+    from repro.check.ops_query import _render_sql_op
 
     return [_render_sql_op(op.name, op.args, op.args[-1])
             for case in generate_cases(0, 400, profile="sql")
