@@ -42,12 +42,17 @@ monotone), and one metrics-registry lookup.  The values measured at the
 parent commit by this same section are recorded beside the new ones
 (:data:`PLAN_BASELINE`).
 
-A fourth section (``covered`` in the JSON) runs a 50 %-span
-``SUM(amount)`` and a 50 %-span ``GROUP BY region, SUM(amount)`` on the
-same 1M-row ``events`` and ``events_enc``, reporting the median time
-beside the elements decoded per column: on the sorted ``ts`` most of the
-span's morsels are *covered* (the zone map proves the predicate), so
-they run without decoding ``ts``.  The values measured at the parent
+A fourth section (``covered`` in the JSON) runs 50 %-span ``SUM``,
+``MIN``, ``MAX`` of ``amount``, ``COUNT(*)`` and ``GROUP BY region,
+SUM(amount)`` on the same 1M-row ``events`` and ``events_enc``,
+reporting the median time beside the elements decoded per column: on
+the sorted ``ts`` most of the span's chunks are *covered* (the zone map
+proves the predicate), and the aggregates answer them from the chunk
+synopses.  It then sweeps ``COUNT(*) WHERE amount < k`` and
+``filter_range("amount", 0, k)`` with and without a zone map on the
+unsorted ``amount``, whose candidates scatter.  Every answer is asserted
+equal to the decode path's (the same query with ``prune="off"``), so a
+wrong synopsis fails the script.  The values measured at the parent
 commit by this same section are recorded beside the new ones
 (:data:`COVERED_BASELINE`).
 
@@ -71,7 +76,7 @@ from repro.cluster import ShardedTable, cluster_of
 from repro.core import scan_ops
 from repro.core.table import SmartTable
 from repro.obs.registry import registry
-from repro.query import Query, codegen, in_range, planner
+from repro.query import Query, codegen, col, in_range, planner
 from repro.runtime.loops import default_pool
 from repro.sql import compile_sql, parser
 
@@ -88,6 +93,9 @@ JSON_NAME = "BENCH_query_engine.json"
 #: ``(column, distinct keys)``: a bincount-sized key and one that makes
 #: every 4,096-row span nearly all-distinct.
 GROUP_KEYS = (("region", 12), ("account", 50_000))
+#: ``k`` of the ``covered`` section's ``amount < k`` sweep (20-bit
+#: uniform ``amount``: from scattered candidates to every chunk covered).
+AMOUNT_SWEEP = (1_000, 10_000, 50_000, 500_000, 1 << 20)
 SLOW_RUN_S = 2.0
 
 PLAN_ROWS = 1_000_000
@@ -117,20 +125,36 @@ PLAN_BASELINE = {
 }
 
 #: This file's ``covered`` section run against the parent commit's
-#: library (cd63937: every morsel evaluates the predicate, so ``ts``
-#: decodes every candidate chunk), same host, same hour as the committed
+#: library (ce5fe77: a covered morsel still decodes the aggregated
+#: column, ingest builds no zone maps, and a scattered candidate set
+#: decodes one call per run), same host, same hour as the committed
 #: BENCH_query_engine.json.
 COVERED_BASELINE = {
-    "commit": "cd63937",
-    "events.aggregate": {"ms": 3.022, "decoded_elements": {
-        "ts": 500224, "amount": 500224}},
-    "events.group_by": {"ms": 6.475, "decoded_elements": {
-        "ts": 500224, "region": 500224, "amount": 500224}},
-    "events_enc.aggregate": {"ms": 4.683, "decoded_elements": {
-        "ts": 500224, "amount": 500224}},
-    "events_enc.group_by": {"ms": 9.51, "decoded_elements": {
-        "ts": 500224, "region": 500224, "amount": 500224}},
+    "commit": "ce5fe77",
+    "events.sum": {"ms": 2.509, "decoded_elements": {"ts": 41472, "amount": 500224}},
+    "events.min": {"ms": 2.923, "decoded_elements": {"ts": 41472, "amount": 500224}},
+    "events.max": {"ms": 2.868, "decoded_elements": {"ts": 41472, "amount": 500224}},
+    "events.count": {"ms": 0.711, "decoded_elements": {"ts": 41472}},
+    "events.group_by": {"ms": 7.075, "decoded_elements": {"ts": 41472, "region": 500224, "amount": 500224}},
+    "events_enc.sum": {"ms": 3.283, "decoded_elements": {"ts": 41472, "amount": 500224}},
+    "events_enc.min": {"ms": 3.242, "decoded_elements": {"ts": 41472, "amount": 500224}},
+    "events_enc.max": {"ms": 3.114, "decoded_elements": {"ts": 41472, "amount": 500224}},
+    "events_enc.count": {"ms": 0.967, "decoded_elements": {"ts": 41472}},
+    "events_enc.group_by": {"ms": 9.103, "decoded_elements": {"ts": 41472, "region": 500224, "amount": 500224}},
+    "amount_sweep": {
+        "1000": {"no_map": {"ms": 5.853, "filter_range_ms": 8.52},
+                 "map": {"ms": 28.404, "filter_range_ms": 21.673}},
+        "10000": {"no_map": {"ms": 6.16, "filter_range_ms": 11.551},
+                 "map": {"ms": 113.442, "filter_range_ms": 122.801}},
+        "50000": {"no_map": {"ms": 4.971, "filter_range_ms": 13.825},
+                 "map": {"ms": 22.093, "filter_range_ms": 27.777}},
+        "500000": {"no_map": {"ms": 4.706, "filter_range_ms": 12.923},
+                 "map": {"ms": 4.977, "filter_range_ms": 11.395}},
+        "1048576": {"no_map": {"ms": 3.957, "filter_range_ms": 13.976},
+                 "map": {"ms": 0.959, "filter_range_ms": 13.81}},
+    },
 }
+
 
 #: Seconds per run of the interpreted engine as this file last recorded
 #: them (commit b788cc1, the last with that engine, same host and
@@ -412,17 +436,58 @@ def fixed_cost_us(tables, span, rng):
     }
 
 
+def _answer(result):
+    return result.groups if result.kind == "groups" else result.aggregates
+
+
+def _checked_row(q):
+    """What ``q`` decoded, after checking its answer against the decode
+    path (the same query, ``prune="off"``: no zone map prunes, covers or
+    answers anything)."""
+    result = q.run()
+    decoded = _answer(q.run(prune="off"))
+    assert _answer(result) == decoded, (q.describe(), _answer(result),
+                                        decoded)
+    return {"decoded_elements": dict(result.stats.decoded_elements),
+            "synopsis_chunks": dict(getattr(result.stats, "synopsis_chunks",
+                                            {}))}
+
+
+def _alternating_ms(runs, repeats):
+    """Median ms per named callable, the callables taking turns so a
+    change in the host's speed reaches every one of them alike."""
+    times = {name: [] for name in runs}
+    for _ in range(repeats):
+        for name, fn in runs.items():
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t0)
+    return {name: round(statistics.median(t) * 1e3, 3)
+            for name, t in times.items()}
+
+
 def covered_report(n=PLAN_ROWS, repeats=50):
-    """The ``covered`` section: (text lines, JSON dict).  Median ms per
-    run of a 50 %-span aggregate and group-by, and the elements each
-    column decoded (exact, from ``QueryStats``)."""
+    """The ``covered`` section: (text lines, JSON dict).
+
+    Median ms per run of 50 %-span aggregates and a group-by on the
+    e2e ``events`` and ``events_enc``, the elements each column decoded
+    and the chunks synopses answered (exact, from ``QueryStats``); then
+    ``count(*) WHERE amount < k`` and ``filter_range("amount", 0, k)``
+    on ``events`` with and without a zone map on the unsorted
+    ``amount``.  Every answer is asserted equal to the decode path's.
+    """
     tables = _plan_tables(n)
     lo, hi = (1 << KEY_BITS) // 4, 3 * (1 << KEY_BITS) // 4
+
+    def where(t):
+        return Query(t).where(in_range("ts", lo, hi))
+
     shapes = {
-        "aggregate": lambda t: Query(t).where(in_range("ts", lo, hi))
-        .sum("amount"),
-        "group_by": lambda t: Query(t).where(in_range("ts", lo, hi))
-        .group_by("region").sum("amount"),
+        "sum": lambda t: where(t).sum("amount"),
+        "min": lambda t: where(t).min("amount"),
+        "max": lambda t: where(t).max("amount"),
+        "count": lambda t: where(t).count(),
+        "group_by": lambda t: where(t).group_by("region").sum("amount"),
     }
     section = {"simulated": False, "rows": n, "span": "50%",
                "repeats": repeats, "baseline": COVERED_BASELINE}
@@ -435,10 +500,9 @@ def covered_report(n=PLAN_ROWS, repeats=50):
     for name in ("events", "events_enc"):
         for shape, build in shapes.items():
             q = build(tables[name])
-            result = q.run()
-            row = {"ms": round(_median_us(q.run, repeats) / 1e3, 3),
-                   "decoded_elements": dict(result.stats.decoded_elements)}
-            section[f"{name}.{shape}"] = row
+            row = section[f"{name}.{shape}"] = {
+                "ms": round(_median_us(q.run, repeats) / 1e3, 3),
+                **_checked_row(q)}
             base = COVERED_BASELINE.get(f"{name}.{shape}")
             decoded = ", ".join(
                 f"{column} {elements:,}" + (
@@ -448,6 +512,39 @@ def covered_report(n=PLAN_ROWS, repeats=50):
             was = f" [{base['ms']}]" if base else ""
             lines.append(f"  {name + ' ' + shape:<22} {row['ms']:>7.2f} ms"
                          f"{was}  decoded: {decoded}")
+
+    # The same columns with and without a zone map on ``amount`` (a
+    # projection shares the arrays, not the maps); their runs alternate.
+    tables["events"].build_zone_map("amount")
+    sides = {"no_map": tables["events"].select(["ts", "region", "amount"]),
+             "map": tables["events"]}
+    amount = sides["map"]["amount"].to_numpy()
+    sweep = section["amount_sweep"] = {}
+    lines += ["", f"count(*) WHERE amount < k / filter_range(amount, 0, k) "
+                  f"on events (ms, median of {repeats}, map and no-map "
+                  f"runs alternating; parent in brackets):"]
+    for k in AMOUNT_SWEEP:
+        queries = {key: Query(t).where(col("amount") < k).count()
+                   for key, t in sides.items()}
+        for key, t in sides.items():
+            assert queries[key].run().scalar() == int((amount < k).sum())
+            assert np.array_equal(t.filter_range("amount", 0, k),
+                                  np.flatnonzero(amount < k))
+        count_ms = _alternating_ms(
+            {key: q.run for key, q in queries.items()}, repeats)
+        filter_ms = _alternating_ms(
+            {key: (lambda t=t: t.filter_range("amount", 0, k))
+             for key, t in sides.items()}, max(5, repeats // 5))
+        for key, q in queries.items():
+            row = sweep.setdefault(str(k), {})[key] = {
+                "ms": count_ms[key], **_checked_row(q),
+                "filter_range_ms": filter_ms[key]}
+            base = COVERED_BASELINE["amount_sweep"][str(k)][key]
+            lines.append(
+                f"  k={k:<8} {key:<7} count {row['ms']:>6.2f} "
+                f"[{base['ms']}] ms, filter_range "
+                f"{row['filter_range_ms']:>6.2f} "
+                f"[{base['filter_range_ms']}] ms")
     return lines, section
 
 

@@ -143,6 +143,38 @@ def companion_bits(bits: int) -> int:
     return bits
 
 
+#: Value-column widths that straddle the chunk-sum cutoff: a zone map
+#: keeps 64-element chunk sums for values up to 58 bits wide, none for
+#: 59.  Half the cases whose companion width would be 63 or 64 bits
+#: (no sums either way) take 59 or 58 instead (:func:`companion_width`);
+#: 59, like 63, packs lanes that spill into a ninth byte.
+SUM_CUTOFF_WIDTHS = {63: 59, 64: 58}
+
+
+def companion_width(seed: int, index: int, bits: int) -> int:
+    """The value column's width in case ``index`` of ``seed``:
+    :func:`companion_bits`, or its :data:`SUM_CUTOFF_WIDTHS` twin for
+    half the cases that have one (a coin of its own, so the case's op
+    stream is drawn exactly as before)."""
+    width = companion_bits(bits)
+    if width in SUM_CUTOFF_WIDTHS and int(
+            np.random.default_rng([seed, index, 0x58]).integers(0, 2)):
+        return SUM_CUTOFF_WIDTHS[width]
+    return width
+
+
+def gen_saturated(vseed: int, n: int, bits: int) -> np.ndarray:
+    """Values at the top of the ``bits``-wide domain (pure): each chunk
+    either holds ``2**bits - 1`` in every row — the largest sum a chunk
+    can have — or uniform values over the domain."""
+    rng = np.random.default_rng(vseed)
+    dom_max = (1 << bits) - 1
+    vals = rng.integers(0, dom_max, size=n, dtype=np.uint64, endpoint=True)
+    full = rng.integers(0, 2, size=-(-n // 64)).astype(bool)
+    vals[np.repeat(full, 64)[:n]] = np.uint64(dom_max)
+    return vals
+
+
 def gen_values(vseed: int, n: int, bits: int) -> np.ndarray:
     """Regenerate the bulk values identified by ``vseed`` (pure)."""
     rng = np.random.default_rng(vseed)
@@ -412,8 +444,9 @@ _PARALLEL_BATCHES = (256, 4096)
 _DISTRIBUTIONS = ("dynamic", "static")
 
 
-def _gen_op(rng: np.random.Generator, spec: ArraySpec,
-            profile: str = "mixed") -> Op:
+def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
+            vbits: int) -> Op:
+    """One op for ``spec``; ``vbits`` is the value column's width."""
     length, bits = spec.length, spec.bits
     names, weights = _profile_dist(profile)
     while True:
@@ -497,7 +530,6 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec,
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          int(rng.integers(0, 2)), int(rng.integers(0, 2))))
     if name in ("query_and_count", "query_or_select"):
-        vbits = companion_bits(bits)
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          _gen_bound(rng, vbits), _gen_bound(rng, vbits),
                          int(rng.integers(0, 2)), int(rng.integers(0, 2))))
@@ -509,7 +541,6 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec,
                          int(rng.integers(0, 2)), int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name in ("sql_and_count", "sql_or_select"):
-        vbits = companion_bits(bits)
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          _gen_bound(rng, vbits), _gen_bound(rng, vbits),
                          int(rng.integers(0, 2)), int(rng.integers(0, 2)),
@@ -524,7 +555,6 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec,
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          int(rng.integers(0, 2)), int(rng.integers(0, 2))))
     if name in ("cluster_and_count", "cluster_or_select"):
-        vbits = companion_bits(bits)
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          _gen_bound(rng, vbits), _gen_bound(rng, vbits),
                          int(rng.integers(0, 2)), int(rng.integers(0, 2))))
@@ -635,7 +665,8 @@ def make_case(seed: int, index: int, profile: str = "mixed") -> Case:
     )
     n_ops = int(rng.integers(6, 13))
     ops = [Op("fill", (int(rng.integers(0, 2**31)),))]
-    ops += [_gen_op(rng, spec, profile) for _ in range(n_ops - 1)]
+    vbits = companion_width(seed, index, spec.bits)
+    ops += [_gen_op(rng, spec, profile, vbits) for _ in range(n_ops - 1)]
     return Case(seed=seed, index=index, spec=spec, ops=tuple(ops),
                 profile=profile)
 

@@ -31,7 +31,8 @@ class CheckReport:
     pool_modes_seen: Set[str] = field(default_factory=set)
     superchunks_seen: Set[int] = field(default_factory=set)
     #: Query plans (cluster: shard plans) with at least one covered
-    #: morsel — proof the run reached the predicate-free kernels.
+    #: morsel or synopsis chunk — proof the run reached the
+    #: predicate-free kernels or the chunk synopses.
     covered_plans: int = 0
     failures: List[CaseFailure] = field(default_factory=list)
 

@@ -232,8 +232,8 @@ def _zonemap_op(r, op, before) -> None:
         actual = zm.select_in_range(lo, hi, superchunk=sc)
         expected = o.select_in_range(lo, hi)
     r.compare(actual, expected, op.name)
-    r.check_decoded(before, o.zonemap_decoded_chunks(lo, hi, count_only),
-                    op.name)
+    r.check_decoded(before, o.zonemap_decoded_chunks(lo, hi, count_only,
+                                                     sc), op.name)
 
 
 def _parallel(r, op, before) -> None:

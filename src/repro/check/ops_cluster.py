@@ -12,7 +12,7 @@ live migration steps one shard's value column on a second thread.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple
+from typing import Dict, NamedTuple, Set
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from . import oracle as orc
 from .generator import _DISTRIBUTIONS, cluster_grid
 from .ops_migrate import check_completed, placement_for, race
 from .ops_query import (Shape, bind_checked, compare_result, predict_decode,
-                        query_shape, shape_zones, _render_sql_op)
+                        query_shape, shape_zones, synopsis_ready,
+                        _render_sql_op)
 from .runner import Divergence, fmt
 
 #: Counter names the cluster accounting check predicts exactly;
@@ -44,6 +45,9 @@ class _Cluster(NamedTuple):
     nodes: object
     twin: object
     columns: Dict[str, np.ndarray]
+    #: Shards whose ``v`` a finished migration left without a current
+    #: zone map (nothing rebuilds it).
+    unmapped_v: Set[int]
 
     def shard_columns(self):
         """``(shard, its gather-order columns)`` per non-empty shard."""
@@ -70,7 +74,8 @@ def _cluster(r) -> _Cluster:
             for s in table.shards
         ]).astype(np.int64)
         r.cluster = _Cluster(table, nodes, table.gather(allocator=r.allocator),
-                             {name: v[order] for name, v in values.items()})
+                             {name: v[order] for name, v in values.items()},
+                             set())
     return r.cluster
 
 
@@ -112,36 +117,53 @@ def _expected_wire(cl: _Cluster, q, shape: Shape,
 
 
 def _check_decode(op, cl: _Cluster, q, shape: Shape, res, twin,
-                  superchunk: int) -> None:
-    """Per-column decoded chunks and covered morsels of the distributed
-    run (summed over shards) and of the twin, against
-    :func:`~repro.check.ops_query.predict_decode` on each table's zones
-    (only ``k`` has a zone map)."""
-    tables = (("distributed", res,
-               [cols["k"] for _, cols in cl.shard_columns()]),
-              ("twin", twin, [cl.columns["k"]]))
-    for which, result, key_slices in tables:
-        decoded: Dict[str, int] = {}
-        covered = 0
-        for keys in key_slices:
-            oracle = orc.OracleArray(keys.size, 64)
-            oracle.fill(keys)
-            zones = shape_zones(shape, orc.chunks_for(keys.size),
-                                {"k": oracle})
-            _, n, per_column = predict_decode(q, zones, superchunk)
-            covered += n
-            for name, chunks in per_column.items():
-                decoded[name] = decoded.get(name, 0) + chunks
-        actual = (result.stats.decoded_chunks, result.stats.morsels_covered)
-        if actual != (decoded, covered):
+                  superchunk: int, racing=frozenset()) -> None:
+    """Per-column decoded and synopsis-answered chunks and covered
+    morsels of every shard's run and of the twin's, against
+    :func:`~repro.check.ops_query.predict_decode` on that table's zones.
+
+    Ingest gives every column of a shard and of the twin a zone map, at
+    the width its largest value needs; a migrated ``v`` loses its map
+    (``cl.unmapped_v``).  A shard in ``racing`` had ``v`` migrated while
+    the query ran: the run may have been planned with or without its
+    map, so either prediction holds.
+    """
+    runs = [(f"shard {shard.shard_id}", res.plan.shard_stats[shard.shard_id],
+             columns, shard.shard_id)
+            for shard, columns in cl.shard_columns()]
+    runs.append(("twin", twin.stats, cl.columns, None))
+    for which, stats, columns, shard_id in runs:
+        oracles = {}
+        for name, values in columns.items():
+            oracles[name] = orc.OracleArray(values.size, 64)
+            oracles[name].fill(values)
+        mapped = frozenset(columns)
+        maps = [mapped - {"v"} if shard_id in cl.unmapped_v else mapped]
+        if shard_id in racing:
+            maps.append(mapped - {"v"})
+        n_chunks = orc.chunks_for(columns["k"].size)
+        predictions = []
+        for mapped in maps:
+            zones = shape_zones(shape, n_chunks,
+                                {name: oracles[name] for name in mapped})
+            widths = {name: orc.bits_needed(columns[name])
+                      for name in mapped}
+            _, covered, decoded, answered = predict_decode(
+                q, zones, superchunk, synopsis_ready(q, widths))
+            predictions.append((decoded, covered,
+                                {name: answered for name in decoded}))
+        actual = (stats.decoded_chunks, stats.morsels_covered,
+                  stats.synopsis_chunks)
+        if actual not in predictions:
             raise Divergence(
                 "accounting",
-                f"{op.name}: {which} (decoded_chunks, morsels_covered)"
-                f" = {actual}, oracle predicts {(decoded, covered)}")
+                f"{op.name}: {which} (decoded_chunks, morsels_covered, "
+                f"synopsis_chunks) = {actual}, oracle predicts "
+                f"{' or '.join(map(str, predictions))}")
 
 
 def _differential(r, op, shape: Shape, q, fan: int, dist: int,
-                  runs: int = 1) -> None:
+                  runs: int = 1, racing=frozenset()) -> None:
     """The cluster profile's core check, for one query shape:
 
     1. the distributed result equals the oracle's answer;
@@ -150,7 +172,8 @@ def _differential(r, op, shape: Shape, q, fan: int, dist: int,
     4. ``cluster.rpcs`` / ``cluster.bytes_shipped`` deltas equal the
        oracle-predicted wire frames exactly, per node and direction;
     5. without a LIMIT, both runs decode exactly the oracle-predicted
-       chunks per column (:func:`_check_decode`).
+       chunks per column (:func:`_check_decode`; ``racing`` names the
+       shards whose ``v`` a migration may have unmapped).
     """
     cl = _cluster(r)
     sc = r.spec.superchunk
@@ -197,7 +220,7 @@ def _differential(r, op, shape: Shape, q, fan: int, dist: int,
                     "cluster",
                     f"{op.name}: distributed column {name!r} != twin")
     if q.limit_rows is None:
-        _check_decode(op, cl, q, shape, res, twin, sc)
+        _check_decode(op, cl, q, shape, res, twin, sc, racing)
         if res.stats.rows_matched != twin.stats.rows_matched:
             raise Divergence(
                 "cluster",
@@ -247,8 +270,10 @@ def _migrate_query(r, op, before) -> None:
         shard.table.column("v"), target,
         budget=MigrationBudget(max_chunks_per_step=budget))
     race(migration, lambda: _differential(
-        r, op, shape, shape.query(cl.table), fan=1, dist=0, runs=3))
+        r, op, shape, shape.query(cl.table), fan=1, dist=0, runs=3,
+        racing=frozenset({shard.shard_id})))
     check_completed(op.name, migration)
+    cl.unmapped_v.add(shard.shard_id)
     r.check_stats(before, {}, op.name)
 
 

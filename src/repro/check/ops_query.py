@@ -111,10 +111,12 @@ def shape_zones(shape: Shape, n_chunks: int,
     Leaf masks intersect under AND and union under OR.  A leaf on a
     column without a zone map prunes nothing and covers nothing; under
     OR it leaves the whole predicate unprunable, and a plan that cannot
-    prune covers nothing.  No predicate: every chunk a candidate, none
-    covered.
+    prune covers nothing.  No predicate: every chunk a candidate, and
+    every row matches.
     """
     everything = np.ones(n_chunks, dtype=bool)
+    if not shape.ranges:
+        return Zones(everything, everything, frozenset())
     mapped = [_range_zones(oracles[column], lo, hi)
               for column, lo, hi in shape.ranges if column in oracles]
     if not mapped or (shape.union and len(mapped) < len(shape.ranges)):
@@ -126,18 +128,59 @@ def shape_zones(shape: Shape, n_chunks: int,
     return Zones(candidates, covered, shape.columns)
 
 
-def predict_decode(query: Query, zones: Zones,
-                   superchunk: int) -> Tuple[int, int, Dict[str, int]]:
-    """``(candidate chunks, covered morsels, decoded chunks per
-    column)`` for ``query`` run at ``superchunk``-element morsels.
+def synopsis_ready(query: Query, zone_widths: Dict[str, int]) -> bool:
+    """Whether chunk synopses answer ``query``'s covered chunks: an
+    ungrouped aggregate whose every aggregated column has a zone map
+    (``zone_widths``: mapped column -> its zone width) that keeps chunk
+    sums where a ``sum`` or ``mean`` needs them (at most
+    :data:`~repro.check.oracle.SUM_BITS` wide)."""
+    if not query.aggregates or query.group_key is not None:
+        return False
+    for spec in query.aggregates:
+        if spec.column is None:
+            continue
+        width = zone_widths.get(spec.column)
+        if width is None or (spec.kind in ("sum", "mean")
+                             and width > orc.SUM_BITS):
+            return False
+    return True
+
+
+class Decode(NamedTuple):
+    """What a query's run must decode, as the oracle predicts it."""
+
+    candidates: int  # candidate chunks of the plan
+    covered: int  # covered morsels
+    decoded: Dict[str, int]  # chunks decoded per needed column
+    synopsis: int  # covered chunks the synopses answer
+
+
+def predict_decode(query: Query, zones: Zones, superchunk: int,
+                   synopsis: bool) -> Decode:
+    """What ``query`` run at ``superchunk``-element morsels decodes;
+    ``synopsis``: chunk synopses answer it (:func:`synopsis_ready`).
 
     A morsel is covered when it has a candidate chunk and every one of
-    them is covered; a column only the predicate reads decodes the
-    candidates outside covered morsels, every other needed column all
-    of them.
+    them is covered.  With synopses every covered candidate chunk is
+    answered by them and the kernel decodes the others; without, a
+    covered morsel's predicate-free kernel decodes its candidates for
+    the output columns only, and every other morsel's kernel decodes
+    its candidates for every needed column.  Either way a morsel whose
+    chunks to decode fragment decodes their hull
+    (:func:`~repro.check.oracle.hull_decoded`), and a covered chunk
+    inside a hull is not answered by its synopsis.  A predicate-free
+    query's synopses answer every chunk.
     """
     per_morsel = superchunk // orc.CHUNK
-    candidates = zones.candidates
+    candidates, covered = zones.candidates, zones.covered & zones.candidates
+    chunks = int(candidates.sum())
+    outputs = {query.group_key, *(query.projection or ())}
+    outputs.update(spec.column for spec in query.aggregates)
+    needed = zones.filtered | (outputs - {None})
+    if not zones.filtered:
+        decoded = 0 if synopsis else chunks
+        return Decode(chunks, 0, {name: decoded for name in needed},
+                      chunks - decoded)
     n_morsels = -(-candidates.size // per_morsel)
 
     def by_morsel(mask: np.ndarray) -> np.ndarray:
@@ -145,16 +188,20 @@ def predict_decode(query: Query, zones: Zones,
         padded[:mask.size] = mask
         return padded.reshape(n_morsels, per_morsel)
 
-    grid = by_morsel(candidates)
-    covered = (grid.any(axis=1)
-               & ~by_morsel(candidates & ~zones.covered).any(axis=1))
-    chunks = int(candidates.sum())
-    skipped = int(grid[covered].sum())
-    outputs = {query.group_key, *(query.projection or ())}
-    outputs.update(spec.column for spec in query.aggregates)
-    decoded = {name: chunks - (0 if name in outputs else skipped)
-               for name in zones.filtered | (outputs - {None})}
-    return chunks, int(covered.sum()), decoded
+    covered_morsels = (by_morsel(candidates).any(axis=1)
+                       & ~by_morsel(candidates & ~covered).any(axis=1))
+    n_covered = int(covered_morsels.sum())
+    if synopsis:
+        kernel = orc.hull_decoded(candidates & ~covered, per_morsel)
+        n = int(kernel.sum())
+        return Decode(chunks, n_covered, {name: n for name in needed},
+                      int((covered & ~kernel).sum()))
+    in_covered = np.repeat(covered_morsels, per_morsel)[:candidates.size]
+    n = int(orc.hull_decoded(candidates & ~in_covered, per_morsel).sum())
+    skipped = int((candidates & in_covered).sum())
+    return Decode(chunks, n_covered,
+                  {name: n + (skipped if name in outputs else 0)
+                   for name in needed}, 0)
 
 
 def compare_result(r, what: str, result, expected) -> None:
@@ -202,13 +249,21 @@ def _ensure_zonemaps(r) -> None:
                       "build_zone_map(v)")
 
 
+def _zone_widths(r) -> Dict[str, int]:
+    """The zone width of each query-table column's map: the column's
+    width, or for an encoded column the width its largest value needs."""
+    k_bits = (orc.bits_needed(r.oracle.values) if r.encoded()
+              else r.array.bits)
+    return {"k": k_bits, "v": r.vbits}
+
+
 def _check_query(r, op, query: Query, shape: Shape, par: int,
                  dist: int) -> None:
     """Run ``query`` and check result, plan, and decode accounting.
 
     The result must equal the oracle's, and the plan's candidate
-    chunks, the covered morsels, and every needed column's decode
-    accounting must equal the oracle's prediction
+    chunks, the covered morsels, and every needed column's decoded and
+    synopsis-answered chunks must equal the oracle's prediction
     (:func:`predict_decode`).
     """
     spec = r.spec
@@ -221,7 +276,9 @@ def _check_query(r, op, query: Query, shape: Shape, par: int,
     result = query.run(pool=pool, distribution=_DISTRIBUTIONS[dist],
                        morsel=spec.superchunk)
     compare_result(r, op.name, result, expected)
-    chunks, covered, decoded = predict_decode(query, zones, spec.superchunk)
+    chunks, covered, decoded, answered = predict_decode(
+        query, zones, spec.superchunk,
+        spec.length > 0 and synopsis_ready(query, _zone_widths(r)))
     plan = result.plan
     if plan.chunks_candidate != chunks:
         raise Divergence(
@@ -234,6 +291,12 @@ def _check_query(r, op, query: Query, shape: Shape, par: int,
             f"{op.name}: {result.stats.morsels_covered} covered "
             f"morsels, oracle predicts {covered}")
     for name in plan.needed_columns:
+        if result.stats.synopsis_chunks[name] != answered:
+            raise Divergence(
+                "accounting",
+                f"{op.name}: stats.synopsis_chunks[{name!r}] = "
+                f"{result.stats.synopsis_chunks[name]}, oracle predicts "
+                f"{answered}")
         if result.stats.decoded_chunks[name] != decoded.get(name, 0):
             raise Divergence(
                 "accounting",

@@ -26,8 +26,17 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+#: What one decode call is worth in chunks: a decode window (a scan's
+#: superchunk, a query's morsel) decodes the hull of its runs when the
+#: calls saved are worth more than the gap chunks decoded.
+from ..core.zonemap import HULL_CALL_CHUNKS
+
 CHUNK = 64
 U64_MAX = (1 << 64) - 1
+
+#: Widest values whose 64-element chunk sums fit a 64-bit word — the
+#: widest column a zone map keeps chunk sums (synopses) for.
+SUM_BITS = 58
 
 
 def clamp_range(lo: int, hi: int) -> Optional[Tuple[int, Optional[int]]]:
@@ -118,6 +127,29 @@ def expected_result(query, columns: Dict[str, np.ndarray], mask: np.ndarray,
 
 def chunks_for(length: int) -> int:
     return -(-length // CHUNK)
+
+
+def bits_needed(values: np.ndarray) -> int:
+    """The width ``SmartTable.from_arrays`` gives a column: the bits of
+    its largest value, at least 1."""
+    return max(1, int(values.max()).bit_length()) if values.size else 1
+
+
+def hull_decoded(chunks: np.ndarray, window: int) -> np.ndarray:
+    """The chunks a windowed scan decodes to read the ``chunks`` mask:
+    per aligned window of ``window`` chunks, the selected chunks — or
+    everything from the window's first selected chunk to its last, when
+    the runs it would otherwise decode one call each, less one, times
+    ``HULL_CALL_CHUNKS`` exceed the unselected chunks in between."""
+    decoded = chunks.copy()
+    for start in range(0, chunks.size, window):
+        picked = np.flatnonzero(chunks[start:start + window])
+        if not picked.size:
+            continue
+        gaps = int(picked[-1] - picked[0] + 1 - picked.size)
+        if int((np.diff(picked) > 1).sum()) * HULL_CALL_CHUNKS > gaps:
+            decoded[start + picked[0]:start + picked[-1] + 1] = True
+    return decoded
 
 
 def span_chunks(start: int, stop: int, superchunk: int) -> int:
@@ -267,17 +299,16 @@ class OracleArray:
             mask &= maxs < np.uint64(hi)
         return mask
 
-    def zonemap_decoded_chunks(self, lo: int, hi: int,
-                               count_only: bool) -> int:
-        """Chunks a zone-mapped scan must decode: the candidates, minus
-        (for counting scans) those whose zone proves full coverage."""
-        candidates = self.zonemap_candidates(lo, hi)
-        if candidates.size == 0:
-            return 0
-        if not count_only:
-            return int(candidates.size)
-        covered = self.zonemap_covered_mask(lo, hi)[candidates]
-        return int((~covered).sum())
+    def zonemap_decoded_chunks(self, lo: int, hi: int, count_only: bool,
+                               superchunk: int) -> int:
+        """Chunks a zone-mapped scan at ``superchunk`` must decode: the
+        candidates, minus (for counting scans) those whose zone proves
+        full coverage, each fragmented superchunk window's hull whole
+        (:func:`hull_decoded`)."""
+        wanted = self.zonemap_candidate_mask(lo, hi)
+        if count_only:
+            wanted &= ~self.zonemap_covered_mask(lo, hi)
+        return int(hull_decoded(wanted, superchunk // CHUNK).sum())
 
     # -- iterator accounting ----------------------------------------------
 

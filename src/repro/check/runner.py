@@ -48,7 +48,8 @@ from ..obs.registry import registry as _obs_registry
 from ..obs.trace import TRACER, tracing
 from ..runtime.workers import WorkerPool
 from . import oracle as orc
-from .generator import Case, Op, companion_bits, gen_values
+from .generator import (Case, Op, SUM_CUTOFF_WIDTHS, companion_width,
+                        gen_saturated, gen_values)
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ class CaseRunner:
         self._table: Optional[SmartTable] = None
         self.companion = None
         self.oracle_v: Optional[orc.OracleArray] = None
+        #: The value column's width (:func:`companion_width`).
+        self.vbits = companion_width(case.seed, case.index, spec.bits)
         # The obs profile runs every op inside a trace span and
         # cross-checks the registry / per-span counter deltas against
         # the same oracle-predicted accounting `check_stats` enforces.
@@ -262,23 +265,24 @@ class CaseRunner:
 
     def companion_values(self) -> np.ndarray:
         """The value column ("v") query and cluster ops pair with the
-        case array: a pure function of the case."""
+        case array: a pure function of the case — at the top of the
+        domain for the widths that straddle the chunk-sum cutoff."""
         vseed = int(np.random.default_rng(
             [self.case.seed, self.case.index, 0x51]).integers(0, 2**31))
-        return gen_values(vseed, self.spec.length,
-                          companion_bits(self.spec.bits))
+        draw = (gen_saturated if self.vbits in SUM_CUTOFF_WIDTHS.values()
+                else gen_values)
+        return draw(vseed, self.spec.length, self.vbits)
 
     def query_table(self) -> SmartTable:
         """Build the two-column table on first query op (lazy: cases
         without query ops never pay for the companion column)."""
         if self._table is None:
             values = self.companion_values()
-            vbits = companion_bits(self.spec.bits)
-            self.companion = allocate(self.spec.length, bits=vbits,
+            self.companion = allocate(self.spec.length, bits=self.vbits,
                                       allocator=self.allocator,
                                       **self._flags)
             self.companion.fill(values)
-            self.oracle_v = orc.OracleArray(self.spec.length, vbits)
+            self.oracle_v = orc.OracleArray(self.spec.length, self.vbits)
             self.oracle_v.fill(values)
             self._table = SmartTable({"k": self.array,
                                       "v": self.companion})

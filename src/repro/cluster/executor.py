@@ -263,6 +263,9 @@ def _merged_stats(dplan: DistributedPlan, fan_out: bool, pool,
         stats.est_instructions += s.est_instructions
         for name, n in s.decoded_chunks.items():
             stats.decoded_chunks[name] = stats.decoded_chunks.get(name, 0) + n
+        for name, n in s.synopsis_chunks.items():
+            stats.synopsis_chunks[name] = (
+                stats.synopsis_chunks.get(name, 0) + n)
         for name, n in s.decoded_elements.items():
             stats.decoded_elements[name] = (
                 stats.decoded_elements.get(name, 0) + n

@@ -206,9 +206,9 @@ class ShardedTable:
         for shard_id in range(n_shards):
             mask = assignment == shard_id
             node = cluster.node(owners[shard_id])
-            columns = {}
+            columns, subs = {}, {}
             for name, values in arrays.items():
-                sub = np.ascontiguousarray(values[mask])
+                sub = subs[name] = np.ascontiguousarray(values[mask])
                 bits = bitpack.max_bits_needed(sub) if compress else 64
                 columns[name] = allocate(
                     sub.size,
@@ -219,8 +219,7 @@ class ShardedTable:
                     codec=codecs.get(name, "bitpack"),
                 )
             table = SmartTable(columns)
-            if table.n_rows:
-                table.build_zone_map(key)
+            table.index_values(subs, allocator=node.allocator)
             shards.append(Shard(shard_id, node.node_id, table, offset))
             offset += table.n_rows
         return cls(cluster, key, mode, shards, assignment,
@@ -261,7 +260,8 @@ class ShardedTable:
         return Query(self)
 
     def build_zone_map(self, name: str) -> None:
-        """(Re)build the zone map for ``name`` on every non-empty shard."""
+        """Ensure a current zone map for ``name`` on every non-empty
+        shard (see :meth:`SmartTable.build_zone_map`)."""
         for shard in self.shards:
             if shard.n_rows:
                 shard.table.build_zone_map(name)
@@ -303,13 +303,10 @@ class ShardedTable:
         run against this table — the cluster profile executes both on
         every query op.
         """
-        twin = SmartTable.from_arrays(
+        return SmartTable.from_arrays(
             self.gather_arrays(), compress=compress, allocator=allocator,
             codecs=self._codecs or None,
         )
-        if twin.n_rows:
-            twin.build_zone_map(self.key)
-        return twin
 
     # -- accounting / introspection -------------------------------------------
 

@@ -69,14 +69,20 @@ class SmartTable:
         unlisted columns stay bit-packed.  Encoded columns flow through
         zone maps, scans, and queries like any other — sargable
         predicates on them evaluate in the encoded domain.
+
+        Every column starts with a current zone map, chunk synopses
+        included, built from ``data`` without decoding
+        (:meth:`index_values`).
         """
         columns = {}
         codecs = codecs or {}
         unknown = set(codecs) - set(data)
         if unknown:
             raise KeyError(f"codecs name missing columns: {sorted(unknown)}")
+        arrays = {}
         for name, values in data.items():
-            values = np.ascontiguousarray(values, dtype=np.uint64)
+            values = arrays[name] = np.ascontiguousarray(values,
+                                                         dtype=np.uint64)
             bits = bitpack.max_bits_needed(values) if compress else 64
             sa = allocate(
                 values.size,
@@ -89,7 +95,9 @@ class SmartTable:
                 codec=codecs.get(name, "bitpack"),
             )
             columns[name] = sa
-        return cls(columns)
+        table = cls(columns)
+        table.index_values(arrays, allocator=allocator)
+        return table
 
     # -- shape ------------------------------------------------------------
 
@@ -157,21 +165,35 @@ class SmartTable:
 
     # -- zone-map cache ----------------------------------------------------
 
+    def index_values(self, values: Dict[str, np.ndarray],
+                     allocator=None) -> None:
+        """Cache a zone map for each named column from the values it
+        holds (:meth:`ZoneMap.from_values`: reductions over ``values``,
+        no decode).  ``values[name]`` must be the column's contents."""
+        from .zonemap import ZoneMap
+
+        for name, column_values in values.items():
+            self._zone_maps[name] = ZoneMap.from_values(
+                self.column(name), column_values, allocator=allocator)
+
     def build_zone_map(self, name: str, allocator=None,
                        superchunk=None) -> "ZoneMap":  # noqa: F821
-        """Build (or rebuild) and cache a zone map for ``name``.
+        """Ensure a current zone map for ``name`` and return it.
 
-        Cached maps are consulted by :meth:`filter_range` and by the
-        query planner's predicate pushdown while they index the
-        column's current contents: a write or a migration makes
-        :meth:`zone_map` drop the map, and pruning resumes once this is
-        called again.
+        A current cached map is returned as is, nothing decoded; a
+        missing or stale one (the column was written or migrated since,
+        see :meth:`zone_map`) is rebuilt by one decode scan
+        (:meth:`ZoneMap.build`) and cached.  Cached maps are consulted
+        by :meth:`filter_range` and by the query planner's predicate
+        pushdown and chunk synopses.
         """
         from .zonemap import ZoneMap
 
-        zm = ZoneMap.build(self.column(name), allocator=allocator,
-                           superchunk=superchunk)
-        self._zone_maps[name] = zm
+        zm = self.zone_map(name)
+        if zm is None:
+            zm = ZoneMap.build(self.column(name), allocator=allocator,
+                               superchunk=superchunk)
+            self._zone_maps[name] = zm
         return zm
 
     def zone_map(self, name: str):

@@ -35,11 +35,35 @@ in it needs decoding to be counted.  :meth:`ZoneMap.covered_run` (two
 more binary searches on a monotone map) and its compare-path twin
 :meth:`ZoneMap._compare_covered` are the one proof of that, shared by
 :meth:`ZoneMap.count_in_range` and the query planner's covered morsels.
+
+**Chunk synopses.**  Next to each chunk's min and max the map keeps
+its exact sum, packed at the zone width plus 6 bits (64 values below
+``2**bits`` sum below ``2**(bits + 6)``); a column wider than
+:data:`MAX_SUM_BITS` (58) stores none, since its chunk sums would not
+fit a 64-bit slot.  A covered chunk's count, sum, min and max are then
+read from the map instead of decoded (Moerkotte's small materialized
+aggregates): :meth:`ZoneMap.synopsis` reduces a run or mask of chunks,
+exactly at every width, and the query executor answers the covered
+chunks of an aggregate that way.  :meth:`ZoneMap.from_values` builds a
+map from the values a column was filled with by three ``reduceat``
+passes and decodes nothing; table ingest uses it for every column.
+
+**Fragmented candidates.**  On a map that is not monotone the chunks a
+scan must decode can scatter into thousands of one-chunk runs, and a
+decode call per run costs far more than the chunks it decodes.  Scans
+therefore work window by aligned window (a superchunk here, a morsel in
+the query executor): a window whose runs are separated by fewer gap
+chunks than the calls they take are worth (:data:`HULL_CALL_CHUNKS`
+each) decodes their *hull*, first to last, in one call, and the
+predicate filters the chunks in between (none of which can match, or
+which match and are then counted by the scan rather than from their
+zone).  :func:`window_hulls` is that rule; it bounds a window to
+``1 + window // HULL_CALL_CHUNKS`` decode calls, one for a superchunk.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,9 +76,107 @@ from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
 
 
+#: Extra bits a chunk sum needs over its values: 64 = 2**6 of them.
+SUM_EXTRA_BITS = 6
+
+#: Widest zone whose chunk sums a map stores (``58 + 6 = 64`` bits).
+MAX_SUM_BITS = 64 - SUM_EXTRA_BITS
+
+#: Chunks a decode call's fixed cost is worth: about 22 µs per call
+#: against 0.11 µs per chunk decoded (20-bit column, 2-core x86 host).
+#: A window decodes the hull of its runs when the calls it saves are
+#: worth more than the gap chunks the hull decodes in between.
+HULL_CALL_CHUNKS = 128
+
+#: Chunks as one run ``(first, stop)`` or a per-chunk boolean mask.
+Chunks = Union[Tuple[int, int], np.ndarray]
+
+
 def _non_decreasing(bounds: np.ndarray) -> bool:
     """True when every chunk bound is at least the one before it."""
     return bool((bounds[1:] >= bounds[:-1]).all())
+
+
+def window_hulls(chunks: np.ndarray, window: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, stop)`` per aligned window of ``window`` chunks over the
+    per-chunk mask ``chunks``: the hull of the window's chunks when it is
+    cheaper to decode than their runs — ``runs - 1`` saved calls worth
+    :data:`HULL_CALL_CHUNKS` each outweigh the gap chunks inside the
+    hull — else ``(0, 0)``.
+
+    Bounds are global chunk indices.  A window with a hull decodes it in
+    one call; every other window decodes its runs, which are then at
+    most ``1 + window // HULL_CALL_CHUNKS``.
+    """
+    n_windows = -(-chunks.size // window)
+    padded = np.zeros(n_windows * window, dtype=bool)
+    padded[:chunks.size] = chunks
+    # Run starts, counted per window: a set chunk after a clear one, or
+    # a set chunk opening its window.
+    starts = np.empty_like(padded)
+    starts[0] = padded[0]
+    np.greater(padded[1:], padded[:-1], out=starts[1:])
+    starts[::window] = padded[::window]
+    runs = starts.view(np.uint8).reshape(n_windows, window).sum(
+        axis=1, dtype=np.int32)
+    first = np.zeros(n_windows, dtype=np.int64)
+    stop = np.zeros(n_windows, dtype=np.int64)
+    multi = np.flatnonzero(runs > 1)
+    if multi.size:
+        grid = padded.reshape(n_windows, window)[multi]
+        lo = grid.argmax(axis=1)
+        hi = window - grid[:, ::-1].argmax(axis=1)
+        gaps = hi - lo - grid.view(np.uint8).sum(axis=1, dtype=np.int32)
+        hull = (runs[multi] - 1) * HULL_CALL_CHUNKS > gaps
+        multi = multi[hull]
+        first[multi] = multi * window + lo[hull]
+        stop[multi] = multi * window + hi[hull]
+    return first, stop
+
+
+def _decode_runs(chunks: np.ndarray, window: int
+                 ) -> Tuple[List[Tuple[int, int]], Optional[np.ndarray]]:
+    """The decode calls for the chunks ``chunks`` selects, window by
+    aligned window: its runs, or its hull when they fragment
+    (:func:`window_hulls`).  Also returns the chunks the calls decode,
+    ``None`` when that is exactly ``chunks``."""
+    first, stop = window_hulls(chunks, window)
+    hulls = np.flatnonzero(stop)
+    if not hulls.size:
+        return list(_chunk_runs(np.flatnonzero(chunks), window)), None
+    decoded = chunks.copy()
+    for window_index in hulls.tolist():
+        decoded[first[window_index]:stop[window_index]] = True
+    in_hull = np.repeat(stop > 0, window)[:chunks.size]
+    runs = list(_chunk_runs(np.flatnonzero(chunks & ~in_hull), window))
+    runs += zip(first[hulls].tolist(), (stop - first)[hulls].tolist())
+    runs.sort()
+    return runs, decoded
+
+
+def chunk_rows(length: int, chunks: Chunks) -> int:
+    """Rows of a ``length``-row column inside ``chunks`` (a run or a
+    per-chunk mask): 64 per chunk, the trailing partial chunk's real
+    rows only."""
+    if isinstance(chunks, tuple):
+        first, stop = chunks
+        selected, has_last = stop - first, stop > first and (
+            stop == bitpack.chunks_for(length))
+    else:
+        selected = int(np.count_nonzero(chunks))
+        has_last = bool(chunks.size) and bool(chunks[-1])
+    rows = selected * bitpack.CHUNK_ELEMENTS
+    tail = length % bitpack.CHUNK_ELEMENTS
+    if has_last and tail:
+        rows -= bitpack.CHUNK_ELEMENTS - tail
+    return rows
+
+
+def _select(bounds: np.ndarray, chunks: Chunks) -> np.ndarray:
+    if isinstance(chunks, tuple):
+        return bounds[chunks[0]:chunks[1]]
+    return bounds[chunks]
 
 
 def _split_run(first: int, count: int,
@@ -76,13 +198,19 @@ def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
 
 
 class ZoneMap:
-    """Per-chunk min/max index over a smart array's contents."""
+    """Per-chunk min/max index over a smart array's contents, plus each
+    chunk's exact sum when the values are at most :data:`MAX_SUM_BITS`
+    wide."""
 
     def __init__(self, array: SmartArray, mins: SmartArray,
-                 maxs: SmartArray) -> None:
+                 maxs: SmartArray, sums: Optional[SmartArray] = None
+                 ) -> None:
         self.array = array
         self.mins = mins
         self.maxs = maxs
+        #: Per-chunk sums at the zone width plus :data:`SUM_EXTRA_BITS`,
+        #: or ``None`` for a zone wider than :data:`MAX_SUM_BITS`.
+        self.sums = sums
         #: Storage-generation epoch of ``array`` when the map was built.
         #: A live migration bumps the epoch; cached maps from an older
         #: epoch are dropped by ``SmartTable.zone_map`` (the zone
@@ -100,17 +228,20 @@ class ZoneMap:
         #: Whether both decoded bound arrays are non-decreasing; set by
         #: :meth:`bounds` before it publishes them.
         self._monotone = False
+        #: ``sums`` decoded by the first :meth:`chunk_sums`.
+        self._sums: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, array: SmartArray, allocator=None,
               superchunk=None) -> "ZoneMap":
-        """Scan ``array`` once and record each chunk's min/max.
+        """Scan ``array`` once and record each chunk's min, max and sum.
 
         The zone arrays use the same bit width as the data (zone values
-        are data values), so the index costs ``2/64`` of the column.
+        are data values), so the bounds cost ``2/64`` of the column.
         The scan decodes ``superchunk // 64`` chunks per blocked-kernel
         call and reduces over a ``(chunks, 64)`` view — no per-chunk
-        Python loop.
+        Python loop.  A map of a column filled from known values is
+        cheaper to build with :meth:`from_values`.
         """
         n_chunks = bitpack.chunks_for(array.length)
         with trace("zonemap.build", array=array.stats.array_label,
@@ -124,27 +255,68 @@ class ZoneMap:
         # Read before the scan: a write racing the build leaves the map
         # stale, never current.
         write_epoch = getattr(array, "write_epoch", 0)
-        mins = np.zeros(max(1, n_chunks), dtype=np.uint64)
-        maxs = np.zeros(max(1, n_chunks), dtype=np.uint64)
+        mins = np.zeros(n_chunks, dtype=np.uint64)
+        maxs = np.zeros(n_chunks, dtype=np.uint64)
+        sums = np.zeros(n_chunks, dtype=np.uint64)
         buf = np.empty(chunks_per_step * bitpack.CHUNK_ELEMENTS,
                        dtype=np.uint64)
-        for first in range(0, n_chunks, chunks_per_step):
-            n = min(chunks_per_step, n_chunks - first)
-            decoded = array.decode_chunks(first, n, out=buf)
-            grid = decoded[:n * bitpack.CHUNK_ELEMENTS].reshape(
-                n, bitpack.CHUNK_ELEMENTS
+        with np.errstate(over="ignore"):
+            for first in range(0, n_chunks, chunks_per_step):
+                n = min(chunks_per_step, n_chunks - first)
+                decoded = array.decode_chunks(first, n, out=buf)
+                grid = decoded[:n * bitpack.CHUNK_ELEMENTS].reshape(
+                    n, bitpack.CHUNK_ELEMENTS
+                )
+                mins[first:first + n] = grid.min(axis=1)
+                maxs[first:first + n] = grid.max(axis=1)
+                # Wraps only past MAX_SUM_BITS, where no sum is kept.
+                sums[first:first + n] = grid.sum(axis=1, dtype=np.uint64)
+            # A trailing partial chunk decodes padding slots too; its
+            # zone must come from the real elements only.
+            tail = array.length % bitpack.CHUNK_ELEMENTS
+            if n_chunks and tail:
+                last = buf[
+                    (n_chunks - 1 - first) * bitpack.CHUNK_ELEMENTS:
+                ][:tail]
+                mins[n_chunks - 1] = last.min()
+                maxs[n_chunks - 1] = last.max()
+                sums[n_chunks - 1] = last.sum(dtype=np.uint64)
+        return cls._from_chunks(array, mins, maxs, sums, write_epoch,
+                                allocator)
+
+    @classmethod
+    def from_values(cls, array: SmartArray, values: np.ndarray,
+                    allocator=None) -> "ZoneMap":
+        """The map of ``array``, which holds exactly ``values``, from the
+        values themselves: one ``reduceat`` per statistic over the chunk
+        starts, so nothing is decoded.  Equal, bound for bound, to
+        :meth:`build` on the same array."""
+        values = np.ascontiguousarray(values, dtype=np.uint64)
+        if values.size != array.length:
+            raise ValueError(
+                f"{values.size} values for a {array.length}-element array"
             )
-            mins[first:first + n] = grid.min(axis=1)
-            maxs[first:first + n] = grid.max(axis=1)
-        # A trailing partial chunk decodes padding slots too; its zone
-        # must come from the real elements only.
-        tail = array.length % bitpack.CHUNK_ELEMENTS
-        if n_chunks and tail:
-            last = buf[
-                (n_chunks - 1 - first) * bitpack.CHUNK_ELEMENTS:
-            ][:tail]
-            mins[n_chunks - 1] = last.min()
-            maxs[n_chunks - 1] = last.max()
+        write_epoch = getattr(array, "write_epoch", 0)
+        starts = np.arange(0, values.size, bitpack.CHUNK_ELEMENTS)
+        with trace("zonemap.from_values", array=array.stats.array_label,
+                   chunks=starts.size):
+            if not starts.size:
+                empty = np.zeros(0, dtype=np.uint64)
+                return cls._from_chunks(array, empty, empty, empty,
+                                        write_epoch, allocator)
+            with np.errstate(over="ignore"):
+                sums = np.add.reduceat(values, starts, dtype=np.uint64)
+            return cls._from_chunks(
+                array, np.minimum.reduceat(values, starts),
+                np.maximum.reduceat(values, starts), sums, write_epoch,
+                allocator)
+
+    @classmethod
+    def _from_chunks(cls, array: SmartArray, mins: np.ndarray,
+                     maxs: np.ndarray, sums: np.ndarray, write_epoch: int,
+                     allocator) -> "ZoneMap":
+        """Pack per-chunk statistics into the map's zone arrays."""
+        n_chunks = mins.size
         # Zone values are *data* values, so the zone arrays use the
         # data's value width.  For bitpack generations that is
         # ``array.bits``; for encoded generations ``bits`` is the
@@ -152,14 +324,17 @@ class ZoneMap:
         # into it would overflow — use the decoded-value width instead.
         zbits = array.bits
         if getattr(array.generation, "codec", "bitpack") != "bitpack":
-            zbits = (bitpack.max_bits_needed(maxs[:n_chunks])
-                     if n_chunks else 1)
-        zmins = allocate(n_chunks, bits=zbits, allocator=allocator)
-        zmaxs = allocate(n_chunks, bits=zbits, allocator=allocator)
-        if n_chunks:
-            zmins.fill(mins[:n_chunks])
-            zmaxs.fill(maxs[:n_chunks])
-        zm = cls(array, zmins, zmaxs)
+            zbits = bitpack.max_bits_needed(maxs) if n_chunks else 1
+        zones = [(mins, zbits), (maxs, zbits)]
+        if zbits <= MAX_SUM_BITS:
+            zones.append((sums, zbits + SUM_EXTRA_BITS))
+        packed = []
+        for values, bits in zones:
+            zone = allocate(n_chunks, bits=bits, allocator=allocator)
+            if n_chunks:
+                zone.fill(values)
+            packed.append(zone)
+        zm = cls(array, *packed)
         zm.built_write_epoch = write_epoch
         return zm
 
@@ -194,6 +369,47 @@ class ZoneMap:
         the bounds on first use)."""
         self.bounds()
         return self._monotone
+
+    def chunk_sums(self) -> Optional[np.ndarray]:
+        """Per-chunk exact sums as a read-only ``uint64`` array, decoded
+        once per map like :meth:`bounds`; ``None`` when the zone is
+        wider than :data:`MAX_SUM_BITS` and the map keeps no sums."""
+        if self.sums is None:
+            return None
+        sums = self._sums
+        if sums is None:
+            sums = self.sums.to_numpy()
+            sums.flags.writeable = False
+            self._sums = sums
+        return sums
+
+    def synopsis(self, kind: str, chunks: Chunks):
+        """``kind`` (``"sum"``, ``"min"`` or ``"max"``) of the column over
+        ``chunks`` — a run ``(first, stop)`` or a per-chunk mask — read
+        from the per-chunk statistics, nothing decoded.
+
+        Sums are exact Python ints at every width: a slice whose total
+        could pass ``2**64`` is summed in 32-bit halves.  ``min``/``max``
+        of no chunk are ``None``; ``sum`` needs a map that keeps sums.
+        """
+        if kind == "sum":
+            sums = self.chunk_sums()
+            if sums is None:
+                raise ValueError(
+                    f"a {self.mins.bits}-bit zone map keeps no chunk sums"
+                )
+            part = _select(sums, chunks)
+            if self.sums.bits + part.size.bit_length() <= 64:
+                return int(part.sum(dtype=np.uint64))
+            return (
+                (int((part >> np.uint64(32)).sum(dtype=np.uint64)) << 32)
+                + int((part & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
+            )
+        mins, maxs = self.bounds()
+        part = _select(mins if kind == "min" else maxs, chunks)
+        if not part.size:
+            return None
+        return int(part.min() if kind == "min" else part.max())
 
     def _count_candidates(self, candidates: int) -> None:
         # Observable skipping: every pruning decision lands in the
@@ -291,22 +507,14 @@ class ZoneMap:
             covered &= maxs < hi64
         return covered
 
-    def _covered_elements(self, chunks: int, last_covered: bool) -> int:
-        """Elements in ``chunks`` whole chunks, one of them the trailing
-        partial chunk when ``last_covered``."""
-        elements = chunks * bitpack.CHUNK_ELEMENTS
-        tail = self.array.length % bitpack.CHUNK_ELEMENTS
-        if last_covered and tail:
-            elements -= bitpack.CHUNK_ELEMENTS - tail
-        return elements
-
     def count_in_range(self, lo: int, hi: int, socket: int = 0,
                        superchunk=None) -> int:
         """COUNT(*) WHERE lo <= v < hi, decoding only candidate chunks.
 
         Chunks entirely inside the range are counted without decoding
         at all (their zone proves every element matches); the rest are
-        decoded in consecutive runs through the blocked kernel.
+        decoded in consecutive runs through the blocked kernel, or as
+        one hull per fragmented superchunk window (:func:`window_hulls`).
         """
         with trace("zonemap.count_in_range",
                    array=self.array.stats.array_label, socket=socket):
@@ -327,20 +535,23 @@ class ZoneMap:
                 stop, cover_stop)
             if cover_stop <= cover_first:
                 cover_first = cover_stop = stop  # nothing covered
-            total = self._covered_elements(
-                cover_stop - cover_first,
-                cover_first < cover_stop and cover_stop == self.n_chunks)
+            total = chunk_rows(self.array.length, (cover_first, cover_stop))
             runs = [*_split_run(first, cover_first - first, max_run),
                     *_split_run(cover_stop, stop - cover_stop, max_run)]
         else:
             candidates = self._compare_candidates(lo, hi)
             if candidates.size == 0:
                 return 0
-            covered = self._compare_covered(lo, hi)[candidates]
-            total = self._covered_elements(
-                int(covered.sum()),
-                bool(covered[-1]) and candidates[-1] == self.n_chunks - 1)
-            runs = _chunk_runs(candidates[~covered], max_run)
+            # Decode the uncovered candidates; a covered chunk inside a
+            # decoded hull is counted by the scan, not by its zone.
+            covered = self._compare_covered(lo, hi)
+            decode = np.zeros(self.n_chunks, dtype=bool)
+            decode[candidates] = True
+            decode &= ~covered
+            runs, decoded = _decode_runs(decode, max_run)
+            if decoded is not None:
+                covered &= ~decoded
+            total = chunk_rows(self.array.length, covered)
         lo64, hi64 = clamp_u64_range(lo, hi)
         replica = self.array.get_replica(socket)
         buf = np.empty(max_run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
@@ -372,7 +583,9 @@ class ZoneMap:
             candidates = self._compare_candidates(lo, hi)
             if candidates.size == 0:
                 return np.empty(0, dtype=np.int64)
-            runs = _chunk_runs(candidates, max_run)
+            decode = np.zeros(self.n_chunks, dtype=bool)
+            decode[candidates] = True
+            runs = _decode_runs(decode, max_run)[0]
         lo64, hi64 = clamp_u64_range(lo, hi)
         out: List[np.ndarray] = []
         replica = self.array.get_replica(socket)
@@ -392,7 +605,9 @@ class ZoneMap:
 
     @property
     def storage_bytes(self) -> int:
-        return self.mins.storage_bytes + self.maxs.storage_bytes
+        return sum(zone.storage_bytes
+                   for zone in (self.mins, self.maxs, self.sums)
+                   if zone is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -25,16 +25,23 @@ its candidate chunks proven to match the whole predicate by its
 min/max (:attr:`PhysicalPlan.covered_morsels`) — runs the plan's
 predicate-free :attr:`~PhysicalPlan.covered_kernel` instead: the
 predicate is not evaluated there, and the columns only it reads are
-not decoded.  Both proofs share the zone map's validity: a written
-column needs ``build_zone_map`` again before it prunes or covers.
+not decoded.  An ungrouped aggregate whose columns have chunk synopses
+goes further: every covered chunk is answered from the zone maps'
+per-chunk counts, sums, mins and maxs (:attr:`PhysicalPlan.synopsis`),
+once per query on the calling thread, and only the other candidates
+reach a kernel (:meth:`PhysicalPlan.morsel_runs`).  All of it shares
+the zone map's validity: a written column needs ``build_zone_map``
+again before it prunes, covers or answers.
 
 The decode accounting is exact per column: executing a query adds
 :attr:`PhysicalPlan.predicted_decoded_chunks` ``[name]`` — the
-candidate chunks, minus those of covered morsels for a predicate-only
-column — to that column's ``stats.chunk_unpacks``, 64 times that to its
-summed ``replica_read_elements``, and the same to
+predicate kernel's chunks, plus those of covered morsels for a column
+the covered kernel reads — to that column's ``stats.chunk_unpacks``, 64
+times that to its summed ``replica_read_elements``, and the same to
 ``QueryStats.decoded_chunks`` and the ``query.decoded_chunks{column}``
-counter — which is what ``explain()`` predicted.  (The one deliberate
+counter — which is what ``explain()`` predicted; the chunks synopses
+answered go to ``QueryStats.synopsis_chunks`` and
+``query.synopsis_chunks{column}``.  (The one deliberate
 exception: a ``limit()`` row query stops claiming morsels once the
 completed morsel prefix covers the row budget, so it may decode
 *fewer* chunks — see :class:`_LimitTracker`.)
@@ -54,7 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core import bitpack
-from ..core.zonemap import _chunk_runs
+from ..core.zonemap import chunk_rows
 from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
 from ..runtime.loops import parallel_for
@@ -108,6 +115,25 @@ def _merge_agg(into: List[object], other: List[object], specs) -> None:
                 into[slot][0] + other[slot][0],
                 into[slot][1] + other[slot][1],
             )
+
+
+def _synopsis_agg(plan: PhysicalPlan, specs, rows: int) -> List[object]:
+    """Aggregate partials over the plan's synopsis chunks (``rows``
+    rows), read from the zone maps' per-chunk statistics: ``rows`` for
+    ``count``, exact chunk sums for ``sum``/``mean``, chunk mins/maxs
+    for ``min``/``max``."""
+    chunks = plan.synopsis
+    out: List[object] = []
+    for spec in specs:
+        if spec.kind == "count":
+            out.append(rows)
+        elif spec.kind == "mean":
+            out.append((plan.synopsis_maps[spec.column].synopsis(
+                "sum", chunks), rows))
+        else:
+            out.append(plan.synopsis_maps[spec.column].synopsis(
+                spec.kind, chunks))
+    return out
 
 
 def _finalize_agg(partials: List[object], specs) -> Dict[str, object]:
@@ -218,15 +244,16 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     for name in plan.needed_columns:
         stats._bits[name] = table[name].bits
         stats.decoded_chunks[name] = 0
+        stats.synopsis_chunks[name] = plan.synopsis_chunks
 
     n_morsels = len(plan.morsels)
     partials: List[Optional[MorselPartial]] = [None] * n_morsels
-    max_chunks = plan.morsel_elements // bitpack.CHUNK_ELEMENTS
     n_rows = table.n_rows
 
-    # Only morsels with candidate chunks are ever visited; fully pruned
-    # morsels cost nothing at execution time (their partial stays None).
-    work = (plan.active_morsels if plan.active_morsels is not None
+    # Only morsels with chunks to decode are ever visited; fully pruned
+    # morsels, and those the synopses answer whole, cost nothing at
+    # execution time (their partial stays None).
+    work = (plan.work_morsels if plan.work_morsels is not None
             else range(n_morsels))
     limiter = (
         _LimitTracker(query.limit_rows, len(work))
@@ -257,10 +284,11 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                     plan.morsel_elements)
             return kernel
 
+    # A synopsis plan's covered morsels are answered without a kernel.
     covered_morsels = frozenset(plan.covered_morsels.tolist())
+    kernel_covered = covered_morsels if bare is not None else frozenset()
 
-    def run_morsel(index: int, pos: int,
-                   ctx: Optional[ThreadContext]) -> None:
+    def check_interrupt() -> None:
         # Cooperative interruption point: nothing is pinned yet, so
         # raising here can never leak a generation pin.
         if cancel is not None and cancel.is_set():
@@ -270,14 +298,17 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                 f"query exceeded its {timeout_s}s deadline "
                 f"(checked at morsel boundaries)"
             )
+
+    def run_morsel(index: int, pos: int,
+                   ctx: Optional[ThreadContext]) -> None:
+        check_interrupt()
         if limiter is not None and limiter.satisfied:
             limit_skipped[index] = True
             return
-        start, stop = plan.morsels[index]
-        part = MorselPartial(morsel=index, covered=index in covered_morsels)
+        part = MorselPartial(morsel=index, covered=index in kernel_covered)
         partials[index] = part
-        candidates = plan.morsel_candidates(start, stop)
-        if candidates.size == 0:
+        runs = plan.morsel_runs(index)
+        if not runs:
             if limiter is not None:
                 limiter.record(pos, 0)
             return
@@ -301,10 +332,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
                          gen.buffer_for_socket(socket),
                          np.empty(plan.morsel_elements, dtype=np.uint64))
             (part.rows_scanned, part.rows_matched, part.decoded_chunks,
-             *output) = kernel.fn(
-                list(_chunk_runs(candidates, max_chunks)),
-                n_rows, kernel.literals, *args,
-            )
+             *output) = kernel.fn(runs, n_rows, kernel.literals, *args)
         finally:
             for gen in gens:
                 gen.unpin()
@@ -315,6 +343,9 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
         if limiter is not None:
             limiter.record(pos, part.rows_matched)
 
+    # Also before the synopses answer anything: a plan they answer
+    # whole visits no morsel at all.
+    check_interrupt()
     if pool is None:
         for pos, index in enumerate(work):
             run_morsel(int(index), pos, None)
@@ -331,12 +362,20 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     group_total: Dict[int, List[object]] = {}
     idx_all: List[np.ndarray] = []
     val_all: Dict[str, List[np.ndarray]] = {name: [] for name in projection}
+    if plan.synopsis_chunks:
+        rows = chunk_rows(n_rows, plan.synopsis)
+        stats.rows_scanned += rows
+        stats.rows_matched += rows
+        _merge_agg(agg_total, _synopsis_agg(plan, specs, rows), specs)
     for index, part in enumerate(partials):
         if part is None:
-            # Fully pruned at plan time — or skipped because a limit()
-            # budget was already satisfied by earlier morsels.
+            # Fully pruned at plan time, answered by the synopses — or
+            # skipped because a limit() budget was already satisfied by
+            # earlier morsels.
             if limit_skipped[index]:
                 stats.morsels_skipped += 1
+            elif index in covered_morsels:
+                stats.morsels_covered += 1
             else:
                 stats.morsels_pruned += 1
             continue
@@ -383,6 +422,9 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     for name in plan.needed_columns:
         reg.counter("query.decoded_chunks", column=name).add(
             stats.decoded_chunks[name]
+        )
+        reg.counter("query.synopsis_chunks", column=name).add(
+            stats.synopsis_chunks[name]
         )
     reg.histogram("query.wall_time_s").observe(stats.wall_time_s)
 

@@ -21,10 +21,13 @@ a :class:`PhysicalPlan` the morsel executor runs:
   unsargable leaves cover nothing).  An active morsel whose candidate
   chunks are all covered runs the query's kernel *without* its
   predicate, compiled only for a plan that has one: columns only the
-  predicate reads are not decoded there, and no mask is built.  Each
-  needed column decodes the candidate chunks, minus those of covered
-  morsels when only the predicate reads it
-  (:attr:`PhysicalPlan.predicted_decoded_chunks`).
+  predicate reads are not decoded there, and no mask is built.
+* **Chunk synopses** — an ungrouped aggregate whose columns have
+  current zone maps answers every covered chunk from the maps'
+  per-chunk counts, sums, mins and maxs instead, and only the other
+  candidates are decoded; a morsel whose candidates fragment decodes
+  their hull in one call (:func:`_bind`).  Each needed column's decode
+  is :attr:`PhysicalPlan.predicted_decoded_chunks`.
 * **Adaptive read policy** — the section-6 selector
   (:func:`repro.adapt.select_configuration`) is consulted once per
   referenced column, fed the query's projected scan shape
@@ -75,7 +78,8 @@ from ..adapt import (
 from ..core import bitpack
 from ..core.map_api import SUPERCHUNK_ELEMENTS, check_superchunk
 from ..core.smart_array import SmartArray
-from ..core.zonemap import ZoneMap
+from ..core.zonemap import (HULL_CALL_CHUNKS, ZoneMap, _chunk_runs,
+                            window_hulls)
 from ..numa.counters import PerfCounters
 from ..numa.topology import MachineSpec
 from ..obs.registry import registry as _obs_registry
@@ -174,6 +178,10 @@ _Candidates = Optional[_Chunks]
 
 #: No chunk: what an unprovable subtree covers.
 _NO_CHUNKS = (0, 0)
+
+#: What a morsel's kernel decodes: ``None`` = every chunk, a tuple of
+#: disjoint runs ``(first, stop)``, or a per-chunk mask.
+_Decode = Union[None, Tuple[Tuple[int, int], ...], np.ndarray]
 
 
 def _as_mask(chunks: _Chunks, n_chunks: int) -> np.ndarray:
@@ -358,8 +366,31 @@ class PhysicalPlan:
     #: runs; see :mod:`repro.query.codegen`.
     kernel: CompiledKernel
     #: The same query's kernel without its predicate, over the columns it
-    #: outputs; compiled only when :attr:`covered_morsels` is non-empty.
+    #: outputs; compiled only when :attr:`covered_morsels` is non-empty
+    #: and the plan has no :attr:`synopsis`.
     covered_kernel: Optional[CompiledKernel]
+    #: What a morsel's kernel decodes, clipped to the morsel: ``None`` =
+    #: every chunk, a tuple of runs ``(first, stop)``, or a per-chunk
+    #: mask (a morsel in :attr:`hulls` decodes its hull instead).
+    decode: _Decode = None
+    #: Morsels the executor runs a kernel on (``None`` = every morsel):
+    #: :attr:`active_morsels`, less those the synopses answer whole.
+    work_morsels: Optional[np.ndarray] = None
+    #: Morsel index -> ``(first, stop)`` chunk hull it decodes in one
+    #: call, for the morsels whose chunks to decode fragment
+    #: (:func:`~repro.core.zonemap.window_hulls`).
+    hulls: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    #: Chunks the plan's predicate kernel decodes per needed column:
+    #: every visited morsel's but the covered-kernel ones, hulls whole.
+    chunks_kernel: int = 0
+    #: Covered chunks answered from the aggregated columns' chunk
+    #: synopses (a run or a mask), ``None`` = none; see :func:`_bind`.
+    synopsis: Optional[_Chunks] = None
+    synopsis_chunks: int = 0
+    #: Aggregated column -> the zone map whose synopses answer
+    #: :attr:`synopsis`; ``None`` when no synopsis can answer the query
+    #: (see :func:`_synopsis_maps`).
+    synopsis_maps: Optional[Dict[str, ZoneMap]] = None
     _decisions: Optional[Dict[str, ColumnDecision]] = field(
         default=None, init=False, repr=False)
 
@@ -399,14 +430,14 @@ class PhysicalPlan:
 
     @property
     def predicted_decoded_chunks(self) -> Dict[str, int]:
-        """Per needed column: chunks the scan will decode — the
-        candidates, minus those of covered morsels for a column only the
-        predicate reads."""
-        skipped = (set(self.needed_columns) - set(self.decoded_columns(True))
-                   if self.covered_kernel is not None else set())
+        """Per needed column: chunks the scan will decode — the predicate
+        kernel's (:attr:`chunks_kernel`), plus the covered morsels' for a
+        column the covered kernel reads."""
+        covered = (set(self.covered_kernel.columns)
+                   if self.covered_kernel is not None else ())
         return {
-            name: self.chunks_candidate - (
-                self.chunks_covered if name in skipped else 0)
+            name: self.chunks_kernel + (
+                self.chunks_covered if name in covered else 0)
             for name in self.needed_columns
         }
 
@@ -438,6 +469,30 @@ class PhysicalPlan:
         if self.candidates is None:
             return None
         return _as_mask(self.candidates, self.chunks_total)
+
+    def morsel_runs(self, index: int) -> List[Tuple[int, int]]:
+        """The ``(first, count)`` chunk runs morsel ``index``'s kernel
+        decodes: :attr:`decode` clipped to the morsel, or its hull."""
+        start, stop = self.morsels[index]
+        first = start // bitpack.CHUNK_ELEMENTS
+        end = -(-stop // bitpack.CHUNK_ELEMENTS)
+        decode = self.decode
+        if decode is None:
+            return [(first, end - first)]
+        if isinstance(decode, tuple):
+            runs = []
+            for run_first, run_stop in decode:
+                lo, hi = max(first, run_first), min(end, run_stop)
+                if hi > lo:
+                    runs.append((lo, hi - lo))
+            return runs
+        hull = self.hulls.get(index)
+        if hull is not None:
+            return [(hull[0], hull[1] - hull[0])]
+        local = decode[first:end]
+        if local.all():
+            return [(first, end - first)]
+        return list(_chunk_runs(np.flatnonzero(local) + first, end - first))
 
     def morsel_candidates(self, start: int, stop: int) -> np.ndarray:
         """Candidate chunk indices covering rows ``[start, stop)``."""
@@ -477,6 +532,17 @@ class PhysicalPlan:
             f"  covered morsels: {self.covered_morsels.size} of {active} "
             f"(zone maps prove the predicate; it is not evaluated there)"
         )
+        if self.synopsis_maps is not None:
+            lines.append(
+                f"  synopsis chunks: {self.synopsis_chunks} of "
+                f"{self.chunks_candidate} candidates (answered from "
+                f"per-chunk count/sum/min/max, not decoded)"
+            )
+        if self.hulls:
+            lines.append(
+                f"  fragmented morsels: {len(self.hulls)} decode their "
+                f"candidate hull in one call"
+            )
         lines.append("  columns read (fused single pass):")
         for name, chunks in self.predicted_decoded_chunks.items():
             lines.append("    " + self.decisions[name].describe())
@@ -539,7 +605,7 @@ def plan_query(
         reg.counter("query.chunks_candidate").add(plan.chunks_candidate)
         reg.counter("query.chunks_pruned").add(plan.chunks_pruned)
         reg.counter("query.morsels_pruned_at_plan").add(plan.morsels_pruned)
-        if plan.covered_kernel is not None:
+        if plan.covered_kernel is not None or plan.synopsis_chunks:
             reg.counter("query.plans_covered").add(1)
         return plan
 
@@ -618,21 +684,76 @@ def _plan_shape(query: Query, morsel: Optional[int]) -> _PlanShape:
     )
 
 
-#: What :func:`_bind` returns: ``(candidates, pushed, active morsel
-#: indices or None, candidate chunk count, covered morsel indices,
-#: candidate chunks inside covered morsels)``.
-_Binding = Tuple[_Candidates, List[PushedPredicate], Optional[np.ndarray],
-                 int, np.ndarray, int]
+class _Binding(NamedTuple):
+    """What :func:`_bind` decides for one statement (the
+    :class:`PhysicalPlan` fields of the same names)."""
+
+    candidates: _Candidates
+    pushed: List[PushedPredicate]
+    active_morsels: Optional[np.ndarray]
+    chunks_candidate: int
+    covered_morsels: np.ndarray
+    chunks_covered: int
+    decode: _Decode
+    work_morsels: Optional[np.ndarray]
+    hulls: Dict[int, Tuple[int, int]]
+    chunks_kernel: int
+    synopsis: Optional[_Chunks] = None
+    synopsis_chunks: int = 0
+    synopsis_maps: Optional[Dict[str, ZoneMap]] = None
 
 
 _NO_MORSELS = np.empty(0, dtype=np.int64)
 _NO_MORSELS.flags.writeable = False
 
 
+def _synopsis_maps(query: Query, table,
+                   prune: str) -> Optional[Dict[str, ZoneMap]]:
+    """Per aggregated column, the current zone map whose chunk synopses
+    can answer covered chunks of ``query`` — ``None`` when they cannot:
+    a group-by or row query, pruning off, or an aggregated column with
+    no current map (or, for ``sum``/``mean``, one too wide to keep
+    sums).  ``count(*)`` needs no map: a chunk's row count is its
+    geometry."""
+    if prune == "off" or not query.aggregates or \
+            query.group_key is not None or not table.n_rows:
+        return None
+    maps: Dict[str, ZoneMap] = {}
+    for spec in query.aggregates:
+        if spec.column is None:
+            continue
+        zm = maps.get(spec.column) or table.zone_map(spec.column)
+        if zm is None or (spec.kind in ("sum", "mean") and zm.sums is None):
+            return None
+        maps[spec.column] = zm
+    return maps
+
+
+def _run_morsels(first: int, stop: int, per_morsel: int) -> np.ndarray:
+    """Indices of the morsels chunks ``[first, stop)`` touch."""
+    return np.arange(first // per_morsel, -(-stop // per_morsel),
+                     dtype=np.int64)
+
+
 def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
     """The statement's literals against the zone maps: candidate chunks
-    and the morsels they activate, and the morsels whose candidates are
-    all covered.  A plan that cannot prune covers nothing."""
+    and the morsels they activate, the morsels whose candidates are all
+    covered, and — for an aggregate whose columns have current chunk
+    synopses — the covered chunks those synopses answer.
+
+    With synopses, every covered candidate chunk is answered from them
+    and only the others go to the predicate kernel: on a run binding
+    (monotone maps) at most two edge runs per morsel.  A morsel whose
+    chunks to decode fragment — runs whose extra decode calls cost more
+    than the gap chunks between them (:func:`~repro.core.zonemap.
+    window_hulls`) — decodes their hull under the predicate instead, and
+    the covered chunks inside a hull are then counted by the kernel, not
+    by their synopses.  Without synopses the covered morsels
+    run the predicate-free covered kernel over their exact candidate
+    runs — never a hull — and every other active morsel the predicate
+    kernel.  A plan that cannot prune covers nothing; a predicate-free
+    aggregate with synopses answers every chunk from them.
+    """
     table = query.table
     n_rows = table.n_rows
     n_chunks = bitpack.chunks_for(n_rows)
@@ -647,6 +768,7 @@ def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
                 zm = table.build_zone_map(name)
             if zm is not None:
                 zone_maps[name] = zm
+    synopsis_maps = _synopsis_maps(query, table, prune)
 
     pushed: List[PushedPredicate] = []
     candidates, covered = _candidate_mask(
@@ -654,7 +776,13 @@ def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
         zone_maps, n_chunks, pushed,
     )
     if candidates is None:
-        return None, pushed, None, n_chunks, _NO_MORSELS, 0
+        if synopsis_maps is not None and query.predicate is None:
+            return _Binding(None, pushed, None, n_chunks, _NO_MORSELS, 0,
+                            (), _NO_MORSELS, {}, 0, (0, n_chunks),
+                            n_chunks, synopsis_maps)
+        return _Binding(None, pushed, None, n_chunks, _NO_MORSELS, 0,
+                        None, None, {}, n_chunks,
+                        synopsis_maps=synopsis_maps)
 
     # Morsels are uniform superchunk windows.
     per_morsel = shape.morsel_elements // bitpack.CHUNK_ELEMENTS
@@ -663,9 +791,10 @@ def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
         # plain arithmetic, no per-chunk work.
         first, stop = candidates
         if stop == first:
-            return candidates, pushed, _NO_MORSELS, 0, _NO_MORSELS, 0
-        active_morsels = np.arange(first // per_morsel,
-                                   -(-stop // per_morsel), dtype=np.int64)
+            return _Binding(candidates, pushed, _NO_MORSELS, 0, _NO_MORSELS,
+                            0, (), _NO_MORSELS, {}, 0,
+                            synopsis_maps=synopsis_maps)
+        active_morsels = _run_morsels(first, stop, per_morsel)
         cover_first = max(first, covered[0])
         cover_stop = min(stop, covered[1])
         covered_morsels, chunks_covered = _NO_MORSELS, 0
@@ -680,8 +809,32 @@ def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
                 covered_morsels = np.arange(m_first, m_stop, dtype=np.int64)
                 chunks_covered = (min(stop, m_stop * per_morsel)
                                   - max(first, m_first * per_morsel))
-        return (candidates, pushed, active_morsels, stop - first,
-                covered_morsels, chunks_covered)
+            if synopsis_maps is not None and not (
+                    first < cover_first and cover_stop < stop
+                    and (cover_first - 1) // per_morsel
+                    == cover_stop // per_morsel
+                    and cover_stop - cover_first < HULL_CALL_CHUNKS):
+                # (Edge runs in one morsel around fewer covered chunks
+                # than a second decode call is worth: the morsel decodes
+                # the whole run, as window_hulls would, and nothing is
+                # left for the synopses.)
+                edges = tuple(run for run in ((first, cover_first),
+                                              (cover_stop, stop))
+                              if run[1] > run[0])
+                work = (np.unique(np.concatenate(
+                    [_run_morsels(*run, per_morsel) for run in edges]))
+                    if edges else _NO_MORSELS)
+                return _Binding(
+                    candidates, pushed, active_morsels, stop - first,
+                    covered_morsels, chunks_covered, edges, work, {},
+                    sum(run[1] - run[0] for run in edges),
+                    (cover_first, cover_stop), cover_stop - cover_first,
+                    synopsis_maps)
+        return _Binding(candidates, pushed, active_morsels, stop - first,
+                        covered_morsels, chunks_covered, ((first, stop),),
+                        active_morsels, {}, stop - first - chunks_covered,
+                        synopsis_maps=synopsis_maps)
+
     # Per-morsel candidacy is one padded reshape — no per-morsel Python.
     candidates = _as_mask(candidates, n_chunks)
     n_morsels = len(shape.morsels)
@@ -692,14 +845,43 @@ def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
     active_morsels = np.nonzero(has_candidates)[0].astype(np.int64)
     covered_morsels, chunks_covered = _NO_MORSELS, 0
     covered = _as_mask(covered, n_chunks)
+    is_covered = None
     if covered.any():
         per_morsel_candidates = grid.sum(axis=1)
         padded[:n_chunks] &= ~covered  # candidates left uncovered
         is_covered = has_candidates & ~grid.any(axis=1)
         covered_morsels = np.nonzero(is_covered)[0].astype(np.int64)
         chunks_covered = int(per_morsel_candidates[covered_morsels].sum())
-    return (candidates, pushed, active_morsels, int(candidates.sum()),
-            covered_morsels, chunks_covered)
+    chunks_candidate = int(np.count_nonzero(candidates))
+    if synopsis_maps is not None:
+        # ``padded`` holds the uncovered candidates: all the kernel
+        # decodes, but for hulls.
+        decode = padded[:n_chunks].copy()
+    else:
+        # The kernel decodes every candidate; the covered morsels' run
+        # the covered kernel, never a hull.
+        decode = candidates
+        padded[:n_chunks] = candidates
+        if covered_morsels.size:
+            grid[is_covered] = False
+    hull_first, hull_stop = window_hulls(padded[:n_chunks], per_morsel)
+    hull_morsels = np.flatnonzero(hull_stop)
+    hulls = dict(zip(hull_morsels.tolist(),
+                     zip(hull_first[hull_morsels].tolist(),
+                         hull_stop[hull_morsels].tolist())))
+    for lo, hi in hulls.values():
+        padded[lo:hi] = True
+    chunks_kernel = int(np.count_nonzero(padded))
+    if synopsis_maps is None:
+        return _Binding(candidates, pushed, active_morsels, chunks_candidate,
+                        covered_morsels, chunks_covered, decode,
+                        active_morsels, hulls, chunks_kernel)
+    synopsis = covered & ~padded[:n_chunks] if hulls else covered
+    return _Binding(candidates, pushed, active_morsels, chunks_candidate,
+                    covered_morsels, chunks_covered, decode,
+                    np.flatnonzero(grid.any(axis=1)).astype(np.int64),
+                    hulls, chunks_kernel, synopsis,
+                    int(np.count_nonzero(synopsis)), synopsis_maps)
 
 
 def _plan_query(
@@ -711,14 +893,13 @@ def _plan_query(
     consult_selector: bool,
 ) -> PhysicalPlan:
     shape = _plan_shape(query, morsel)
-    (candidates, pushed, active_morsels, chunks_candidate, covered_morsels,
-     chunks_covered) = _bind(query, shape, prune)
+    binding = _bind(query, shape, prune)
 
     table = query.table
     n_chunks = bitpack.chunks_for(table.n_rows)
 
     covered_kernel = None
-    if covered_morsels.size:
+    if binding.covered_morsels.size and binding.synopsis is None:
         # Compiled only for a plan that has a covered morsel: the same
         # query without its predicate, over the columns it outputs.
         kernel = shape.kernel
@@ -737,34 +918,26 @@ def _plan_query(
             machine = default_machine()
         selector_inputs = (machine, accesses_per_element)
 
+    active_morsels = binding.active_morsels
     plan = PhysicalPlan(
         query=query,
         needed_columns=shape.needed_columns,
         morsel_elements=shape.morsel_elements,
         morsels=shape.morsels,
-        candidates=candidates,
         chunks_total=n_chunks,
-        chunks_candidate=chunks_candidate,
-        chunks_pruned=n_chunks - chunks_candidate,
+        chunks_pruned=n_chunks - binding.chunks_candidate,
         morsels_pruned=(len(shape.morsels) - int(active_morsels.size)
                         if active_morsels is not None else 0),
-        active_morsels=active_morsels,
-        covered_morsels=covered_morsels,
-        chunks_covered=chunks_covered,
-        pushed=pushed,
         column_facts=shape.column_facts,
         selector_inputs=selector_inputs,
-        est_instructions=sum(
-            (blocked_scan_instructions(64 * chunks_candidate, facts.bits)
-             for facts in shape.column_facts.values()), 0.0),
+        est_instructions=0.0,
         kernel=shape.kernel,
         covered_kernel=covered_kernel,
+        **binding._asdict(),
     )
-    if covered_kernel is not None:
-        plan.est_instructions = sum(
-            (blocked_scan_instructions(64 * chunks,
-                                       shape.column_facts[name].bits)
-             for name, chunks in plan.predicted_decoded_chunks.items()), 0.0)
+    plan.est_instructions = sum(
+        (blocked_scan_instructions(64 * chunks, shape.column_facts[name].bits)
+         for name, chunks in plan.predicted_decoded_chunks.items()), 0.0)
     return plan
 
 

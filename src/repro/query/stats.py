@@ -44,6 +44,9 @@ class QueryStats:
     #: of executed morsels, minus those of covered morsels for a column
     #: only the predicate reads (``PhysicalPlan.predicted_decoded_chunks``).
     decoded_chunks: Dict[str, int] = field(default_factory=dict)
+    #: Chunks answered from chunk synopses instead of decoded, per
+    #: needed column (``PhysicalPlan.synopsis_chunks`` for each).
+    synopsis_chunks: Dict[str, int] = field(default_factory=dict)
     #: Elements handed to the blocked kernel per column (64 per decoded
     #: chunk, trailing-padding slots included — the exact unit
     #: ``replica_read_elements`` counts).
@@ -128,9 +131,11 @@ class QueryStats:
             f"scanned (selectivity {self.selectivity:.4f})",
         ]
         for name in sorted(self.decoded_chunks):
+            synopsis = self.synopsis_chunks.get(name, 0)
             lines.append(
                 f"decoded {name}: {self.decoded_chunks[name]} chunks = "
                 f"{self.decoded_elements[name]:,} elements"
+                + (f" ({synopsis} chunks from synopses)" if synopsis else "")
             )
         lines.append(
             f"time: {self.wall_time_s * 1e3:.2f} ms, "

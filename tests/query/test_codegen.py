@@ -38,6 +38,8 @@ def make_table(bits, n=N, seed=0, sorted_keys=False):
     if sorted_keys:
         k = np.sort(k)
     t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True)
+    # Tests build the zone maps they prune with; no synopsis answers.
+    t.invalidate_zone_maps()
     assert t["k"].bits == bits and t["v"].bits == bits
     return t, k, v
 
@@ -382,6 +384,7 @@ def group_table(key_bits, value_bits, n=GROUP_N, seed=0, codecs=None):
     v = random_column(rng, value_bits, n)[::-1].copy()
     t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True,
                                codecs=codecs)
+    t.invalidate_zone_maps()  # tests build the maps they prune with
     assert t["k"].value_bits == key_bits and t["v"].value_bits == value_bits
     return t, k, v
 
@@ -920,7 +923,7 @@ def row_table(bits, seed=0, codecs=None, p=None):
         p = random_column(rng, bits, ROW_N)
     t = SmartTable.from_arrays({"k": k, "p": p}, replicated=True,
                                codecs=codecs)
-    t.build_zone_map("k")
+    t.invalidate_zone_maps("p")  # only ``k`` is zone-mapped
     return t, k, p
 
 

@@ -274,13 +274,17 @@ class TestCoveredMorsels:
         assert result.scalar() == int(mask.sum())
         assert result.plan.covered_morsels.size == \
             result.plan.active_morsels.size > 0
-        assert result.plan.covered_kernel.columns == ()
+        # Chunk row counts answer every covered chunk: no kernel runs.
+        assert result.plan.covered_kernel is None
+        assert result.stats.synopsis_chunks == {
+            "ts": result.plan.chunks_candidate}
         assert result.stats.decoded_chunks == {"ts": 0}
         assert result.plan.predicted_replica_read_elements == {"ts": 0}
         assert ts.stats.chunk_unpacks == 0
         assert sum(ts.replica_read_elements) == 0
 
     def test_decode_accounting_is_per_column(self, table, data):
+        table.invalidate_zone_maps("v")  # no synopsis answers sum(v)
         q = Query(table).where(in_range("ts", 12, 70)).sum("v")
         for name in ("ts", "v"):
             table[name].stats.reset()
@@ -309,8 +313,13 @@ class TestCoveredMorsels:
             .plan(morsel=MORSEL)
         assert plan.covered_morsels.size == 0
         assert plan.covered_kernel is None
+        # The scattered candidates fragment two morsels, which decode
+        # their candidate hulls (gaps included) in one call each.
+        gaps = sum(stop - first - int(plan.candidate_mask[first:stop].sum())
+                   for first, stop in plan.hulls.values())
+        assert plan.chunks_kernel == plan.chunks_candidate + gaps
         assert plan.predicted_decoded_chunks == {
-            "v": plan.chunks_candidate, "g": plan.chunks_candidate}
+            "v": plan.chunks_kernel, "g": plan.chunks_kernel}
 
     def test_prune_off_covers_nothing(self, table):
         plan = Query(table).where(in_range("ts", 12, 70)).sum("v") \
@@ -353,9 +362,12 @@ class TestCoveredOutputs:
         ts = data["ts"][mask].astype(object)
         assert result.aggregates == {"sum(ts)": int(ts.sum()),
                                      "max(ts)": int(ts.max())}
-        # The predicate column is an output: decoded on every morsel.
-        assert result.stats.decoded_chunks["ts"] == \
+        # The predicate column is an output: its synopsis answers the
+        # covered chunks, and every other candidate chunk is decoded.
+        assert result.stats.decoded_chunks["ts"] + \
+            result.stats.synopsis_chunks["ts"] == \
             result.plan.chunks_candidate
+        assert result.stats.synopsis_chunks["ts"] > 0
 
     def test_group_by(self, table, data, mask):
         result = self.run(self.where(table).group_by("g").sum("v").count())
@@ -422,6 +434,7 @@ class TestCoveredMigration:
 
         monkeypatch.setattr(executor, "compile_query", recorded)
         t = make_table(data)
+        t.invalidate_zone_maps("v")  # no synopsis answers sum(v)
         lo, hi = int(data["ts"][2 * MORSEL]), int(data["ts"][9 * MORSEL])
         plan = Query(t).where(in_range("ts", lo, hi)).sum("v") \
             .plan(morsel=MORSEL)

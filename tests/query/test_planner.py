@@ -30,7 +30,7 @@ def data():
 @pytest.fixture
 def table(data):
     t = SmartTable.from_arrays(dict(data))
-    t.build_zone_map("k")
+    t.invalidate_zone_maps("v")  # only ``k`` is zone-mapped
     return t
 
 
@@ -110,12 +110,14 @@ class TestPruneModes:
         assert not plan.pushed
 
     def test_auto_without_map_cannot_prune(self, data):
-        t = SmartTable.from_arrays(dict(data))  # no zone map built
+        t = SmartTable.from_arrays(dict(data))
+        t.invalidate_zone_maps()  # no zone map
         plan = Query(t).where(in_range("k", 0, 10)).count().plan()
         assert plan.candidate_mask is None
 
     def test_build_creates_and_caches_map(self, data):
         t = SmartTable.from_arrays(dict(data))
+        t.invalidate_zone_maps()
         plan = Query(t).where(in_range("k", 0, 10)).count().plan(
             prune="build"
         )
