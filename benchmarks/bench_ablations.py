@@ -152,9 +152,7 @@ def test_ablation_vectorized(benchmark, array):
 
     def scan():
         values = bitpack.unpack_array(sa.get_replica(0), N, 33)
-        from repro.runtime.loops import _exact_sum
-
-        return _exact_sum(values)
+        return bitpack.exact_sum(values)
 
     assert benchmark(scan) == expected
 

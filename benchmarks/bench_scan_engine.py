@@ -17,7 +17,8 @@ Times the real functional path against the pre-engine baseline:
   replaced (``SLOT_KERNEL_MELEMS_S``, recorded before the swap);
 * **scan** — serial superchunk ``count_in_range`` vs the same scan
   forced to chunk granularity (``superchunk=64``, the pre-engine loop
-  shape), and the socket-parallel operators vs serial.
+  shape), and the pooled scan — a one-column query on 8 threads — vs
+  serial.
 
 Run as a script it writes ``benchmarks/results/scan_engine.txt`` and the
 machine-readable ``benchmarks/results/BENCH_scan_engine.json``; under
@@ -33,12 +34,10 @@ import numpy as np
 import pytest
 
 from repro.core import allocate, bitpack, bitpack_fast, scan_ops
+from repro.core.table import SmartTable
 from repro.numa import NumaAllocator, machine_2x8_haswell
-from repro.runtime import (
-    WorkerPool,
-    parallel_count_in_range,
-    parallel_sum_blocked,
-)
+from repro.query import Query, in_range
+from repro.runtime import WorkerPool, parallel_sum_bulk
 
 try:
     from .common import RESULTS_DIR, emit
@@ -197,11 +196,17 @@ def scan_report() -> str:
         lambda: scan_ops.count_in_range(sa, lo, hi, superchunk=64)
     )
     t_super = _best_of(lambda: scan_ops.count_in_range(sa, lo, hi))
-    t_par = _best_of(lambda: parallel_count_in_range(sa, lo, hi, pool=pool))
+    table = SmartTable({"v": sa})
+
+    def pooled() -> int:
+        return (Query(table).where(in_range("v", lo, hi)).count()
+                .run(pool=pool).scalar())
+
+    t_par = _best_of(pooled)
 
     expected = int(((values >= lo) & (values < hi)).sum())
     assert scan_ops.count_in_range(sa, lo, hi) == expected
-    assert parallel_count_in_range(sa, lo, hi, pool=pool) == expected
+    assert pooled() == expected
 
     lines = [
         f"count_in_range over {N:,} elements at {bits} bits:",
@@ -210,7 +215,7 @@ def scan_report() -> str:
         f"{'1.00x':>14}",
         f"{'superchunk (4096)':<34} {t_super * 1e3:>10.2f} "
         f"{t_chunk / t_super:>13.2f}x",
-        f"{'parallel (8 workers, threads)':<34} {t_par * 1e3:>10.2f} "
+        f"{'one-column query (8 threads)':<34} {t_par * 1e3:>10.2f} "
         f"{t_chunk / t_par:>13.2f}x",
     ]
     return "\n".join(lines)
@@ -247,7 +252,7 @@ def test_superchunk_count_in_range(benchmark):
     ) == expected
 
 
-def test_parallel_sum_blocked(benchmark):
+def test_parallel_sum_bulk(benchmark):
     machine = machine_2x8_haswell()
     allocator = NumaAllocator(machine)
     pool = WorkerPool(machine, n_workers=8)
@@ -255,7 +260,7 @@ def test_parallel_sum_blocked(benchmark):
     sa = allocate(values.size, bits=20, values=values, replicated=True,
                   allocator=allocator)
     assert benchmark(
-        lambda: parallel_sum_blocked(sa, pool=pool)
+        lambda: parallel_sum_bulk(sa, pool=pool, batch=4096)
     ) == int(values.sum())
 
 

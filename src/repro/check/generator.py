@@ -290,8 +290,9 @@ _QUERY_OP_TABLE = (
 ) + _QUERY_OPS
 
 #: The obs profile leans on the ops whose counters move from worker
-#: threads (parallel scans, query executor) — the lost-update surface
-#: the observability invariant exists to catch.
+#: threads (``parallel_sum_bulk`` and the pooled one-column queries
+#: behind ``parallel_*``, the ``query_*`` executor) — the lost-update
+#: surface the observability invariant exists to catch.
 _OBS_OP_TABLE = tuple(
     (name, weight * (3 if name.startswith(("parallel_", "query_")) else 1),
      nonempty)
@@ -441,7 +442,6 @@ _NEEDS_NONEMPTY = {
 }
 
 _PARALLEL_BATCHES = (256, 4096)
-_DISTRIBUTIONS = ("dynamic", "static")
 
 
 def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
@@ -519,56 +519,55 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
     if name in ("zonemap_count", "zonemap_select", "zonemap_candidates"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits)))
     if name in ("parallel_sum", "parallel_min_max"):
-        return Op(name, (int(rng.choice(_PARALLEL_BATCHES)),
-                         int(rng.integers(0, 2))))
+        return Op(name, (int(rng.choice(_PARALLEL_BATCHES)),))
     if name in ("parallel_count", "parallel_select"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         int(rng.choice(_PARALLEL_BATCHES)),
-                         int(rng.integers(0, 2))))
+                         int(rng.choice(_PARALLEL_BATCHES))))
+    # Query, sql and cluster ops end in a pool flag (cluster: fan-out).
     if name in ("query_filter_sum", "query_filter_count",
                 "query_filter_minmax", "query_key_sum"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+                         int(rng.integers(0, 2))))
     if name in ("query_and_count", "query_or_select"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          _gen_bound(rng, vbits), _gen_bound(rng, vbits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+                         int(rng.integers(0, 2))))
     if name == "query_group_sum":
-        return Op(name, (int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+        return Op(name, (int(rng.integers(0, 2)),))
     if name in ("sql_filter_sum", "sql_filter_count",
                 "sql_filter_minmax"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2)),
+                         int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name in ("sql_and_count", "sql_or_select"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          _gen_bound(rng, vbits), _gen_bound(rng, vbits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2)),
+                         int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name == "sql_group_sum":
-        return Op(name, (int(rng.integers(0, 2)), int(rng.integers(0, 2)),
+        return Op(name, (int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name == "sql_error":
         return Op(name, (int(rng.integers(0, N_SQL_ERROR_TEMPLATES)),))
     if name in ("cluster_filter_sum", "cluster_filter_count",
                 "cluster_filter_minmax"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+                         int(rng.integers(0, 2))))
     if name in ("cluster_and_count", "cluster_or_select"):
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          _gen_bound(rng, vbits), _gen_bound(rng, vbits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+                         int(rng.integers(0, 2))))
     if name == "cluster_group_sum":
-        return Op(name, (int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+        return Op(name, (int(rng.integers(0, 2)),))
     if name == "cluster_limit":
-        # (lo, hi, limit, fan, dist): row query with a pushed-down
-        # LIMIT; 0 and tiny prefixes are the interesting boundaries.
+        # (lo, hi, limit, fan): row query with a pushed-down LIMIT;
+        # 0 and tiny prefixes are the interesting boundaries.
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
                          int(rng.integers(0, 300)),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+                         int(rng.integers(0, 2))))
     if name == "cluster_sql":
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2)),
+                         int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name == "cluster_migrate_query":
         # (lo, hi, target placement, pin socket, chunk budget): a live
@@ -632,7 +631,7 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
         return Op(name, (first, n))
     if name == "codec_query_count":
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         int(rng.integers(0, 2)), int(rng.integers(0, 2))))
+                         int(rng.integers(0, 2))))
     if name == "codec_zonemap_count":
         return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits)))
     raise AssertionError(f"unhandled op {name}")  # pragma: no cover
@@ -667,6 +666,14 @@ def make_case(seed: int, index: int, profile: str = "mixed") -> Case:
     ops = [Op("fill", (int(rng.integers(0, 2**31)),))]
     vbits = companion_width(seed, index, spec.bits)
     ops += [_gen_op(rng, spec, profile, vbits) for _ in range(n_ops - 1)]
+    if (vbits in SUM_CUTOFF_WIDTHS.values() and spec.length
+            and "query_filter_sum" in _profile_dist(profile)[0]):
+        # A value column at a sum cutoff ends in a whole-table SUM: every
+        # chunk is covered, so each one's sum comes from its synopsis
+        # (58 bits) or from the kernel (59 bits, where a synopsis slot
+        # would wrap on a chunk of saturated values).
+        ops.append(Op("query_filter_sum", (0, 1 << 64,
+                                           int(rng.integers(0, 2)))))
     return Case(seed=seed, index=index, spec=spec, ops=tuple(ops),
                 profile=profile)
 

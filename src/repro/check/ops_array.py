@@ -1,5 +1,6 @@
 """Array ops: writes, point and bulk reads, range scans, iterators,
-standalone zone maps and parallel scans, each against the oracle.
+standalone zone maps and pooled whole-array scans, each against the
+oracle.
 
 The codec profile's ``codec_*`` read ops are these same handlers: they
 run the same reads on whichever layout (bit-packed, dict, rle, delta)
@@ -16,9 +17,11 @@ import numpy as np
 from ..core import scan_ops
 from ..core.iterators import SmartArrayIterator
 from ..core.map_api import sum_range
-from ..runtime import parallel_scans
+from ..core.table import SmartTable
+from ..query import Query, in_range
+from ..runtime.loops import parallel_sum_bulk
 from . import oracle as orc
-from .generator import _DISTRIBUTIONS, gen_values
+from .generator import gen_values
 from .runner import Divergence
 
 
@@ -238,28 +241,30 @@ def _zonemap_op(r, op, before) -> None:
 
 def _parallel(r, op, before) -> None:
     """``parallel_sum`` / ``_min_max`` / ``_count`` / ``_select`` over the
-    whole array on the case's pool."""
-    *bounds, batch, dist = op.args
+    whole array on the case's pool: ``parallel_sum_bulk``, or a
+    one-column query with one morsel per ``batch`` elements.  Neither
+    skips a range that cannot match (the one-column table has no zone
+    map), so each decodes every chunk once."""
+    *bounds, batch = op.args
     o, n = r.oracle, r.spec.length
-    kwargs = dict(pool=r.pool(), batch=batch,
-                  distribution=_DISTRIBUTIONS[dist])
     if op.name == "parallel_sum":
-        actual = parallel_scans.parallel_sum(r.array, **kwargs)
+        actual = parallel_sum_bulk(r.array, pool=r.pool(), batch=batch)
         expected = o.sum_range(0, n)
-    elif op.name == "parallel_min_max":
-        actual = parallel_scans.parallel_min_max(r.array, **kwargs)
-        expected = o.min_max(0, n)
-    elif op.name == "parallel_count":
-        actual = parallel_scans.parallel_count_in_range(r.array, *bounds,
-                                                        **kwargs)
-        expected = o.count_in_range(*bounds)
     else:
-        actual = parallel_scans.parallel_select_in_range(r.array, *bounds,
-                                                         **kwargs)
-        expected = o.select_in_range(*bounds)
+        q = Query(SmartTable({"v": r.array}))
+        if bounds:
+            q = q.where(in_range("v", *bounds))
+        if op.name == "parallel_min_max":
+            q, expected = q.min("v").max("v"), o.min_max(0, n)
+        elif op.name == "parallel_count":
+            q, expected = q.count(), (o.count_in_range(*bounds),)
+        else:
+            q, expected = q.select(), o.select_in_range(*bounds)
+        result = q.run(pool=r.pool(), morsel=batch)
+        actual = (result.rows if result.kind == "rows"
+                  else tuple(result.aggregates.values()))
     r.compare(actual, expected, op.name)
-    can_match = not bounds or orc.clamp_range(*bounds) is not None
-    r.check_decoded(before, orc.chunks_for(n) if can_match else 0, op.name)
+    r.check_decoded(before, orc.chunks_for(n), op.name)
 
 
 HANDLERS = {

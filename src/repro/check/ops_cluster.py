@@ -23,7 +23,7 @@ from ..core import bitpack
 from ..live import LiveMigrator, MigrationBudget
 from ..obs.registry import registry as _obs_registry
 from . import oracle as orc
-from .generator import _DISTRIBUTIONS, cluster_grid
+from .generator import cluster_grid
 from .ops_migrate import check_completed, placement_for, race
 from .ops_query import (Shape, bind_checked, compare_result, predict_decode,
                         query_shape, shape_zones, synopsis_ready,
@@ -162,8 +162,8 @@ def _check_decode(op, cl: _Cluster, q, shape: Shape, res, twin,
                 f"{' or '.join(map(str, predictions))}")
 
 
-def _differential(r, op, shape: Shape, q, fan: int, dist: int,
-                  runs: int = 1, racing=frozenset()) -> None:
+def _differential(r, op, shape: Shape, q, fan: int, runs: int = 1,
+                  racing=frozenset()) -> None:
     """The cluster profile's core check, for one query shape:
 
     1. the distributed result equals the oracle's answer;
@@ -183,8 +183,7 @@ def _differential(r, op, shape: Shape, q, fan: int, dist: int,
     reg = _obs_registry()
     before = reg.snapshot()
     for _ in range(runs):
-        res = q.plan(morsel=sc).execute(distribution=_DISTRIBUTIONS[dist],
-                                        fan_out=bool(fan))
+        res = q.plan(morsel=sc).execute(fan_out=bool(fan))
         compare_result(r, f"{op.name}.distributed", res, expected)
     actual = {
         key: value for key, value in reg.delta(before).items()
@@ -198,8 +197,7 @@ def _differential(r, op, shape: Shape, q, fan: int, dist: int,
             "cluster", f"{op.name}: wire accounting (expected, actual) = "
                        f"{diff}")
 
-    twin = shape.query(cl.twin).run(morsel=sc,
-                                    distribution=_DISTRIBUTIONS[dist])
+    twin = shape.query(cl.twin).run(morsel=sc)
     compare_result(r, f"{op.name}.twin", twin, expected)
     for field in ("aggregates", "groups"):
         if getattr(res, field) != getattr(twin, field):
@@ -232,13 +230,13 @@ def _differential(r, op, shape: Shape, q, fan: int, dist: int,
 def _shape_op(r, op, before) -> None:
     """The query shapes, plus ``cluster_limit``: a row query with a
     pushed-down LIMIT."""
-    *_, fan, dist = op.args
+    fan = op.args[-1]
     if op.name == "cluster_limit":
         lo, hi, limit = op.args[:3]
         shape = Shape(lambda q: q.select("v").limit(limit), (("k", lo, hi),))
     else:
         shape = query_shape(op.name, op.args)
-    _differential(r, op, shape, shape.query(_cluster(r).table), fan, dist)
+    _differential(r, op, shape, shape.query(_cluster(r).table), fan)
     # Cluster ops read only the sharded copies and the twin — the case
     # array's own counters must not move at all.
     r.check_stats(before, {}, op.name)
@@ -246,12 +244,12 @@ def _shape_op(r, op, before) -> None:
 
 def _sql(r, op, before) -> None:
     """``sql_filter_sum``'s statement, bound against the sharded table."""
-    lo, hi, fan, dist, style = op.args
+    lo, hi, fan, style = op.args
     shape = query_shape("sql_filter_sum", op.args)
     table = _cluster(r).table
     sql = _render_sql_op("sql_filter_sum", (lo, hi), style)
     q = bind_checked(op.name, sql, table, shape.query(table))
-    _differential(r, op, shape, q, fan, dist)
+    _differential(r, op, shape, q, fan)
     r.check_stats(before, {}, op.name)
 
 
@@ -270,7 +268,7 @@ def _migrate_query(r, op, before) -> None:
         shard.table.column("v"), target,
         budget=MigrationBudget(max_chunks_per_step=budget))
     race(migration, lambda: _differential(
-        r, op, shape, shape.query(cl.table), fan=1, dist=0, runs=3,
+        r, op, shape, shape.query(cl.table), fan=1, runs=3,
         racing=frozenset({shard.shard_id})))
     check_completed(op.name, migration)
     cl.unmapped_v.add(shard.shard_id)

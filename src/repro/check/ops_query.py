@@ -25,7 +25,6 @@ from ..sql import SqlError, bind, compile_sql, parse
 from ..sql.nodes import SelectStmt
 from ..sql.parser import _parse_uncached
 from . import oracle as orc
-from .generator import _DISTRIBUTIONS
 from .runner import Divergence
 
 #: Aggregates or projection per shape (an op name minus its family
@@ -257,8 +256,7 @@ def _zone_widths(r) -> Dict[str, int]:
     return {"k": k_bits, "v": r.vbits}
 
 
-def _check_query(r, op, query: Query, shape: Shape, par: int,
-                 dist: int) -> None:
+def _check_query(r, op, query: Query, shape: Shape, par: int) -> None:
     """Run ``query`` and check result, plan, and decode accounting.
 
     The result must equal the oracle's, and the plan's candidate
@@ -273,8 +271,7 @@ def _check_query(r, op, query: Query, shape: Shape, par: int,
                         {"k": r.oracle, "v": r.oracle_v})
     pool = r.pool() if par else None
     before = r.snapshot()
-    result = query.run(pool=pool, distribution=_DISTRIBUTIONS[dist],
-                       morsel=spec.superchunk)
+    result = query.run(pool=pool, morsel=spec.superchunk)
     compare_result(r, op.name, result, expected)
     chunks, covered, decoded, answered = predict_decode(
         query, zones, spec.superchunk,
@@ -324,7 +321,7 @@ def _query(r, op, before) -> None:
     table = r.query_table()
     _ensure_zonemaps(r)
     shape = query_shape(op.name, op.args)
-    _check_query(r, op, shape.query(table), shape, *op.args[-2:])
+    _check_query(r, op, shape.query(table), shape, op.args[-1])
 
 
 def _parse_checked(name: str, sql: str) -> SelectStmt:
@@ -374,7 +371,7 @@ def _sql(r, op, before) -> None:
     shape = query_shape(op.name, args)
     bound = bind_checked(op.name, _render_sql_op(op.name, args, style),
                          table, shape.query(table))
-    _check_query(r, op, bound, shape, *args[-2:])
+    _check_query(r, op, bound, shape, args[-1])
 
 
 def _sql_error(r, op, before) -> None:

@@ -325,8 +325,7 @@ def _cmd_trace(args) -> str:
     if args.demo == "scan":
         from .core.allocate import allocate
         from .core.map_api import sum_range
-        from .runtime.loops import default_pool
-        from .runtime.parallel_scans import parallel_sum
+        from .runtime.loops import default_pool, parallel_sum_bulk
 
         rng = np.random.default_rng(7)
         values = rng.integers(0, 1 << 20, args.rows).astype(np.uint64)
@@ -334,7 +333,7 @@ def _cmd_trace(args) -> str:
         pool = default_pool(args.workers)
         with tracing():
             serial = sum_range(array)
-            threaded = parallel_sum(array, pool=pool)
+            threaded = parallel_sum_bulk(array, pool=pool, batch=4096)
         lines.append(
             f"scan demo: n={args.rows:,} bits={array.bits} "
             f"serial={serial:,} threaded={threaded:,} "

@@ -215,12 +215,12 @@ class DistributedPlan:
             ]
         return "\n".join(lines)
 
-    def execute(self, pool=None, distribution: str = "dynamic",
-                cancel=None, timeout_s: Optional[float] = None,
+    def execute(self, pool=None, cancel=None,
+                timeout_s: Optional[float] = None,
                 fan_out: Optional[bool] = None) -> QueryResult:
         return execute_distributed(
-            self, pool=pool, distribution=distribution, cancel=cancel,
-            timeout_s=timeout_s, fan_out=fan_out,
+            self, pool=pool, cancel=cancel, timeout_s=timeout_s,
+            fan_out=fan_out,
         )
 
 
@@ -281,7 +281,6 @@ def _merged_stats(dplan: DistributedPlan, fan_out: bool, pool,
 
 
 def execute_distributed(dplan: DistributedPlan, pool=None,
-                        distribution: str = "dynamic",
                         cancel=None, timeout_s: Optional[float] = None,
                         fan_out: Optional[bool] = None) -> QueryResult:
     """Scatter ``dplan``, execute node-locally, gather in shard order.
@@ -328,7 +327,6 @@ def execute_distributed(dplan: DistributedPlan, pool=None,
                 results[shard.shard_id] = execute(
                     dplan.shard_plans[shard.shard_id],
                     pool=None if fan_out else pool,
-                    distribution=distribution,
                     cancel=cancel, timeout_s=timeout_s,
                 )
             except BaseException as exc:  # noqa: BLE001 - re-raised below

@@ -362,6 +362,24 @@ def scatter(words: np.ndarray, indices, values, bits: int) -> None:
         np.bitwise_or.at(words, w2, values[spills] >> (np.uint64(WORD_BITS) - so))
 
 
+def exact_sum(values: np.ndarray) -> int:
+    """Exact integer sum of a uint64 array.
+
+    A plain ``values.sum()`` wraps modulo 2**64.  Summing the 32-bit
+    halves separately keeps every partial sum below 2**52 for batches up
+    to 2**20 elements, so the arithmetic stays exact without falling
+    back to slow object-dtype reduction.
+    """
+    if values.size == 0:
+        return 0
+    if values.size >= 1 << 20:
+        half = values.size // 2
+        return exact_sum(values[:half]) + exact_sum(values[half:])
+    hi = int((values >> np.uint64(32)).sum(dtype=np.uint64))
+    lo = int((values & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
+    return (hi << 32) + lo
+
+
 def check_index(index: int, length: int) -> int:
     """Bounds-check an element index against ``length``."""
     index = int(index)

@@ -187,14 +187,13 @@ def sum_range(
     """Exact-integer aggregation over a range — the branch-free
     counterpart of the Function 4 iterator loop."""
     from ..obs.trace import trace
-    from ..runtime.loops import _exact_sum
 
     with trace("scan.sum_range", array=array.stats.array_label,
                socket=socket):
         return map_reduce(
             array,
             lambda span: span,
-            lambda acc, span: acc + _exact_sum(span),
+            lambda acc, span: acc + bitpack.exact_sum(span),
             0,
             start=start,
             stop=stop,

@@ -25,8 +25,10 @@ dictionary-order code ranges, run-level pruning, frame min/max — and
 decode nothing; partial scans fall back to the generic span path, which
 is codec-aware through ``decode_chunks``.
 
-Socket-parallel versions of these operators live in
-:mod:`repro.runtime.parallel_scans`.
+There are no separate socket-parallel versions: a pooled scan is a
+one-column query run with ``pool=`` on the morsel executor, e.g.
+``Query(SmartTable({"v": a})).where(in_range("v", lo, hi)).count()
+.run(pool=pool)`` (:mod:`repro.query`).
 """
 
 from __future__ import annotations

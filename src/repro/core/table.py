@@ -232,9 +232,7 @@ class SmartTable:
 
     def sum(self, name: str, rows: Optional[np.ndarray] = None) -> int:
         if rows is not None:
-            from ..runtime.loops import _exact_sum
-
-            return _exact_sum(self._gathered(name, rows))
+            return bitpack.exact_sum(self._gathered(name, rows))
         return self.query().sum(name).run().scalar()
 
     def min(self, name: str, rows: Optional[np.ndarray] = None) -> int:

@@ -94,9 +94,7 @@ def specialized_scan(array: SmartArray, socket: int = 0) -> ScanFn:
     if bits == 64:
         def scan64(start: int, stop: int) -> int:
             check(start, stop)
-            from ..runtime.loops import _exact_sum
-
-            return _exact_sum(replica[start:stop])
+            return bitpack.exact_sum(replica[start:stop])
 
         return scan64
 
@@ -114,8 +112,6 @@ def specialized_scan(array: SmartArray, socket: int = 0) -> ScanFn:
 
     def scan_packed(start: int, stop: int) -> int:
         check(start, stop)
-        from ..runtime.loops import _exact_sum
-
         total = 0
         pos = start
         while pos < stop:
@@ -123,7 +119,7 @@ def specialized_scan(array: SmartArray, socket: int = 0) -> ScanFn:
             lo = pos - chunk * 64
             hi = min(stop - chunk * 64, 64)
             unpack(chunk, replica=replica, out=buf)
-            total += _exact_sum(buf[lo:hi])
+            total += bitpack.exact_sum(buf[lo:hi])
             pos = chunk * 64 + hi
         return total
 

@@ -19,7 +19,7 @@ candidate-chunk run, whatever the query's shape — ungrouped aggregate,
   width: when ``bits + ceil_log2(morsel_elements) <= 64`` a masked
   span's sum provably fits uint64 and one ``sum(dtype=np.uint64)``
   suffices, otherwise the kernel splits 32-bit halves exactly like
-  :func:`repro.runtime.loops._exact_sum`;
+  :func:`repro.core.bitpack.exact_sum`;
 * a ``group_by`` plan folds each masked run through one generated
   **grouped reduce** (:func:`group_fold`) specialized on the key's and
   every aggregate column's width: narrow keys index ``np.bincount``
@@ -212,7 +212,7 @@ def _emit_sum(target: str, values: str, bits: int,
     A span holds at most ``morsel_elements`` values below ``2**bits``,
     so when ``bits + ceil_log2(morsel_elements) <= 64`` the uint64
     accumulator provably cannot wrap; otherwise split 32-bit halves
-    (exact for any count below 2**32), the `_exact_sum` recipe inlined.
+    (exact for any count below 2**32), the ``bitpack.exact_sum`` recipe inlined.
     """
     if bits + morsel_elements.bit_length() <= 64:
         return f"{target} += int({values}.sum(dtype=np.uint64))"
@@ -236,7 +236,7 @@ def _sum_limbs(bits: int, max_elements: int) -> List[Tuple[int, int]]:
     represents exactly, whatever order ``np.bincount`` adds in.  Values
     that fit whole take one piece; wider ones split into 32-bit halves
     (narrower pieces only for morsels past 2**21 elements), recombined
-    as Python ints — the grouped twin of ``_exact_sum``.
+    as Python ints — the grouped twin of ``bitpack.exact_sum``.
     """
     room = _FLOAT_EXACT_BITS - max_elements.bit_length()
     if room < 1:

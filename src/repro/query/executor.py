@@ -49,7 +49,7 @@ completed morsel prefix covers the row budget, so it may decode
 Determinism: morsel boundaries and per-morsel work are independent of
 the claiming order, and partials merge in morsel order, so results —
 including group dicts and row order — are bit-identical between
-serial and threaded pools and between dynamic and static distribution.
+serial and threaded pools.
 """
 
 from __future__ import annotations
@@ -186,15 +186,16 @@ class _LimitTracker:
 
 
 def execute(plan: PhysicalPlan, pool: Optional[WorkerPool] = None,
-            distribution: str = "dynamic",
             cancel: Optional[threading.Event] = None,
             timeout_s: Optional[float] = None) -> QueryResult:
     """Run ``plan`` and return a :class:`QueryResult`.
 
     ``pool=None`` runs serially on socket 0 (no worker pool, no
-    threads); with a pool, morsels are claimed dynamically (``batch=1``)
-    or round-robin (``distribution="static"``) and each worker reads
-    its socket-local replicas.  Results are bit-identical either way.
+    threads); with a pool, workers claim morsels dynamically through
+    :func:`~repro.runtime.loops.parallel_for` (``batch=1``) and each
+    reads its socket-local replicas.  Results are bit-identical either
+    way; ``stats.distribution`` says which ran (``"serial"`` or
+    ``"dynamic"``).
 
     ``cancel`` (a :class:`threading.Event`) and ``timeout_s`` bound the
     run cooperatively: both are checked at every morsel boundary —
@@ -207,9 +208,9 @@ def execute(plan: PhysicalPlan, pool: Optional[WorkerPool] = None,
     reg = _obs_registry()
     with trace("query.execute",
                workers=pool.n_workers if pool is not None else 1,
-               distribution=distribution if pool is not None else "serial"):
+               distribution="serial" if pool is None else "dynamic"):
         try:
-            return _execute(plan, pool, distribution, cancel, timeout_s)
+            return _execute(plan, pool, cancel, timeout_s)
         except QueryTimeout:
             reg.counter("query.timeouts").add(1)
             raise
@@ -219,7 +220,6 @@ def execute(plan: PhysicalPlan, pool: Optional[WorkerPool] = None,
 
 
 def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
-             distribution: str,
              cancel: Optional[threading.Event] = None,
              timeout_s: Optional[float] = None) -> QueryResult:
     query = plan.query
@@ -239,7 +239,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
         chunks_candidate=plan.chunks_candidate,
         est_instructions=plan.est_instructions,
         n_workers=pool.n_workers if pool is not None else 1,
-        distribution=distribution if pool is not None else "serial",
+        distribution="serial" if pool is None else "dynamic",
     )
     for name in plan.needed_columns:
         stats._bits[name] = table[name].bits
@@ -354,8 +354,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
             for i in range(lo, hi):
                 run_morsel(int(work[i]), i, ctx)
 
-        parallel_for(len(work), body, pool, batch=1,
-                     distribution=distribution)
+        parallel_for(len(work), body, pool, batch=1)
 
     # -- merge in morsel order (deterministic regardless of claiming) --
     agg_total = _new_agg_partials(specs)

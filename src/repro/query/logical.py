@@ -188,8 +188,7 @@ class Query:
         """The physical plan as text, without executing."""
         return self.plan(**knobs).explain()
 
-    def run(self, pool=None, distribution: str = "dynamic",
-            cancel=None, timeout_s: Optional[float] = None,
+    def run(self, pool=None, cancel=None, timeout_s: Optional[float] = None,
             **knobs) -> "QueryResult":  # noqa: F821
         """Plan and execute; see :func:`repro.query.executor.execute`.
 
@@ -199,7 +198,7 @@ class Query:
         :class:`~repro.query.executor.QueryTimeout`.
         """
         return self.plan(pool=pool, **knobs).execute(
-            pool=pool, distribution=distribution, cancel=cancel,
+            pool=pool, cancel=cancel,
             timeout_s=timeout_s,
         )
 

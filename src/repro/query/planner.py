@@ -449,8 +449,7 @@ class PhysicalPlan:
         return {name: 64 * chunks
                 for name, chunks in self.predicted_decoded_chunks.items()}
 
-    def execute(self, pool=None, distribution: str = "dynamic",
-                cancel=None, timeout_s=None):
+    def execute(self, pool=None, cancel=None, timeout_s=None):
         """Run this plan; see :func:`repro.query.executor.execute`.
 
         Plans execute themselves so callers (``Query.run``, the SQL
@@ -459,8 +458,7 @@ class PhysicalPlan:
         """
         from .executor import execute
 
-        return execute(self, pool=pool, distribution=distribution,
-                       cancel=cancel, timeout_s=timeout_s)
+        return execute(self, pool=pool, cancel=cancel, timeout_s=timeout_s)
 
     @property
     def candidate_mask(self) -> Optional[np.ndarray]:

@@ -5,7 +5,7 @@ role here is: pinned workers across all sockets, dynamic distribution of
 loop-iteration batches, and per-batch partial reductions.
 """
 
-from .atomics import AtomicAccumulator, AtomicCounter
+from .atomics import AtomicCounter
 from .loops import (
     DEFAULT_BATCH,
     LoopStats,
@@ -15,13 +15,6 @@ from .loops import (
     parallel_sum,
     parallel_sum_bulk,
 )
-from .parallel_scans import (
-    DEFAULT_SCAN_BATCH,
-    parallel_count_in_range,
-    parallel_min_max,
-    parallel_select_in_range,
-)
-from .parallel_scans import parallel_sum as parallel_sum_blocked
 from .process_pool import (
     process_parallel_sum,
     process_parallel_sum_from_values,
@@ -29,22 +22,16 @@ from .process_pool import (
 from .workers import ThreadContext, WorkerPool, build_contexts
 
 __all__ = [
-    "AtomicAccumulator",
     "AtomicCounter",
     "DEFAULT_BATCH",
-    "DEFAULT_SCAN_BATCH",
     "LoopStats",
     "ThreadContext",
     "WorkerPool",
     "build_contexts",
     "default_pool",
-    "parallel_count_in_range",
     "parallel_for",
-    "parallel_min_max",
     "parallel_reduce",
-    "parallel_select_in_range",
     "parallel_sum",
-    "parallel_sum_blocked",
     "parallel_sum_bulk",
     "process_parallel_sum",
     "process_parallel_sum_from_values",

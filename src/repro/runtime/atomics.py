@@ -38,21 +38,3 @@ class AtomicCounter:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AtomicCounter({self.load()})"
 
-
-class AtomicAccumulator:
-    """An atomically updated sum — the global accumulator each loop
-    batch adds its local result into (section 5.1: "each thread
-    calculating a local sum and atomically incrementing a global sum
-    variable at the end of each loop batch")."""
-
-    def __init__(self, initial: int = 0) -> None:
-        self._value = initial
-        self._lock = threading.Lock()
-
-    def add(self, delta) -> None:
-        with self._lock:
-            self._value += delta
-
-    def load(self):
-        with self._lock:
-            return self._value

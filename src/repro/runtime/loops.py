@@ -15,7 +15,13 @@ first element (section 4.3).
 * :func:`parallel_sum` — the paper's aggregation loop over one or more
   smart arrays, via per-batch iterators;
 * :func:`parallel_sum_bulk` — the vectorized equivalent used for large
-  functional runs (NumPy unpacks whole batches).
+  functional runs: each batch pins every array's storage generation,
+  reads the socket-local replica and decodes its chunks in one call.
+
+Every other pooled scan (count, select, min/max, filtered aggregates)
+is a query run with ``pool=`` on the morsel executor
+(:mod:`repro.query.executor`), which claims morsels through
+:func:`parallel_for` too.
 """
 
 from __future__ import annotations
@@ -24,31 +30,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
-import numpy as np
-
+from ..core import bitpack
 from ..core.iterators import SmartArrayIterator
+from ..core.map_api import check_superchunk
 from ..core.smart_array import SmartArray
 from ..obs.registry import registry as _obs_registry
+from ..obs.trace import trace
 from .atomics import AtomicCounter
 from .workers import ThreadContext, WorkerPool
-
-def _exact_sum(values: np.ndarray) -> int:
-    """Exact integer sum of a uint64 array.
-
-    A plain ``values.sum()`` wraps modulo 2**64.  Summing the 32-bit
-    halves separately keeps every partial sum below 2**52 for batches up
-    to 2**20 elements, so the arithmetic stays exact without falling
-    back to slow object-dtype reduction.
-    """
-    if values.size == 0:
-        return 0
-    if values.size >= 1 << 20:
-        half = values.size // 2
-        return _exact_sum(values[:half]) + _exact_sum(values[half:])
-    hi = int((values >> np.uint64(32)).sum(dtype=np.uint64))
-    lo = int((values & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
-    return (hi << 32) + lo
-
 
 #: Default loop-batch size, in iterations.  Callisto uses fine-grained
 #: batches to keep distribution scalable; 4096 keeps per-batch Python
@@ -73,30 +62,19 @@ def parallel_for(
     pool: WorkerPool,
     batch: int = DEFAULT_BATCH,
     stats: Optional[LoopStats] = None,
-    distribution: str = "dynamic",
 ) -> None:
     """Run ``body(start, end, ctx)`` over ``[0, n)`` in batches.
 
-    With ``distribution="dynamic"`` (Callisto's work-distribution fast
-    path) each worker loops: claim the next batch index with an atomic
-    fetch-add, run the body over ``[start, min(start+batch, n))``,
-    until the range is exhausted; batches are claimed exactly once.
-
-    With ``distribution="static"`` batch ``i`` always goes to worker
-    ``i % n_workers`` — the classic pre-partitioned schedule the paper
-    contrasts dynamic claiming with.  It forgoes load balancing but is
-    fully deterministic even in ``serial`` pools (where dynamic
-    claiming lets the first worker drain the whole counter), which is
-    what lets tests assert per-socket replica usage exactly.
+    Callisto's work-distribution fast path: each worker loops, claiming
+    the next batch index with an atomic fetch-add and running the body
+    over ``[start, min(start+batch, n))``, until the range is
+    exhausted; batches are claimed exactly once.  In a ``serial`` pool
+    the first worker drains the whole counter.
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
     if batch < 1:
         raise ValueError(f"batch size must be >= 1, got {batch}")
-    if distribution not in ("dynamic", "static"):
-        raise ValueError(
-            f"distribution must be 'dynamic' or 'static', got {distribution!r}"
-        )
     if n == 0:
         return
     counter = AtomicCounter(0)
@@ -104,24 +82,12 @@ def parallel_for(
         stats.batches_per_worker = [0] * pool.n_workers
     worker_index = {id(ctx): i for i, ctx in enumerate(pool.contexts)}
     # One registry counter per loop run (looked up once, bumped per
-    # executed batch): both schedules run exactly ceil(n / batch)
+    # executed batch): every run executes exactly ceil(n / batch)
     # bodies, so the claim totals match between serial and threaded
     # pools — the counter-parity property the tests pin down.
-    claims = _obs_registry().counter(
-        "runtime.batches_claimed", distribution=distribution
-    )
+    claims = _obs_registry().counter("runtime.batches_claimed")
 
     def work(ctx: ThreadContext) -> None:
-        if distribution == "static":
-            start = worker_index[id(ctx)] * batch
-            stride = pool.n_workers * batch
-            while start < n:
-                body(start, min(start + batch, n), ctx)
-                claims.add(1)
-                if stats is not None:
-                    stats.batches_per_worker[worker_index[id(ctx)]] += 1
-                start += stride
-            return
         while True:
             start = counter.fetch_add(batch)
             if start >= n:
@@ -142,7 +108,6 @@ def parallel_reduce(
     initial,
     pool: WorkerPool,
     batch: int = DEFAULT_BATCH,
-    distribution: str = "dynamic",
 ):
     """Fold ``batch_fn`` results over all batches.
 
@@ -159,8 +124,23 @@ def parallel_reduce(
         with lock:
             box[0] = combine(box[0], local)
 
-    parallel_for(n, body, pool, batch=batch, distribution=distribution)
+    parallel_for(n, body, pool, batch=batch)
     return box[0]
+
+
+def _as_arrays(
+    arrays: Union[Sequence[SmartArray], SmartArray], what: str
+) -> List[SmartArray]:
+    if isinstance(arrays, SmartArray):
+        arrays = [arrays]
+    arrays = list(arrays)
+    if not arrays:
+        raise ValueError(f"{what} needs at least one array")
+    n = arrays[0].length
+    for a in arrays:
+        if a.length != n:
+            raise ValueError("all arrays must have the same length")
+    return arrays
 
 
 def default_pool(n_workers: int = 8, mode: str = "threads") -> WorkerPool:
@@ -188,16 +168,9 @@ def parallel_sum(
     atomically.  Exact integer arithmetic — Python ints don't overflow,
     so the test suite can check sums exactly.
     """
-    if pool is None:
-        pool = default_pool()
-    if isinstance(arrays, SmartArray):
-        arrays = [arrays]
-    if not arrays:
-        raise ValueError("parallel_sum needs at least one array")
+    pool = pool or default_pool()
+    arrays = _as_arrays(arrays, "parallel_sum")
     n = arrays[0].length
-    for a in arrays:
-        if a.length != n:
-            raise ValueError("all arrays must have the same length")
 
     def batch_fn(start: int, end: int, ctx: ThreadContext) -> int:
         iterators = [
@@ -219,36 +192,48 @@ def parallel_sum_bulk(
     pool: Optional[WorkerPool] = None,
     batch: int = 1 << 16,
 ) -> int:
-    """Vectorized aggregation: batches unpack through NumPy.
+    """Vectorized aggregation: each batch is one blocked chunk-range
+    decode per array.
 
     Semantically identical to :func:`parallel_sum` (tests assert this),
     but each batch decodes with the vectorized kernels, so realistic
-    array sizes run at NumPy speed.  This is the functional-path engine
-    behind the benchmark harness.
+    array sizes run at NumPy speed.  ``batch`` must be a positive
+    multiple of 64, so every batch is chunk-aligned.
+
+    Each batch pins every array's storage generation and decodes from
+    the pinned generation's socket-local replica (the paper's
+    ``getReplica()`` at batch start, section 4.3): a live migration
+    swapping an array mid-sum cannot tear a batch, and the next batch
+    reads the freshest generation.
     """
-    if pool is None:
-        pool = default_pool()
-    if isinstance(arrays, SmartArray):
-        arrays = [arrays]
-    if not arrays:
-        raise ValueError("parallel_sum_bulk needs at least one array")
+    pool = pool or default_pool()
+    try:
+        batch = check_superchunk(batch)
+    except ValueError:
+        raise ValueError(
+            f"batch must be a positive multiple of 64, got {batch}"
+        ) from None
+    arrays = _as_arrays(arrays, "parallel_sum_bulk")
     n = arrays[0].length
-    for a in arrays:
-        if a.length != n:
-            raise ValueError("all arrays must have the same length")
-    from ..core import bitpack
 
     def batch_fn(start: int, end: int, ctx: ThreadContext) -> int:
         local = 0
         first_chunk = start // bitpack.CHUNK_ELEMENTS
-        end_chunk = -(-end // bitpack.CHUNK_ELEMENTS)
+        end_chunk = bitpack.chunks_for(end)
         base = first_chunk * bitpack.CHUNK_ELEMENTS
         for a in arrays:
-            replica = a.get_replica(ctx.socket)
-            decoded = a.decode_chunks(
-                first_chunk, end_chunk - first_chunk, replica=replica
-            )
-            local += _exact_sum(decoded[start - base:end - base])
+            gen = a.pin_generation()
+            try:
+                decoded = a.decode_chunks(
+                    first_chunk, end_chunk - first_chunk,
+                    replica=gen.buffer_for_socket(ctx.socket),
+                )
+            finally:
+                gen.unpin()
+            local += bitpack.exact_sum(decoded[start - base:end - base])
         return local
 
-    return parallel_reduce(n, batch_fn, lambda a, b: a + b, 0, pool, batch=batch)
+    with trace("scan.parallel_sum", n=n, batch=batch,
+               workers=pool.n_workers):
+        return parallel_reduce(n, batch_fn, lambda a, b: a + b, 0, pool,
+                               batch=batch)

@@ -13,9 +13,10 @@ Two execution strategies are provided:
   release the GIL, so bulk work genuinely overlaps; this mode also
   surfaces real races, which the tests for the unsynchronized
   ``init()`` path exploit.
-* ``serial`` — workers run round-robin on the calling thread, one batch
-  at a time.  Deterministic, so tests of the dynamic distribution
-  semantics can assert exact batch assignments.
+* ``serial`` — each worker's work function runs to completion in turn
+  on the calling thread.  Under dynamic batch claiming worker 0 drains
+  the whole counter, so a serial run is deterministic and reads only
+  worker 0's socket; observing several sockets takes ``threads``.
 """
 
 from __future__ import annotations

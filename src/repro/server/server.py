@@ -276,9 +276,9 @@ class SmartArrayServer:
 
     ``port=0`` binds an ephemeral port (read it back from ``.port``).
     Each query executes on its session's thread: the default pool is
-    ``default_pool(n_workers, mode="serial")``, so ``n_workers`` shapes
-    the worker contexts (which sockets' replicas a static distribution
-    reads) and starts no thread.  Pass ``pool=`` to share a threaded
+    ``default_pool(n_workers, mode="serial")``, which starts no thread:
+    its first worker (on socket 0) runs its claim loop on the session
+    thread and drains every morsel.  Pass ``pool=`` to share a threaded
     :class:`WorkerPool` between sessions instead.
     """
 

@@ -78,7 +78,7 @@ class TestWidthBlindKernelKey:
         n = 64 * 8
         assert int(gen_values(1, n, 64).max()).bit_length() <= 33
         assert int(gen_values(0, n, 64).astype(object).sum()) >= 1 << 64
-        total = Op("query_key_sum", (0, 1 << 64, 0, 0))
+        total = Op("query_key_sum", (0, 1 << 64, 0))
         case = Case(
             seed=0, index=0, profile="live",
             spec=ArraySpec(length=n, bits=64, placement="replicated",

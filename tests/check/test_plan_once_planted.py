@@ -94,7 +94,7 @@ class TestStaleZoneBounds:
         # second do: the first map prunes every chunk, the rebuilt one
         # must not.
         assert gen_values(1, n, 64).max() < lo <= gen_values(11, n, 64).max()
-        query = Op("query_filter_count", (lo, 1 << 64, 0, 0))
+        query = Op("query_filter_count", (lo, 1 << 64, 0))
         case = Case(
             seed=0, index=0, profile="live",
             spec=ArraySpec(length=n, bits=64, placement="replicated",

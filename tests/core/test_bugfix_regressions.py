@@ -28,10 +28,8 @@ from repro.core.scan_ops import (
 from repro.core.zonemap import ZoneMap
 from repro.numa.allocator import NumaAllocator
 from repro.numa.topology import machine_2x8_haswell
-from repro.runtime.parallel_scans import (
-    parallel_count_in_range,
-    parallel_select_in_range,
-)
+from repro.core.table import SmartTable
+from repro.query import Query, in_range
 from repro.runtime.workers import WorkerPool
 
 
@@ -107,10 +105,17 @@ class TestUint64BoundaryScans:
     def test_parallel_scans_hi_past_domain(self):
         sa = _array(BOUNDARY_VALUES * 40)
         pool = WorkerPool(machine_2x8_haswell(), n_workers=4, mode="serial")
-        assert parallel_count_in_range(sa, 1 << 63, 1 << 64, pool) == 120
-        assert parallel_count_in_range(sa, 1 << 64, 1 << 65, pool) == 0
-        got = parallel_select_in_range(sa, U64_MAX, 1 << 65, pool)
-        assert got.tolist() == list(range(5, 240, 6))
+
+        def pooled(lo, hi):
+            return Query(SmartTable({"v": sa})).where(in_range("v", lo, hi))
+
+        def count(lo, hi):
+            return pooled(lo, hi).count().run(pool=pool, morsel=64).scalar()
+
+        assert count(1 << 63, 1 << 64) == 120
+        assert count(1 << 64, 1 << 65) == 0
+        got = pooled(U64_MAX, 1 << 65).select().run(pool=pool, morsel=64)
+        assert got.rows.tolist() == list(range(5, 240, 6))
 
     def test_harness_repro_seed0_case5(self):
         # Replays the exact shrunk sequence the harness produced before
@@ -359,16 +364,15 @@ class TestCounterLostUpdates:
 
 
 class TestSerialThreadedCounterParity:
-    """Audit: both loop schedules run exactly ceil(n/batch) bodies, so
+    """Audit: every loop runs exactly ceil(n/batch) bodies, so
     ``runtime.batches_claimed`` totals match between serial and threaded
     pools, and a batch whose body raises is neither re-claimed nor
     counted twice."""
 
-    def _claims(self, distribution):
+    def _claims(self):
         from repro.obs import registry
 
-        return registry().value("runtime.batches_claimed",
-                                distribution=distribution)
+        return registry().value("runtime.batches_claimed")
 
     def test_dynamic_claims_match_serial_vs_threaded(self):
         from repro.obs import registry
@@ -379,22 +383,9 @@ class TestSerialThreadedCounterParity:
         for n_workers, mode in [(1, "serial"), (8, "threads")]:
             pool = WorkerPool(machine_2x8_haswell(), n_workers=n_workers,
                               mode=mode)
-            before = self._claims("dynamic")
+            before = self._claims()
             parallel_for(n, lambda s, e, ctx: None, pool, batch=batch)
-            assert self._claims("dynamic") - before == expected
-
-    def test_static_claims_match_dynamic(self):
-        from repro.runtime.loops import parallel_for
-
-        n, batch = 7_777, 128
-        expected = -(-n // batch)
-        pool = WorkerPool(machine_2x8_haswell(), n_workers=4,
-                          mode="threads")
-        for distribution in ("static", "dynamic"):
-            before = self._claims(distribution)
-            parallel_for(n, lambda s, e, ctx: None, pool, batch=batch,
-                         distribution=distribution)
-            assert self._claims(distribution) - before == expected
+            assert self._claims() - before == expected
 
     def test_failed_batch_not_reclaimed_or_double_counted(self):
         from repro.runtime.loops import parallel_for
@@ -412,10 +403,10 @@ class TestSerialThreadedCounterParity:
 
         pool = WorkerPool(machine_2x8_haswell(), n_workers=4,
                           mode="threads")
-        before = self._claims("dynamic")
+        before = self._claims()
         with pytest.raises(RuntimeError, match="injected"):
             parallel_for(n, body, pool, batch=batch)
-        claimed = self._claims("dynamic") - before
+        claimed = self._claims() - before
         # Every batch was claimed at most once: no start index repeats,
         # and the failing batch is neither retried nor counted.
         assert len(executed) == len(set(executed))

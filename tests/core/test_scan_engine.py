@@ -10,24 +10,24 @@ Three layers under test:
 2. the superchunk decode path (``SmartArray.decode_chunks`` and the
    span iterator behind ``map_api`` / ``scan_ops``) must preserve
    chunk-aligned semantics and observability;
-3. the socket-parallel scan operators must return results identical to
-   the serial operators in both ``threads`` and ``serial`` pool modes,
+3. pooled whole-array scans — ``parallel_sum_bulk`` and one-column
+   queries run with ``pool=`` — must return results identical to the
+   serial operators in both ``threads`` and ``serial`` pool modes,
    reading every worker's socket-local replica.
 """
+
+import threading
+
 
 import numpy as np
 import pytest
 
 from repro.core import allocate, bitpack, bitpack_fast, scan_ops
 from repro.core.map_api import SUPERCHUNK_ELEMENTS, iter_spans, sum_range
+from repro.core.table import SmartTable
 from repro.numa import NumaAllocator, machine_2x8_haswell
-from repro.runtime import (
-    WorkerPool,
-    parallel_count_in_range,
-    parallel_min_max,
-    parallel_select_in_range,
-    parallel_sum_blocked,
-)
+from repro.query import Query, in_range
+from repro.runtime import WorkerPool, parallel_sum_bulk
 
 #: Widths that exercise every kernel regime: minimum, spill-heavy primes,
 #: divisor widths, the 32/64 specializations, and the widest spill (63).
@@ -183,8 +183,14 @@ class TestSuperchunkDecode:
             ) == expected
 
 
+def column_query(array, lo=None, hi=None):
+    """A one-column query over ``array``, filtered to ``[lo, hi)``."""
+    q = Query(SmartTable({"v": array}))
+    return q if lo is None else q.where(in_range("v", lo, hi))
+
+
 class TestParallelScans:
-    """Parallel operators == serial operators, on every pool mode."""
+    """Pooled scans == serial operators, on every pool mode."""
 
     N = 20_000
     BITS = 13
@@ -208,32 +214,27 @@ class TestParallelScans:
 
     def test_sum_matches_serial(self, array, values, pool):
         expected = int(values.astype(object).sum())
-        assert parallel_sum_blocked(array, pool=pool) == expected
+        assert parallel_sum_bulk(array, pool=pool, batch=4096) == expected
         assert sum_range(array, 0, self.N) == expected
 
     def test_count_in_range_matches_serial(self, array, pool):
         lo, hi = 500, 7000
         expected = scan_ops.count_in_range(array, lo, hi)
-        assert parallel_count_in_range(array, lo, hi, pool=pool) == expected
-        assert parallel_count_in_range(
-            array, lo, hi, pool=pool, distribution="static"
-        ) == expected
+        got = column_query(array, lo, hi).count().run(pool=pool,
+                                                      morsel=4096)
+        assert got.scalar() == expected
 
     def test_select_in_range_matches_serial(self, array, pool):
         lo, hi = 500, 7000
         expected = scan_ops.select_in_range(array, lo, hi)
-        np.testing.assert_array_equal(
-            parallel_select_in_range(array, lo, hi, pool=pool), expected
-        )
-        np.testing.assert_array_equal(
-            parallel_select_in_range(
-                array, lo, hi, pool=pool, distribution="static"
-            ),
-            expected,
-        )
+        got = column_query(array, lo, hi).select().run(pool=pool,
+                                                       morsel=4096)
+        np.testing.assert_array_equal(got.rows, expected)
 
     def test_min_max_matches_serial(self, array, pool):
-        assert parallel_min_max(array, pool=pool) == scan_ops.min_max(array)
+        got = column_query(array).min("v").max("v").run(pool=pool,
+                                                        morsel=4096)
+        assert tuple(got.aggregates.values()) == scan_ops.min_max(array)
 
     def test_two_array_sum(self, machine, pool):
         alloc = NumaAllocator(machine)
@@ -241,49 +242,50 @@ class TestParallelScans:
         a1 = allocate(n, bits=20, values=np.arange(n), allocator=alloc)
         a2 = allocate(n, bits=20, values=np.arange(n)[::-1].copy(),
                       allocator=alloc)
-        assert parallel_sum_blocked([a1, a2], pool=pool) == (n - 1) * n
+        assert parallel_sum_bulk([a1, a2], pool=pool, batch=1024) == (
+            (n - 1) * n)
 
     def test_empty_and_degenerate_ranges(self, array, pool):
-        assert parallel_count_in_range(array, 5, 5, pool=pool) == 0
-        assert parallel_select_in_range(array, 9, 3, pool=pool).size == 0
+        assert column_query(array, 5, 5).count().run(pool=pool).scalar() == 0
+        assert column_query(array, 9, 3).select().run(pool=pool).rows.size == 0
 
-    def test_every_socket_replica_used(self, machine, array):
-        """The acceptance check: each worker reads its socket's replica.
+    def test_every_socket_replica_used(self, machine, array, values):
+        """Each worker sums from its own socket's replica.
 
-        Static distribution pins batch ``i`` to worker ``i % n_workers``
-        deterministically (dynamic claiming in a serial pool would let
-        worker 0 drain every batch), so with workers spread across both
-        sockets every replica must serve reads — observable through the
-        access statistics.
+        Four threads on both sockets and exactly four batches; a barrier
+        holds each worker inside its first batch until all four have
+        claimed one, so under dynamic claiming every worker sums exactly
+        one batch and both replicas serve reads.
         """
-        pool = WorkerPool(machine, n_workers=4, mode="serial")
-        sockets = {ctx.socket for ctx in pool.contexts}
-        assert sockets == {0, 1}
-        expected = scan_ops.count_in_range(array, 500, 7000)
+        pool = WorkerPool(machine, n_workers=4, mode="threads")
+        assert {ctx.socket for ctx in pool.contexts} == {0, 1}
+        chunks = bitpack.chunks_for(self.N)
+        batch = -(-chunks // pool.n_workers) * 64
+        assert -(-self.N // batch) == pool.n_workers
+        barrier = threading.Barrier(pool.n_workers, timeout=10)
+        real_decode = array.decode_chunks
+
+        def decode_at_barrier(*args, **kwargs):
+            barrier.wait()
+            return real_decode(*args, **kwargs)
+
+        array.decode_chunks = decode_at_barrier
         array.reset_replica_reads()
-        got = parallel_count_in_range(
-            array, 500, 7000, pool=pool, distribution="static"
-        )
-        assert got == expected
+        assert parallel_sum_bulk(array, pool=pool, batch=batch) == int(
+            values.astype(object).sum())
         reads = array.replica_read_elements
         assert len(reads) == 2
         assert all(r > 0 for r in reads), reads
         # Every element decoded exactly once across the two replicas.
-        assert sum(reads) == -(-self.N // 64) * 64
+        assert sum(reads) == chunks * 64
 
     def test_threads_mode_reads_only_replicas(self, machine, array):
         """In threads mode total replica reads still cover the array."""
         pool = WorkerPool(machine, n_workers=4, mode="threads")
         array.reset_replica_reads()
-        parallel_count_in_range(array, 500, 7000, pool=pool)
+        column_query(array, 500, 7000).count().run(pool=pool, morsel=4096)
         assert sum(array.replica_read_elements) == -(-self.N // 64) * 64
 
     def test_bad_batch_rejected(self, array, pool):
-        with pytest.raises(ValueError):
-            parallel_count_in_range(array, 0, 10, pool=pool, batch=100)
-
-    def test_bad_distribution_rejected(self, array, pool):
-        with pytest.raises(ValueError):
-            parallel_count_in_range(
-                array, 0, 10, pool=pool, distribution="guided"
-            )
+        with pytest.raises(ValueError, match="multiple of 64"):
+            parallel_sum_bulk(array, pool=pool, batch=100)

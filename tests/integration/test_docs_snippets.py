@@ -78,6 +78,46 @@ class TestApiGuideSnippets:
         sa = repro.allocate(3, bits=None, values=[1, 5, 200])
         assert sa.bits == 8
 
+    def test_parallel_loop_forms(self):
+        # "Parallel loops" and "The bulk-span scan engine" item 3.
+        import repro
+        from repro.core.scan_ops import (count_in_range, min_max,
+                                         select_in_range)
+        from repro.core.table import SmartTable
+        from repro.numa import NumaAllocator, machine_2x8_haswell
+        from repro.query import Query, in_range
+        from repro.runtime import (WorkerPool, parallel_for, parallel_sum,
+                                   parallel_sum_bulk)
+
+        machine = machine_2x8_haswell()
+        alloc = NumaAllocator(machine)
+        n, lo, hi = 10_000, 100, 900
+        values = np.arange(n, dtype=np.uint64) % 1000
+        a1 = repro.allocate(n, bits=10, values=values, replicated=True,
+                            allocator=alloc)
+        a2 = repro.allocate(n, bits=10, values=values, allocator=alloc)
+        sa = a1
+        pool = WorkerPool(machine, n_workers=8)
+        seen = []
+        parallel_for(n, lambda start, end, ctx: seen.append(end - start),
+                     pool, batch=4096)
+        assert sorted(seen) == [n - 8192, 4096, 4096]
+        expected = 2 * int(values.sum())
+        assert parallel_sum([a1, a2], pool) == expected
+        assert parallel_sum_bulk([a1, a2], pool, batch=4096) == expected
+        with pytest.raises(ValueError, match="multiple of 64"):
+            parallel_sum_bulk(sa, pool, batch=100)
+
+        t = SmartTable({"v": sa})
+        assert Query(t).where(in_range("v", lo, hi)).count().run(
+            pool=pool).scalar() == count_in_range(sa, lo, hi)
+        np.testing.assert_array_equal(
+            Query(t).where(in_range("v", lo, hi)).select().run(
+                pool=pool).rows,
+            select_in_range(sa, lo, hi))
+        assert tuple(Query(t).min("v").max("v").run(pool=pool).aggregates
+                     .values()) == min_max(sa)
+
     def test_machine_context_form(self):
         import repro
         from repro import machine_context, machine_2x8_haswell
@@ -256,11 +296,12 @@ class TestApiGuideSnippets:
         TRACER.clear()
         values = np.arange(5000, dtype=np.uint64) % 997
         sa = repro.allocate(5000, bits=10, values=values, replicated=True)
-        from repro.runtime import default_pool, parallel_sum_blocked
+        from repro.runtime import default_pool, parallel_sum_bulk
 
         with tracing():
             with trace("docs.region", array=sa.stats.array_label):
-                total = parallel_sum_blocked(sa, pool=default_pool(2))
+                total = parallel_sum_bulk(sa, pool=default_pool(2),
+                                          batch=4096)
         assert total == int(values.sum())
         spans = TRACER.pop_finished()
         span = spans[0]

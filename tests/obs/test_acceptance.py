@@ -15,7 +15,7 @@ from repro.core.table import SmartTable
 from repro.obs import TRACER, registry, tracing
 from repro.obs.registry import split_key
 from repro.query import Query, in_range
-from repro.runtime import default_pool, parallel_sum_blocked
+from repro.runtime import default_pool, parallel_sum_bulk
 
 
 @pytest.fixture(autouse=True)
@@ -45,8 +45,10 @@ class TestSerialThreadedParity:
         threaded_arr = allocate(values.size, bits=16, values=values,
                                 replicated=True)
         with tracing():
-            s = parallel_sum_blocked(serial_arr, pool=default_pool(1))
-            t = parallel_sum_blocked(threaded_arr, pool=default_pool(8))
+            s = parallel_sum_bulk(serial_arr, pool=default_pool(1),
+                                  batch=4096)
+            t = parallel_sum_bulk(threaded_arr, pool=default_pool(8),
+                                  batch=4096)
         assert s == t == int(values.sum())
         serial_totals = core_totals(serial_arr.stats.array_label)
         threaded_totals = core_totals(threaded_arr.stats.array_label)
@@ -112,7 +114,7 @@ class TestDisabledTracingIsCheap:
         values = (np.arange(10_000) % 500).astype(np.uint64)
         array = allocate(values.size, bits=9, values=values,
                          replicated=True)
-        off = parallel_sum_blocked(array, pool=default_pool(2))
+        off = parallel_sum_bulk(array, pool=default_pool(2), batch=4096)
         with tracing():
-            on = parallel_sum_blocked(array, pool=default_pool(2))
+            on = parallel_sum_bulk(array, pool=default_pool(2), batch=4096)
         assert off == on == int(values.sum())

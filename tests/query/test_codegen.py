@@ -222,14 +222,13 @@ class TestCandidateMasks:
 
 
 class TestParallelDeterminism:
-    @pytest.mark.parametrize("distribution", ["dynamic", "static"])
-    def test_compiled_parallel_bit_identical(self, distribution):
+    def test_compiled_parallel_bit_identical(self):
         t, k, v = make_table(33, sorted_keys=True, seed=11)
         t.build_zone_map("k")
         lo, hi = 1 << 30, 1 << 32
         q = full_query(t).where(in_range("k", lo, hi))
         serial = q.run()
-        par = q.run(pool=default_pool(8), distribution=distribution)
+        par = q.run(pool=default_pool(8))
         assert serial.aggregates == par.aggregates
         assert par.aggregates == oracle_aggs(k, v, (k >= lo) & (k < hi))
 
@@ -540,15 +539,16 @@ class TestGroupByShapes:
             "v": t["v"].value_bits, "k": t["k"].value_bits}
 
     def test_serial_threaded_static_bit_identical(self):
+        # No pool, a threaded pool, and a serial pool (a static
+        # schedule: its first worker claims every morsel in order).
         t, k, v = group_table(12, 38, n=20_000, seed=7)
         predicate = lambda: col("v") >= (1 << 36)
         mask = v >= np.uint64(1 << 36)
         serial = assert_grouped_paths(t, k, v, predicate(), mask,
                                       morsel=4096)
-        for distribution in ("dynamic", "static"):
+        for mode in ("threads", "serial"):
             pooled = grouped(t, predicate=predicate()).run(
-                morsel=4096, pool=default_pool(8),
-                distribution=distribution)
+                morsel=4096, pool=default_pool(8, mode=mode))
             assert pooled.stats.morsels_executed > 1
             assert_groups_identical(pooled.groups, serial.groups)
 
@@ -1060,12 +1060,13 @@ class TestRowKernels:
         t, k, p = row_table(33, seed=3)
         pred = ROW_PREDICATES["selective"][0]
         mask = ROW_PREDICATES["selective"][1](k, p)
+        # No pool, a threaded pool, and a serial pool (a static
+        # schedule: its first worker claims every morsel in order).
         serial = row_query(t, pred, limit).run(morsel=4096)
         assert_rows(serial, mask, {"p": p, "k": k}, limit)
-        for distribution in ("dynamic", "static"):
+        for mode in ("threads", "serial"):
             pooled = row_query(t, pred, limit).run(
-                morsel=4096, pool=default_pool(8),
-                distribution=distribution)
+                morsel=4096, pool=default_pool(8, mode=mode))
             np.testing.assert_array_equal(pooled.rows, serial.rows)
             for name in ("p", "k"):
                 np.testing.assert_array_equal(pooled.columns[name],

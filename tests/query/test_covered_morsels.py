@@ -401,9 +401,8 @@ class TestCoveredOutputs:
 
         q = self.where(table).group_by("g").sum("v")
         serial = q.run(morsel=MORSEL)
-        for distribution in ("dynamic", "static"):
-            pooled = q.run(morsel=MORSEL, pool=default_pool(4),
-                           distribution=distribution)
+        for mode in ("threads", "serial"):
+            pooled = q.run(morsel=MORSEL, pool=default_pool(4, mode=mode))
             assert list(pooled.groups.items()) == \
                 list(serial.groups.items())
             assert pooled.stats.decoded_chunks == \

@@ -156,10 +156,10 @@ class TestLimitEarlyExit:
     morsel before truncating; now morsel claiming stops once the
     completed morsel prefix covers the row budget."""
 
-    def _limited(self, table, n, pool=None, distribution="dynamic"):
+    def _limited(self, table, n, pool=None):
         return (
             Query(table).where(col("k") >= LO).select("v").limit(n)
-            .run(pool=pool, distribution=distribution)
+            .run(pool=pool)
         )
 
     def test_skips_morsels_and_saves_decodes(self, table, data):
@@ -186,12 +186,9 @@ class TestLimitEarlyExit:
         assert table["k"].stats.chunk_unpacks - before == 0
         assert result.stats.morsels_executed == 0
 
-    @pytest.mark.parametrize("distribution", ["dynamic", "static"])
-    def test_threaded_prefix_is_bit_identical(self, table, data, pool,
-                                              distribution):
+    def test_threaded_prefix_is_bit_identical(self, table, data, pool):
         serial = self._limited(table, 9)
-        threaded = self._limited(table, 9, pool=pool,
-                                 distribution=distribution)
+        threaded = self._limited(table, 9, pool=pool)
         np.testing.assert_array_equal(serial.rows, threaded.rows)
         np.testing.assert_array_equal(serial["v"], threaded["v"])
         full_mask = data["k"] >= LO
@@ -215,9 +212,7 @@ class TestLimitEarlyExit:
 
 
 class TestParallelDeterminism:
-    @pytest.mark.parametrize("distribution", ["dynamic", "static"])
-    def test_aggregate_identical_serial_vs_pool(self, table, pool,
-                                                distribution):
+    def test_aggregate_identical_serial_vs_pool(self, table, pool):
         def build():
             return (
                 Query(table).where(in_range("k", LO, HI))
@@ -225,7 +220,7 @@ class TestParallelDeterminism:
             )
 
         serial = build().run()
-        parallel = build().run(pool=pool, distribution=distribution)
+        parallel = build().run(pool=pool)
         assert parallel.aggregates == serial.aggregates
         assert parallel.stats.rows_scanned == serial.stats.rows_scanned
         assert parallel.stats.decoded_chunks == serial.stats.decoded_chunks

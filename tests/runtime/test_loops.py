@@ -5,10 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import allocate
+from repro.adapt import Configuration
+from repro.core import SmartArray, allocate
+from repro.core.bitpack import exact_sum
+from repro.live import LiveMigrator
 from repro.numa import NumaAllocator, machine_2x18_haswell, machine_2x8_haswell
 from repro.runtime import (
-    AtomicAccumulator,
     AtomicCounter,
     LoopStats,
     ThreadContext,
@@ -69,12 +71,6 @@ class TestAtomics:
         for t in threads:
             t.join()
         assert sorted(claimed) == list(range(8000))
-
-    def test_accumulator(self):
-        a = AtomicAccumulator(0)
-        a.add(5)
-        a.add(7)
-        assert a.load() == 12
 
 
 class TestContexts:
@@ -265,17 +261,41 @@ class TestParallelSumBulk:
         expected = 2 * int((np.arange(n) % 16384).sum())
         assert parallel_sum_bulk([a1, a2], pool) == expected
 
+    def test_migration_between_replica_choice_and_decode(self, monkeypatch,
+                                                         allocator):
+        """A live migration swaps the array after a batch has chosen its
+        socket's replica but before it decodes.  The batch pinned that
+        replica's generation, so it decodes the buffer at the buffer's
+        own width instead of raising ``ReplicaError``."""
+        n = 20_000
+        values = np.random.default_rng(3).integers(0, 1 << 13, n,
+                                                   dtype=np.uint64)
+        sa = allocate(n, bits=13, values=values, replicated=True,
+                      allocator=allocator)
+        target = Configuration(sa.placement, 24)
+        real_decode = SmartArray.decode_chunks
+        migrations = []
+
+        def decode_after_swap(self, *args, **kwargs):
+            if not migrations:
+                migrations.append(
+                    LiveMigrator(allocator).migrate(self, target))
+            return real_decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(SmartArray, "decode_chunks", decode_after_swap)
+        total = parallel_sum_bulk(sa, WorkerPool(allocator.machine,
+                                                 n_workers=2, mode="serial"),
+                                  batch=4096)
+        assert total == int(values.astype(object).sum())
+        assert migrations[0].state == "completed" and sa.bits == 24
+
 
 class TestExactSum:
     def test_exact_sum_wraps_correctly(self):
-        from repro.runtime.loops import _exact_sum
-
         values = np.full(3, (1 << 64) - 1, dtype=np.uint64)
-        assert _exact_sum(values) == 3 * ((1 << 64) - 1)
-        assert _exact_sum(np.array([], dtype=np.uint64)) == 0
+        assert exact_sum(values) == 3 * ((1 << 64) - 1)
+        assert exact_sum(np.array([], dtype=np.uint64)) == 0
 
     def test_exact_sum_large_array_splits(self):
-        from repro.runtime.loops import _exact_sum
-
         values = np.full(1 << 20, 7, dtype=np.uint64)
-        assert _exact_sum(values) == 7 * (1 << 20)
+        assert exact_sum(values) == 7 * (1 << 20)
