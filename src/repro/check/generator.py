@@ -208,6 +208,24 @@ def _gen_bound(rng: np.random.Generator, bits: int) -> int:
     return int(rng.integers(0, dom - 1, dtype=np.uint64, endpoint=True))
 
 
+#: Widest in-data range :func:`_gen_bounds` draws: three chunks of a
+#: ramp, whose values grow by one per element on average.
+IN_DATA_SPAN = 192
+
+
+def _gen_bounds(rng: np.random.Generator, bits: int,
+                length: int) -> Tuple[int, int]:
+    """A range predicate's ``(lo, hi)``: half the time a range of at most
+    :data:`IN_DATA_SPAN` starting inside a ramp's data (:func:`gen_values`
+    mode 1 averages one per element, so its values span about
+    ``[0, length]``), so its edges fall inside chunks and a zone map
+    covers the chunks between them; else two :func:`_gen_bound` draws."""
+    if rng.integers(0, 2):
+        lo = int(rng.integers(0, length, endpoint=True))
+        return lo, lo + int(rng.integers(0, IN_DATA_SPAN, endpoint=True))
+    return _gen_bound(rng, bits), _gen_bound(rng, bits)
+
+
 def _gen_index(rng: np.random.Generator, length: int) -> int:
     """An element index, occasionally in negative (from-the-end) form."""
     i = int(rng.integers(0, length))
@@ -490,7 +508,7 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
         return Op(name, (start, stop, int(rng.integers(0, 2))))
     if name in ("count_in_range", "select_in_range"):
         start, stop = _gen_range(rng, length)
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          start, stop, int(rng.integers(0, 2))))
     if name == "count_equal":
         v = _gen_bound(rng, bits)
@@ -517,31 +535,31 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
                     return Op("iter_take", (start, 1))
         return Op(name, (start, n))
     if name in ("zonemap_count", "zonemap_select", "zonemap_candidates"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits)))
+        return Op(name, _gen_bounds(rng, bits, length))
     if name in ("parallel_sum", "parallel_min_max"):
         return Op(name, (int(rng.choice(_PARALLEL_BATCHES)),))
     if name in ("parallel_count", "parallel_select"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.choice(_PARALLEL_BATCHES))))
     # Query, sql and cluster ops end in a pool flag (cluster: fan-out).
     if name in ("query_filter_sum", "query_filter_count",
                 "query_filter_minmax", "query_key_sum"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 2))))
     if name in ("query_and_count", "query_or_select"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         _gen_bound(rng, vbits), _gen_bound(rng, vbits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
+                         *_gen_bounds(rng, vbits, length),
                          int(rng.integers(0, 2))))
     if name == "query_group_sum":
         return Op(name, (int(rng.integers(0, 2)),))
     if name in ("sql_filter_sum", "sql_filter_count",
                 "sql_filter_minmax"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name in ("sql_and_count", "sql_or_select"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         _gen_bound(rng, vbits), _gen_bound(rng, vbits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
+                         *_gen_bounds(rng, vbits, length),
                          int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name == "sql_group_sum":
@@ -551,29 +569,29 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
         return Op(name, (int(rng.integers(0, N_SQL_ERROR_TEMPLATES)),))
     if name in ("cluster_filter_sum", "cluster_filter_count",
                 "cluster_filter_minmax"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 2))))
     if name in ("cluster_and_count", "cluster_or_select"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
-                         _gen_bound(rng, vbits), _gen_bound(rng, vbits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
+                         *_gen_bounds(rng, vbits, length),
                          int(rng.integers(0, 2))))
     if name == "cluster_group_sum":
         return Op(name, (int(rng.integers(0, 2)),))
     if name == "cluster_limit":
         # (lo, hi, limit, fan): row query with a pushed-down LIMIT;
         # 0 and tiny prefixes are the interesting boundaries.
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 300)),
                          int(rng.integers(0, 2))))
     if name == "cluster_sql":
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 2)),
                          int(rng.integers(0, N_SQL_STYLES))))
     if name == "cluster_migrate_query":
         # (lo, hi, target placement, pin socket, chunk budget): a live
         # migration of one shard's value column stepped on a thread
         # while distributed queries run on the main thread.
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, len(PLACEMENTS))),
                          int(rng.integers(0, 2)),
                          int(rng.choice(_MIGRATE_BUDGETS))))
@@ -608,7 +626,7 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
             int(rng.choice(_MIGRATE_BUDGETS)),
         ))
     if name in ("codec_count_in_range", "codec_select_in_range"):
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 2))))
     if name == "codec_count_equal":
         return Op(name, (_gen_bound(rng, bits), int(rng.integers(0, 2))))
@@ -630,10 +648,10 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
         n = int(rng.integers(1, n_chunks - first + 1))
         return Op(name, (first, n))
     if name == "codec_query_count":
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits),
+        return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 2))))
     if name == "codec_zonemap_count":
-        return Op(name, (_gen_bound(rng, bits), _gen_bound(rng, bits)))
+        return Op(name, _gen_bounds(rng, bits, length))
     raise AssertionError(f"unhandled op {name}")  # pragma: no cover
 
 
@@ -666,14 +684,14 @@ def make_case(seed: int, index: int, profile: str = "mixed") -> Case:
     ops = [Op("fill", (int(rng.integers(0, 2**31)),))]
     vbits = companion_width(seed, index, spec.bits)
     ops += [_gen_op(rng, spec, profile, vbits) for _ in range(n_ops - 1)]
-    if (vbits in SUM_CUTOFF_WIDTHS.values() and spec.length
-            and "query_filter_sum" in _profile_dist(profile)[0]):
+    sums = [name for name in ("query_filter_sum", "cluster_filter_sum")
+            if name in _profile_dist(profile)[0]]
+    if vbits in SUM_CUTOFF_WIDTHS.values() and spec.length and sums:
         # A value column at a sum cutoff ends in a whole-table SUM: every
         # chunk is covered, so each one's sum comes from its synopsis
         # (58 bits) or from the kernel (59 bits, where a synopsis slot
         # would wrap on a chunk of saturated values).
-        ops.append(Op("query_filter_sum", (0, 1 << 64,
-                                           int(rng.integers(0, 2)))))
+        ops.append(Op(sums[0], (0, 1 << 64, int(rng.integers(0, 2)))))
     return Case(seed=seed, index=index, spec=spec, ops=tuple(ops),
                 profile=profile)
 

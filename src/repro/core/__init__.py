@@ -68,7 +68,6 @@ from .scan_ops import (
     select_where,
 )
 from .placement import Placement, PlacementKind, STANDARD_PLACEMENTS
-from .randomization import RandomizedArray
 from .smart_map import SmartMap, SmartMapFullError
 from .smart_set import SmartBag, SmartSet
 from .smart_sorted import SortedSmartMap, layout_tradeoff
@@ -103,7 +102,6 @@ __all__ = [
     "Placement",
     "PlacementError",
     "PlacementKind",
-    "RandomizedArray",
     "ReplicaError",
     "STANDARD_PLACEMENTS",
     "SmartArray",

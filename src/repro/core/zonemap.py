@@ -135,6 +135,18 @@ def window_hulls(chunks: np.ndarray, window: int
     return first, stop
 
 
+def edges_hulled(first: int, stop: int, cover_first: int, cover_stop: int,
+                 window: int) -> bool:
+    """:func:`window_hulls` on a candidate run ``[first, stop)`` whose
+    covered run ``[cover_first, cover_stop)`` is left out: True when the
+    two edge runs around it share an aligned window of ``window`` chunks
+    and the covered chunks between them are fewer than a second decode
+    call is worth — that window then decodes its hull."""
+    return (first < cover_first < cover_stop < stop
+            and (cover_first - 1) // window == cover_stop // window
+            and cover_stop - cover_first < HULL_CALL_CHUNKS)
+
+
 def _decode_runs(chunks: np.ndarray, window: int
                  ) -> Tuple[List[Tuple[int, int]], Optional[np.ndarray]]:
     """The decode calls for the chunks ``chunks`` selects, window by
@@ -533,8 +545,12 @@ class ZoneMap:
             cover_first, cover_stop = self.covered_run(lo, hi)
             cover_first, cover_stop = max(first, cover_first), min(
                 stop, cover_stop)
-            if cover_stop <= cover_first:
-                cover_first = cover_stop = stop  # nothing covered
+            if cover_stop <= cover_first or edges_hulled(
+                    first, stop, cover_first, cover_stop, max_run):
+                # Nothing covered, or edge runs in one window around
+                # fewer covered chunks than a second decode call is
+                # worth: decode the whole run, as window_hulls would.
+                cover_first = cover_stop = stop
             total = chunk_rows(self.array.length, (cover_first, cover_stop))
             runs = [*_split_run(first, cover_first - first, max_run),
                     *_split_run(cover_stop, stop - cover_stop, max_run)]

@@ -18,7 +18,6 @@ from .algorithms import (
     degree_centrality,
     degree_centrality_scalar,
     pagerank,
-    pagerank_parallel,
     pagerank_scalar_iteration,
     random_weights,
     sssp,
@@ -71,7 +70,6 @@ __all__ = [
     "k_core",
     "load_npz",
     "pagerank",
-    "pagerank_parallel",
     "pagerank_scalar_iteration",
     "random_weights",
     "reverse_graph",

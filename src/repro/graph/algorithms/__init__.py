@@ -7,7 +7,6 @@ from .degree_centrality import degree_centrality, degree_centrality_scalar
 from .pagerank import (
     PageRankResult,
     pagerank,
-    pagerank_parallel,
     pagerank_scalar_iteration,
 )
 from .sssp import SsspResult, random_weights, sssp
@@ -26,7 +25,6 @@ __all__ = [
     "k_core",
     "degree_centrality_scalar",
     "pagerank",
-    "pagerank_parallel",
     "pagerank_scalar_iteration",
     "random_weights",
     "sssp",

@@ -118,91 +118,6 @@ def pagerank(
     )
 
 
-def pagerank_parallel(
-    graph: CSRGraph,
-    pool,
-    damping: float = 0.85,
-    tolerance: float = 1e-3,
-    max_iterations: int = 100,
-    batch: int = 2048,
-    rank_placement: Placement = Placement.interleaved(),
-    allocator=None,
-) -> PageRankResult:
-    """PageRank with each iteration's vertex loop run through a
-    Callisto-style worker pool (the paper's execution shape: "the inner
-    loops of graph analytics algorithms such as PageRank are written in
-    parallel loops and scheduled using Callisto-RTS", section 2.3).
-
-    Batches cover disjoint vertex ranges, so the per-batch writes into
-    the new-rank array never conflict; the convergence delta is a
-    per-batch partial reduced through the pool.  Results are identical
-    to :func:`pagerank` (asserted in tests).
-    """
-    from ...runtime.loops import parallel_reduce
-
-    if not graph.has_reverse:
-        raise ValueError("pagerank needs reverse edges")
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if tolerance <= 0 or max_iterations < 1:
-        raise ValueError("tolerance must be > 0 and max_iterations >= 1")
-    n = graph.n_vertices
-    if n == 0:
-        raise ValueError("graph has no vertices")
-
-    rbegin = graph.rbegin.to_numpy().astype(np.int64)
-    redge = graph.redge.to_numpy().astype(np.int64)
-    out_deg = graph.out_degrees().astype(np.float64)
-    dangling = out_deg == 0
-    safe_out = np.where(dangling, 1.0, out_deg)
-
-    ranks = np.full(n, 1.0 / n, dtype=np.float64)
-    new_ranks = np.empty(n, dtype=np.float64)
-    deltas: List[float] = []
-    converged = False
-    iterations = 0
-    base = (1.0 - damping) / n
-
-    for iterations in range(1, max_iterations + 1):
-        contrib = ranks / safe_out
-        dangling_mass = ranks[dangling].sum() / n
-
-        def batch_delta(start: int, end: int, ctx) -> float:
-            lo, hi = rbegin[start], rbegin[end]
-            if hi > lo:
-                seg = np.add.reduceat(
-                    np.concatenate([contrib[redge[lo:hi]], [0.0]]),
-                    rbegin[start:end] - lo,
-                )
-                empty = rbegin[start + 1:end + 1] == rbegin[start:end]
-                seg = seg[:end - start]
-                seg[empty] = 0.0
-            else:
-                seg = np.zeros(end - start)
-            updated = base + damping * (seg + dangling_mass)
-            new_ranks[start:end] = updated
-            return float(np.abs(updated - ranks[start:end]).sum())
-
-        delta = parallel_reduce(
-            n, batch_delta, lambda a, b: a + b, 0.0, pool, batch=batch
-        )
-        deltas.append(delta)
-        ranks, new_ranks = new_ranks.copy(), new_ranks
-        if delta < tolerance:
-            converged = True
-            break
-
-    rank_prop = DoubleProperty.from_values(
-        ranks, placement=rank_placement, allocator=allocator
-    )
-    return PageRankResult(
-        ranks=rank_prop,
-        iterations=iterations,
-        converged=converged,
-        deltas=deltas,
-    )
-
-
 def pagerank_scalar_iteration(
     graph: CSRGraph,
     ranks: np.ndarray,

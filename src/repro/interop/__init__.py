@@ -48,7 +48,6 @@ from .shared import (
     export_replica,
     view_of,
 )
-from .specialize import specialized_getter, specialized_scan
 
 __all__ = [
     "ArrayDescriptor",
@@ -83,7 +82,5 @@ __all__ = [
     "format_figure3",
     "format_paths",
     "path_cost_per_element",
-    "specialized_getter",
-    "specialized_scan",
     "view_of",
 ]

@@ -22,7 +22,6 @@ from .migration import (
 )
 from .mlc import MlcReport, format_table1, measure, placement_survey
 from .pages import MemoryLedger, PageMap, pages_for
-from .profiler import FunctionalProfiler, ProfiledRun, calibrate_host_rate
 from .topology import (
     GB,
     GIB,
@@ -39,7 +38,6 @@ __all__ = [
     "Allocation",
     "AutoNumaSimulator",
     "BandwidthModel",
-    "FunctionalProfiler",
     "PeriodStats",
     "partitioned_accessor",
     "shared_accessor",
@@ -57,10 +55,8 @@ __all__ = [
     "PAPER_MACHINES",
     "PageMap",
     "PerfCounters",
-    "ProfiledRun",
     "SINGLE_SOCKET_EFFICIENCY",
     "SocketSpec",
-    "calibrate_host_rate",
     "format_table1",
     "machine_2x18_haswell",
     "machine_2x8_haswell",

@@ -78,7 +78,7 @@ from ..adapt import (
 from ..core import bitpack
 from ..core.map_api import SUPERCHUNK_ELEMENTS, check_superchunk
 from ..core.smart_array import SmartArray
-from ..core.zonemap import (HULL_CALL_CHUNKS, ZoneMap, _chunk_runs,
+from ..core.zonemap import (ZoneMap, _chunk_runs, edges_hulled,
                             window_hulls)
 from ..numa.counters import PerfCounters
 from ..numa.topology import MachineSpec
@@ -807,11 +807,8 @@ def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
                 covered_morsels = np.arange(m_first, m_stop, dtype=np.int64)
                 chunks_covered = (min(stop, m_stop * per_morsel)
                                   - max(first, m_first * per_morsel))
-            if synopsis_maps is not None and not (
-                    first < cover_first and cover_stop < stop
-                    and (cover_first - 1) // per_morsel
-                    == cover_stop // per_morsel
-                    and cover_stop - cover_first < HULL_CALL_CHUNKS):
+            if synopsis_maps is not None and not edges_hulled(
+                    first, stop, cover_first, cover_stop, per_morsel):
                 # (Edge runs in one morsel around fewer covered chunks
                 # than a second decode call is worth: the morsel decodes
                 # the whole run, as window_hulls would, and nothing is

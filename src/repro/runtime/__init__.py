@@ -15,10 +15,6 @@ from .loops import (
     parallel_sum,
     parallel_sum_bulk,
 )
-from .process_pool import (
-    process_parallel_sum,
-    process_parallel_sum_from_values,
-)
 from .workers import ThreadContext, WorkerPool, build_contexts
 
 __all__ = [
@@ -33,6 +29,4 @@ __all__ = [
     "parallel_reduce",
     "parallel_sum",
     "parallel_sum_bulk",
-    "process_parallel_sum",
-    "process_parallel_sum_from_values",
 ]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import allocate
 from repro.core.scan_ops import (clamp_u64_range, count_in_range,
@@ -143,6 +143,12 @@ def zone_map_of(kind, n, draw_values):
 
 
 _EDGES = [-7, 0, 1, 2**63, 2**64 - 1, 2**64, 2**64 + 9]
+
+#: Six chunks: two all-zero, then [0..1], [5], [7..2**64-1], [2**64-1].
+#: ``[1, 2**64-1)`` covers chunk 3 and leaves edge chunks 2 and 4 in one
+#: superchunk window, so that window decodes its hull, chunks 2-4.
+_EDGE_RUNS_ONE_WINDOW = ([0] * 128 + [0] * 32 + [1] * 32 + [5] * 64
+                         + [7] * 32 + [2**64 - 1] * 32 + [2**64 - 1] * 64)
 _VALUE = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
                    st.integers(0, 2**64 - 1), st.integers(0, 300))
 _BOUND = st.one_of(st.sampled_from(_EDGES), st.integers(0, 300),
@@ -155,6 +161,8 @@ class TestRunBinding:
     comparing every chunk's bounds."""
 
     @settings(max_examples=120, deadline=None)
+    @example(kind="sorted", n=384, values=_EDGE_RUNS_ONE_WINDOW,
+             bounds=[(1, 2**64 - 1)], superchunk=4096)
     @given(kind=st.sampled_from(["sorted", "random", "constant"]),
            n=st.sampled_from([0, 1, 37, 64, 65, 200, 384]),
            values=st.lists(_VALUE, min_size=384, max_size=384),
@@ -219,6 +227,23 @@ class TestRunBinding:
                     == match.size
                 assert zm.array.stats.chunk_unpacks == unpacks
                 zm._monotone = True
+
+
+    def test_edge_runs_in_one_window_decode_their_hull(self):
+        # The run path decodes what the compare path's window_hulls
+        # does (and what the smartcheck oracle predicts): the hull of
+        # both edge runs, the covered chunk between them included.
+        zm, data = zone_map_of("sorted", 384, _EDGE_RUNS_ONE_WINDOW)
+        assert zm.monotone
+        lo, hi = 1, 2**64 - 1
+        expected = int(((data >= lo) & (data < hi)).sum())
+        decoded = []
+        for monotone in (True, False):
+            zm._monotone = monotone
+            zm.array.stats.reset()
+            assert zm.count_in_range(lo, hi) == expected == 128
+            decoded.append(zm.array.stats.chunk_unpacks)
+        assert decoded == [3, 3]
 
 
 def chunk_runs_loop(chunks, max_run):

@@ -128,7 +128,6 @@ class TestApiGuideSnippets:
 
     def test_collections_forms(self):
         from repro.core import (
-            RandomizedArray,
             SmartMap,
             SortedSmartMap,
             ZoneMap,
@@ -146,9 +145,6 @@ class TestApiGuideSnippets:
         assert count_in_range(enc, 4, 5) == 1
         rle = encode_array(np.array([7, 7, 8], dtype=np.uint64), "rle")
         assert sum_range(rle) == 22
-        r = RandomizedArray(allocate(10, bits=8))
-        r.fill(np.arange(10))
-        assert r[3] == 3
         zm = ZoneMap.build(allocate(64, bits=8, values=np.arange(64)))
         assert zm.count_in_range(0, 10) == 10
 

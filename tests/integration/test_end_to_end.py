@@ -18,7 +18,6 @@ from repro.adapt import (
 )
 from repro.core import (
     Placement,
-    RandomizedArray,
     SmartMap,
     allocate,
     allocate_like,
@@ -240,20 +239,3 @@ class TestConcurrency:
         np.testing.assert_array_equal(
             sa.to_numpy(), np.arange(n, dtype=np.uint64) % (1 << 31)
         )
-
-
-class TestRandomizationIntegration:
-    def test_randomized_array_through_runtime(self):
-        machine = machine_2x8_haswell()
-        allocator = NumaAllocator(machine)
-        values = np.arange(50_000, dtype=np.uint64)
-        r = RandomizedArray(
-            allocate(values.size, bits=17, interleaved=True,
-                     allocator=allocator)
-        )
-        r.fill(values)
-        # the logical view sums correctly even though storage is permuted
-        assert int(r.to_numpy().sum()) == int(values.sum())
-        # and the underlying smart array still sums to the same total
-        # (permutation preserves multisets)
-        assert sum_range(r.array) == int(values.sum())
