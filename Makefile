@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures examples live loc clean all
+.PHONY: install test bench figures examples live loc reach clean all
 
 install:
 	pip install -e .
@@ -28,6 +28,12 @@ live:
 # Python source lines under src/ (the tracked size metric).
 loc:
 	@find src -name '*.py' -exec cat {} + | wc -l
+
+# Functions under src/ that no example, bench, e2e workload, smartcheck
+# profile or CLI command calls, per module; fails on one that is not in
+# tools/reach/baseline.txt (see DESIGN.md section 8).
+reach:
+	$(PYTHON) tools/reach/reach.py
 
 artifacts: ## the final paper-trail outputs
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -7,12 +7,6 @@ needs and picks the faster of the two; :mod:`evaluation` replays the
 paper's section-6.3 accuracy study against the performance model.
 """
 
-from .codec_rule import (
-    CodecProfile,
-    DEFAULT_THRESHOLD,
-    choose_codec,
-    profile_values,
-)
 from .compression_rule import (
     CandidateEstimate,
     choose_compression,
@@ -20,7 +14,6 @@ from .compression_rule import (
     projected_compressed_rates,
 )
 from .dynamic import AdaptiveController, Reconfiguration
-from .multi import MultiArrayPlan, WorkloadArray, select_multi_array
 from .evaluation import (
     AdaptivityCase,
     CANDIDATE_PLACEMENTS,
@@ -56,19 +49,13 @@ __all__ = [
     "CANDIDATE_PLACEMENTS",
     "COMPRESSIBLE_BITS",
     "CandidateEstimate",
-    "CodecProfile",
     "Configuration",
-    "DEFAULT_THRESHOLD",
-    "choose_codec",
-    "profile_values",
     "EvaluationStats",
     "MEMORY_ASSUMPTIONS",
     "MachineCapabilities",
-    "MultiArrayPlan",
     "PEAK_IPC",
     "PlacementDecision",
     "SelectionResult",
-    "WorkloadArray",
     "WorkloadMeasurement",
     "all_local_beats_all_remote",
     "choose_compression",
@@ -82,6 +69,5 @@ __all__ = [
     "projected_compressed_rates",
     "select_compressed_placement",
     "select_configuration",
-    "select_multi_array",
     "select_uncompressed_placement",
 ]

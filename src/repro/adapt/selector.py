@@ -28,20 +28,12 @@ class Configuration:
 
     ``codec`` widens the paper's candidate space to the encoded layouts
     of :mod:`repro.core.codecs`; for codec targets ``bits`` is advisory
-    (each codec derives its own payload width at encode time).  See
-    :mod:`repro.adapt.codec_rule` for the codec-choice heuristic.
-
-    ``node`` is the cluster placement axis (:mod:`repro.cluster`): the
-    node whose allocator should own the array, or ``None`` for a
-    single-box configuration.  Placement/bits/codec describe the array
-    *within* its node either way, so every single-box rule applies
-    unchanged.
+    (each codec derives its own payload width at encode time).
     """
 
     placement: Placement
     bits: int
     codec: str = "bitpack"
-    node: Optional[int] = None
 
     @property
     def compressed(self) -> bool:
@@ -52,8 +44,7 @@ class Configuration:
             else f"uncompressed({self.bits}b)"
         if self.codec != "bitpack":
             comp = f"{self.codec}({self.bits}b payload)"
-        where = f"node {self.node} / " if self.node is not None else ""
-        return f"{where}{self.placement.describe()} / {comp}"
+        return f"{self.placement.describe()} / {comp}"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()

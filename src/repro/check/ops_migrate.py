@@ -80,28 +80,49 @@ def _needed_bits(r) -> int:
 
 
 def _step_checked(r, migration, target_bits: int, vseed: int = 0,
-                  n_writes: int = 0) -> int:
+                  n_writes: int = 0):
     """Step ``migration`` to its end with a storage check between every
-    step, making up to ``n_writes`` point writes on the way (dual-write
-    coverage); returns the writes made."""
+    step.  With ``n_writes`` (dual-write coverage) it also makes up to
+    that many point writes on the way, and one ``scatter_many`` batch
+    and, for odd ``vseed``, a ``fill`` while the migration still runs,
+    so each reaches its mirror.  Returns ``(point, bulk)`` elements
+    written."""
     a, o, length = r.array, r.oracle, r.spec.length
     rng = np.random.default_rng(vseed)
-    writes = 0
+    bulk_rng = np.random.default_rng([vseed, 1])
+    bulk_ops = (["scatter", "fill"][:1 + vseed % 2]
+                if n_writes and length else [])
+    writes = bulk = 0
     while True:
         alive = migration.step()
+        # Written values must fit both the live generation and the
+        # migration target.
+        high = (1 << min(a.bits, target_bits)) - 1
         if writes < n_writes and length:
-            # The value must fit both the live generation and the
-            # migration target.
             idx = int(rng.integers(0, length))
-            value = int(rng.integers(
-                0, (1 << min(a.bits, target_bits)) - 1,
-                dtype=np.uint64, endpoint=True))
+            value = int(rng.integers(0, high, dtype=np.uint64,
+                                     endpoint=True))
             a[idx] = value
             o.set(idx, value)
             writes += 1
+        if alive and bulk_ops:
+            if bulk_ops.pop(0) == "scatter":
+                k = int(bulk_rng.integers(1, min(length, 64) + 1))
+                idx = bulk_rng.choice(length, size=k,
+                                      replace=False).astype(np.int64)
+                values = bulk_rng.integers(0, high, size=k,
+                                           dtype=np.uint64, endpoint=True)
+                a.scatter_many(idx, values)
+                o.scatter(idx, values)
+            else:
+                values = bulk_rng.integers(0, high, size=length,
+                                           dtype=np.uint64, endpoint=True)
+                a.fill(values)
+                o.fill(values)
+            bulk += values.size
         r.check_storage()
         if not alive:
-            return writes
+            return writes, bulk
 
 
 def _migrate(r, op, before) -> None:
@@ -129,9 +150,10 @@ def _migrate(r, op, before) -> None:
                           expected_sum, op.name)
 
         race(migration, scan)
-        made, chunks = 0, 3 * orc.span_chunks(0, length, sc)
+        made, bulk, chunks = 0, 0, 3 * orc.span_chunks(0, length, sc)
     else:
-        made, chunks = _step_checked(r, migration, target.bits, *writes), 0
+        (made, bulk), chunks = _step_checked(r, migration, target.bits,
+                                             *writes), 0
     check_completed(op.name, migration)
     codec = getattr(a.generation, "codec", "bitpack")
     # A codec target's width is advisory: each codec picks its own.
@@ -145,7 +167,8 @@ def _migrate(r, op, before) -> None:
     # The oracle's (iterator) accounting model follows the decoded-value
     # width, not the encoded payload width.
     o.bits = a.value_bits
-    r.check_decoded(before, chunks, op.name, inits=made)
+    r.check_decoded(before, chunks, op.name, inits=made,
+                    bulk_written=bulk)
 
 
 def _migrate_abort(r, op, before) -> None:

@@ -26,12 +26,6 @@ from .executor import (
     plan_distributed,
     shipped_specs,
 )
-from .placement import (
-    PlacementPlan,
-    ShardLoad,
-    loads_from_stats,
-    plan_placement,
-)
 from .spec import (
     Cluster,
     ClusterNode,
@@ -64,10 +58,8 @@ __all__ = [
     "DistributedPlan",
     "NetworkSpec",
     "NodeSpec",
-    "PlacementPlan",
     "Shard",
     "ShardedTable",
-    "ShardLoad",
     "Shipment",
     "cluster_of",
     "encode_payload",
@@ -75,11 +67,9 @@ __all__ = [
     "expected_result_payload",
     "frame_bytes",
     "hash_partition",
-    "loads_from_stats",
     "network_10gbe",
     "plan_distributed",
     "plan_payload",
-    "plan_placement",
     "range_bounds",
     "range_partition",
     "result_payload",

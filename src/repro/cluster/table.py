@@ -270,10 +270,6 @@ class ShardedTable:
         """Zone maps are per shard; the coordinator itself holds none."""
         return None
 
-    def invalidate_zone_maps(self, name: Optional[str] = None) -> None:
-        for shard in self.shards:
-            shard.table.invalidate_zone_maps(name)
-
     # -- distributed planning hook -------------------------------------------
 
     def distributed_plan(self, query, **knobs):
@@ -315,33 +311,6 @@ class ShardedTable:
 
     def physical_bytes(self) -> int:
         return sum(s.table.physical_bytes() for s in self.shards)
-
-    def layout(self) -> Dict[str, object]:
-        """JSON-shaped shard layout for the server's ``tables`` op."""
-        shards = []
-        for shard in self.shards:
-            entry: Dict[str, object] = {
-                "shard": shard.shard_id,
-                "node": shard.node_id,
-                "rows": shard.n_rows,
-                "row_range": [shard.offset, shard.offset + shard.n_rows],
-                "replicas": list(self.replicated_columns),
-            }
-            if self.mode == "range" and self.bounds is not None:
-                lo = self.bounds[shard.shard_id - 1] if shard.shard_id else None
-                hi = (self.bounds[shard.shard_id]
-                      if shard.shard_id < len(self.bounds) else None)
-                entry["key_range"] = [lo, hi]
-            else:
-                entry["hash_bucket"] = shard.shard_id
-            shards.append(entry)
-        return {
-            "key": self.key,
-            "mode": self.mode,
-            "n_nodes": self.cluster.n_nodes,
-            "n_shards": len(self.shards),
-            "shards": shards,
-        }
 
     def describe(self) -> str:
         reps = (f", replicas: {', '.join(self.replicated_columns)}"

@@ -59,7 +59,6 @@ from .map_api import (
     map_reduce,
     sum_range,
 )
-from .persistence import load_array, save_array
 from .scan_ops import (
     count_equal,
     count_in_range,
@@ -126,13 +125,11 @@ __all__ = [
     "for_each_chunk",
     "iter_spans",
     "SUPERCHUNK_ELEMENTS",
-    "load_array",
     "machine_context",
     "map_range",
     "map_reduce",
     "min_max",
     "max_bits_needed",
-    "save_array",
     "select_in_range",
     "select_where",
     "sum_range",

@@ -9,18 +9,13 @@ compression configuration can be applied and measured.
 from .algorithms import (
     BfsResult,
     ComponentsResult,
-    KCoreResult,
-    k_core,
     PageRankResult,
-    SsspResult,
     bfs,
     connected_components,
     degree_centrality,
     degree_centrality_scalar,
     pagerank,
     pagerank_scalar_iteration,
-    random_weights,
-    sssp,
     triangle_count,
 )
 from .csr import CSRGraph, GraphConfig
@@ -31,21 +26,7 @@ from .generators import (
     twitter_like,
     uniform_kout,
 )
-from .loader import (
-    cached_graph,
-    load_edge_list,
-    load_npz,
-    save_edge_list,
-    save_npz,
-)
 from .properties import DoubleProperty, IntProperty
-from .utils import (
-    degree_histogram,
-    graph_summary,
-    reverse_graph,
-    subgraph,
-    symmetrize,
-)
 
 __all__ = [
     "BfsResult",
@@ -53,32 +34,17 @@ __all__ = [
     "ComponentsResult",
     "DoubleProperty",
     "GraphConfig",
-    "KCoreResult",
     "IntProperty",
     "PageRankResult",
-    "SsspResult",
     "bfs",
-    "cached_graph",
     "chung_lu",
     "connected_components",
     "degree_centrality",
     "degree_centrality_scalar",
-    "degree_histogram",
     "degree_statistics",
-    "load_edge_list",
-    "graph_summary",
-    "k_core",
-    "load_npz",
     "pagerank",
     "pagerank_scalar_iteration",
-    "random_weights",
-    "reverse_graph",
     "rmat",
-    "save_edge_list",
-    "save_npz",
-    "sssp",
-    "subgraph",
-    "symmetrize",
     "triangle_count",
     "twitter_like",
     "uniform_kout",

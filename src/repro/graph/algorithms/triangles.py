@@ -1,7 +1,7 @@
 """Triangle counting over CSR smart arrays.
 
 PGX's triangle listing (Sevenich et al., cited by the paper) works on a
-symmetrized, deduplicated CSR; counting intersects sorted neighbour
+undirected, deduplicated CSR; counting intersects sorted neighbour
 lists of edge endpoints.  Included as a second random-access-heavy
 workload for the adaptivity evaluation's workload diversity.
 """
@@ -13,7 +13,7 @@ import numpy as np
 from ..csr import CSRGraph
 
 
-def _symmetrized_adjacency(graph: CSRGraph):
+def _undirected_adjacency(graph: CSRGraph):
     """Sorted, deduplicated undirected neighbour lists (u < v form)."""
     src, dst = graph.to_edge_list()
     src = src.astype(np.int64)
@@ -31,7 +31,7 @@ def _symmetrized_adjacency(graph: CSRGraph):
 
 def triangle_count(graph: CSRGraph) -> int:
     """Number of distinct triangles in the undirected view of ``graph``."""
-    begin, adj = _symmetrized_adjacency(graph)
+    begin, adj = _undirected_adjacency(graph)
     n = graph.n_vertices
     total = 0
     for u in range(n):

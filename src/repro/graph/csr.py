@@ -171,44 +171,6 @@ class CSRGraph:
             else None,
         )
 
-    @classmethod
-    def from_weighted_edges(
-        cls,
-        src,
-        dst,
-        weights,
-        n_vertices: Optional[int] = None,
-        config: Optional[GraphConfig] = None,
-        reverse: bool = True,
-        weight_bits: Optional[int] = None,
-        allocator: Optional[NumaAllocator] = None,
-    ):
-        """Build a graph plus an edge-weight property, correctly aligned.
-
-        CSR construction permutes the input edges (sorted by source,
-        then target), so per-edge payloads supplied in input order must
-        be permuted identically or every weight lands on the wrong
-        edge.  This constructor owns that alignment: it returns
-        ``(graph, weight_property)`` with ``weight_property[i]`` being
-        the weight of ``graph.edge[i]``.
-        """
-        from .properties import IntProperty
-
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        weights = np.ascontiguousarray(weights, dtype=np.uint64)
-        if weights.shape != src.shape:
-            raise ValueError("weights must align with the edge list")
-        graph = cls.from_edges(
-            src, dst, n_vertices=n_vertices, config=config, reverse=reverse,
-            allocator=allocator,
-        )
-        order = np.lexsort((dst, src))
-        prop = IntProperty.from_values(
-            weights[order], bits=weight_bits, allocator=allocator
-        )
-        return graph, prop
-
     def reconfigure(
         self,
         config: GraphConfig,

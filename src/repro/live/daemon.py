@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..adapt.dynamic import AdaptiveController
 from ..adapt.inputs import (
@@ -100,7 +100,6 @@ class LiveAdaptationDaemon:
         migrator: LiveMigrator,
         *,
         interval_s: float = 0.05,
-        tables: Sequence = (),
         budget: Optional[MigrationBudget] = None,
         window: int = 3,
         drift_threshold: float = 0.25,
@@ -120,7 +119,6 @@ class LiveAdaptationDaemon:
         self.caps = caps
         self.migrator = migrator
         self.interval_s = interval_s
-        self.tables = tuple(tables)
         self.budget = budget or MigrationBudget()
         self.window = window
         self.drift_threshold = drift_threshold
@@ -290,7 +288,7 @@ class LiveAdaptationDaemon:
                          rollback_of: Optional[Migration] = None) -> None:
         try:
             self._migration = self.migrator.start(
-                self.array, target, budget=self.budget, tables=self.tables,
+                self.array, target, budget=self.budget,
                 reason=reason, rollback_of=rollback_of,
             )
         except (AllocationError, MigrationError) as exc:

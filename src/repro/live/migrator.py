@@ -40,17 +40,18 @@ value that cannot fit the target width **aborts** the migration — the
 array stays on its current generation, untouched.
 
 Commit: when the last chunk (or page) lands, the step swaps the
-array's storage generation atomically under the write gate and
-invalidates cached zone maps of the given tables.  Readers that pinned
-the old generation keep decoding it at the old width; its allocation is
-freed when the last pin drains.
+array's storage generation atomically under the write gate and bumps
+its epoch, so a table's cached zone map of the old storage is dropped
+on its next lookup.  Readers that pinned the old generation keep
+decoding it at the old width; its allocation is freed when the last pin
+drains.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -115,7 +116,7 @@ class Migration:
 
     def __init__(self, migrator: "LiveMigrator", array: SmartArray,
                  target: Configuration, budget: MigrationBudget,
-                 tables: Sequence, reason: str,
+                 reason: str,
                  rollback_of: Optional["Migration"] = None) -> None:
         self.migrator = migrator
         self.array = array
@@ -125,7 +126,6 @@ class Migration:
         )
         self.target = target
         self.budget = budget
-        self.tables = tuple(tables)
         self.reason = reason
         #: Set when this migration undoes a previous one (daemon
         #: rollback); completion then counts as a rollback, not a
@@ -375,8 +375,6 @@ class Migration:
             self.migrator._rolled_back.add(1)
         else:
             self.migrator._completed.add(1)
-        for table in self.tables:
-            table.invalidate_zone_maps()
 
     def _abort_locked(self, reason: str) -> None:
         if self._new_allocation is not None:
@@ -475,7 +473,7 @@ class LiveMigrator:
 
     def start(self, array: SmartArray, target: Configuration,
               budget: Optional[MigrationBudget] = None,
-              tables: Sequence = (), reason: str = "",
+              reason: str = "",
               rollback_of: Optional[Migration] = None) -> Migration:
         """Begin an incremental migration; drive it with ``step()``.
 
@@ -491,16 +489,15 @@ class LiveMigrator:
         bitpack.check_bits(target.bits)
         check_codec(getattr(target, "codec", "bitpack"))
         migration = Migration(self, array, target,
-                              budget or MigrationBudget(), tables, reason,
+                              budget or MigrationBudget(), reason,
                               rollback_of=rollback_of)
         migration._start()
         return migration
 
     def migrate(self, array: SmartArray, target: Configuration,
                 budget: Optional[MigrationBudget] = None,
-                tables: Sequence = (), reason: str = "") -> Migration:
+                reason: str = "") -> Migration:
         """Run a migration to its terminal state; returns the record."""
-        migration = self.start(array, target, budget=budget, tables=tables,
-                               reason=reason)
+        migration = self.start(array, target, budget=budget, reason=reason)
         migration.run()
         return migration

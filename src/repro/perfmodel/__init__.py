@@ -19,12 +19,6 @@ from .aggregation import (
     figure10_grid,
     format_rows,
 )
-from .contention import (
-    ContendedRun,
-    bandwidth_hog,
-    cpu_hog,
-    simulate_contended,
-)
 from .engine import SimulatedRun, best_placement, compute_rate, simulate
 from .graph_models import (
     DEGREE_GRAPH,
@@ -60,7 +54,6 @@ from .workload import (
 
 __all__ = [
     "AggregationRow",
-    "ContendedRun",
     "DEGREE_GRAPH",
     "ELEMENTS_PER_ARRAY",
     "FIGURE10_BITS",
@@ -81,13 +74,11 @@ __all__ = [
     "TWITTER_GRAPH",
     "WorkloadProfile",
     "aggregation_profile",
-    "bandwidth_hog",
     "best_placement",
     "blocked_scan_instructions",
     "compressed_scan_instructions",
     "scan_engine_instructions",
     "compute_rate",
-    "cpu_hog",
     "degree_centrality_profile",
     "figure1_rows",
     "figure2_rows",
@@ -100,5 +91,4 @@ __all__ = [
     "pagerank_profile",
     "pagerank_variant_bits",
     "simulate",
-    "simulate_contended",
 ]

@@ -60,16 +60,10 @@ class Catalog:
             return dict(self._tables)
 
     def schema(self) -> Dict[str, Dict[str, object]]:
-        """JSON-shaped description of every registered table.
-
-        Sharded tables (:class:`~repro.cluster.table.ShardedTable`)
-        additionally report their shard layout — node ownership, row
-        ranges / hash buckets / key ranges, replica columns — so a wire
-        client can see where its data physically lives.
-        """
+        """JSON-shaped description of every registered table."""
         out: Dict[str, Dict[str, object]] = {}
         for name, table in self.tables().items():
-            entry: Dict[str, object] = {
+            out[name] = {
                 "rows": table.n_rows,
                 "columns": {
                     col: {
@@ -79,10 +73,6 @@ class Catalog:
                     for col in table.column_names
                 },
             }
-            layout = getattr(table, "layout", None)
-            if callable(layout):
-                entry["sharding"] = layout()
-            out[name] = entry
         return out
 
     def __contains__(self, name: str) -> bool:

@@ -83,6 +83,17 @@ class TestPlantedBugs:
         assert not report.ok
         assert report.failures[0].kind == "storage"
 
+    @pytest.mark.parametrize("mirror", ["mirror_scatter", "mirror_fill"])
+    def test_detects_dropped_bulk_write_mirror(self, monkeypatch, mirror):
+        # A scatter_many or fill that lands mid-migration must reach the
+        # target generation too; dropped, the chunks already copied keep
+        # their old values once the target commits.
+        monkeypatch.setattr(Migration, mirror, lambda self, *args: None)
+        report = run_check(seed=0, ops=300, profile="live",
+                           max_failures=1, shrink=False)
+        assert not report.ok
+        assert report.failures[0].kind == "storage"
+
     def test_failure_replays_clean_after_unpatching(self, monkeypatch):
         _plant_early_swap(monkeypatch)
         report = run_check(seed=0, ops=300, profile="live",

@@ -133,19 +133,6 @@ class TestShardedTable:
             assert shard.table.column("v").codec == "dict"
         assert table.gather().column("v").codec == "dict"
 
-    def test_layout_reports_ranges_and_buckets(self):
-        ranged, _ = build(mode="range", n_nodes=2)
-        layout = ranged.layout()
-        assert layout["mode"] == "range"
-        assert layout["n_nodes"] == 2
-        assert layout["shards"][0]["key_range"][0] is None
-        assert layout["shards"][1]["key_range"][1] is None
-        assert (layout["shards"][0]["key_range"][1]
-                == layout["shards"][1]["key_range"][0])
-
-        hashed, _ = build(mode="hash", n_nodes=2)
-        assert hashed.layout()["shards"][0]["hash_bucket"] == 0
-
     def test_owners_override_places_shards(self):
         table, _ = build(n_nodes=2, owners=[1, 1])
         assert {s.node_id for s in table.shards} == {1}

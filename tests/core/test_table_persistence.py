@@ -1,9 +1,9 @@
-"""Tests for SmartTable and smart-array persistence."""
+"""Tests for SmartTable."""
 
 import numpy as np
 import pytest
 
-from repro.core import SmartTable, allocate, load_array, save_array
+from repro.core import SmartTable
 from repro.numa import NumaAllocator, machine_2x8_haswell
 
 
@@ -153,60 +153,6 @@ class TestQueries:
         assert "1,000 rows" in text and "quantity" in text
         assert t.storage_bytes() < 3 * 1000 * 8  # compression won
         assert t.physical_bytes() >= t.storage_bytes()
-
-
-class TestPersistence:
-    @pytest.mark.parametrize("bits", [10, 32, 33, 64])
-    def test_roundtrip(self, bits, tmp_path, allocator):
-        rng = np.random.default_rng(bits)
-        values = rng.integers(0, 2**bits, size=500, dtype=np.uint64)
-        sa = allocate(500, bits=bits, values=values, allocator=allocator)
-        path = str(tmp_path / "array.npz")
-        save_array(path, sa)
-        loaded = load_array(path, allocator=allocator)
-        assert loaded.bits == bits
-        np.testing.assert_array_equal(loaded.to_numpy(), values)
-
-    def test_load_with_new_placement(self, tmp_path, allocator):
-        sa = allocate(100, bits=20, values=np.arange(100),
-                      allocator=allocator)
-        path = str(tmp_path / "a.npz")
-        save_array(path, sa)
-        loaded = load_array(path, replicated=True, allocator=allocator)
-        assert loaded.n_replicas == 2
-        np.testing.assert_array_equal(
-            loaded.to_numpy(replica=1), np.arange(100, dtype=np.uint64)
-        )
-
-    def test_corrupt_length_rejected(self, tmp_path, allocator):
-        sa = allocate(100, bits=20, values=np.arange(100),
-                      allocator=allocator)
-        path = str(tmp_path / "a.npz")
-        save_array(path, sa)
-        import numpy as np2
-
-        with np2.load(path) as data:
-            np2.savez(path, format=data["format"], words=data["words"][:-1],
-                      length=data["length"], bits=data["bits"])
-        with pytest.raises(ValueError, match="corrupt"):
-            load_array(path, allocator=allocator)
-
-    def test_unknown_format_version(self, tmp_path, allocator):
-        sa = allocate(10, bits=8, values=np.arange(10), allocator=allocator)
-        path = str(tmp_path / "a.npz")
-        save_array(path, sa)
-        with np.load(path) as data:
-            np.savez(path, format=np.int64(99), words=data["words"],
-                     length=data["length"], bits=data["bits"])
-        with pytest.raises(ValueError, match="format"):
-            load_array(path, allocator=allocator)
-
-    def test_zero_length_array(self, tmp_path, allocator):
-        sa = allocate(0, bits=8, allocator=allocator)
-        path = str(tmp_path / "empty.npz")
-        save_array(path, sa)
-        loaded = load_array(path, allocator=allocator)
-        assert len(loaded) == 0
 
 
 def _wide_values(rng, n, bits):

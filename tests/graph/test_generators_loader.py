@@ -1,4 +1,4 @@
-"""Tests for graph generators, degree statistics, and the loader."""
+"""Tests for graph generators and degree statistics."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,10 @@ import pytest
 from repro.graph import (
     chung_lu,
     degree_statistics,
-    load_edge_list,
-    load_npz,
     rmat,
-    save_edge_list,
-    save_npz,
     twitter_like,
     uniform_kout,
 )
-from repro.graph.loader import cached_graph
 
 
 class TestUniformKout:
@@ -95,52 +90,3 @@ class TestDegreeStatistics:
     def test_infers_vertices(self):
         stats = degree_statistics(np.array([0]), np.array([9]))
         assert stats["n_vertices"] == 10
-
-
-class TestLoader:
-    def test_text_roundtrip(self, tmp_path):
-        src = np.array([0, 1, 2], dtype=np.int64)
-        dst = np.array([1, 2, 0], dtype=np.int64)
-        path = str(tmp_path / "g.txt")
-        save_edge_list(path, src, dst)
-        s2, d2 = load_edge_list(path)
-        np.testing.assert_array_equal(s2, src)
-        np.testing.assert_array_equal(d2, dst)
-
-    def test_text_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "g.txt"
-        path.write_text("# header\n\n0 1\n2 3\n")
-        s, d = load_edge_list(str(path))
-        np.testing.assert_array_equal(s, [0, 2])
-
-    def test_text_malformed(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1 2\n")
-        with pytest.raises(ValueError, match="expected"):
-            load_edge_list(str(path))
-
-    def test_save_mismatched_shapes(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_edge_list(str(tmp_path / "x.txt"),
-                           np.array([0]), np.array([1, 2]))
-
-    def test_npz_roundtrip(self, tmp_path):
-        src, dst = uniform_kout(100, 3, seed=0)
-        path = str(tmp_path / "g.npz")
-        save_npz(path, src, dst)
-        s2, d2, n = load_npz(path)
-        assert n == 100
-        np.testing.assert_array_equal(s2, src)
-
-    def test_cached_graph_generates_then_reloads(self, tmp_path):
-        path = str(tmp_path / "cache.npz")
-        calls = []
-
-        def gen():
-            calls.append(1)
-            return uniform_kout(10, 2, seed=3)
-
-        a = cached_graph(path, gen)
-        b = cached_graph(path, gen)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(a[0], b[0])

@@ -375,20 +375,24 @@ class TestGenerationPinning:
 
 
 class TestZoneMaps:
-    def test_commit_invalidates_table_zone_maps(self, allocator, migrator):
-        values = data(640, 9)
-        arr = make(allocator, values, bits=64)
-        table = SmartTable({"k": arr})
-        table.build_zone_map("k", allocator=allocator)
-        assert table.zone_map("k") is not None
-        migrator.migrate(arr, Configuration(Placement.interleaved(), 9),
-                         tables=[table])
-        assert table.zone_map("k") is None
+    def test_commit_drops_only_the_migrated_columns_map(
+            self, allocator, migrator):
+        a = make(allocator, data(640, 9), bits=64)
+        b = make(allocator, data(640, 11, seed=1), bits=64)
+        table = SmartTable({"a": a, "b": b})
+        table.build_zone_map("a", allocator=allocator)
+        table.build_zone_map("b", allocator=allocator)
+        kept = table.zone_map("b")
+        b.stats.reset()
+        migrator.migrate(a, Configuration(Placement.interleaved(), 9))
+        assert table.zone_map("b") is kept
+        assert b.stats.chunk_unpacks == 0
+        assert table.zone_map("a") is None
 
     def test_stale_epoch_dropped_even_without_tables_arg(
             self, allocator, migrator):
-        # Defense in depth: even when the migrator is not told about a
-        # table, the epoch check drops the stale map at lookup time.
+        # The migrator knows no tables: the epoch check drops the
+        # stale map at lookup time.
         values = data(640, 9)
         arr = make(allocator, values, bits=64)
         table = SmartTable({"k": arr})

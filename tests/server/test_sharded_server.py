@@ -1,6 +1,6 @@
-"""Serving a sharded catalog: the ``tables`` op reports the shard
-layout, SQL fans out transparently, and the ``metrics`` op exposes the
-per-node cluster counters with node-id labels."""
+"""Serving a sharded catalog: the ``tables`` op lists it, SQL fans out
+transparently, and the ``metrics`` op exposes the per-node cluster
+counters with node-id labels."""
 
 import numpy as np
 import pytest
@@ -36,28 +36,10 @@ def oracle_arrays():
 
 
 class TestTablesOp:
-    def test_reports_shard_layout(self, conn):
-        tables = conn.tables()
-        sharding = tables["events"]["sharding"]
-        assert sharding["key"] == "ts"
-        assert sharding["mode"] == "range"
-        assert sharding["n_nodes"] == N_NODES
-        assert len(sharding["shards"]) == N_NODES
-        assert tables["events"]["rows"] == ROWS
-
-        nodes = [entry["node"] for entry in sharding["shards"]]
-        assert sorted(set(nodes)) == list(range(N_NODES))
-        for entry in sharding["shards"]:
-            assert entry["row_range"][1] - entry["row_range"][0] \
-                == entry["rows"]
-            assert "key_range" in entry
-            assert entry["replicas"] == ["amount"]
-
-    def test_unsharded_tables_have_no_sharding_entry(self):
-        from repro.server.catalog import demo_catalog
-
-        schema = demo_catalog(rows=1_000).schema()
-        assert "sharding" not in schema["events"]
+    def test_lists_sharded_table_like_any_other(self, conn):
+        events = conn.tables()["events"]
+        assert events["rows"] == ROWS
+        assert sorted(events["columns"]) == ["amount", "region", "ts"]
 
 
 class TestDistributedSql:
