@@ -55,7 +55,6 @@ def _catalog(n):
         "amount": rng.integers(0, 1 << 20, n).astype(np.uint64),
     }
     table = SmartTable.from_arrays(data, replicated=True)
-    table.build_zone_map("ts")
     catalog = Catalog()
     catalog.register("events", table)
     return catalog, data

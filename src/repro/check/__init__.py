@@ -12,11 +12,11 @@ machine-checks that they all agree with one plain-NumPy oracle:
 * :mod:`~repro.check.oracle` — independent answers and predicted
   decode accounting for every op, query results included;
 * :mod:`~repro.check.runner` — the core: case setup, counter
-  snapshots, the standing invariants (replica consistency, zone-map
-  bounds, decode accounting, obs counters) and one name -> handler
-  table over the op families :mod:`~repro.check.ops_array`,
-  :mod:`~repro.check.ops_query`, :mod:`~repro.check.ops_migrate` and
-  :mod:`~repro.check.ops_cluster`;
+  snapshots, the standing invariants (replica consistency, an exact
+  zone map after every write, decode accounting, obs counters) and one
+  name -> handler table over the op families
+  :mod:`~repro.check.ops_array`, :mod:`~repro.check.ops_query`,
+  :mod:`~repro.check.ops_migrate` and :mod:`~repro.check.ops_cluster`;
 * :mod:`~repro.check.shrink` — failing cases shrink to minimal
   deterministic repros; :mod:`~repro.check.harness` runs a budget and
   formats the report.

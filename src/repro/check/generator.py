@@ -299,8 +299,8 @@ _OP_TABLE = (
     ("parallel_min_max", 1, True),
 ) + tuple((name, 1, nonempty) for name, _, nonempty in _QUERY_OPS)
 
-#: The query profile keeps writes (so zone maps go stale and rebuild)
-#: but spends most of the budget on query ops.
+#: The query profile keeps writes (so plans read zone maps the writes
+#: replaced) but spends most of the budget on query ops.
 _QUERY_OP_TABLE = (
     ("fill", 3, False),
     ("setitem", 1, True),
@@ -374,8 +374,8 @@ _SQL_OPS = (
     ("sql_error", 1, False),
 )
 
-#: Like the query profile: keep writes so zone maps go stale and
-#: rebuild under SQL-built plans too.
+#: Like the query profile: keep writes so SQL-built plans read zone maps
+#: the writes replaced too.
 _SQL_OP_TABLE = (
     ("fill", 3, False),
     ("setitem", 1, True),

@@ -1,6 +1,6 @@
 """Array ops: writes, point and bulk reads, range scans, iterators,
-standalone zone maps and pooled whole-array scans, each against the
-oracle.
+the case array's zone map and pooled whole-array scans, each against
+the oracle.
 
 The codec profile's ``codec_*`` read ops are these same handlers: they
 run the same reads on whichever layout (bit-packed, dict, rle, delta)
@@ -216,12 +216,11 @@ def _iter_walk(r, op, before) -> None:
 
 def _zonemap_op(r, op, before) -> None:
     """``zonemap_count`` / ``_select`` / ``_candidates`` (and the codec
-    profile's ``codec_zonemap_count``) on the standalone zone map."""
+    profile's ``codec_zonemap_count``) on the case array's zone map."""
     lo, hi = op.args
     o, sc = r.oracle, r.spec.superchunk
     name = op.name.replace("codec_", "")
-    zm = r.zonemap()
-    before = r.snapshot()
+    zm = r.array.zone_map
     if name == "zonemap_candidates":
         r.compare(zm.candidate_chunks(lo, hi), o.zonemap_candidates(lo, hi),
                   op.name)
@@ -242,9 +241,9 @@ def _zonemap_op(r, op, before) -> None:
 def _parallel(r, op, before) -> None:
     """``parallel_sum`` / ``_min_max`` / ``_count`` / ``_select`` over the
     whole array on the case's pool: ``parallel_sum_bulk``, or a
-    one-column query with one morsel per ``batch`` elements.  Neither
-    skips a range that cannot match (the one-column table has no zone
-    map), so each decodes every chunk once."""
+    one-column query with one morsel per ``batch`` elements and pruning
+    off.  Neither skips a range that cannot match, so each decodes
+    every chunk once."""
     *bounds, batch = op.args
     o, n = r.oracle, r.spec.length
     if op.name == "parallel_sum":
@@ -260,7 +259,7 @@ def _parallel(r, op, before) -> None:
             q, expected = q.count(), (o.count_in_range(*bounds),)
         else:
             q, expected = q.select(), o.select_in_range(*bounds)
-        result = q.run(pool=r.pool(), morsel=batch)
+        result = q.run(pool=r.pool(), morsel=batch, prune="off")
         actual = (result.rows if result.kind == "rows"
                   else tuple(result.aggregates.values()))
     r.compare(actual, expected, op.name)

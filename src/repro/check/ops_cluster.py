@@ -12,7 +12,7 @@ live migration steps one shard's value column on a second thread.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Set
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class _Cluster(NamedTuple):
     nodes: object
     twin: object
     columns: Dict[str, np.ndarray]
-    #: Shards whose ``v`` a finished migration left without a current
-    #: zone map (nothing rebuilds it).
-    unmapped_v: Set[int]
 
     def shard_columns(self):
         """``(shard, its gather-order columns)`` per non-empty shard."""
@@ -74,8 +71,7 @@ def _cluster(r) -> _Cluster:
             for s in table.shards
         ]).astype(np.int64)
         r.cluster = _Cluster(table, nodes, table.gather(allocator=r.allocator),
-                             {name: v[order] for name, v in values.items()},
-                             set())
+                             {name: v[order] for name, v in values.items()})
     return r.cluster
 
 
@@ -117,53 +113,39 @@ def _expected_wire(cl: _Cluster, q, shape: Shape,
 
 
 def _check_decode(op, cl: _Cluster, q, shape: Shape, res, twin,
-                  superchunk: int, racing=frozenset()) -> None:
+                  superchunk: int) -> None:
     """Per-column decoded and synopsis-answered chunks and covered
     morsels of every shard's run and of the twin's, against
     :func:`~repro.check.ops_query.predict_decode` on that table's zones.
 
     Ingest gives every column of a shard and of the twin a zone map, at
-    the width its largest value needs; a migrated ``v`` loses its map
-    (``cl.unmapped_v``).  A shard in ``racing`` had ``v`` migrated while
-    the query ran: the run may have been planned with or without its
-    map, so either prediction holds.
+    the width its largest value needs, and a migration keeps it.
     """
     runs = [(f"shard {shard.shard_id}", res.plan.shard_stats[shard.shard_id],
-             columns, shard.shard_id)
-            for shard, columns in cl.shard_columns()]
-    runs.append(("twin", twin.stats, cl.columns, None))
-    for which, stats, columns, shard_id in runs:
+             columns) for shard, columns in cl.shard_columns()]
+    runs.append(("twin", twin.stats, cl.columns))
+    for which, stats, columns in runs:
         oracles = {}
         for name, values in columns.items():
             oracles[name] = orc.OracleArray(values.size, 64)
             oracles[name].fill(values)
-        mapped = frozenset(columns)
-        maps = [mapped - {"v"} if shard_id in cl.unmapped_v else mapped]
-        if shard_id in racing:
-            maps.append(mapped - {"v"})
-        n_chunks = orc.chunks_for(columns["k"].size)
-        predictions = []
-        for mapped in maps:
-            zones = shape_zones(shape, n_chunks,
-                                {name: oracles[name] for name in mapped})
-            widths = {name: orc.bits_needed(columns[name])
-                      for name in mapped}
-            _, covered, decoded, answered = predict_decode(
-                q, zones, superchunk, synopsis_ready(q, widths))
-            predictions.append((decoded, covered,
-                                {name: answered for name in decoded}))
+        zones = shape_zones(shape, orc.chunks_for(columns["k"].size),
+                            oracles)
+        widths = {name: orc.bits_needed(values)
+                  for name, values in columns.items()}
+        _, covered, decoded, answered = predict_decode(
+            q, zones, superchunk, synopsis_ready(q, widths))
+        expected = (decoded, covered, {name: answered for name in decoded})
         actual = (stats.decoded_chunks, stats.morsels_covered,
                   stats.synopsis_chunks)
-        if actual not in predictions:
+        if actual != expected:
             raise Divergence(
                 "accounting",
                 f"{op.name}: {which} (decoded_chunks, morsels_covered, "
-                f"synopsis_chunks) = {actual}, oracle predicts "
-                f"{' or '.join(map(str, predictions))}")
+                f"synopsis_chunks) = {actual}, oracle predicts {expected}")
 
 
-def _differential(r, op, shape: Shape, q, fan: int, runs: int = 1,
-                  racing=frozenset()) -> None:
+def _differential(r, op, shape: Shape, q, fan: int, runs: int = 1) -> None:
     """The cluster profile's core check, for one query shape:
 
     1. the distributed result equals the oracle's answer;
@@ -172,8 +154,7 @@ def _differential(r, op, shape: Shape, q, fan: int, runs: int = 1,
     4. ``cluster.rpcs`` / ``cluster.bytes_shipped`` deltas equal the
        oracle-predicted wire frames exactly, per node and direction;
     5. without a LIMIT, both runs decode exactly the oracle-predicted
-       chunks per column (:func:`_check_decode`; ``racing`` names the
-       shards whose ``v`` a migration may have unmapped).
+       chunks per column (:func:`_check_decode`).
     """
     cl = _cluster(r)
     sc = r.spec.superchunk
@@ -218,7 +199,7 @@ def _differential(r, op, shape: Shape, q, fan: int, runs: int = 1,
                     "cluster",
                     f"{op.name}: distributed column {name!r} != twin")
     if q.limit_rows is None:
-        _check_decode(op, cl, q, shape, res, twin, sc, racing)
+        _check_decode(op, cl, q, shape, res, twin, sc)
         if res.stats.rows_matched != twin.stats.rows_matched:
             raise Divergence(
                 "cluster",
@@ -268,10 +249,8 @@ def _migrate_query(r, op, before) -> None:
         shard.table.column("v"), target,
         budget=MigrationBudget(max_chunks_per_step=budget))
     race(migration, lambda: _differential(
-        r, op, shape, shape.query(cl.table), fan=1, runs=3,
-        racing=frozenset({shard.shard_id})))
+        r, op, shape, shape.query(cl.table), fan=1, runs=3))
     check_completed(op.name, migration)
-    cl.unmapped_v.add(shard.shard_id)
     r.check_stats(before, {}, op.name)
 
 

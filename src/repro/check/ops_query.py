@@ -224,38 +224,6 @@ def compare_result(r, what: str, result, expected) -> None:
             r.compare(result.columns[name], values, f"{what}.{name}")
 
 
-def _ensure_zonemaps(r) -> None:
-    """(Re)build the table's cached zone maps, charging each build's
-    exact decode cost, so query plans always prune on fresh maps.
-    A write to ``k`` makes ``SmartTable.zone_map`` drop its map, which
-    is what triggers the rebuild here."""
-    table = r.query_table()
-    spec = r.spec
-    if spec.length == 0:
-        return
-    chunks = orc.chunks_for(spec.length)
-    if table.zone_map("k") is None:
-        before = r.snapshot()
-        table.build_zone_map("k", allocator=r.allocator,
-                             superchunk=spec.superchunk)
-        r.check_decoded(before, chunks, "build_zone_map(k)")
-    if table.zone_map("v") is None:  # the value column is never written
-        before = r.snapshot()
-        table.build_zone_map("v", allocator=r.allocator,
-                             superchunk=spec.superchunk)
-        r.check_stats(before, {"v_unpacks": chunks,
-                               "v_replica_reads": 64 * chunks},
-                      "build_zone_map(v)")
-
-
-def _zone_widths(r) -> Dict[str, int]:
-    """The zone width of each query-table column's map: the column's
-    width, or for an encoded column the width its largest value needs."""
-    k_bits = (orc.bits_needed(r.oracle.values) if r.encoded()
-              else r.array.bits)
-    return {"k": k_bits, "v": r.vbits}
-
-
 def _check_query(r, op, query: Query, shape: Shape, par: int) -> None:
     """Run ``query`` and check result, plan, and decode accounting.
 
@@ -275,7 +243,9 @@ def _check_query(r, op, query: Query, shape: Shape, par: int) -> None:
     compare_result(r, op.name, result, expected)
     chunks, covered, decoded, answered = predict_decode(
         query, zones, spec.superchunk,
-        spec.length > 0 and synopsis_ready(query, _zone_widths(r)))
+        spec.length > 0 and synopsis_ready(
+            query, {"k": orc.bits_needed(r.oracle.values),
+                    "v": orc.bits_needed(r.oracle_v.values)}))
     plan = result.plan
     if plan.chunks_candidate != chunks:
         raise Divergence(
@@ -319,7 +289,6 @@ def _check_query(r, op, query: Query, shape: Shape, par: int) -> None:
 def _query(r, op, before) -> None:
     """``query_*`` and ``codec_query_count``: the fluent query."""
     table = r.query_table()
-    _ensure_zonemaps(r)
     shape = query_shape(op.name, op.args)
     _check_query(r, op, shape.query(table), shape, op.args[-1])
 
@@ -366,7 +335,6 @@ def _sql(r, op, before) -> None:
     end to end.
     """
     table = r.query_table()
-    _ensure_zonemaps(r)
     *args, style = op.args
     shape = query_shape(op.name, args)
     bound = bind_checked(op.name, _render_sql_op(op.name, args, style),

@@ -203,6 +203,8 @@ class OracleArray:
         self.length = length
         self.bits = bits
         self.values = np.zeros(length, dtype=np.uint64)
+        #: Whether the array carries a zone map (the runner indexes it).
+        self.mapped = False
 
     # -- writes ----------------------------------------------------------
 
@@ -266,6 +268,11 @@ class OracleArray:
             mins[c] = span.min()
             maxs[c] = span.max()
         return mins[:n_chunks], maxs[:n_chunks]
+
+    def chunk_sums(self) -> list:
+        """Per-chunk true sums as Python ints, ignoring padding slots."""
+        return [int(self.values[c:c + CHUNK].astype(object).sum())
+                for c in range(0, self.length, CHUNK)]
 
     def zonemap_candidates(self, lo: int, hi: int) -> np.ndarray:
         return np.nonzero(self.zonemap_candidate_mask(lo, hi))[0] \

@@ -9,8 +9,10 @@ against a freshly allocated smart array and an
 * **storage** — after every op, each replica's packed words decode to
   exactly the oracle's contents (all replicas identical, writes landed
   everywhere);
-* **zone maps** — a current zone map's per-chunk min/max equal the true
-  chunk min/max;
+* **zone maps** — the case array carries a zone map from the start,
+  and after every op its per-chunk min, max and sum, width and
+  monotone flag equal the oracle's, however the op wrote or migrated
+  the array;
 * **accounting** — the deltas of ``chunk_unpacks``, scalar gets/inits,
   bulk element counters, and the summed ``replica_read_elements`` match
   the oracle's predicted decode work for the op, under every placement,
@@ -41,7 +43,6 @@ import numpy as np
 from ..core import bitpack, codecs
 from ..core.allocate import allocate
 from ..core.table import SmartTable
-from ..core.zonemap import ZoneMap
 from ..numa.allocator import NumaAllocator
 from ..numa.topology import machine_2x8_haswell
 from ..obs.registry import registry as _obs_registry
@@ -107,7 +108,6 @@ class CaseRunner:
         self.n_workers = n_workers
         self._flags = flags
         self._pool: Optional[WorkerPool] = None
-        self._zonemap: Optional[ZoneMap] = None
         # Query-op state: a two-column table pairing the case's array
         # ("k") with a deterministically derived value column ("v").
         self._table: Optional[SmartTable] = None
@@ -228,40 +228,46 @@ class CaseRunner:
                     f"{self.oracle.values[bad].tolist()}",
                 )
 
-    def _zonemap_current(self) -> bool:
-        """The standalone map exists and no write landed since its build
-        (``SmartArray.write_epoch``, as ``SmartTable.zone_map`` judges)."""
-        return (self._zonemap is not None and
-                self._zonemap.built_write_epoch == self.array.write_epoch)
+    def index(self, table: SmartTable, name: str,
+              oracle: orc.OracleArray, prefix: str = "") -> None:
+        """Give ``table``'s column ``name``, modelled by ``oracle``, its
+        zone map, charged at the oracle-predicted cost of one decode of
+        every chunk (counted under the snapshot keys ``prefix +
+        "unpacks"`` and ``prefix + "replica_reads"``)."""
+        before = self.snapshot()
+        table.build_zone_map(name, superchunk=self.spec.superchunk)
+        chunks = orc.chunks_for(self.spec.length)
+        self.check_stats(before, {prefix + "unpacks": chunks,
+                                  prefix + "replica_reads": 64 * chunks},
+                         f"build_zone_map({name})")
+        oracle.mapped = True
 
-    def _check_zonemap_bounds(self) -> None:
-        if not self._zonemap_current() or self.spec.length == 0:
+    def _check_zonemap(self) -> None:
+        """The case array's zone map against the oracle: chunk bounds,
+        width, sums (offered while the values are at most ``SUM_BITS``
+        wide) and monotone flag — and it must not have gone missing."""
+        zm, o = self.array.zone_map, self.oracle
+        if zm is None:
+            if o.mapped:
+                raise Divergence("zonemap", "the array lost its zone map")
             return
-        mins, maxs = self.oracle.chunk_min_max()
-        zm = self._zonemap
-        zmins = bitpack.unpack_array(zm.mins.replicas[0], zm.mins.length,
-                                     zm.mins.bits)
-        zmaxs = bitpack.unpack_array(zm.maxs.replicas[0], zm.maxs.length,
-                                     zm.maxs.bits)
-        if not (np.array_equal(zmins, mins) and np.array_equal(zmaxs, maxs)):
-            raise Divergence(
-                "zonemap",
-                f"zone bounds drifted from true chunk min/max: "
-                f"mins {fmt(zmins)} vs {fmt(mins)}, "
-                f"maxs {fmt(zmaxs)} vs {fmt(maxs)}",
-            )
-
-    def zonemap(self) -> ZoneMap:
-        """The case array's standalone zone map, rebuilt after a write
-        at the oracle-predicted cost of one decode of every chunk."""
-        if not self._zonemap_current():
-            before = self.snapshot()
-            self._zonemap = ZoneMap.build(self.array,
-                                          allocator=self.allocator,
-                                          superchunk=self.spec.superchunk)
-            self.check_decoded(before, orc.chunks_for(self.spec.length),
-                               "ZoneMap.build")
-        return self._zonemap
+        mins, maxs = o.chunk_min_max()
+        bits = orc.bits_needed(o.values)
+        expected = {
+            "mins": mins.tolist(), "maxs": maxs.tolist(),
+            "sums": o.chunk_sums() if bits <= orc.SUM_BITS else None,
+            "bits": bits,
+            "monotone": bool((mins[1:] >= mins[:-1]).all()
+                             and (maxs[1:] >= maxs[:-1]).all()),
+        }
+        for field, want in expected.items():
+            got = getattr(zm, field)
+            if isinstance(got, np.ndarray):
+                got = got.tolist()
+            if got != want:
+                raise Divergence(
+                    "zonemap",
+                    f"zone map {field} {fmt(got)} != oracle {fmt(want)}")
 
     def companion_values(self) -> np.ndarray:
         """The value column ("v") query and cluster ops pair with the
@@ -286,6 +292,7 @@ class CaseRunner:
             self.oracle_v.fill(values)
             self._table = SmartTable({"k": self.array,
                                       "v": self.companion})
+            self.index(self._table, "v", self.oracle_v, prefix="v_")
         return self._table
 
     def fit_current(self, values):
@@ -313,12 +320,17 @@ class CaseRunner:
     def _run_ops(self) -> Optional[CaseFailure]:
         for i, op in enumerate(self.case.ops):
             try:
+                if i == 0:
+                    # Indexed before its first op, so every write has a
+                    # map to keep exact.
+                    self.index(SmartTable({"k": self.array}), "k",
+                               self.oracle)
                 if self._obs:
                     self._run_op_traced(i, op)
                 else:
                     self._run_op(op)
                 self.check_storage()
-                self._check_zonemap_bounds()
+                self._check_zonemap()
             except Divergence as d:
                 return CaseFailure(self.case, i, op, d.kind, d.detail)
             except Exception:

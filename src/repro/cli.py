@@ -272,7 +272,6 @@ def _cmd_query(args) -> str:
         "amount": rng.integers(0, 1 << 20, n).astype(np.uint64),
     }
     table = SmartTable.from_arrays(data, replicated=True)
-    table.build_zone_map("ts")
     lo, hi = 1 << 28, 1 << 29
     lines = [table.describe(), ""]
 
@@ -354,7 +353,6 @@ def _cmd_trace(args) -> str:
             "amount": rng.integers(0, 1 << 20, n).astype(np.uint64),
         }
         table = SmartTable.from_arrays(data, replicated=True)
-        table.build_zone_map("ts")
         lo, hi = 1 << 28, 1 << 30
         pool = default_pool(args.workers)
         with tracing():

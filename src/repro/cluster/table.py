@@ -31,6 +31,7 @@ import numpy as np
 from ..core import bitpack
 from ..core.allocate import allocate
 from ..core.table import SmartTable
+from ..core.zonemap import ZoneMap
 from .spec import Cluster
 
 #: splitmix64's finalizer: an invertible 64-bit mix with full avalanche,
@@ -118,8 +119,8 @@ class ShardedTable:
     """A SmartTable partitioned on a key column across cluster nodes.
 
     Duck-types the read surface of :class:`~repro.core.table.
-    SmartTable` (``n_rows``, ``column_names``, ``column``, ``query``,
-    ``build_zone_map``), so the fluent builder and the SQL binder work
+    SmartTable` (``n_rows``, ``column_names``, ``column``, ``query``),
+    so the fluent builder and the SQL binder work
     on it unmodified; :meth:`distributed_plan` is the hook
     :meth:`repro.query.logical.Query.plan` dispatches through.
     """
@@ -206,11 +207,11 @@ class ShardedTable:
         for shard_id in range(n_shards):
             mask = assignment == shard_id
             node = cluster.node(owners[shard_id])
-            columns, subs = {}, {}
+            columns = {}
             for name, values in arrays.items():
-                sub = subs[name] = np.ascontiguousarray(values[mask])
+                sub = np.ascontiguousarray(values[mask])
                 bits = bitpack.max_bits_needed(sub) if compress else 64
-                columns[name] = allocate(
+                column = columns[name] = allocate(
                     sub.size,
                     replicated=name in replicate,
                     bits=bits,
@@ -218,8 +219,8 @@ class ShardedTable:
                     allocator=node.allocator,
                     codec=codecs.get(name, "bitpack"),
                 )
+                column.zone_map = ZoneMap.from_values(column, sub)
             table = SmartTable(columns)
-            table.index_values(subs, allocator=node.allocator)
             shards.append(Shard(shard_id, node.node_id, table, offset))
             offset += table.n_rows
         return cls(cluster, key, mode, shards, assignment,
@@ -258,17 +259,6 @@ class ShardedTable:
         from ..query import Query
 
         return Query(self)
-
-    def build_zone_map(self, name: str) -> None:
-        """Ensure a current zone map for ``name`` on every non-empty
-        shard (see :meth:`SmartTable.build_zone_map`)."""
-        for shard in self.shards:
-            if shard.n_rows:
-                shard.table.build_zone_map(name)
-
-    def zone_map(self, name: str):
-        """Zone maps are per shard; the coordinator itself holds none."""
-        return None
 
     # -- distributed planning hook -------------------------------------------
 

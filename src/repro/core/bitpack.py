@@ -346,20 +346,38 @@ def scatter(words: np.ndarray, indices, values, bits: int) -> None:
     if bits == WORD_BITS:
         words[indices] = values
         return
-    word, bit_in_word, spills = _positions(indices, bits)
+    if indices.size > 1 and not (indices[1:] > indices[:-1]).all():
+        order = np.argsort(indices)
+        indices, values = indices[order], values[order]
+    # Each element's slot: its first word and the word holding its last
+    # bit (the same word unless the slot spills), with the clear and set
+    # masks it puts there; a slot that does not spill puts empty masks
+    # in its second entry.  In index order the words never decrease.
+    # (Shifts and masks: 64 elements per chunk, 64 bits per word.)
+    bit_in_chunk = (indices & 63) * bits
+    chunk_start = (indices >> 6) * bits
+    word = np.empty((indices.size, 2), dtype=np.int64)
+    np.add(chunk_start, bit_in_chunk >> 6, out=word[:, 0])
+    np.add(chunk_start, (bit_in_chunk + bits - 1) >> 6, out=word[:, 1])
+    bit_in_word = (bit_in_chunk & 63).astype(np.uint64)
+    # Shifting a value below 2**63 right by 63 leaves 0, as a shift by
+    # the 64 bits a slot at bit 0 would need must.
+    spill_shift = np.minimum(np.uint64(WORD_BITS) - bit_in_word,
+                             np.uint64(WORD_BITS - 1))
     mask = np.uint64((1 << bits) - 1)
-    # Distinct element indices may share a storage word, so use ufunc.at
-    # (which applies duplicates sequentially) rather than fancy-index
-    # assignment (which would keep only the last write per word).
-    np.bitwise_and.at(words, word, ~(mask << bit_in_word))
-    np.bitwise_or.at(words, word, values << bit_in_word)
-    if spills.any():
-        so = bit_in_word[spills]
-        w2 = word[spills] + 1
-        hi_bits = np.uint64(bits) - (np.uint64(WORD_BITS) - so)
-        hi_mask = (np.uint64(1) << hi_bits) - np.uint64(1)
-        np.bitwise_and.at(words, w2, ~hi_mask)
-        np.bitwise_or.at(words, w2, values[spills] >> (np.uint64(WORD_BITS) - so))
+    masks = np.empty((indices.size, 2, 2), dtype=np.uint64)
+    np.left_shift(mask, bit_in_word, out=masks[:, 0, 0])
+    np.right_shift(mask, spill_shift, out=masks[:, 1, 0])
+    np.left_shift(values, bit_in_word, out=masks[:, 0, 1])
+    np.right_shift(values, spill_shift, out=masks[:, 1, 1])
+    word, masks = word.ravel(), masks.reshape(-1, 2)
+    # Adjacent elements share words: merge the (clear, set) masks per
+    # word, then store each word once, so a reader sees a word's old
+    # value or its new one, never a cleared slot.
+    starts = np.flatnonzero(np.concatenate(([True], word[1:] != word[:-1])))
+    word = word[starts]
+    clear, put = np.bitwise_or.reduceat(masks, starts, axis=0).T
+    words[word] = (words[word] & ~clear) | put
 
 
 def exact_sum(values: np.ndarray) -> int:

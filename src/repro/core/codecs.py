@@ -37,7 +37,7 @@ import numpy as np
 
 from . import bitpack
 from .delta import FRAME_ELEMENTS, delta_frames, frames_for
-from .errors import CodecError, CodecWriteError, IndexOutOfRangeError
+from .errors import CodecError
 from .smart_array import SmartArray, StorageGeneration
 from .bitpack_fast import (
     chunk_output,
@@ -338,15 +338,6 @@ def decode_chunk_span(words, meta, first: int, count: int,
     return flat
 
 
-def decode_generation(gen: StorageGeneration, length: int,
-                      buf=None) -> np.ndarray:
-    """Full logical decode of any generation (bitpack included)."""
-    words = gen.buffers[0] if buf is None else buf
-    if gen.codec == "bitpack":
-        return unpack_array_fast(words, length, gen.bits)
-    return decode_words(words, gen.meta)
-
-
 def decode_generation_chunks(gen: StorageGeneration, first: int, count: int,
                              out=None) -> np.ndarray:
     """Chunk-span decode of any generation (bitpack included).
@@ -587,69 +578,11 @@ class CodecArray(SmartArray):
                 0, bits, allocation, codec=check_codec(codec), meta=meta
             )
 
-    def _codec_view(self, replica):
-        gen, buf = self._read_view(replica)
-        if gen.codec == "bitpack":  # pragma: no cover - class re-shape race
-            raise CodecError("CodecArray over a bitpack generation")
-        return gen, buf
-
-    # -- element API --------------------------------------------------------
-
-    def get(self, index: int, replica=None) -> int:
-        bitpack.check_index(index, self._length)
-        gen, buf = self._read_view(replica)
-        self.stats.add("scalar_gets")
-        if gen.codec == "bitpack":
-            return _smart_scalar_get(buf, index, gen.bits)
-        return get_encoded(buf, gen.meta, index)
-
-    def init(self, index: int, value: int) -> None:
-        raise CodecWriteError(
-            f"cannot write into a {self.codec}-encoded array; "
-            f"migrate to the bitpack codec first"
-        )
-
-    def fill(self, values) -> None:
-        self.init(0, 0)
-
-    def scatter_many(self, indices, values) -> None:
-        self.init(0, 0)
-
-    def unpack(self, chunk: int, replica=None, out=None) -> np.ndarray:
-        n_chunks = bitpack.chunks_for(self._length)
-        if not 0 <= chunk < max(1, n_chunks):
-            raise IndexOutOfRangeError(chunk, n_chunks)
-        gen, buf = self._read_view(replica)
-        self.stats.add("chunk_unpacks")
-        if gen.codec == "bitpack":
-            return unpack_chunk_range(buf, chunk, 1, gen.bits, out=out)
-        return decode_chunk_span(buf, gen.meta, chunk, 1, out=out)
-
-    # -- bulk API -----------------------------------------------------------
-
-    # ``decode_chunks`` is inherited: the base resolves the layout from
-    # the pinned generation alone, so a bound ``decode_chunks`` held
-    # across a live migration's class swap (a compiled kernel keeps one
-    # per morsel) never looks up a method the new class lacks.
-
-    def to_numpy(self, replica=None) -> np.ndarray:
-        gen, buf = self._read_view(replica)
-        self.stats.add("bulk_elements_read", self._length)
-        self._note_replica_read(buf, self._length, gen)
-        return decode_generation(gen, self._length, buf=buf)
-
-    def gather_many(self, indices, replica=None) -> np.ndarray:
-        gen, buf = self._read_view(replica)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        if indices.size and (
-            int(indices.min()) < 0 or int(indices.max()) >= self._length
-        ):
-            bad = indices[(indices < 0) | (indices >= self._length)][0]
-            raise IndexOutOfRangeError(int(bad), self._length)
-        self.stats.add("bulk_elements_read", indices.size)
-        if gen.codec == "bitpack":
-            return bitpack.gather(buf, indices, gen.bits)
-        return decode_generation(gen, self._length, buf=buf)[indices]
+    # Every element and bulk operation is the base class's: it resolves
+    # the layout from the pinned generation alone, so a bound method
+    # held across a live migration's class swap (a compiled kernel keeps
+    # a ``decode_chunks`` per morsel) never looks up one the new class
+    # lacks, and writes raise CodecWriteError under the write gate.
 
     # -- accounting ---------------------------------------------------------
 
@@ -669,12 +602,6 @@ class CodecArray(SmartArray):
             f"bits={self._bits} placement={self.placement.describe()} "
             f"replicas={self.n_replicas}>"
         )
-
-
-def _smart_scalar_get(buf, index, bits):
-    from .smart_array import _scalar_get
-
-    return _scalar_get(buf, index, bits)
 
 
 # ---------------------------------------------------------------------------

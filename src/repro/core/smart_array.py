@@ -15,7 +15,7 @@ Concrete subclasses mirror the paper's UML (Fig. 9):
 :class:`BitCompressedArray` covers the general 1..64-bit cases, and
 :class:`Uncompressed32Array` / :class:`Uncompressed64Array` specialize
 32 and 64 bits, where elements map directly onto native integers and
-get/init/unpack need no shifting or masking.
+``get`` needs no shifting or masking.
 
 Bulk NumPy-level operations (``fill``, ``to_numpy``, ``gather_many``)
 extend the paper's scalar API; they are the vectorized equivalents the
@@ -25,7 +25,6 @@ element-for-element against the scalar kernels in the test suite.
 
 from __future__ import annotations
 
-import abc
 import collections
 import threading
 import weakref
@@ -252,8 +251,8 @@ def _check_gen_writable(gen: "StorageGeneration") -> None:
         )
 
 
-class SmartArray(abc.ABC):
-    """Abstract smart array (paper Fig. 9, left box).
+class SmartArray:
+    """The smart array (paper Fig. 9, left box).
 
     Holds the placement flags, the bit width, and one word buffer per
     replica.  Construction goes through
@@ -282,10 +281,12 @@ class SmartArray(abc.ABC):
         #: makes dual-writing into an in-flight migration's target
         #: race-free.  See docs/API.md "Live adaptation: write policy".
         self._write_gate = threading.Lock()
-        #: Bumped under the write gate by every in-place write, so
-        #: metadata derived from the contents (a zone map) can tell it
-        #: went stale without rescanning.
-        self._write_epoch = 0
+        #: The column's :class:`~repro.core.zonemap.ZoneMap`, or ``None``
+        #: until a table indexes it.  Every write replaces it, under the
+        #: write gate, with a map that is exact for the new contents, so
+        #: a reader that loads it once plans from one consistent
+        #: snapshot; a migration preserves values and leaves it alone.
+        self.zone_map = None
         #: The in-flight migration (repro.live.Migration) or None.
         self._migration = None
         #: Retired generations still pinned by in-flight readers.
@@ -385,11 +386,6 @@ class SmartArray(abc.ABC):
     def generation_epoch(self) -> int:
         return self._generation.epoch
 
-    @property
-    def write_epoch(self) -> int:
-        """Count of in-place writes (``init``/``fill``/``scatter_many``)."""
-        return self._write_epoch
-
     def pin_generation(self) -> StorageGeneration:
         """Pin and return the active generation for a read operation.
 
@@ -460,11 +456,6 @@ class SmartArray(abc.ABC):
     @property
     def allocation(self) -> Allocation:
         return self._allocation
-
-    @property
-    def replicas(self) -> Sequence[np.ndarray]:
-        """The per-replica word buffers (paper's ``replicas`` field)."""
-        return self._allocation.buffers
 
     @property
     def n_replicas(self) -> int:
@@ -566,11 +557,13 @@ class SmartArray(abc.ABC):
 
     # -- element API (paper Functions 1-3) ---------------------------------
 
-    @abc.abstractmethod
     def get(self, index: int, replica=None) -> int:
         """Element at ``index`` from ``replica`` (paper Function 1)."""
+        bitpack.check_index(index, self._length)
+        gen, buf = self._read_view(replica)
+        self.stats.add("scalar_gets")
+        return _gen_scalar_get(gen, buf, index)
 
-    @abc.abstractmethod
     def init(self, index: int, value: int) -> None:
         """Write ``value`` at ``index`` into every replica (Function 2).
 
@@ -579,10 +572,26 @@ class SmartArray(abc.ABC):
         needs to synchronize the accesses" (section 4.2).  See
         :meth:`init_locked` for the locked variant the paper sketches.
         """
+        bitpack.check_index(index, self._length)
+        with self._write_gate:
+            gen = self._generation
+            _check_gen_writable(gen)
+            self.stats.add("scalar_inits")
+            _scalar_init(gen.buffers, index, value, gen.bits)
+            if self.zone_map is not None:
+                self.zone_map = self.zone_map.rewritten(
+                    gen, np.array([index // bitpack.CHUNK_ELEMENTS]))
+            if self._migration is not None:
+                self._migration.mirror_write(index, value)
 
-    @abc.abstractmethod
     def unpack(self, chunk: int, replica=None, out=None) -> np.ndarray:
         """Unpack one 64-element chunk into ``out`` (Function 3)."""
+        n_chunks = bitpack.chunks_for(self._length)
+        if not 0 <= chunk < max(1, n_chunks):
+            raise IndexOutOfRangeError(chunk, n_chunks)
+        gen, buf = self._read_view(replica)
+        self.stats.add("chunk_unpacks")
+        return _gen_unpack(gen, buf, chunk, out=out)
 
     def init_locked(self, index: int, value: int) -> None:
         """Thread-safe initialization (paper section 4.2's lock variant,
@@ -654,7 +663,8 @@ class SmartArray(abc.ABC):
             packed = bitpack.pack_array(values, gen.bits)
             for buf in gen.buffers:
                 np.copyto(buf, packed)
-            self._write_epoch += 1
+            if self.zone_map is not None:
+                self.zone_map = self.zone_map.refilled(values)
             if self._migration is not None:
                 self._migration.mirror_fill(values)
         self.stats.add("bulk_elements_written", values.size)
@@ -705,7 +715,9 @@ class SmartArray(abc.ABC):
             _check_gen_writable(gen)
             for buf in gen.buffers:
                 bitpack.scatter(buf, indices, values, gen.bits)
-            self._write_epoch += 1
+            if self.zone_map is not None and indices.size:
+                self.zone_map = self.zone_map.rewritten(
+                    gen, np.unique(indices // bitpack.CHUNK_ELEMENTS))
             if self._migration is not None:
                 self._migration.mirror_scatter(indices, values)
         self.stats.add("bulk_elements_written", indices.size)
@@ -761,41 +773,19 @@ class BitCompressedArray(SmartArray):
 
     The paper instantiates 64 template classes so BITS is a compile-time
     constant; the Python analogue binds ``bits`` once at construction and
-    the kernels in :mod:`repro.core.bitpack` specialize on it.
+    the kernels in :mod:`repro.core.bitpack` specialize on it.  Every
+    element and bulk operation is the base class's, dispatched on the
+    pinned generation.
     """
-
-    def get(self, index: int, replica=None) -> int:
-        bitpack.check_index(index, self._length)
-        gen, buf = self._read_view(replica)
-        self.stats.add("scalar_gets")
-        return _gen_scalar_get(gen, buf, index)
-
-    def init(self, index: int, value: int) -> None:
-        bitpack.check_index(index, self._length)
-        self.stats.add("scalar_inits")
-        with self._write_gate:
-            gen = self._generation
-            _check_gen_writable(gen)
-            bitpack.init_scalar(gen.buffers, index, value, gen.bits)
-            self._write_epoch += 1
-            if self._migration is not None:
-                self._migration.mirror_write(index, value)
-
-    def unpack(self, chunk: int, replica=None, out=None) -> np.ndarray:
-        n_chunks = bitpack.chunks_for(self._length)
-        if not 0 <= chunk < max(1, n_chunks):
-            raise IndexOutOfRangeError(chunk, n_chunks)
-        gen, buf = self._read_view(replica)
-        self.stats.add("chunk_unpacks")
-        return _gen_unpack(gen, buf, chunk, out=out)
 
 
 class Uncompressed64Array(BitCompressedArray):
     """BITS = 64 specialization: elements are the storage words.
 
-    get/init/unpack reduce to direct word loads and stores — "they can
-    be implemented with simplified getter, initialization, and unpack
-    functions that do not require shifting and masking" (section 4.3).
+    ``get`` reduces to a direct word load — "they can be implemented
+    with simplified getter, initialization, and unpack functions that
+    do not require shifting and masking" (section 4.3); the generic
+    init and unpack already store and copy whole words at 64 bits.
     """
 
     def get(self, index: int, replica=None) -> int:
@@ -806,65 +796,23 @@ class Uncompressed64Array(BitCompressedArray):
             return int(buf[index])
         return _gen_scalar_get(gen, buf, index)
 
-    def init(self, index: int, value: int) -> None:
-        bitpack.check_index(index, self._length)
-        value = bitpack.check_value(value, 64)
-        self.stats.add("scalar_inits")
-        with self._write_gate:
-            gen = self._generation
-            _check_gen_writable(gen)
-            _scalar_init(gen.buffers, index, value, gen.bits)
-            self._write_epoch += 1
-            if self._migration is not None:
-                self._migration.mirror_write(index, value)
-
-    def unpack(self, chunk: int, replica=None, out=None) -> np.ndarray:
-        n_chunks = bitpack.chunks_for(self._length)
-        if not 0 <= chunk < max(1, n_chunks):
-            raise IndexOutOfRangeError(chunk, n_chunks)
-        gen, buf = self._read_view(replica)
-        self.stats.add("chunk_unpacks")
-        return _gen_unpack(gen, buf, chunk, out=out)
-
 
 class Uncompressed32Array(BitCompressedArray):
     """BITS = 32 specialization: elements map onto native 32-bit slots.
 
     The packed word buffer is reinterpreted as ``uint32`` (little-endian
-    hosts, as on the paper's Intel machines), so get/init are direct
-    loads/stores without shifts or masks.
+    hosts, as on the paper's Intel machines), so ``get`` is a direct
+    load without shifts or masks; the generic init and unpack already
+    use the same view at 32 bits.
     """
-
-    def _u32(self, buf: np.ndarray) -> np.ndarray:
-        return buf.view(np.uint32)
 
     def get(self, index: int, replica=None) -> int:
         bitpack.check_index(index, self._length)
         gen, buf = self._read_view(replica)
         self.stats.add("scalar_gets")
         if gen.codec == "bitpack" and gen.bits == 32:
-            return int(self._u32(buf)[index])
+            return int(buf.view(np.uint32)[index])
         return _gen_scalar_get(gen, buf, index)
-
-    def init(self, index: int, value: int) -> None:
-        bitpack.check_index(index, self._length)
-        value = bitpack.check_value(value, 32)
-        self.stats.add("scalar_inits")
-        with self._write_gate:
-            gen = self._generation
-            _check_gen_writable(gen)
-            _scalar_init(gen.buffers, index, value, gen.bits)
-            self._write_epoch += 1
-            if self._migration is not None:
-                self._migration.mirror_write(index, value)
-
-    def unpack(self, chunk: int, replica=None, out=None) -> np.ndarray:
-        n_chunks = bitpack.chunks_for(self._length)
-        if not 0 <= chunk < max(1, n_chunks):
-            raise IndexOutOfRangeError(chunk, n_chunks)
-        gen, buf = self._read_view(replica)
-        self.stats.add("chunk_unpacks")
-        return _gen_unpack(gen, buf, chunk, out=out)
 
 
 def concrete_class_for_bits(bits: int):

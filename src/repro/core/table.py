@@ -32,6 +32,7 @@ import numpy as np
 from . import bitpack
 from .allocate import allocate
 from .smart_array import SmartArray
+from .zonemap import ZoneMap
 
 
 class SmartTable:
@@ -47,7 +48,6 @@ class SmartTable:
             )
         self._columns = dict(columns)
         self._length = lengths.pop()
-        self._zone_maps: Dict[str, "ZoneMap"] = {}  # noqa: F821
 
     # -- construction ------------------------------------------------------
 
@@ -70,19 +70,17 @@ class SmartTable:
         zone maps, scans, and queries like any other — sargable
         predicates on them evaluate in the encoded domain.
 
-        Every column starts with a current zone map, chunk synopses
-        included, built from ``data`` without decoding
-        (:meth:`index_values`).
+        Every column starts with a zone map, chunk synopses included,
+        built from ``data`` without decoding
+        (:meth:`ZoneMap.from_values`).
         """
         columns = {}
         codecs = codecs or {}
         unknown = set(codecs) - set(data)
         if unknown:
             raise KeyError(f"codecs name missing columns: {sorted(unknown)}")
-        arrays = {}
         for name, values in data.items():
-            values = arrays[name] = np.ascontiguousarray(values,
-                                                         dtype=np.uint64)
+            values = np.ascontiguousarray(values, dtype=np.uint64)
             bits = bitpack.max_bits_needed(values) if compress else 64
             sa = allocate(
                 values.size,
@@ -94,10 +92,9 @@ class SmartTable:
                 allocator=allocator,
                 codec=codecs.get(name, "bitpack"),
             )
+            sa.zone_map = ZoneMap.from_values(sa, values)
             columns[name] = sa
-        table = cls(columns)
-        table.index_values(arrays, allocator=allocator)
-        return table
+        return cls(columns)
 
     # -- shape ------------------------------------------------------------
 
@@ -129,7 +126,8 @@ class SmartTable:
     # -- projection / selection ------------------------------------------------
 
     def select(self, names: Iterable[str]) -> "SmartTable":
-        """Projection; shares the underlying arrays (no copy)."""
+        """Projection; shares the underlying arrays, zone maps included
+        (no copy)."""
         return SmartTable({n: self.column(n) for n in names})
 
     def query(self) -> "Query":  # noqa: F821
@@ -152,75 +150,34 @@ class SmartTable:
     def filter_range(self, name: str, lo: int, hi: int) -> np.ndarray:
         """Row indices with ``lo <= column < hi``.
 
-        Runs the chunked selection scan (never a full decode).  With a
-        current zone map cached by :meth:`build_zone_map`,
-        non-candidate chunks are skipped entirely.
+        Runs the chunked selection scan (never a full decode).  On a
+        column with a zone map, non-candidate chunks are skipped
+        entirely.
         """
-        zone_map = self.zone_map(name)
+        zone_map = self.column(name).zone_map
         if zone_map is not None:
             return zone_map.select_in_range(lo, hi)
         from .scan_ops import select_in_range
 
         return select_in_range(self.column(name), lo, hi)
 
-    # -- zone-map cache ----------------------------------------------------
+    def build_zone_map(self, name: str, superchunk=None) -> ZoneMap:
+        """The zone map of column ``name``, built first if it has none.
 
-    def index_values(self, values: Dict[str, np.ndarray],
-                     allocator=None) -> None:
-        """Cache a zone map for each named column from the values it
-        holds (:meth:`ZoneMap.from_values`: reductions over ``values``,
-        no decode).  ``values[name]`` must be the column's contents."""
-        from .zonemap import ZoneMap
-
-        for name, column_values in values.items():
-            self._zone_maps[name] = ZoneMap.from_values(
-                self.column(name), column_values, allocator=allocator)
-
-    def build_zone_map(self, name: str, allocator=None,
-                       superchunk=None) -> "ZoneMap":  # noqa: F821
-        """Ensure a current zone map for ``name`` and return it.
-
-        A current cached map is returned as is, nothing decoded; a
-        missing or stale one (the column was written or migrated since,
-        see :meth:`zone_map`) is rebuilt by one decode scan
-        (:meth:`ZoneMap.build`) and cached.  Cached maps are consulted
-        by :meth:`filter_range` and by the query planner's predicate
-        pushdown and chunk synopses.
-        """
-        from .zonemap import ZoneMap
-
-        zm = self.zone_map(name)
-        if zm is None:
-            zm = ZoneMap.build(self.column(name), allocator=allocator,
-                               superchunk=superchunk)
-            self._zone_maps[name] = zm
-        return zm
-
-    def zone_map(self, name: str):
-        """The cached zone map for ``name``, or ``None``.
-
-        A map built against an older storage generation of the column
-        (i.e. before a live migration), or before an in-place write to
-        it, is dropped, not returned: the planner must never prune or
-        cover chunks against metadata that no longer describes the
-        storage it will decode.
+        A column of a :meth:`from_arrays` table has its map from ingest,
+        so this decodes nothing.  A column without one gets it from one
+        decode scan (:meth:`ZoneMap.build`) under the column's write
+        gate, so no write lands between the scan and the attach; from
+        then on every write keeps it exact.  The map serves
+        :meth:`filter_range`, the query planner's predicate pushdown
+        and chunk synopses, and every table sharing the column.
         """
         column = self.column(name)
-        zm = self._zone_maps.get(name)
-        if zm is not None and (
-            zm.built_epoch != getattr(column, "generation_epoch", 0)
-            or zm.built_write_epoch != getattr(column, "write_epoch", 0)
-        ):
-            del self._zone_maps[name]
-            return None
-        return zm
-
-    def invalidate_zone_maps(self, name: Optional[str] = None) -> None:
-        """Drop the cached zone map for ``name`` (or all of them)."""
-        if name is None:
-            self._zone_maps.clear()
-        else:
-            self._zone_maps.pop(name, None)
+        with column._write_gate:
+            if column.zone_map is None:
+                column.zone_map = ZoneMap.build(column,
+                                                superchunk=superchunk)
+            return column.zone_map
 
     # -- aggregates ----------------------------------------------------------------
 

@@ -1,17 +1,16 @@
 """Zone maps: per-chunk min/max metadata for chunk-skipping scans.
 
 A classic column-store companion to compression: store each 64-element
-chunk's min and max (themselves in bit-compressed smart arrays), and
-range scans skip every chunk whose zone cannot intersect the predicate
-— no unpack, no decode.  The smart-array chunk (paper section 4.2) is
-the natural zone granule because the blocked decode already works
-chunk-at-a-time.
+chunk's min and max, and range scans skip every chunk whose zone cannot
+intersect the predicate — no unpack, no decode.  The smart-array chunk
+(paper section 4.2) is the natural zone granule because the blocked
+decode already works chunk-at-a-time.
 
 Construction and the surviving-chunk scans both run on the bulk-span
 engine: :meth:`ZoneMap.build` decodes a superchunk (64 chunks) per
-blocked-kernel call and reduces ``min``/``max`` over a ``(n_chunks,
-64)`` view, and the range scans decode *runs* of consecutive candidate
-chunks in one call each instead of chunk-by-chunk.
+blocked-kernel call and reduces each chunk of it, and the range scans
+decode *runs* of consecutive candidate chunks in one call each instead
+of chunk-by-chunk.
 
 The skipping is observable, not just asserted: scans go through the
 array's access statistics (``chunk_unpacks`` counts logical chunks
@@ -24,8 +23,8 @@ order (a timestamp, an append-only key) has non-decreasing chunk mins
 and those with ``min < hi`` a prefix, so a range's candidates are one
 run ``[searchsorted(maxs, lo), searchsorted(mins, hi))`` — O(log n)
 instead of two compares, a ``nonzero`` and an index scatter over every
-chunk bound.  The map records whether it is monotone when it decodes
-its bounds; every other map keeps the compare path, which is the only
+chunk bound.  The map records whether it is monotone when it is
+made; every other map keeps the compare path, which is the only
 one an unsorted column ever takes.  Both paths return the same chunks
 and bump the same counters.
 
@@ -36,17 +35,30 @@ more binary searches on a monotone map) and its compare-path twin
 :meth:`ZoneMap._compare_covered` are the one proof of that, shared by
 :meth:`ZoneMap.count_in_range` and the query planner's covered morsels.
 
-**Chunk synopses.**  Next to each chunk's min and max the map keeps
-its exact sum, packed at the zone width plus 6 bits (64 values below
-``2**bits`` sum below ``2**(bits + 6)``); a column wider than
-:data:`MAX_SUM_BITS` (58) stores none, since its chunk sums would not
-fit a 64-bit slot.  A covered chunk's count, sum, min and max are then
-read from the map instead of decoded (Moerkotte's small materialized
-aggregates): :meth:`ZoneMap.synopsis` reduces a run or mask of chunks,
-exactly at every width, and the query executor answers the covered
-chunks of an aggregate that way.  :meth:`ZoneMap.from_values` builds a
-map from the values a column was filled with by three ``reduceat``
-passes and decodes nothing; table ingest uses it for every column.
+**Chunk synopses.**  Next to each chunk's min and max the map keeps its
+exact sum (64 values below ``2**bits`` sum below ``2**(bits + 6)``); a
+zone wider than :data:`MAX_SUM_BITS` (58) offers none, since its chunk
+sums need not fit a 64-bit word.  A covered chunk's count, sum, min and
+max are then read from the map instead of decoded (Moerkotte's small
+materialized aggregates): :meth:`ZoneMap.synopsis` reduces a run or mask
+of chunks, exactly at every width, and the query executor answers the
+covered chunks of an aggregate that way.  :meth:`ZoneMap.from_values`
+builds a map from the values a column was filled with by three
+``reduceat`` passes and decodes nothing; table ingest uses it for every
+column.
+
+**One map per column, exact under writes.**  A map is an immutable
+snapshot: read-only ``uint64`` mins, maxs and sums and the monotone
+flag.  The map a table indexes a column with is the column's own
+(``SmartArray.zone_map``), and every write to the column replaces it,
+under the column's write gate, with one exact for the new contents:
+:meth:`ZoneMap.rewritten` re-reads the chunks a store touched,
+:meth:`ZoneMap.refilled` takes a fill's values.  Exact, not widened:
+synopses answer MIN and MAX from the bounds, and a bound left wide by
+a value since overwritten would answer wrong.  A migration preserves
+values and keeps the map, so nothing is ever invalidated or rebuilt,
+and a reader that loads the map once decides everything from one
+snapshot.
 
 **Fragmented candidates.**  On a map that is not monotone the chunks a
 scan must decode can scatter into thousands of one-chunk runs, and a
@@ -68,7 +80,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from . import bitpack
-from .allocate import allocate
+from .bitpack_fast import unpack_chunk_range
 from .map_api import SUPERCHUNK_ELEMENTS, check_superchunk
 from .scan_ops import _range_mask, clamp_u64_range
 from .smart_array import SmartArray
@@ -209,191 +221,127 @@ def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
         yield from _split_run(first, length, max_run)
 
 
+def _chunk_stats(values: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mins, maxs, sums)`` of ``values`` cut into consecutive 64-element
+    chunks, the last one possibly short: one ``reduceat`` per statistic
+    over the chunk starts.  Sums wrap modulo ``2**64``, which only
+    values wider than :data:`MAX_SUM_BITS` can make them do."""
+    starts = np.arange(0, values.size, bitpack.CHUNK_ELEMENTS)
+    if not starts.size:
+        return _NO_CHUNKS, _NO_CHUNKS, _NO_CHUNKS
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(values, starts, dtype=np.uint64)
+    return (np.minimum.reduceat(values, starts),
+            np.maximum.reduceat(values, starts), sums)
+
+
+_NO_CHUNKS = np.zeros(0, dtype=np.uint64)
+_NO_CHUNKS.flags.writeable = False
+
+
 class ZoneMap:
     """Per-chunk min/max index over a smart array's contents, plus each
-    chunk's exact sum when the values are at most :data:`MAX_SUM_BITS`
-    wide."""
+    chunk's exact sum while the values are at most :data:`MAX_SUM_BITS`
+    bits wide.
 
-    def __init__(self, array: SmartArray, mins: SmartArray,
-                 maxs: SmartArray, sums: Optional[SmartArray] = None
-                 ) -> None:
+    A map is an immutable snapshot: its statistics are read-only
+    ``uint64`` arrays.  The map a column carries (``SmartArray.
+    zone_map``) is replaced, never changed, by each write to the column
+    (:meth:`rewritten`, :meth:`refilled`), so a reader that loads it once
+    prunes, covers and answers synopses from one consistent state.
+    """
+
+    def __init__(self, array: SmartArray, mins: np.ndarray,
+                 maxs: np.ndarray, sums: np.ndarray) -> None:
         self.array = array
         self.mins = mins
         self.maxs = maxs
-        #: Per-chunk sums at the zone width plus :data:`SUM_EXTRA_BITS`,
-        #: or ``None`` for a zone wider than :data:`MAX_SUM_BITS`.
-        self.sums = sums
-        #: Storage-generation epoch of ``array`` when the map was built.
-        #: A live migration bumps the epoch; cached maps from an older
-        #: epoch are dropped by ``SmartTable.zone_map`` (the zone
-        #: *contents* survive a value-preserving migration, but the
-        #: epoch is the cheap, conservative invalidation signal).
-        self.built_epoch = getattr(array, "generation_epoch", 0)
-        #: ``array.write_epoch`` when the build scan started (see
-        #: :meth:`_build`).  An in-place write bumps the array's epoch,
-        #: and ``SmartTable.zone_map`` then drops this map rather than
-        #: prune or cover chunks whose contents it no longer describes.
-        self.built_write_epoch = getattr(array, "write_epoch", 0)
-        #: ``(mins, maxs)`` decoded to NumPy by the first range lookup
-        #: (see :meth:`bounds`); nothing is decoded at build time.
-        self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Whether both decoded bound arrays are non-decreasing; set by
-        #: :meth:`bounds` before it publishes them.
-        self._monotone = False
-        #: ``sums`` decoded by the first :meth:`chunk_sums`.
-        self._sums: Optional[np.ndarray] = None
+        #: The zone width: the bits the column's largest value needs.
+        self.bits = bitpack.max_bits_needed(maxs)
+        #: Every chunk's sum modulo ``2**64``, kept at every width so
+        #: that the sums are whole again once the wide values are gone.
+        self._sums = sums
+        #: Per-chunk exact sums, or ``None`` while :attr:`bits` is past
+        #: :data:`MAX_SUM_BITS` (a chunk sum could then pass ``2**64``).
+        self.sums = sums if self.bits <= MAX_SUM_BITS else None
+        for stat in (mins, maxs, sums):
+            stat.flags.writeable = False
+        #: Whether chunk mins and maxs are both non-decreasing.
+        self.monotone = _non_decreasing(mins) and _non_decreasing(maxs)
 
     @classmethod
-    def build(cls, array: SmartArray, allocator=None,
-              superchunk=None) -> "ZoneMap":
+    def build(cls, array: SmartArray, superchunk=None) -> "ZoneMap":
         """Scan ``array`` once and record each chunk's min, max and sum.
 
-        The zone arrays use the same bit width as the data (zone values
-        are data values), so the bounds cost ``2/64`` of the column.
         The scan decodes ``superchunk // 64`` chunks per blocked-kernel
-        call and reduces over a ``(chunks, 64)`` view — no per-chunk
+        call and reduces each chunk of the decoded span — no per-chunk
         Python loop.  A map of a column filled from known values is
         cheaper to build with :meth:`from_values`.
         """
         n_chunks = bitpack.chunks_for(array.length)
         with trace("zonemap.build", array=array.stats.array_label,
                    chunks=n_chunks):
-            return cls._build(array, n_chunks, allocator, superchunk)
-
-    @classmethod
-    def _build(cls, array: SmartArray, n_chunks: int, allocator,
-               superchunk) -> "ZoneMap":
-        chunks_per_step = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
-        # Read before the scan: a write racing the build leaves the map
-        # stale, never current.
-        write_epoch = getattr(array, "write_epoch", 0)
-        mins = np.zeros(n_chunks, dtype=np.uint64)
-        maxs = np.zeros(n_chunks, dtype=np.uint64)
-        sums = np.zeros(n_chunks, dtype=np.uint64)
-        buf = np.empty(chunks_per_step * bitpack.CHUNK_ELEMENTS,
-                       dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for first in range(0, n_chunks, chunks_per_step):
-                n = min(chunks_per_step, n_chunks - first)
+            step = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
+            buf = np.empty(step * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
+            parts = [_chunk_stats(_NO_CHUNKS)]  # an empty array's map
+            for first in range(0, n_chunks, step):
+                n = min(step, n_chunks - first)
                 decoded = array.decode_chunks(first, n, out=buf)
-                grid = decoded[:n * bitpack.CHUNK_ELEMENTS].reshape(
-                    n, bitpack.CHUNK_ELEMENTS
-                )
-                mins[first:first + n] = grid.min(axis=1)
-                maxs[first:first + n] = grid.max(axis=1)
-                # Wraps only past MAX_SUM_BITS, where no sum is kept.
-                sums[first:first + n] = grid.sum(axis=1, dtype=np.uint64)
-            # A trailing partial chunk decodes padding slots too; its
-            # zone must come from the real elements only.
-            tail = array.length % bitpack.CHUNK_ELEMENTS
-            if n_chunks and tail:
-                last = buf[
-                    (n_chunks - 1 - first) * bitpack.CHUNK_ELEMENTS:
-                ][:tail]
-                mins[n_chunks - 1] = last.min()
-                maxs[n_chunks - 1] = last.max()
-                sums[n_chunks - 1] = last.sum(dtype=np.uint64)
-        return cls._from_chunks(array, mins, maxs, sums, write_epoch,
-                                allocator)
+                # A trailing partial chunk decodes padding slots too;
+                # its zone must come from the real elements only.
+                parts.append(_chunk_stats(
+                    decoded[:n * bitpack.CHUNK_ELEMENTS]
+                    [:array.length - first * bitpack.CHUNK_ELEMENTS]))
+            return cls(array, *(np.concatenate(stat)
+                                for stat in zip(*parts)))
 
     @classmethod
-    def from_values(cls, array: SmartArray, values: np.ndarray,
-                    allocator=None) -> "ZoneMap":
+    def from_values(cls, array: SmartArray, values: np.ndarray
+                    ) -> "ZoneMap":
         """The map of ``array``, which holds exactly ``values``, from the
-        values themselves: one ``reduceat`` per statistic over the chunk
-        starts, so nothing is decoded.  Equal, bound for bound, to
-        :meth:`build` on the same array."""
+        values themselves, so nothing is decoded.  Equal, bound for
+        bound, to :meth:`build` on the same array."""
         values = np.ascontiguousarray(values, dtype=np.uint64)
         if values.size != array.length:
             raise ValueError(
                 f"{values.size} values for a {array.length}-element array"
             )
-        write_epoch = getattr(array, "write_epoch", 0)
-        starts = np.arange(0, values.size, bitpack.CHUNK_ELEMENTS)
         with trace("zonemap.from_values", array=array.stats.array_label,
-                   chunks=starts.size):
-            if not starts.size:
-                empty = np.zeros(0, dtype=np.uint64)
-                return cls._from_chunks(array, empty, empty, empty,
-                                        write_epoch, allocator)
-            with np.errstate(over="ignore"):
-                sums = np.add.reduceat(values, starts, dtype=np.uint64)
-            return cls._from_chunks(
-                array, np.minimum.reduceat(values, starts),
-                np.maximum.reduceat(values, starts), sums, write_epoch,
-                allocator)
+                   chunks=bitpack.chunks_for(values.size)):
+            return cls(array, *_chunk_stats(values))
 
-    @classmethod
-    def _from_chunks(cls, array: SmartArray, mins: np.ndarray,
-                     maxs: np.ndarray, sums: np.ndarray, write_epoch: int,
-                     allocator) -> "ZoneMap":
-        """Pack per-chunk statistics into the map's zone arrays."""
-        n_chunks = mins.size
-        # Zone values are *data* values, so the zone arrays use the
-        # data's value width.  For bitpack generations that is
-        # ``array.bits``; for encoded generations ``bits`` is the
-        # narrow payload width (codes/deltas) and packing a zone max
-        # into it would overflow — use the decoded-value width instead.
-        zbits = array.bits
-        if getattr(array.generation, "codec", "bitpack") != "bitpack":
-            zbits = bitpack.max_bits_needed(maxs) if n_chunks else 1
-        zones = [(mins, zbits), (maxs, zbits)]
-        if zbits <= MAX_SUM_BITS:
-            zones.append((sums, zbits + SUM_EXTRA_BITS))
-        packed = []
-        for values, bits in zones:
-            zone = allocate(n_chunks, bits=bits, allocator=allocator)
-            if n_chunks:
-                zone.fill(values)
-            packed.append(zone)
-        zm = cls(array, *packed)
-        zm.built_write_epoch = write_epoch
-        return zm
+    def rewritten(self, gen, chunks: np.ndarray) -> "ZoneMap":
+        """This map after a write to ``chunks`` (ascending, distinct) of
+        the column, whose words the write just stored in the bit-packed
+        generation ``gen``: those chunks' statistics re-read from the
+        words, every other chunk's kept.  The bounds stay exact, never
+        merely widened, since a min or max answered from a widened
+        bound would be wrong.  Reads the words as a store's
+        read-modify-write does, outside the access statistics."""
+        bits = gen.bits
+        words = gen.buffers[0][:bitpack.words_for(self.array.length, bits)]
+        values = unpack_chunk_range(
+            words.reshape(-1, bits)[chunks].ravel(), 0, chunks.size, bits)
+        tail = self.array.length % bitpack.CHUNK_ELEMENTS
+        if tail and chunks[-1] == self.n_chunks - 1:
+            values = values[:values.size - bitpack.CHUNK_ELEMENTS + tail]
+        stats = []
+        for old, new in zip((self.mins, self.maxs, self._sums),
+                            _chunk_stats(values)):
+            old = old.copy()
+            old[chunks] = new
+            stats.append(old)
+        return ZoneMap(self.array, *stats)
+
+    def refilled(self, values: np.ndarray) -> "ZoneMap":
+        """This map after a write replaced the whole column with
+        ``values``: every statistic from the values, nothing decoded."""
+        return ZoneMap(self.array, *_chunk_stats(values))
 
     @property
     def n_chunks(self) -> int:
-        return self.mins.length
-
-    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The per-chunk ``(mins, maxs)`` as read-only ``uint64`` arrays,
-        decoded from the zone arrays once per map.
-
-        A map's zone arrays are never written after :meth:`build` — a
-        written or migrated column gets a *new* map (``SmartTable.
-        build_zone_map`` / ``zone_map`` drop the old one) — so the
-        decoded pair lives exactly as long as the bounds it mirrors and
-        needs no invalidation.  The pair is published as one tuple:
-        planners racing on the first lookup each decode the same values
-        and the last store wins.
-        """
-        bounds = self._bounds
-        if bounds is None:
-            bounds = (self.mins.to_numpy(), self.maxs.to_numpy())
-            for decoded in bounds:
-                decoded.flags.writeable = False
-            self._monotone = all(_non_decreasing(b) for b in bounds)
-            self._bounds = bounds
-        return bounds
-
-    @property
-    def monotone(self) -> bool:
-        """Whether chunk mins and maxs are both non-decreasing (decodes
-        the bounds on first use)."""
-        self.bounds()
-        return self._monotone
-
-    def chunk_sums(self) -> Optional[np.ndarray]:
-        """Per-chunk exact sums as a read-only ``uint64`` array, decoded
-        once per map like :meth:`bounds`; ``None`` when the zone is
-        wider than :data:`MAX_SUM_BITS` and the map keeps no sums."""
-        if self.sums is None:
-            return None
-        sums = self._sums
-        if sums is None:
-            sums = self.sums.to_numpy()
-            sums.flags.writeable = False
-            self._sums = sums
-        return sums
+        return self.mins.size
 
     def synopsis(self, kind: str, chunks: Chunks):
         """``kind`` (``"sum"``, ``"min"`` or ``"max"``) of the column over
@@ -405,20 +353,19 @@ class ZoneMap:
         of no chunk are ``None``; ``sum`` needs a map that keeps sums.
         """
         if kind == "sum":
-            sums = self.chunk_sums()
-            if sums is None:
+            if self.sums is None:
                 raise ValueError(
-                    f"a {self.mins.bits}-bit zone map keeps no chunk sums"
+                    f"a {self.bits}-bit zone map keeps no chunk sums"
                 )
-            part = _select(sums, chunks)
-            if self.sums.bits + part.size.bit_length() <= 64:
+            part = _select(self.sums, chunks)
+            if (self.bits + SUM_EXTRA_BITS
+                    + part.size.bit_length() <= 64):
                 return int(part.sum(dtype=np.uint64))
             return (
                 (int((part >> np.uint64(32)).sum(dtype=np.uint64)) << 32)
                 + int((part & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
             )
-        mins, maxs = self.bounds()
-        part = _select(mins if kind == "min" else maxs, chunks)
+        part = _select(self.mins if kind == "min" else self.maxs, chunks)
         if not part.size:
             return None
         return int(part.min() if kind == "min" else part.max())
@@ -444,13 +391,12 @@ class ZoneMap:
         bounds = clamp_u64_range(lo, hi)
         if bounds is None or self.n_chunks == 0:
             return 0, 0
-        mins, maxs = self.bounds()
-        if not self._monotone:
+        if not self.monotone:
             return None
         lo64, hi64 = bounds
-        first = int(maxs.searchsorted(lo64)) if lo64 else 0
+        first = int(self.maxs.searchsorted(lo64)) if lo64 else 0
         stop = (self.n_chunks if hi64 is None
-                else max(first, int(mins.searchsorted(hi64))))
+                else max(first, int(self.mins.searchsorted(hi64))))
         self._count_candidates(stop - first)
         return first, stop
 
@@ -474,10 +420,9 @@ class ZoneMap:
         if bounds is None or self.n_chunks == 0:
             return np.empty(0, dtype=np.int64)
         lo64, hi64 = bounds
-        mins, maxs = self.bounds()
-        mask = maxs >= lo64
+        mask = self.maxs >= lo64
         if hi64 is not None:
-            mask &= mins < hi64
+            mask &= self.mins < hi64
         candidates = np.nonzero(mask)[0].astype(np.int64)
         self._count_candidates(candidates.size)
         return candidates
@@ -497,13 +442,12 @@ class ZoneMap:
         bounds = clamp_u64_range(lo, hi)
         if bounds is None or self.n_chunks == 0:
             return 0, 0
-        mins, maxs = self.bounds()
-        if not self._monotone:
+        if not self.monotone:
             return None
         lo64, hi64 = bounds
-        first = int(mins.searchsorted(lo64)) if lo64 else 0
+        first = int(self.mins.searchsorted(lo64)) if lo64 else 0
         stop = (self.n_chunks if hi64 is None
-                else int(maxs.searchsorted(hi64)))
+                else int(self.maxs.searchsorted(hi64)))
         return first, max(first, stop)
 
     def _compare_covered(self, lo: int, hi: int) -> np.ndarray:
@@ -513,10 +457,9 @@ class ZoneMap:
         if bounds is None or self.n_chunks == 0:
             return np.zeros(self.n_chunks, dtype=bool)
         lo64, hi64 = bounds
-        mins, maxs = self.bounds()
-        covered = mins >= lo64
+        covered = self.mins >= lo64
         if hi64 is not None:
-            covered &= maxs < hi64
+            covered &= self.maxs < hi64
         return covered
 
     def count_in_range(self, lo: int, hi: int, socket: int = 0,
@@ -621,9 +564,7 @@ class ZoneMap:
 
     @property
     def storage_bytes(self) -> int:
-        return sum(zone.storage_bytes
-                   for zone in (self.mins, self.maxs, self.sums)
-                   if zone is not None)
+        return self.mins.nbytes + self.maxs.nbytes + self._sums.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -41,10 +41,11 @@ array stays on its current generation, untouched.
 
 Commit: when the last chunk (or page) lands, the step swaps the
 array's storage generation atomically under the write gate and bumps
-its epoch, so a table's cached zone map of the old storage is dropped
-on its next lookup.  Readers that pinned the old generation keep
-decoding it at the old width; its allocation is freed when the last pin
-drains.
+its epoch.  A migration preserves every value, so the array's zone map
+(``SmartArray.zone_map``, kept exact by every write, mirrored ones
+included) describes the new storage as well as the old and stays.
+Readers that pinned the old generation keep decoding it at the old
+width; its allocation is freed when the last pin drains.
 """
 
 from __future__ import annotations

@@ -29,9 +29,11 @@ not decoded.  An ungrouped aggregate whose columns have chunk synopses
 goes further: every covered chunk is answered from the zone maps'
 per-chunk counts, sums, mins and maxs (:attr:`PhysicalPlan.synopsis`),
 once per query on the calling thread, and only the other candidates
-reach a kernel (:meth:`PhysicalPlan.morsel_runs`).  All of it shares
-the zone map's validity: a written column needs ``build_zone_map``
-again before it prunes, covers or answers.
+reach a kernel (:meth:`PhysicalPlan.morsel_runs`).  All of it comes
+from the one map per column the plan read: every write to a column
+replaces its map with one exact for the new contents, so a plan's
+pruning, covering and synopses describe the contents it was planned
+on, written or not, and nothing needs rebuilding.
 
 The decode accounting is exact per column: executing a query adds
 :attr:`PhysicalPlan.predicted_decoded_chunks` ``[name]`` — the

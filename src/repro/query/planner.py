@@ -23,7 +23,7 @@ a :class:`PhysicalPlan` the morsel executor runs:
   predicate, compiled only for a plan that has one: columns only the
   predicate reads are not decoded there, and no mask is built.
 * **Chunk synopses** — an ungrouped aggregate whose columns have
-  current zone maps answers every covered chunk from the maps'
+  zone maps answers every covered chunk from the maps'
   per-chunk counts, sums, mins and maxs instead, and only the other
   candidates are decoded; a morsel whose candidates fragment decodes
   their hull in one call (:func:`_bind`).  Each needed column's decode
@@ -44,10 +44,11 @@ a :class:`PhysicalPlan` the morsel executor runs:
 (:func:`_plan_shape`: needed columns, morsel grid, per-column facts,
 the compiled kernel) reads no literal, and everything
 it reuses is keyed by what it specializes on — the kernel cache by a
-literal-free structural key, the zone bounds by the map that owns them
+literal-free structural key; the zone bounds are the column's own map
 — so a repeat of a statement with new bounds compiles, decodes and
 selects nothing.  The *binding* (:func:`_bind`: literals -> candidate-chunk
-mask -> active and covered morsels) works on the cached zone bounds: on
+mask -> active and covered morsels) works on each column's map, read
+once per plan (:func:`_map_snapshot`): on
 a map whose bounds are monotone (a sorted column) each sargable leaf is
 four binary searches giving a candidate run and a covered run, and the
 mask and morsels follow from the runs by slicing and arithmetic; other
@@ -581,20 +582,16 @@ def plan_query(
 ) -> PhysicalPlan:
     """Build the physical plan for ``query``.
 
-    ``prune`` controls zone-map use: ``"auto"`` uses the table's cached
-    zone maps (see :meth:`SmartTable.build_zone_map`), ``"build"``
-    builds and caches any missing map for a sargable column first (one
-    extra scan per column — worth it for repeated queries), ``"off"``
+    ``prune`` controls zone-map use: ``"auto"`` uses the zone maps the
+    columns carry (see :meth:`SmartTable.build_zone_map`), ``"off"``
     disables pruning.
 
     ``morsel`` defaults to :data:`DEFAULT_MORSEL_ELEMENTS`, or one
     superchunk for a ``limit()`` query.
     """
     query.validate()
-    if prune not in ("auto", "build", "off"):
-        raise ValueError(
-            f"prune must be 'auto', 'build', or 'off', got {prune!r}"
-        )
+    if prune not in ("auto", "off"):
+        raise ValueError(f"prune must be 'auto' or 'off', got {prune!r}")
     with trace("query.plan", prune=prune):
         plan = _plan_query(query, morsel, prune, pool,
                            accesses_per_element, consult_selector)
@@ -705,26 +702,32 @@ _NO_MORSELS = np.empty(0, dtype=np.int64)
 _NO_MORSELS.flags.writeable = False
 
 
-def _synopsis_maps(query: Query, table,
-                   prune: str) -> Optional[Dict[str, ZoneMap]]:
-    """Per aggregated column, the current zone map whose chunk synopses
-    can answer covered chunks of ``query`` — ``None`` when they cannot:
-    a group-by or row query, pruning off, or an aggregated column with
-    no current map (or, for ``sum``/``mean``, one too wide to keep
-    sums).  ``count(*)`` needs no map: a chunk's row count is its
-    geometry."""
-    if prune == "off" or not query.aggregates or \
-            query.group_key is not None or not table.n_rows:
+def _map_snapshot(table, names) -> Dict[str, Optional[ZoneMap]]:
+    """Each named column's zone map, read once: a write replaces a
+    column's map, so a plan that decides every prune, cover and synopsis
+    from these reads from one snapshot per column."""
+    return {name: table.column(name).zone_map for name in names}
+
+
+def _synopsis_maps(query: Query, maps: Optional[Dict[str, ZoneMap]]
+                   ) -> Optional[Dict[str, ZoneMap]]:
+    """Per aggregated column, the zone map (from ``maps``, the plan's
+    snapshot) whose chunk synopses can answer covered chunks of
+    ``query`` — ``None`` when they cannot: a group-by or row query,
+    pruning off, or an aggregated column with no map (or, for
+    ``sum``/``mean``, one too wide to keep sums).  ``count(*)`` needs
+    no map: a chunk's row count is its geometry."""
+    if maps is None or not query.aggregates or query.group_key is not None:
         return None
-    maps: Dict[str, ZoneMap] = {}
+    chosen: Dict[str, ZoneMap] = {}
     for spec in query.aggregates:
         if spec.column is None:
             continue
-        zm = maps.get(spec.column) or table.zone_map(spec.column)
+        zm = maps[spec.column]
         if zm is None or (spec.kind in ("sum", "mean") and zm.sums is None):
             return None
-        maps[spec.column] = zm
-    return maps
+        chosen[spec.column] = zm
+    return chosen
 
 
 def _run_morsels(first: int, stop: int, per_morsel: int) -> np.ndarray:
@@ -756,17 +759,14 @@ def _bind(query: Query, shape: _PlanShape, prune: str) -> _Binding:
     n_rows = table.n_rows
     n_chunks = bitpack.chunks_for(n_rows)
 
-    # Zone maps for sargable columns.
+    maps = None if prune == "off" or not n_rows else _map_snapshot(
+        table, shape.needed_columns)
     zone_maps: Dict[str, ZoneMap] = {}
-    if prune != "off" and query.predicate is not None and n_rows:
-        sargable = _sargable_columns(query.predicate)
-        for name in sorted(sargable):
-            zm = table.zone_map(name)
-            if zm is None and prune == "build":
-                zm = table.build_zone_map(name)
-            if zm is not None:
-                zone_maps[name] = zm
-    synopsis_maps = _synopsis_maps(query, table, prune)
+    if maps is not None and query.predicate is not None:
+        for name in sorted(_sargable_columns(query.predicate)):
+            if maps[name] is not None:
+                zone_maps[name] = maps[name]
+    synopsis_maps = _synopsis_maps(query, maps)
 
     pushed: List[PushedPredicate] = []
     candidates, covered = _candidate_mask(

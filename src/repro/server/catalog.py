@@ -95,7 +95,6 @@ def demo_catalog(rows: int = 100_000, seed: int = 42) -> Catalog:
         "amount": rng.integers(0, 1 << 20, rows).astype(np.uint64),
     }
     table = SmartTable.from_arrays(data, replicated=True)
-    table.build_zone_map("ts")
     catalog = Catalog()
     catalog.register("events", table)
     return catalog

@@ -90,10 +90,15 @@ class TestPlantedBugs:
         assert report.failures[0].kind == "result"
 
     def test_detects_replica_skew(self, monkeypatch):
+        scatter_many = SmartArray.scatter_many
+
         def first_replica_only(self, indices, values):
-            indices = np.ascontiguousarray(indices, dtype=np.int64)
-            bitpack.scatter(self.replicas[0], indices, values, self.bits)
-            self.stats.bulk_elements_written += indices.size
+            # The write and its zone-map upkeep land; every replica but
+            # the first keeps its old words.
+            others = [buf.copy() for buf in self.allocation.buffers[1:]]
+            scatter_many(self, indices, values)
+            for buf, old in zip(self.allocation.buffers[1:], others):
+                buf[:] = old
 
         monkeypatch.setattr(SmartArray, "scatter_many", first_replica_only)
         report = run_check(seed=0, ops=500, max_failures=1)

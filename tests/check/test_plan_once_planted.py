@@ -1,8 +1,9 @@
 """Planted bugs for the plan-once mechanisms: literals as runtime kernel
-parameters and decoded zone bounds cached on the map that owns them.
+parameters and zone maps read once per plan from the column that owns
+them.
 
 Each plants the mistake the mechanism invites — binding ``lits`` in the
-wrong order; keeping decoded bounds somewhere that outlives the map —
+wrong order; keeping a map somewhere that outlives the plan —
 and requires ``repro check`` to catch it in every profile that can
 express it (the ``codec`` and ``cluster`` profiles never write after the
 first fill, so a stale bound there is still a true one).
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import repro.query.codegen as codegen
+import repro.query.planner as planner
 from repro.check import run_check
 from repro.check.generator import ArraySpec, Case, Op, gen_values
 from repro.check.runner import run_case
-from repro.core.zonemap import ZoneMap
 
 
 def plant_wrong_literal_order(monkeypatch):
@@ -31,17 +32,20 @@ def plant_wrong_literal_order(monkeypatch):
 
 
 def plant_stale_zone_bounds(monkeypatch):
-    """Cache decoded bounds per *column* instead of per map: a rebuilt
-    map — after a write, or after a migration swap dropped the old one —
-    keeps answering with the first map's bounds."""
+    """Cache zone maps per *column* in the planner instead of reading
+    each plan's snapshot: a map a write or a migration replaced keeps
+    answering with its old bounds."""
     first = {}
-    fresh = ZoneMap.bounds
+    fresh = planner._map_snapshot
 
-    def stale(self):
+    def stale(table, names):
+        maps = fresh(table, names)
         # The array is kept so its id is never reused by a later case.
-        return first.setdefault(id(self.array), (self.array, fresh(self)))[1]
+        return {name: first.setdefault(id(table[name]),
+                                       (table[name], zm))[1]
+                for name, zm in maps.items()}
 
-    monkeypatch.setattr(ZoneMap, "bounds", stale)
+    monkeypatch.setattr(planner, "_map_snapshot", stale)
 
 
 class TestWrongLiteralOrder:
@@ -75,24 +79,23 @@ class TestWrongLiteralOrder:
 class TestStaleZoneBounds:
     @pytest.mark.parametrize("profile", ["query", "sql"])
     def test_rebuild_after_write_is_caught(self, monkeypatch, profile):
-        fresh = ZoneMap.bounds
         plant_stale_zone_bounds(monkeypatch)
         report = run_check(seed=0, ops=400, profile=profile,
                            max_failures=1, shrink=False)
         assert not report.ok
         assert report.failures[0].kind in ("result", "accounting")
-        monkeypatch.setattr(ZoneMap, "bounds", fresh)
+        monkeypatch.undo()
         assert run_case(report.failures[0].case) is None
 
     def test_rebuild_after_migration_swap_is_caught(self, monkeypatch):
         # The live profile draws a query op too rarely to line this up
         # by chance, so the sequence is spelled out: plan against the
-        # first map, migrate (the swap bumps the epoch and the table
-        # drops the map), refill, plan again on the rebuilt map.
+        # first map, migrate (the map survives the swap), refill (the
+        # fill replaces it), plan again on the new map.
         n, lo = 64 * 40, 1 << 63
         # No value of the first fill reaches ``lo``, values of the
-        # second do: the first map prunes every chunk, the rebuilt one
-        # must not.
+        # second do: the first map prunes every chunk, the new one must
+        # not.
         assert gen_values(1, n, 64).max() < lo <= gen_values(11, n, 64).max()
         query = Op("query_filter_count", (lo, 1 << 64, 0))
         case = Case(

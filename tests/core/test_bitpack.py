@@ -191,6 +191,39 @@ class TestVectorizedKernels:
             bitpack.unpack_array(packed, 200, bits), expected
         )
 
+    @pytest.mark.parametrize("bits", [1, 3, 20, 33, 63, 64])
+    def test_scatter_stores_each_word_once(self, bits):
+        # A reader between two stores to one word would see a state no
+        # write produced (a cleared slot); every changed word must be
+        # stored exactly once, already holding its final value.
+        class Recording(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if method == "at":
+                    raise AssertionError(f"{ufunc.__name__}.at on words")
+                inputs = [np.asarray(x) if isinstance(x, Recording) else x
+                          for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+            def __setitem__(self, key, value):
+                stores.extend(np.arange(self.size)[key].ravel().tolist())
+                np.asarray(self)[key] = value
+
+        values = random_values(300, bits, seed=6)
+        packed = bitpack.pack_array(values, bits)
+        # Unsorted, adjacent and chunk-straddling indices: many slots
+        # share words and spill into the next one.
+        idx = np.array([299, 0, 1, 2, 3, 63, 64, 65, 130, 129, 128, 5, 200])
+        new = random_values(idx.size, bits, seed=7)
+        words = packed.copy().view(Recording)
+        stores = []
+        bitpack.scatter(words, idx, new, bits)
+        assert len(stores) == len(set(stores))
+        expected = values.copy()
+        expected[idx] = new
+        final = bitpack.pack_array(expected, bits)
+        np.testing.assert_array_equal(np.asarray(words), final)
+        assert set(np.flatnonzero(final != packed).tolist()) <= set(stores)
+
     def test_scatter_shape_mismatch(self):
         packed = bitpack.pack_array(np.arange(64, dtype=np.uint64), 33)
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ class TestFactory:
     def test_allocate_binds_socket_replica(self, allocator):
         sa = make(64, 64, allocator, replicated=True)
         it = SmartArrayIterator.allocate(sa, 0, socket=1)
-        assert it.replica is sa.replicas[1]
+        assert it.replica is sa.allocation.buffers[1]
 
     def test_start_index_out_of_range(self, allocator):
         sa = make(64, 10, allocator)

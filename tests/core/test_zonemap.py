@@ -30,10 +30,10 @@ def sorted_array(allocator):
 class TestZoneMapConstruction:
     def test_zones_cover_data(self, sorted_array, allocator):
         sa, values = sorted_array
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         assert zm.n_chunks == 16  # ceil(1000/64)
-        mins = zm.mins.to_numpy()
-        maxs = zm.maxs.to_numpy()
+        mins = zm.mins
+        maxs = zm.maxs
         for chunk in range(zm.n_chunks):
             lo = chunk * 64
             hi = min(1000, lo + 64)
@@ -42,12 +42,12 @@ class TestZoneMapConstruction:
 
     def test_index_is_tiny(self, sorted_array, allocator):
         sa, _ = sorted_array
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         assert zm.storage_bytes < sa.storage_bytes / 4
 
     def test_empty_array(self, allocator):
         sa = allocate(0, bits=8, allocator=allocator)
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         assert zm.count_in_range(0, 100) == 0
         assert zm.select_in_range(0, 100).size == 0
 
@@ -55,20 +55,20 @@ class TestZoneMapConstruction:
 class TestZoneScans:
     def test_counts_match_full_scan(self, sorted_array, allocator):
         sa, values = sorted_array
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         for lo, hi in ((0, 100), (5000, 6000), (9990, 10_500), (0, 20_000)):
             assert zm.count_in_range(lo, hi) == count_in_range(sa, lo, hi)
 
     def test_select_matches_full_scan(self, sorted_array, allocator):
         sa, values = sorted_array
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         np.testing.assert_array_equal(
             zm.select_in_range(3000, 4000), select_in_range(sa, 3000, 4000)
         )
 
     def test_degenerate_ranges(self, sorted_array, allocator):
         sa, _ = sorted_array
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         assert zm.count_in_range(500, 500) == 0
         assert zm.count_in_range(-5, 0) == 0
         assert zm.candidate_chunks(7, 3).size == 0
@@ -77,7 +77,7 @@ class TestZoneScans:
         # The point of zone maps: a selective range unpacks only the
         # chunks whose zones intersect it.
         sa, values = sorted_array
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         sa.stats.reset()
         zm.count_in_range(5000, 5100)
         candidates = zm.candidate_chunks(5000, 5100)
@@ -88,7 +88,7 @@ class TestZoneScans:
         # All-equal data: every chunk's zone lies inside a wide range,
         # so counting needs zero unpacks.
         sa = allocate(640, bits=8, values=np.full(640, 7), allocator=allocator)
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         sa.stats.reset()
         assert zm.count_in_range(0, 100) == 640
         assert sa.stats.chunk_unpacks == 0
@@ -97,7 +97,7 @@ class TestZoneScans:
         rng = np.random.default_rng(3)
         values = rng.integers(0, 1000, size=500, dtype=np.uint64)
         sa = allocate(500, bits=10, values=values, allocator=allocator)
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         assert zm.count_in_range(200, 400) == int(
             ((values >= 200) & (values < 400)).sum()
         )
@@ -110,7 +110,7 @@ class TestZoneScans:
         if not monotone:
             values[:64] = values[:64][::-1] + 100  # chunk 0 above chunk 1
         sa = allocate(100, bits=8, values=values, allocator=allocator)
-        zm = ZoneMap.build(sa, allocator=allocator)
+        zm = ZoneMap.build(sa)
         assert zm.monotone is monotone
         sa.stats.reset()
         assert zm.count_in_range(0, 200) == 100
@@ -172,7 +172,7 @@ class TestRunBinding:
     def test_run_path_matches_compare_path(self, kind, n, values, bounds,
                                            superchunk):
         zm, data = zone_map_of(kind, n, values)
-        mins, maxs = zm.bounds()
+        mins, maxs = (zm.mins, zm.maxs)
         expect_monotone = bool(np.all(mins[1:] >= mins[:-1])
                                and np.all(maxs[1:] >= maxs[:-1]))
         assert zm.monotone is expect_monotone
@@ -221,12 +221,12 @@ class TestRunBinding:
             if zm.monotone:
                 # The same scans down the compare path decode the same
                 # chunks.
-                zm._monotone = False
+                zm.monotone = False
                 zm.array.stats.reset()
                 assert zm.count_in_range(lo, hi, superchunk=superchunk) \
                     == match.size
                 assert zm.array.stats.chunk_unpacks == unpacks
-                zm._monotone = True
+                zm.monotone = True
 
 
     def test_edge_runs_in_one_window_decode_their_hull(self):
@@ -239,7 +239,7 @@ class TestRunBinding:
         expected = int(((data >= lo) & (data < hi)).sum())
         decoded = []
         for monotone in (True, False):
-            zm._monotone = monotone
+            zm.monotone = monotone
             zm.array.stats.reset()
             assert zm.count_in_range(lo, hi) == expected == 128
             decoded.append(zm.array.stats.chunk_unpacks)

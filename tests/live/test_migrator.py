@@ -10,6 +10,7 @@ from repro.core.allocate import allocate
 from repro.core.map_api import sum_range
 from repro.core.placement import Placement
 from repro.core.table import SmartTable
+from repro.core.zonemap import ZoneMap
 from repro.live import LiveMigrator, MigrationBudget, MigrationError
 from repro.numa.allocator import NumaAllocator
 from repro.numa.topology import machine_2x8_haswell
@@ -234,7 +235,7 @@ class TestMoveMode:
             self, allocator, migrator):
         values = data(2000, 17)
         arr = make(allocator, values, bits=17, pinned=0)
-        buf = arr.replicas[0]
+        buf = arr.allocation.buffers[0]
         migration = migrator.migrate(
             arr, Configuration(Placement.interleaved(), 17))
         assert migration.state == "completed"
@@ -242,7 +243,7 @@ class TestMoveMode:
         assert arr.placement.is_interleaved
         assert arr.generation_epoch == 1
         # Same buffer object: nothing was copied.
-        assert arr.replicas[0] is buf
+        assert arr.allocation.buffers[0] is buf
         assert np.array_equal(arr.to_numpy(), values)
         page_map = arr.allocation.page_maps[0]
         n_sockets = allocator.machine.n_sockets
@@ -304,7 +305,7 @@ class TestRoundTrip:
             self, allocator, migrator):
         values = data(1000, 30)
         arr = make(allocator, values, bits=64)
-        original_words = arr.replicas[0].copy()
+        original_words = arr.allocation.buffers[0].copy()
         free_before = free_per_socket(allocator)
 
         migrator.migrate(arr, Configuration(Placement.replicated(), 30))
@@ -314,7 +315,7 @@ class TestRoundTrip:
         assert arr.bits == 64
         assert arr.placement.is_os_default
         assert arr.generation_epoch == 2
-        assert np.array_equal(arr.replicas[0], original_words)
+        assert np.array_equal(arr.allocation.buffers[0], original_words)
         assert free_per_socket(allocator) == free_before
 
 
@@ -375,30 +376,39 @@ class TestGenerationPinning:
 
 
 class TestZoneMaps:
-    def test_commit_drops_only_the_migrated_columns_map(
-            self, allocator, migrator):
+    def test_commit_keeps_every_columns_map(self, allocator, migrator):
+        # A migration preserves values, so the migrated column's map
+        # still describes it: nothing is dropped or rebuilt.
         a = make(allocator, data(640, 9), bits=64)
         b = make(allocator, data(640, 11, seed=1), bits=64)
         table = SmartTable({"a": a, "b": b})
-        table.build_zone_map("a", allocator=allocator)
-        table.build_zone_map("b", allocator=allocator)
-        kept = table.zone_map("b")
+        maps = {name: table.build_zone_map(name) for name in "ab"}
+        a.stats.reset()
         b.stats.reset()
         migrator.migrate(a, Configuration(Placement.interleaved(), 9))
-        assert table.zone_map("b") is kept
-        assert b.stats.chunk_unpacks == 0
-        assert table.zone_map("a") is None
+        assert a.zone_map is maps["a"] and b.zone_map is maps["b"]
+        assert a.stats.chunk_unpacks == b.stats.chunk_unpacks == 0
+        assert table.build_zone_map("a") is maps["a"]
 
-    def test_stale_epoch_dropped_even_without_tables_arg(
+    def test_map_stays_exact_through_mirrored_writes(
             self, allocator, migrator):
-        # The migrator knows no tables: the epoch check drops the
-        # stale map at lookup time.
         values = data(640, 9)
-        arr = make(allocator, values, bits=64)
-        table = SmartTable({"k": arr})
-        table.build_zone_map("k", allocator=allocator)
-        migrator.migrate(arr, Configuration(Placement.interleaved(), 9))
-        assert table.zone_map("k") is None
+        arr = make(allocator, values, bits=20)
+        SmartTable({"k": arr}).build_zone_map("k")
+        migration = migrator.start(
+            arr, Configuration(Placement.interleaved(), 9),
+            budget=MigrationBudget(max_chunks_per_step=2))
+        migration.step()
+        arr[3] = 500
+        arr.scatter_many(np.array([70, 600]), np.array([1, 2], np.uint64))
+        values[[3, 70, 600]] = [500, 1, 2]
+        while migration.step():
+            pass
+        assert migration.state == "completed" and arr.bits == 9
+        exact = ZoneMap.from_values(arr, values)
+        for stat in ("mins", "maxs", "sums"):
+            np.testing.assert_array_equal(getattr(arr.zone_map, stat),
+                                          getattr(exact, stat))
 
 
 class TestCountersAndScans:

@@ -74,7 +74,7 @@ class TestAllocation:
                       values=np.arange(100) % 256, allocator=allocator)
         for s in range(4):
             assert sa.get(42, replica=s) == 42
-            assert sa.get_replica(s) is sa.replicas[s]
+            assert sa.get_replica(s) is sa.allocation.buffers[s]
 
 
 class TestRuntime:

@@ -22,6 +22,8 @@ from repro.query import (
 from repro.query.codegen import compile_query, _KERNEL_CACHE
 from repro.runtime import default_pool
 
+from ._tables import unindexed_table
+
 U64_MAX = (1 << 64) - 1
 N = 6000
 
@@ -37,9 +39,8 @@ def make_table(bits, n=N, seed=0, sorted_keys=False):
     v[0], v[1] = hi - 1, 0
     if sorted_keys:
         k = np.sort(k)
-    t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True)
     # Tests build the zone maps they prune with; no synopsis answers.
-    t.invalidate_zone_maps()
+    t = unindexed_table({"k": k, "v": v}, replicated=True)
     assert t["k"].bits == bits and t["v"].bits == bits
     return t, k, v
 
@@ -381,9 +382,8 @@ def group_table(key_bits, value_bits, n=GROUP_N, seed=0, codecs=None):
     rng = np.random.default_rng([seed, key_bits, value_bits])
     k = random_column(rng, key_bits, n)
     v = random_column(rng, value_bits, n)[::-1].copy()
-    t = SmartTable.from_arrays({"k": k, "v": v}, replicated=True,
-                               codecs=codecs)
-    t.invalidate_zone_maps()  # tests build the maps they prune with
+    # Tests build the maps they prune with.
+    t = unindexed_table({"k": k, "v": v}, replicated=True, codecs=codecs)
     assert t["k"].value_bits == key_bits and t["v"].value_bits == value_bits
     return t, k, v
 
@@ -921,9 +921,8 @@ def row_table(bits, seed=0, codecs=None, p=None):
     k = np.sort(rng.integers(0, 1 << 20, ROW_N, dtype=np.uint64))
     if p is None:
         p = random_column(rng, bits, ROW_N)
-    t = SmartTable.from_arrays({"k": k, "p": p}, replicated=True,
-                               codecs=codecs)
-    t.invalidate_zone_maps("p")  # only ``k`` is zone-mapped
+    t = unindexed_table({"k": k, "p": p}, replicated=True, codecs=codecs)
+    t.build_zone_map("k")  # only ``k`` is zone-mapped
     return t, k, p
 
 

@@ -17,6 +17,8 @@ from repro.core.zonemap import ZoneMap
 from repro.query import Query, col, in_range
 from repro.query.expr import Not
 
+from ._tables import unindexed_table
+
 N = 20_000  # 312.5 chunks: a trailing partial chunk and morsel
 MORSEL = 1024  # 16 chunks
 PER_MORSEL = MORSEL // 64
@@ -208,7 +210,7 @@ class TestCoveredMorsels:
         tree = TREES[name]
         query = lambda t: Query(t).where(expr_of(tree)).sum("v")  # noqa: E731
         table = make_table(data)
-        assert table.zone_map("ts").monotone
+        assert table["ts"].zone_map.monotone
         by_run = query(table).run(morsel=MORSEL)
         monkeypatch.setattr(ZoneMap, "candidate_run",
                             lambda self, lo, hi: None)
@@ -283,8 +285,9 @@ class TestCoveredMorsels:
         assert ts.stats.chunk_unpacks == 0
         assert sum(ts.replica_read_elements) == 0
 
-    def test_decode_accounting_is_per_column(self, table, data):
-        table.invalidate_zone_maps("v")  # no synopsis answers sum(v)
+    def test_decode_accounting_is_per_column(self, data):
+        table = unindexed_table(data)
+        table.build_zone_map("ts")  # no synopsis answers sum(v)
         q = Query(table).where(in_range("ts", 12, 70)).sum("v")
         for name in ("ts", "v"):
             table[name].stats.reset()
@@ -432,8 +435,8 @@ class TestCoveredMigration:
                                  morsel_elements)
 
         monkeypatch.setattr(executor, "compile_query", recorded)
-        t = make_table(data)
-        t.invalidate_zone_maps("v")  # no synopsis answers sum(v)
+        t = unindexed_table(data)
+        t.build_zone_map("ts")  # no synopsis answers sum(v)
         lo, hi = int(data["ts"][2 * MORSEL]), int(data["ts"][9 * MORSEL])
         plan = Query(t).where(in_range("ts", lo, hi)).sum("v") \
             .plan(morsel=MORSEL)

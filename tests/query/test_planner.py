@@ -14,6 +14,8 @@ from repro.query import (
     plan_query,
 )
 
+from ._tables import unindexed_table
+
 N = 20_000
 
 
@@ -29,8 +31,8 @@ def data():
 
 @pytest.fixture
 def table(data):
-    t = SmartTable.from_arrays(dict(data))
-    t.invalidate_zone_maps("v")  # only ``k`` is zone-mapped
+    t = unindexed_table(data)
+    t.build_zone_map("k")  # only ``k`` is zone-mapped
     return t
 
 
@@ -55,6 +57,29 @@ class TestPushdown:
         # Soundness: every chunk with a matching row stays a candidate.
         must_keep = brute_candidates(data["k"], 1000, 50_000)
         assert plan.candidate_mask[must_keep].all()
+
+    def test_write_that_breaks_monotonicity_matches_brute_force(
+            self, table, data):
+        # Exact zone bounds after the write: the candidates of a range
+        # are exactly the chunks whose true [min, max] meets it.
+        values = data["k"].copy()
+        assert table["k"].zone_map.monotone
+        idx = np.array([5, 7_000, 13_001, N - 1])
+        table["k"].scatter_many(idx, np.array([900_000, 3, 0, 1],
+                                              dtype=np.uint64))
+        values[idx] = [900_000, 3, 0, 1]
+        table["k"][64 * 100] = 1 << 19
+        values[64 * 100] = 1 << 19
+        assert not table["k"].zone_map.monotone
+        for lo, hi in ((0, 10), (1000, 50_000), (1 << 19, (1 << 19) + 1),
+                       (800_000, 1 << 20)):
+            plan = Query(table).where(in_range("k", lo, hi)).count().plan()
+            chunks = [values[c:c + 64] for c in range(0, N, 64)]
+            assert np.flatnonzero(plan.candidate_mask).tolist() == [
+                c for c, span in enumerate(chunks)
+                if span.min() < hi and span.max() >= lo]
+            assert plan.execute().scalar() == int(
+                ((values >= lo) & (values < hi)).sum())
 
     def test_and_intersects(self, table):
         lo, hi = 1000, 500_000
@@ -110,23 +135,15 @@ class TestPruneModes:
         assert not plan.pushed
 
     def test_auto_without_map_cannot_prune(self, data):
-        t = SmartTable.from_arrays(dict(data))
-        t.invalidate_zone_maps()  # no zone map
-        plan = Query(t).where(in_range("k", 0, 10)).count().plan()
+        plan = Query(unindexed_table(data)).where(in_range("k", 0, 10)).count().plan()
         assert plan.candidate_mask is None
 
-    def test_build_creates_and_caches_map(self, data):
-        t = SmartTable.from_arrays(dict(data))
-        t.invalidate_zone_maps()
-        plan = Query(t).where(in_range("k", 0, 10)).count().plan(
-            prune="build"
-        )
-        assert plan.chunks_candidate < plan.chunks_total
-        assert t.zone_map("k") is not None  # cached for later queries
-
     def test_invalid_mode_rejected(self, table):
-        with pytest.raises(ValueError):
-            Query(table).count().plan(prune="maybe")
+        # "build" is gone too: a column carries its map, kept exact by
+        # every write, so there is nothing to build before a query.
+        for prune in ("maybe", "build"):
+            with pytest.raises(ValueError):
+                Query(table).count().plan(prune=prune)
 
 
 class TestPlanShape:
@@ -317,17 +334,13 @@ selector recommends replicated / 16b (differs)
         def query(lo, hi):
             return Query(table).where(in_range("k", lo, hi)).sum("v")
 
-        zm = table.zone_map("k")
         cold = query(7, 9).plan()
-        assert counted["to_numpy"] == 2  # the map's mins and maxs, once
+        assert counted["to_numpy"] == 0  # the map holds plain bounds
         assert counted["select_configuration"] == 0
 
         before = dict(counted)
-        unpacks = (zm.mins.stats.chunk_unpacks, zm.maxs.stats.chunk_unpacks)
         plan = query(1000, 50_000).plan()
         assert counted == before
-        assert (zm.mins.stats.chunk_unpacks,
-                zm.maxs.stats.chunk_unpacks) == unpacks
         assert plan.kernel.fn is cold.kernel.fn
         assert plan.kernel.literals == (1000, 50_000)
 
@@ -346,16 +359,15 @@ selector recommends replicated / 16b (differs)
         assert counted["compile"] == before["compile"]
 
     def test_nothing_is_decoded_before_the_first_lookup(self, data, counted):
-        # Cached bounds fill lazily: registering a table and building
-        # its zone map decode the column once, never the zone arrays.
+        # Ingest builds the map from the values, and a lookup reads its
+        # read-only bounds as they are: neither decodes anything.
         t = SmartTable.from_arrays(dict(data))
         zm = t.build_zone_map("k")
+        Query(t).where(in_range("k", 7, 9)).count().plan()
         assert counted["to_numpy"] == 0
-        assert zm.mins.stats.chunk_unpacks == 0
-        mins, maxs = zm.bounds()
-        assert counted["to_numpy"] == 2
-        assert zm.bounds()[0] is mins and not mins.flags.writeable
-        assert np.array_equal(mins, data["k"][::64])
+        assert t["k"].stats.chunk_unpacks == 0
+        assert not zm.mins.flags.writeable and not zm.maxs.flags.writeable
+        assert np.array_equal(zm.mins, data["k"][::64])
 
     def test_rebuilt_map_serves_fresh_bounds(self, data):
         t = SmartTable.from_arrays(dict(data))
@@ -367,8 +379,7 @@ selector recommends replicated / 16b (differs)
             return Query(t).where(col("k") < low).count()
 
         assert below_all().plan().chunks_candidate == 0
-        t["k"][N - 1] = 0
-        t.build_zone_map("k")
+        t["k"][N - 1] = 0  # the write itself refreshes the map
         plan = below_all().plan()
         assert plan.chunks_candidate == 1
         assert plan.execute().aggregates == {"count(*)": 1}

@@ -12,6 +12,8 @@ from repro.core.table import SmartTable
 from repro.query import Query, col, execute, in_range, query_table
 from repro.runtime.loops import default_pool
 
+from ._tables import unindexed_table
+
 N = 30_000
 LO, HI = 100_000, 160_000
 
@@ -241,8 +243,8 @@ class TestExplainAccuracy:
     """Acceptance: explain() vs the arrays' own accounting."""
 
     def test_predicted_decodes_match_observed_counters(self, data):
-        table = SmartTable.from_arrays(dict(data), replicated=True)
-        table.invalidate_zone_maps("v")  # no synopsis answers sum(v)
+        table = unindexed_table(data, replicated=True)
+        table.build_zone_map("k")  # no synopsis answers sum(v)
         q = Query(table).where(in_range("k", LO, HI)).sum("v")
         plan = q.plan()
         assert 0 < plan.chunks_candidate < plan.chunks_total

@@ -18,6 +18,8 @@ from repro.obs.registry import registry
 from repro.query import Query, QueryCancelled, col, in_range
 from repro.sql import compile_sql
 
+from ._tables import unindexed_table
+
 N = 70_000
 MORSEL = 4096 * 4  # 256 chunks
 
@@ -97,15 +99,58 @@ class TestPredicateFree:
         assert result.stats.decoded_chunks == {"amount": 0}
         assert result.plan.work_morsels.size == 0
 
-    def test_a_written_column_decodes_again(self, data):
+    def test_a_written_column_still_answers_from_synopses(self, data):
         t = SmartTable.from_arrays(dict(data))
-        t["amount"].scatter_many(np.array([3], dtype=np.int64),
-                                 np.array([7], dtype=np.uint64))
         values = data["amount"].copy()
-        values[3] = 7
-        result = Query(t).sum("amount").run()
-        assert result.scalar() == exact(values)
+        for write in range(3):
+            t["amount"].scatter_many(np.array([3, 64 * write + 5]),
+                                     np.array([7, write], dtype=np.uint64))
+            values[[3, 64 * write + 5]] = [7, write]
+            t["amount"][N - 1] = 1 << 19
+            values[N - 1] = 1 << 19
+            result = Query(t).sum("amount").min("amount").run()
+            assert result.aggregates == {"sum(amount)": exact(values),
+                                         "min(amount)": int(values.min())}
+            assert result.stats.decoded_chunks == {"amount": 0}
+
+    def test_a_projection_shares_the_maps(self, table, data):
+        # select() shares the columns, so it prunes on ts and answers
+        # covered chunks of amount from their synopses.
+        projected = table.select(["ts", "amount"])
+        assert projected["amount"].zone_map is table["amount"].zone_map
+        lo, hi = 1 << 30, 3 << 30
+        mask = (data["ts"] >= lo) & (data["ts"] < hi)
+        result = run_counted(projected, aggregates(
+            Query(projected).where(in_range("ts", lo, hi))), morsel=MORSEL)
+        assert result.aggregates == expected(data, mask)
+        assert result.plan.chunks_candidate < result.plan.chunks_total
+        assert result.stats.synopsis_chunks["amount"] > 0
+
+    def test_a_value_past_58_bits_drops_the_sums(self, data):
+        from repro.adapt import Configuration
+        from repro.core.allocate import default_allocator
+        from repro.live import LiveMigrator
+
+        t = SmartTable.from_arrays(dict(data))
+        amount = t["amount"]
+        LiveMigrator(default_allocator()).migrate(
+            amount, Configuration(amount.placement, 60))
+        assert amount.zone_map.sums is not None  # values still 20-bit
+        values = data["amount"].copy()
+        amount[5] = values[5] = 1 << 58
+        assert amount.zone_map.sums is None
+        assert amount.zone_map.bits == 59
+        result = run_counted(t, Query(t).sum("amount").max("amount"))
+        assert result.aggregates == {"sum(amount)": exact(values),
+                                     "max(amount)": 1 << 58}
         assert result.stats.decoded_chunks == {"amount": -(-N // 64)}
+        # Once the wide value is overwritten the sums are whole again:
+        # every chunk's sum was kept modulo 2**64 all along.
+        amount[5] = values[5] = 1
+        assert amount.zone_map.sums is not None
+        result = run_counted(t, Query(t).sum("amount"))
+        assert result.scalar() == exact(values)
+        assert result.stats.decoded_chunks == {"amount": 0}
 
 
 class TestCoveredChunks:
@@ -127,8 +172,8 @@ class TestCoveredChunks:
 
     def test_answers_equal_the_decode_path(self, data):
         with_maps = SmartTable.from_arrays(dict(data))
-        without = SmartTable.from_arrays(dict(data))
-        without.invalidate_zone_maps("amount")
+        without = unindexed_table(data)
+        without.build_zone_map("ts")
         for lo, hi in ((1 << 28, 1 << 31), (1 << 20, 1 << 32)):
             q = lambda t: aggregates(Query(t).where(  # noqa: E731
                 in_range("ts", lo, hi)))
@@ -214,7 +259,7 @@ class TestSharded:
                                      cluster=cluster_of(4), mode="range")
         for shard in t.shards:
             for name in shard.table.column_names:
-                assert shard.table.zone_map(name) is not None
+                assert shard.table[name].zone_map is not None
         lo, hi = 1 << 29, 3 << 30
         result = Query(t).where(in_range("ts", lo, hi)).sum("amount") \
             .mean("amount").run()
