@@ -25,9 +25,9 @@ live:
 	$(PYTHON) -m repro live
 	cd benchmarks && $(PYTHON) bench_live_adaptation.py
 
-# Python source lines under src/ (the tracked size metric).
+# Python and C source lines under src/ (the tracked size metric).
 loc:
-	@find src -name '*.py' -exec cat {} + | wc -l
+	@find src \( -name '*.py' -o -name '*.c' \) -exec cat {} + | wc -l
 
 # Functions under src/ that no example, bench, e2e workload, smartcheck
 # profile or CLI command calls, per module; fails on one that is not in

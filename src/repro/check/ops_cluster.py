@@ -25,7 +25,8 @@ from ..obs.registry import registry as _obs_registry
 from . import oracle as orc
 from .generator import cluster_grid
 from .ops_migrate import check_completed, placement_for, race
-from .ops_query import (Shape, bind_checked, compare_result, predict_decode,
+from .ops_query import (Shape, bind_checked, check_native_twin,
+                        compare_result, native_reference, predict_decode,
                         query_shape, shape_zones, synopsis_ready,
                         _render_sql_op)
 from .runner import Divergence, fmt
@@ -180,6 +181,9 @@ def _differential(r, op, shape: Shape, q, fan: int, runs: int = 1) -> None:
 
     twin = shape.query(cl.twin).run(morsel=sc)
     compare_result(r, f"{op.name}.twin", twin, expected)
+    reference = native_reference(shape.query(cl.twin).plan(morsel=sc))
+    if reference is not None:
+        check_native_twin(f"{op.name}.twin", twin, reference)
     for field in ("aggregates", "groups"):
         if getattr(res, field) != getattr(twin, field):
             raise Divergence(

@@ -20,12 +20,14 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
+from ..core import native
 from ..query import Query, in_range
+from ..query.executor import execute_reference
 from ..sql import SqlError, bind, compile_sql, parse
 from ..sql.nodes import SelectStmt
 from ..sql.parser import _parse_uncached
 from . import oracle as orc
-from .runner import Divergence
+from .runner import Divergence, fmt
 
 #: Aggregates or projection per shape (an op name minus its family
 #: prefix; ``query_count`` is the codec profile's filtered count).
@@ -224,6 +226,36 @@ def compare_result(r, what: str, result, expected) -> None:
             r.compare(result.columns[name], values, f"{what}.{name}")
 
 
+def native_reference(plan, pool=None):
+    """``plan`` run on its NumPy kernels when some kernel of it has a
+    native twin the native scans would run; else ``None``."""
+    kernels = (plan.kernel, plan.covered_kernel)
+    if native.LIB is None or not any(
+            kernel is not None and kernel.native is not None
+            for kernel in kernels):
+        return None
+    return execute_reference(plan, pool)
+
+
+def check_native_twin(what: str, result, reference) -> None:
+    """``result`` (native lowering where it applied) against the NumPy
+    ``reference`` run of the same plan: same answer, same rows scanned
+    and matched, same chunks decoded per column."""
+    for field in ("aggregates", "groups"):
+        if getattr(result, field) != getattr(reference, field):
+            raise Divergence(
+                "native",
+                f"{what}: native {field} {fmt(getattr(result, field))} != "
+                f"NumPy {fmt(getattr(reference, field))}")
+    got, want = ((r.stats.rows_scanned, r.stats.rows_matched,
+                  r.stats.decoded_chunks) for r in (result, reference))
+    if got != want:
+        raise Divergence(
+            "native",
+            f"{what}: native (rows scanned, matched, decoded chunks) = "
+            f"{got}, NumPy {want}")
+
+
 def _check_query(r, op, query: Query, shape: Shape, par: int) -> None:
     """Run ``query`` and check result, plan, and decode accounting.
 
@@ -238,8 +270,16 @@ def _check_query(r, op, query: Query, shape: Shape, par: int) -> None:
     zones = shape_zones(shape, orc.chunks_for(spec.length),
                         {"k": r.oracle, "v": r.oracle_v})
     pool = r.pool() if par else None
+    # With the native scans loaded, the NumPy reference kernels run the
+    # same plan first (outside the accounted window): the oracle checks
+    # the reference, and the native lowering must equal it.
+    reference = native_reference(query.plan(pool=pool,
+                                            morsel=spec.superchunk), pool)
     before = r.snapshot()
     result = query.run(pool=pool, morsel=spec.superchunk)
+    if reference is not None:
+        compare_result(r, op.name, reference, expected)
+        check_native_twin(op.name, result, reference)
     compare_result(r, op.name, result, expected)
     chunks, covered, decoded, answered = predict_decode(
         query, zones, spec.superchunk,

@@ -13,6 +13,10 @@ against a freshly allocated smart array and an
   and after every op its per-chunk min, max and sum, width and
   monotone flag equal the oracle's, however the op wrote or migrated
   the array;
+* **native twin** — with :mod:`repro.core.native` loaded, every query
+  also runs on its NumPy reference kernels, and the native lowering
+  must give the same answer, rows and decoded chunks (kind
+  ``"native"``);
 * **accounting** — the deltas of ``chunk_unpacks``, scalar gets/inits,
   bulk element counters, and the summed ``replica_read_elements`` match
   the oracle's predicted decode work for the op, under every placement,
@@ -61,7 +65,7 @@ class CaseFailure:
     op_index: int
     op: Op
     # "result" | "storage" | "zonemap" | "accounting" | "obs" |
-    # "sql" | "cluster" | "exception"
+    # "sql" | "cluster" | "native" | "exception"
     kind: str
     detail: str
 

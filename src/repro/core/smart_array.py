@@ -624,6 +624,19 @@ class SmartArray:
         decodes its padding slots too; callers slice to the logical
         length.
         """
+        return self.read_chunks(chunk, n_chunks, replica, out, decode=True)
+
+    def read_chunks(self, chunk: int, n_chunks: int, replica=None,
+                    out=None, decode: bool = False):
+        """Account a read of whole chunks ``[chunk, chunk + n_chunks)``
+        of ``replica``: ``chunk_unpacks``, ``superchunk_decodes``, the
+        replica's read elements and a ``scan.superchunk_decode`` span.
+
+        The one place a chunk read is counted.  With ``decode`` it also
+        decodes them (that is :meth:`decode_chunks`); without, it only
+        checks and counts the run, for a native scan that decodes the
+        same packed words itself (:mod:`repro.core.native`).
+        """
         total_chunks = bitpack.chunks_for(self._length)
         if n_chunks < 0:
             raise ValueError(f"n_chunks must be >= 0, got {n_chunks}")
@@ -641,14 +654,16 @@ class SmartArray:
                 "scan.superchunk_decode", array=self.stats.array_label,
                 chunk=chunk, n_chunks=n_chunks, bits=gen.bits,
             ):
-                self.stats.note_superchunk_decode(n_chunks)
-                self._note_replica_read(
-                    buf, n_chunks * bitpack.CHUNK_ELEMENTS, gen
-                )
-                return _gen_decode_span(gen, buf, chunk, n_chunks, out=out)
+                return self._read_counted(gen, buf, chunk, n_chunks, out,
+                                          decode)
+        return self._read_counted(gen, buf, chunk, n_chunks, out, decode)
+
+    def _read_counted(self, gen, buf, chunk, n_chunks, out, decode):
         self.stats.note_superchunk_decode(n_chunks)
         self._note_replica_read(buf, n_chunks * bitpack.CHUNK_ELEMENTS, gen)
-        return _gen_decode_span(gen, buf, chunk, n_chunks, out=out)
+        if decode:
+            return _gen_decode_span(gen, buf, chunk, n_chunks, out=out)
+        return None
 
     def fill(self, values) -> None:
         """Initialize the whole array from ``values`` (vectorized Function 2)."""

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from ..adapt.selector import Configuration
-from ..core import bitpack
+from ..core import bitpack, native
 from ..core.codecs import check_codec, decode_generation_chunks, encode_words
 from ..core.errors import AllocationError, ValueOverflowError
 from ..core.smart_array import SmartArray, StorageGeneration, _scalar_init
@@ -252,13 +252,8 @@ class Migration:
         first = self._next_chunk
         count = min(self.budget.chunks_per_step, self._total_chunks - first)
         if count > 0:
-            gen = array.generation
-            # Codec-aware: decodes bitpack and encoded generations alike
-            # (slots past the logical length come back zeroed either
-            # way, so pack_array's overflow check sees only real data).
-            values = decode_generation_chunks(gen, first, count)
             try:
-                packed = bitpack.pack_array(values, tbits)
+                self._repack_chunks(array.generation, first, count)
             except ValueOverflowError as exc:
                 self._abort_locked(
                     f"chunks {first}..{first + count - 1} do not fit "
@@ -266,13 +261,37 @@ class Migration:
                 )
                 return
             lo, hi = first * tbits, (first + count) * tbits
-            for buf in self._new_allocation.buffers:
-                buf[lo:hi] = packed
+            packed, *replicas = self._new_allocation.buffers
+            for buf in replicas:
+                buf[lo:hi] = packed[lo:hi]
             self._next_chunk = first + count
             self.chunks_repacked += count
             self.migrator._chunks.add(count)
         if self._next_chunk >= self._total_chunks:
             self._commit_locked()
+
+    def _repack_chunks(self, gen: StorageGeneration, first: int,
+                       count: int) -> None:
+        """Pack chunks ``[first, first + count)`` of ``gen`` at the
+        target width into the same chunks of the first target buffer:
+        one GIL-free native call for a bit-packed source when the native
+        scans are loaded, NumPy otherwise.  Raises
+        :class:`ValueOverflowError` for the first value that does not
+        fit (the migration then aborts and drops the target)."""
+        tbits = self.target.bits
+        dst = self._new_allocation.buffers[0]
+        if native.LIB is not None and gen.codec == "bitpack":
+            bad = native.repack(gen.buffers[0], gen.bits, dst, tbits, first,
+                                count)
+            if bad is not None:
+                raise ValueOverflowError(bad[1], tbits)
+            return
+        # Codec-aware: decodes bitpack and encoded generations alike
+        # (slots past the logical length come back zeroed either way,
+        # so pack_array's overflow check sees only real data).
+        values = decode_generation_chunks(gen, first, count)
+        dst[first * tbits:(first + count) * tbits] = bitpack.pack_array(
+            values, tbits)
 
     # -- encode mode -----------------------------------------------------
 

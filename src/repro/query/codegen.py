@@ -36,7 +36,14 @@ candidate-chunk run, whatever the query's shape — ungrouped aggregate,
 * decoding goes through ``SmartArray.decode_chunks`` with the
   executor's pinned replica buffers, once per needed column per run,
   so the chunk-unpack / replica-read accounting the smartcheck harness
-  asserts on is exactly what the plan predicted.
+  asserts on is exactly what the plan predicted;
+* an aggregate or ``group_by`` kernel whose predicate is a conjunction
+  of column-vs-literal ``>=``/``<``/``==`` comparisons (and whose key is
+  at most :data:`_DIRECT_KEY_BITS` wide) also gets a :class:`NativeKernel`
+  twin: the same morsel contract over :mod:`repro.core.native`'s fused
+  scans, which the executor runs on morsels whose pinned generations
+  are all bit-packed.  Its runs are counted through
+  ``SmartArray.read_chunks``, the accounting ``decode_chunks`` records.
 
 The generated source is kept on the :class:`CompiledKernel` (and shown
 by ``explain()``) so a human can audit exactly what will run.
@@ -44,6 +51,7 @@ by ``explain()``) so a human can audit exactly what will run.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -52,6 +60,7 @@ from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
 
 import numpy as np
 
+from ..core import bitpack, native
 from .expr import (
     U64_MAX,
     And,
@@ -447,6 +456,10 @@ class CompiledKernel:
     #: The statement's in-domain literals in ``lits[k]`` order — the one
     #: part of a kernel that differs between two statements of a shape.
     literals: Tuple[np.uint64, ...] = ()
+    #: The same kernel over :mod:`repro.core.native`'s fused scans, for
+    #: morsels whose pinned generations are all bit-packed; ``None``
+    #: when the shape does not lower (see :func:`_native_shape`).
+    native: Optional["NativeKernel"] = field(default=None, compare=False)
 
 
 def _emit_folds(aggregates, masked: Dict[str, str],
@@ -593,12 +606,15 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
                             morsel_elements, lits)
     source, fn = _cached(key) or _generate_kernel(
         key, query, column_bits, morsel_elements)
+    shape = _native_shape(key, tuple(column_bits[name]
+                                     for name in needed_columns))
     return CompiledKernel(
         source=source,
         fn=fn,
         columns=needed_columns,
         column_bits=dict(column_bits),
         literals=tuple(lits),
+        native=None if shape is None else NativeKernel(shape, lits),
     )
 
 
@@ -686,3 +702,186 @@ def _generate_kernel(key: _KernelKey, query: Query,
     # whole.
     return _load(key, source, "kernel", shown=fold.source + "\n\n" + source,
                  fold=fold.fn)
+
+
+# -- native lowering --------------------------------------------------------
+
+#: One lowered comparison of a bare column against a runtime literal.
+_NATIVE_ATOM = re.compile(r"\(c(\d+) (>=|<|==) lits\[(\d+)\]\)")
+
+
+class NativeShape(NamedTuple):
+    """What a kernel key lowers to over :mod:`repro.core.native`."""
+
+    #: ``(column index, op, literal slot)`` per comparison of the
+    #: predicate's conjunction; empty when it folded to a constant.
+    terms: Tuple[Tuple[int, str, int], ...]
+    #: The predicate folded to false: nothing matches.
+    never: bool
+    #: ``(kind, column index or None)`` per aggregate output slot.
+    aggregates: Tuple[Tuple[str, Optional[int]], ...]
+    #: Index of the group key among the columns, or ``None``.
+    group: Optional[int]
+    #: Width per column, in decode order: the packed words' widths.
+    bits: Tuple[int, ...]
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_CAP)
+def _native_shape(key: _KernelKey,
+                  bits: Tuple[int, ...]) -> Optional[NativeShape]:
+    """``key``'s native lowering over columns ``bits`` wide, or
+    ``None`` when it has none: a row query, a key wider than
+    :data:`_DIRECT_KEY_BITS`, more columns than one native scan reads,
+    or a predicate that is not a conjunction of bare-column comparisons
+    with ``>=``, ``<`` or ``==`` after clamping and folding."""
+    if (key.projection is not None
+            or not 0 < len(key.columns) <= native.MAX_COLUMNS):
+        return None
+    index = {name: i for i, name in enumerate(key.columns)}
+    group = None
+    if key.group_key is not None:
+        group = index[key.group_key]
+        if bits[group] > _DIRECT_KEY_BITS:
+            return None
+    terms: Tuple[Tuple[int, str, int], ...] = ()
+    if isinstance(key.predicate, str):
+        if _NATIVE_ATOM.sub("", key.predicate).strip("()& "):
+            return None
+        terms = tuple((int(c), op, int(k)) for c, op, k
+                      in _NATIVE_ATOM.findall(key.predicate))
+    return NativeShape(
+        terms=terms,
+        never=key.predicate is False,
+        aggregates=tuple((kind, None if column is None else index[column])
+                         for kind, column in key.aggregates),
+        group=group,
+        bits=bits,
+    )
+
+
+def _interval(op: str, value: int) -> Tuple[int, int]:
+    """The inclusive ``[lo, hi]`` of ``v op value`` over uint64 (empty
+    when ``lo > hi``)."""
+    if op == ">=":
+        return value, U64_MAX
+    if op == "<":
+        return (0, value - 1) if value else (1, 0)
+    return value, value
+
+
+class NativeKernel:
+    """A :class:`CompiledKernel`'s native twin, bound to the statement's
+    literals: ``kernel(runs, n_rows, read0, words0, read1, words1, ...)``
+    — per column its :meth:`~repro.core.smart_array.SmartArray.read_chunks`
+    and the pinned bit-packed words — returns what the NumPy kernel
+    returns.  Each run is counted column by column exactly as the NumPy
+    kernel's decodes count it, then scanned in one native call."""
+
+    __slots__ = ("shape", "_lits", "_scan", "_folds")
+
+    def __init__(self, shape: NativeShape, lits: List[np.uint64]) -> None:
+        self.shape = shape
+        self._lits = lits
+        self._scan: Optional[native.Scan] = None
+        self._folds = sorted({c for _kind, c in shape.aggregates
+                              if c is not None})
+
+    @property
+    def scan(self) -> "native.Scan":
+        """The scan's fixed arguments, bound on first use: a plan whose
+        morsels never run natively does not pay for them."""
+        if self._scan is None:
+            shape = self.shape
+            bounds: List[Optional[Tuple[int, int]]] = [None] * len(
+                shape.bits)
+            for column, op, slot in shape.terms:
+                lo, hi = _interval(op, int(self._lits[slot]))
+                if bounds[column] is not None:
+                    lo = max(lo, bounds[column][0])
+                    hi = min(hi, bounds[column][1])
+                bounds[column] = (lo, hi)
+            if shape.never:
+                bounds[0] = (1, 0)
+            kinds = shape.aggregates
+            self._scan = native.Scan(
+                shape.bits, bounds,
+                summed=[c for kind, c in kinds if kind in ("sum", "mean")],
+                extremes=[c for kind, c in kinds if kind in ("min", "max")])
+        return self._scan
+
+    def describe(self) -> str:
+        call = "scan_agg" if self.shape.group is None else (
+            f"scan_group(key=c{self.shape.group})")
+        filters = " & ".join(
+            f"c{column} {op} lits[{slot}]"
+            for column, op, slot in self.shape.terms)
+        if self.shape.never:
+            filters = "false"
+        return f"{call} where {filters or 'true'}"
+
+    def __call__(self, runs, n_rows, *args):
+        reads, buffers = args[0::2], args[1::2]
+        rows_scanned = rows_matched = decoded_chunks = 0
+        scan, group = self.scan, self.shape.group
+        slots = None if group is None else native.GroupSlots(scan, group)
+        folded: Dict[int, List[object]] = {}
+        for first, count in runs:
+            base = first * bitpack.CHUNK_ELEMENTS
+            span = min(n_rows, base + count * bitpack.CHUNK_ELEMENTS) - base
+            for read, words in zip(reads, buffers):
+                read(first, count, words)
+            decoded_chunks += count
+            rows_scanned += span
+            if slots is not None:
+                rows_matched += native.scan_group(
+                    scan, group, slots, buffers, first, count, span)
+                continue
+            n, columns = native.scan_agg(scan, buffers, first, count, span)
+            rows_matched += n
+            if not n:
+                continue
+            for c in self._folds:
+                total, low, high = columns[c]
+                kept = folded.get(c)
+                folded[c] = ([total, low, high] if kept is None else
+                             [kept[0] + total, min(kept[1], low),
+                              max(kept[2], high)])
+        if slots is not None:
+            return (rows_scanned, rows_matched, decoded_chunks, [],
+                    self._groups(slots))
+        out: List[object] = []
+        for kind, c in self.shape.aggregates:
+            fold = folded.get(c)
+            if kind == "count":
+                out.append(rows_matched)
+            elif kind == "sum":
+                out.append(fold[0] if fold else 0)
+            elif kind == "mean":
+                out.append((fold[0] if fold else 0, rows_matched))
+            else:
+                out.append(None if fold is None
+                           else fold[1 if kind == "min" else 2])
+        return rows_scanned, rows_matched, decoded_chunks, out, None
+
+    def _groups(self, slots: "native.GroupSlots") -> Dict[int, List[object]]:
+        """The :class:`~repro.query.stats.MorselPartial` group dict of
+        the slots any row reached, in key order."""
+        live = np.flatnonzero(slots.counts)
+        counts = slots.counts[live].tolist()
+        columns: List[List[object]] = []
+        for kind, c in self.shape.aggregates:
+            if kind == "count":
+                columns.append(counts)
+                continue
+            offset = c * slots.slots + live
+            if kind in ("sum", "mean"):
+                sums = [low | high << 64 for low, high in zip(
+                    slots.sums[2 * offset].tolist(),
+                    slots.sums[2 * offset + 1].tolist())]
+                columns.append(sums if kind == "sum"
+                               else list(zip(sums, counts)))
+            else:
+                extremes = slots.mins if kind == "min" else slots.maxs
+                columns.append(extremes[offset].tolist())
+        return {key: list(partials) for key, *partials
+                in zip(live.tolist(), *columns)}

@@ -16,6 +16,14 @@ most once per needed column*, evaluates the predicate span-at-a-time on the
 decoded buffers, and folds aggregates/group partials/row output
 directly off the mask — no operator-at-a-time materialization.
 
+A morsel whose kernel has a native twin (:class:`~repro.query.codegen.
+NativeKernel`) and whose pinned generations are all bit-packed runs the
+twin instead when :mod:`repro.core.native` is loaded: the same runs,
+counted through the same ``SmartArray.read_chunks`` accounting, decoded,
+filtered and folded in one GIL-free call per run.
+:func:`execute_reference` runs only the NumPy kernels — smartcheck's
+twin.
+
 The zone maps decide two things per morsel, and the decoded spans
 decide the rest.  Pruning decides *which chunks to decode*; on every
 morsel that still has a chunk the zone maps could not prove, the full
@@ -62,7 +70,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core import bitpack
+from ..core import bitpack, native
 from ..core.zonemap import chunk_rows
 from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
@@ -212,7 +220,8 @@ def execute(plan: PhysicalPlan, pool: Optional[WorkerPool] = None,
                workers=pool.n_workers if pool is not None else 1,
                distribution="serial" if pool is None else "dynamic"):
         try:
-            return _execute(plan, pool, cancel, timeout_s)
+            return _execute(plan, pool, cancel, timeout_s,
+                            lower=native.LIB is not None)
         except QueryTimeout:
             reg.counter("query.timeouts").add(1)
             raise
@@ -221,9 +230,21 @@ def execute(plan: PhysicalPlan, pool: Optional[WorkerPool] = None,
             raise
 
 
+def execute_reference(plan: PhysicalPlan,
+                      pool: Optional[WorkerPool] = None) -> QueryResult:
+    """Run ``plan`` on its NumPy kernels only, whether or not the native
+    scans are loaded: the reference twin smartcheck diffs the native
+    lowering against.  Same result, stats and accounting as
+    :func:`execute`; no ``query.execute`` span."""
+    return _execute(plan, pool, lower=False)
+
+
 def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
              cancel: Optional[threading.Event] = None,
-             timeout_s: Optional[float] = None) -> QueryResult:
+             timeout_s: Optional[float] = None,
+             lower: bool = False) -> QueryResult:
+    """Run ``plan``; ``lower``: morsels whose kernel has a native twin
+    and whose pinned generations are all bit-packed run it."""
     query = plan.query
     query.validate()
     table = plan.table
@@ -327,14 +348,26 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
         # the widths it pinned.
         kernel = kernel_for(part.covered,
                             tuple(gen.value_bits for gen in gens))
+        # The native twin reads the packed words in place: only when
+        # every generation the morsel pinned is bit-packed.
+        part.native = lower and kernel.native is not None and all(
+            gen.codec == "bitpack" for gen in gens)
         try:
             args: List[object] = []
-            for name, gen in zip(columns, gens):
-                args += (table[name].decode_chunks,
-                         gen.buffer_for_socket(socket),
-                         np.empty(plan.morsel_elements, dtype=np.uint64))
-            (part.rows_scanned, part.rows_matched, part.decoded_chunks,
-             *output) = kernel.fn(runs, n_rows, kernel.literals, *args)
+            if part.native:
+                for name, gen in zip(columns, gens):
+                    args += (table[name].read_chunks,
+                             gen.buffer_for_socket(socket))
+                (part.rows_scanned, part.rows_matched, part.decoded_chunks,
+                 *output) = kernel.native(runs, n_rows, *args)
+            else:
+                for name, gen in zip(columns, gens):
+                    args += (table[name].decode_chunks,
+                             gen.buffer_for_socket(socket),
+                             np.empty(plan.morsel_elements,
+                                      dtype=np.uint64))
+                (part.rows_scanned, part.rows_matched, part.decoded_chunks,
+                 *output) = kernel.fn(runs, n_rows, kernel.literals, *args)
         finally:
             for gen in gens:
                 gen.unpin()
@@ -387,6 +420,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
         else:
             stats.morsels_executed += 1
             stats.morsels_covered += part.covered
+            stats.morsels_native += part.native
         for name in plan.decoded_columns(part.covered):
             stats.decoded_chunks[name] += part.decoded_chunks
         if specs:
@@ -415,6 +449,7 @@ def _execute(plan: PhysicalPlan, pool: Optional[WorkerPool],
     reg = _obs_registry()
     reg.counter("query.executions").add(1)
     reg.counter("query.morsels_executed").add(stats.morsels_executed)
+    reg.counter("query.native_morsels").add(stats.morsels_native)
     reg.counter("query.morsels_covered").add(stats.morsels_covered)
     reg.counter("query.morsels_pruned").add(stats.morsels_pruned)
     reg.counter("query.morsels_skipped_limit").add(stats.morsels_skipped)

@@ -76,7 +76,7 @@ from ..adapt import (
     WorkloadMeasurement,
     select_configuration,
 )
-from ..core import bitpack
+from ..core import bitpack, native
 from ..core.map_api import SUPERCHUNK_ELEMENTS, check_superchunk
 from ..core.smart_array import SmartArray
 from ..core.zonemap import (ZoneMap, _chunk_runs, edges_hulled,
@@ -557,6 +557,7 @@ class PhysicalPlan:
             "    " + src_line
             for src_line in self.kernel.source.rstrip().splitlines()
         ]
+        lines.append("  lowering: " + self._lowering(self.kernel))
         if self.kernel.literals:
             lines.append("  literals: " + ", ".join(
                 f"lits[{k}] = {value}"
@@ -569,7 +570,21 @@ class PhysicalPlan:
                 for src_line in self.covered_kernel.source.rstrip()
                 .splitlines()
             ]
+            lines.append("  covered-morsel lowering: "
+                         + self._lowering(self.covered_kernel))
         return "\n".join(lines)
+
+    def _lowering(self, kernel: CompiledKernel) -> str:
+        """How ``kernel``'s morsels run, as the columns are stored now:
+        ``native`` (and the fused scan it calls) when the native scans
+        are loaded, the shape lowers and every column it reads is
+        bit-packed, else ``numpy`` (the generated kernel above).  A
+        morsel decides again from the generations it pins."""
+        if (kernel.native is None or native.LIB is None
+                or any(self.table[name].codec != "bitpack"
+                       for name in kernel.columns)):
+            return "numpy"
+        return "native: " + kernel.native.describe()
 
 
 def plan_query(

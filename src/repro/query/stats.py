@@ -38,6 +38,9 @@ class QueryStats:
     #: Executed morsels that ran the plan's predicate-free kernel
     #: because the zone maps proved every candidate chunk matches.
     morsels_covered: int = 0
+    #: Executed morsels that ran their kernel's native twin
+    #: (:mod:`repro.core.native`) instead of its NumPy kernel.
+    morsels_native: int = 0
     chunks_total: int = 0
     chunks_candidate: int = 0
     #: Chunks actually decoded, per needed column: the candidate chunks
@@ -225,6 +228,8 @@ class MorselPartial:
     decoded_chunks: int = 0
     #: Whether the morsel ran the plan's predicate-free covered kernel.
     covered: bool = False
+    #: Whether it ran the kernel's native twin.
+    native: bool = False
     #: Aggregate partials, one slot per AggSpec (sum -> int, count ->
     #: int, min/max -> Optional[int], mean -> (sum, count)).
     agg: List[object] = field(default_factory=list)

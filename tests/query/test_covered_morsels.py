@@ -444,16 +444,22 @@ class TestCoveredMigration:
         planned = plan.covered_kernel
         ran = []
 
-        def then_migrate(*args):
-            out = planned.fn(*args)
-            if not ran:
-                migration = LiveMigrator(default_allocator()).migrate(
-                    t["v"], Configuration(t["v"].placement, 40))
-                assert migration.state == "completed"
-            ran.append(1)
-            return out
+        def then_migrate(run):
+            # Whichever lowering the morsel takes (the NumPy kernel or
+            # its native twin), the migration lands right after it.
+            def kernel(*args):
+                out = run(*args)
+                if not ran:
+                    migration = LiveMigrator(default_allocator()).migrate(
+                        t["v"], Configuration(t["v"].placement, 40))
+                    assert migration.state == "completed"
+                ran.append(1)
+                return out
+            return kernel
 
-        plan.covered_kernel = dataclasses.replace(planned, fn=then_migrate)
+        plan.covered_kernel = dataclasses.replace(
+            planned, fn=then_migrate(planned.fn),
+            native=planned.native and then_migrate(planned.native))
         result = plan.execute()
         assert ran == [1]
         assert calls == [(True, {"v": 40})]
