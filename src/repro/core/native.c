@@ -14,9 +14,11 @@
  *    shift and mask is a constant: every width on every host, and the
  *    only one `repack` uses;
  *  - on x86-64 hosts with AVX2 (checked at run time; the library is built
- *    without -march), widths up to 25 load each element's 4 bytes with a
- *    gather and shift it into place, eight lanes at a time.  A column the
- *    scan only filters on is compared in those lanes and never stored.
+ *    without -march), widths 2..25 and 32 decode eight elements at a time:
+ *    two 16-byte loads inside the chunk, one byte shuffle that puts each
+ *    element's 4 bytes in its 32-bit lane, one shift and one mask.  A
+ *    column the scan only filters on is compared in those lanes and never
+ *    stored.
  * The scans decode one chunk per needed column into a stack buffer, build
  * a 64-bit match mask from per-column [lo, hi] intervals, and fold the
  * aggregates off the mask.
@@ -27,14 +29,11 @@
 
 #include <stdint.h>
 #include <string.h>
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
-#define GATHER_BITS 25
+#define LANE_BITS 25
 #else
-#define GATHER_BITS 0
+#define LANE_BITS 0
 #endif
 
 #define CHUNK 64
@@ -96,24 +95,27 @@ struct column {
     int bits;
     /* Filter interval [lo, lo + width], clamped to the width. */
     uint64_t lo, width;
-    /* Decoded through gathers: element j of a chunk is the 4 bytes at
-     * byte off[j] of the chunk shifted right by shift[j], with off[j]
-     * kept inside the chunk. */
-    int gather;
-    int32_t off[CHUNK], shift[CHUNK];
+    /* Decoded eight lanes at a time: elements 4h..4h+3 of group g (of 8)
+     * are the 16 bytes at byte base[2g + h] of the chunk, shuffled by
+     * ctl[g] (lane j takes its element's 4 bytes) and shifted right by
+     * shift[g][j].  Every byte read lies inside the chunk. */
+    int lanes;
+    int32_t base[16];
+    uint8_t ctl[8][32];
+    uint32_t shift[8][8];
 };
 
 struct scan {
     struct column col[MAX_COLUMNS];
     uint32_t used, filtered;
     /* Columns whose values the folds read (the others are only
-     * filtered on, and a gathered one is never stored). */
+     * filtered on, and one decoded in lanes is never stored). */
     uint32_t stored;
 };
 
-static int have_gather(void)
+static int have_lanes(void)
 {
-#if GATHER_BITS
+#if LANE_BITS
     static int known = -1;
     if (known < 0)
         known = __builtin_cpu_supports("avx2") ? 1 : 0;
@@ -129,7 +131,7 @@ static int prepare(struct scan *s, const uint64_t *const *words,
                    const int32_t *bits, uint32_t stored, uint32_t filtered,
                    const uint64_t *lo, const uint64_t *hi)
 {
-    const int gather = have_gather();
+    const int lanes = have_lanes();
 
     s->used = stored | filtered;
     s->filtered = filtered;
@@ -146,11 +148,21 @@ static int prepare(struct scan *s, const uint64_t *const *words,
             col->lo = lo[c];
             col->width = top - lo[c];
         }
-        col->gather = gather && b <= GATHER_BITS;
-        for (int j = 0; col->gather && j < CHUNK; j++) {
-            const int32_t last = 8 * b - 4, start = j * b >> 3;
-            col->off[j] = start < last ? start : last;
-            col->shift[j] = j * b - 8 * col->off[j];
+        col->lanes = lanes && b >= 2 && (b <= LANE_BITS || b == 32);
+        for (int j = 0; col->lanes && j < CHUNK; j++) {
+            /* The element's 4-byte window, kept inside the chunk's 8b
+             * bytes; the 16-byte load of its half-group likewise. */
+            const int32_t first = j & ~3, window_last = 8 * b - 4,
+                          load_last = 8 * b - 16;
+            int32_t start = j * b >> 3, half = first * b >> 3;
+            start = start < window_last ? start : window_last;
+            half = half < window_last ? half : window_last;
+            half = half < load_last ? half : load_last;
+            col->base[j >> 2] = half;
+            for (int q = 0; q < 4; q++)
+                col->ctl[j >> 3][16 * (j >> 2 & 1) + 4 * (j & 3) + q] =
+                    (uint8_t)(start - half + q);
+            col->shift[j >> 3][j & 7] = (uint32_t)(j * b - 8 * start);
         }
     }
     return 1;
@@ -163,55 +175,37 @@ static inline uint64_t valid_mask(int64_t valid, int64_t i)
     return left >= CHUNK ? ~0ULL : (1ULL << left) - 1;
 }
 
-/* Rows of v in [lo, lo + width].  Values and bounds below 2**32 compare
- * four at a time in 32-bit lanes (SSE2, part of every x86-64). */
+/* Rows of v in [lo, lo + width]. */
 static inline uint64_t range_mask(const uint64_t *v, uint64_t lo,
-                                  uint64_t width, int narrow)
+                                  uint64_t width)
 {
     uint64_t m = 0;
-#ifdef __SSE2__
-    if (narrow) {
-        const __m128i bias = _mm_set1_epi32((int)0x80000000u);
-        const __m128i low = _mm_set1_epi32((int)(uint32_t)lo);
-        const __m128i limit = _mm_set1_epi32((int)((uint32_t)width ^
-                                                   0x80000000u));
-        for (unsigned j = 0; j < CHUNK; j += 4) {
-            const __m128 a = _mm_loadu_ps((const float *)(v + j));
-            const __m128 b = _mm_loadu_ps((const float *)(v + j + 2));
-            __m128i x = _mm_castps_si128(
-                _mm_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)));
-            x = _mm_xor_si128(_mm_sub_epi32(x, low), bias);
-            const int out = _mm_movemask_ps(
-                _mm_castsi128_ps(_mm_cmpgt_epi32(x, limit)));
-            m |= (uint64_t)(~out & 15) << j;
-        }
-        return m;
-    }
-#endif
-    (void)narrow;
     for (unsigned j = 0; j < CHUNK; j++)
         m |= (uint64_t)(v[j] - lo <= width) << j;
     return m;
 }
 
-#if GATHER_BITS
+#if LANE_BITS
+/* Elements 8g..8g+7 of the chunk at w, one per 32-bit lane. */
 __attribute__((target("avx2"))) static inline __m256i
-gather8(const uint64_t *w, const struct column *col, unsigned j)
+lanes8(const uint64_t *w, const struct column *col, unsigned g)
 {
-    const __m256i x = _mm256_i32gather_epi32(
-        (const int *)w, _mm256_loadu_si256((const __m256i *)(col->off + j)),
-        1);
+    const uint8_t *bytes = (const uint8_t *)w;
+    const __m256i x = _mm256_shuffle_epi8(
+        _mm256_loadu2_m128i((const __m128i *)(bytes + col->base[2 * g + 1]),
+                            (const __m128i *)(bytes + col->base[2 * g])),
+        _mm256_loadu_si256((const __m256i *)col->ctl[g]));
     return _mm256_and_si256(
         _mm256_srlv_epi32(x, _mm256_loadu_si256(
-                                 (const __m256i *)(col->shift + j))),
+                                 (const __m256i *)col->shift[g])),
         _mm256_set1_epi32((int)LOW_BITS(col->bits)));
 }
 
 __attribute__((target("avx2"))) static void
-decode_gather(const uint64_t *w, const struct column *col, uint64_t *out)
+decode_lanes(const uint64_t *w, const struct column *col, uint64_t *out)
 {
     for (unsigned j = 0; j < CHUNK; j += 8) {
-        const __m256i x = gather8(w, col, j);
+        const __m256i x = lanes8(w, col, j >> 3);
         _mm256_storeu_si256((__m256i *)(out + j),
                             _mm256_cvtepu32_epi64(_mm256_castsi256_si128(x)));
         _mm256_storeu_si256(
@@ -222,7 +216,7 @@ decode_gather(const uint64_t *w, const struct column *col, uint64_t *out)
 
 /* Rows of the chunk at w in the column's interval, never stored. */
 __attribute__((target("avx2"))) static uint64_t
-match_gather(const uint64_t *w, const struct column *col)
+match_lanes(const uint64_t *w, const struct column *col)
 {
     const __m256i bias = _mm256_set1_epi32((int)0x80000000u);
     const __m256i low = _mm256_set1_epi32((int)(uint32_t)col->lo);
@@ -231,7 +225,7 @@ match_gather(const uint64_t *w, const struct column *col)
     uint64_t m = 0;
     for (unsigned j = 0; j < CHUNK; j += 8) {
         const __m256i x = _mm256_xor_si256(
-            _mm256_sub_epi32(gather8(w, col, j), low), bias);
+            _mm256_sub_epi32(lanes8(w, col, j >> 3), low), bias);
         const int out = _mm256_movemask_ps(
             _mm256_castsi256_ps(_mm256_cmpgt_epi32(x, limit)));
         m |= (uint64_t)(~out & 255) << j;
@@ -249,18 +243,18 @@ static inline uint64_t decode_and_match(const struct scan *s, int64_t chunk,
     FOR_EACH_COLUMN(c, s->used) {
         const struct column *col = &s->col[c];
         const uint64_t *w = col->words + chunk * col->bits;
-#if GATHER_BITS
-        if (col->gather) {
+#if LANE_BITS
+        if (col->lanes) {
             if (!(s->stored >> c & 1)) {
-                m &= match_gather(w, col);
+                m &= match_lanes(w, col);
                 continue;
             }
-            decode_gather(w, col, vals[c]);
+            decode_lanes(w, col, vals[c]);
         } else
 #endif
             DECODE[col->bits](w, vals[c]);
         if (s->filtered >> c & 1)
-            m &= range_mask(vals[c], col->lo, col->width, col->bits <= 32);
+            m &= range_mask(vals[c], col->lo, col->width);
     }
     return m;
 }

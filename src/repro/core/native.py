@@ -5,16 +5,19 @@
 per-column ranges), :func:`scan_group` (the same pass folded into
 per-key slots of a narrow key) and :func:`repack` (decode a chunk run
 at one width, check it fits another, pack it there).  ctypes releases
-the GIL for the length of each call of at least :data:`RELEASE_CHUNKS`
-chunks.
+the GIL for the length of each call.
 
 Build.  At first import the source is compiled with ``cc -O3 -fPIC
 -shared`` (no ``-march=native``: the cache may be shared between
-machines) into ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``, else the
-temp dir), under a name keyed on the hashes of the source, the
-compiler's version and the flags.  The build writes a temp file and
+machines) into ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``; a
+``repro-<uid>`` directory of the temp dir when neither is an absolute
+path), under a name keyed on the hashes of the source, the compiler's
+version and the flags.  The build writes a temp file and
 ``os.replace``s it into place, so two processes building at once both
-end with a whole library; a cache hit only loads it.  With no compiler,
+end with a whole library; a cache hit only loads it.  The cache
+directory and the library must belong to this user and be writable by
+no one else, or the library is built privately instead (see
+:func:`_load`).  With no compiler,
 a failed build or an unwritable cache, :data:`LIB` stays ``None``, one
 warning is logged, the ``native.available`` gauge reads 0 and every
 caller runs its NumPy twin.
@@ -33,6 +36,7 @@ import hashlib
 import logging
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -65,24 +69,39 @@ def _cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
-        base = tempfile.gettempdir()
+        return os.path.join(tempfile.gettempdir(), f"repro-{os.getuid()}")
     return os.path.join(base, "repro")
 
 
-def _library_path(source: bytes, compiler: str) -> str:
+def _library_name(source: bytes, compiler: str) -> str:
     version = subprocess.run([compiler, "--version"], capture_output=True,
                              check=True).stdout
     key = hashlib.sha256()
     for part in (source, version, " ".join(_FLAGS).encode()):
         key.update(hashlib.sha256(part).digest())
-    return os.path.join(_cache_dir(), f"native-{key.hexdigest()[:20]}.so")
+    return f"native-{key.hexdigest()[:20]}.so"
 
 
-def _load() -> Tuple[ctypes.CDLL, ctypes.PyDLL]:
-    """Load the cached library — as a ``CDLL`` and as a ``PyDLL``
-    (calls through which keep the GIL) — building it first on a cache
-    miss: into a temp file beside its final name, then one atomic
-    rename."""
+def _private(path: str, kind: int) -> bool:
+    """Whether ``path`` is a ``kind`` (``stat.S_IFDIR``/``S_IFREG``), not
+    a symlink, owned by this user and writable by no one else: only then
+    may a library in it, or it, be loaded."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return False
+    return (stat.S_IFMT(st.st_mode) == kind and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
+
+
+def _load() -> ctypes.CDLL:
+    """Load the cached library, building it first on a cache miss: into
+    a temp file beside its final name, then one atomic rename.
+
+    A cache directory or library that another user owns or could write
+    (say, planted in a shared temp dir under the predictable name) is
+    never loaded: the library is then built into a fresh private
+    directory, loaded from there and the directory removed."""
     if sys.byteorder != "little":
         raise OSError("the packed layout is read in place only on a "
                       "little-endian host")
@@ -90,48 +109,57 @@ def _load() -> Tuple[ctypes.CDLL, ctypes.PyDLL]:
     if compiler is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
     source = resources.files(__package__).joinpath("native.c").read_bytes()
-    path = _library_path(source, compiler)
-    if not os.path.exists(path):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".native-", suffix=".so",
-                                   dir=os.path.dirname(path))
-        os.close(fd)
-        try:
-            subprocess.run([compiler, *_FLAGS, "-x", "c", "-", "-o", tmp],
-                           input=source, capture_output=True, check=True)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    handles = ctypes.CDLL(path), ctypes.PyDLL(path)
-    for handle in handles:
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            fn = getattr(handle, name)
-            fn.restype, fn.argtypes = restype, argtypes
-    return handles
+    directory = _cache_dir()
+    os.makedirs(directory, mode=0o700, exist_ok=True)
+    path = os.path.join(directory, _library_name(source, compiler))
+    scratch = None
+    if not _private(directory, stat.S_IFDIR) or (
+            os.path.lexists(path) and not _private(path, stat.S_IFREG)):
+        _log.warning("native cache %s is not private to this user; "
+                     "building outside it", directory)
+        scratch = tempfile.mkdtemp(prefix="repro-native-")
+        path = os.path.join(scratch, os.path.basename(path))
+    try:
+        if not os.path.lexists(path):
+            fd, tmp = tempfile.mkstemp(prefix=".native-", suffix=".so",
+                                       dir=os.path.dirname(path))
+            os.close(fd)
+            try:
+                subprocess.run([compiler, *_FLAGS, "-x", "c", "-", "-o",
+                                tmp], input=source, capture_output=True,
+                               check=True)
+                # Whatever the umask: a library others can write is
+                # never loaded.
+                os.chmod(tmp, 0o755)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        return _bind(ctypes.CDLL(path))
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch)
 
 
-def _load_or_warn() -> Tuple[Optional[ctypes.CDLL],
-                            Optional[ctypes.PyDLL]]:
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+def _load_or_warn() -> Optional[ctypes.CDLL]:
     try:
         return _load()
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", b"") or b""
         _log.warning("native scan kernels unavailable, using NumPy: %s %s",
                      exc, detail.decode(errors="replace")[-500:])
-        return None, None
+        return None
 
 
-#: Runs shorter than this many chunks (one superchunk) are scanned
-#: without releasing the GIL: the call costs a few microseconds, less
-#: than handing the lock over, and a session thread busy in Python that
-#: takes it would keep it for up to a switch interval.
-RELEASE_CHUNKS = 64
-
-#: The loaded library, or ``None`` when it could not be built or loaded;
-#: and the same library through ``ctypes.PyDLL``, whose calls keep the
-#: GIL.
-LIB, _HELD = _load_or_warn()
+#: The loaded library, or ``None`` when it could not be built or loaded.
+LIB = _load_or_warn()
 _obs_registry().gauge("native.available").set(int(LIB is not None))
 
 
@@ -194,8 +222,7 @@ def scan_agg(scan: Scan, buffers: Sequence[np.ndarray], first: int,
     when nothing matched."""
     words = scan._words(buffers, first, count)
     out = (ctypes.c_uint64 * (4 * len(scan.bits)))()
-    lib = LIB if count >= RELEASE_CHUNKS else _HELD
-    matched = lib.scan_agg(words, scan._bits, first, count, valid,
+    matched = LIB.scan_agg(words, scan._bits, first, count, valid,
                            scan._lo, scan._hi, scan.filtered, scan.summed,
                            scan.extremes, out)
     folded = scan.summed | scan.extremes
@@ -233,8 +260,7 @@ def scan_group(scan: Scan, key: int, acc: GroupSlots,
     so ``acc`` has a slot per key value), accumulated into ``acc``;
     returns the matching rows of this call."""
     words = scan._words(buffers, first, count)
-    lib = LIB if count >= RELEASE_CHUNKS else _HELD
-    return lib.scan_group(
+    return LIB.scan_group(
         words, scan._bits, first, count, valid, scan._lo, scan._hi,
         scan.filtered, key, scan.summed, scan.extremes,
         acc.counts.ctypes.data, acc.sums.ctypes.data, acc.mins.ctypes.data,
@@ -254,7 +280,6 @@ def repack(src: np.ndarray, sbits: int, dst: np.ndarray, tbits: int,
     source = _address(src, sbits, first, count)
     target = _address(dst, tbits, first, count)
     bad = ctypes.c_uint64()
-    lib = LIB if count >= RELEASE_CHUNKS else _HELD
-    index = lib.repack(source, sbits, target, tbits, first, count,
+    index = LIB.repack(source, sbits, target, tbits, first, count,
                        ctypes.byref(bad))
     return None if index < 0 else (index, bad.value)

@@ -10,6 +10,9 @@ which raise in Python before any call reaches C.
 """
 
 import mmap
+import os
+import shutil
+import stat
 from importlib import resources
 
 import numpy as np
@@ -44,14 +47,61 @@ class TestBuild:
         if native.LIB is None:
             pytest.skip("no compiler")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        released, held = native._load()
+        umask = os.umask(0o002)  # a group-writable default
+        try:
+            lib = native._load()
+        finally:
+            os.umask(umask)
         built = list((tmp_path / "repro").iterdir())
         assert [path.suffix for path in built] == [".so"]
-        assert released.scan_agg is not None and held.scan_agg is not None
+        assert lib.scan_agg is not None
+        assert lib._name == str(built[0])
+        assert not built[0].stat().st_mode & 0o022
         stamp = built[0].stat().st_mtime_ns
         native._load()
         assert [p.stat().st_mtime_ns for p in (tmp_path / "repro").iterdir()
                 ] == [stamp]
+
+    def test_temp_dir_cache_is_per_user_and_private(self, monkeypatch,
+                                                    tmp_path):
+        if native.LIB is None:
+            pytest.skip("no compiler")
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+        monkeypatch.setattr(native.tempfile, "tempdir", str(tmp_path))
+        cache = tmp_path / f"repro-{os.getuid()}"
+        assert native._cache_dir() == str(cache)
+        assert native._load()._name.startswith(str(cache))
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+
+    @pytest.mark.parametrize("planted", ["library-writable-by-others",
+                                         "cache-writable-by-others",
+                                         "owned-by-another-user"])
+    def test_never_loads_a_library_others_could_plant(self, monkeypatch,
+                                                      tmp_path, planted):
+        """A file at the cache's predictable name that someone else owns
+        or could have written is never loaded (loading this one would
+        fail): the library is built and loaded privately instead."""
+        if native.LIB is None:
+            pytest.skip("no compiler")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        source = resources.files("repro.core").joinpath(
+            "native.c").read_bytes()
+        compiler = shutil.which("cc") or shutil.which("gcc")
+        cache = tmp_path / "repro"
+        cache.mkdir()
+        library = cache / native._library_name(source, compiler)
+        library.write_bytes(b"not a shared library")
+        if planted == "library-writable-by-others":
+            library.chmod(0o666)
+        elif planted == "cache-writable-by-others":
+            cache.chmod(0o777)
+        else:
+            uid = os.getuid()
+            monkeypatch.setattr(native.os, "getuid", lambda: uid + 1)
+        lib = native._load()
+        assert lib.scan_agg is not None
+        assert not lib._name.startswith(str(cache))
+        assert library.read_bytes() == b"not a shared library"
 
     @pytest.mark.parametrize("broken", ["no-compiler", "failing-compiler",
                                         "unwritable-cache"])
@@ -67,7 +117,7 @@ class TestBuild:
             blocker.write_text("not a directory")
             monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         with caplog.at_level("WARNING", logger=native.__name__):
-            assert native._load_or_warn() == (None, None)
+            assert native._load_or_warn() is None
         assert len(caplog.records) == 1
         assert "using NumPy" in caplog.records[0].getMessage()
 
@@ -134,8 +184,8 @@ class TestWidthsAndBounds:
                                        hi) == want, (first, count, lo, hi)
 
     @pytest.mark.parametrize("bits", [3, 20, 33, 64])
-    def test_runs_long_enough_to_release_the_gil(self, bits):
-        count = native.RELEASE_CHUNKS + 3
+    def test_runs_past_a_superchunk(self, bits):
+        count = 67  # a superchunk (64 chunks) and three more
         values = values_for(bits, count * CHUNK - 9)
         words = bitpack.pack_array(values, bits)
         top = (1 << bits) - 1
@@ -174,6 +224,13 @@ class TestWidthsAndBounds:
                 last = values[-CHUNK:]
                 assert native_scan(words, bits, n_chunks - 1, 1, CHUNK, 0,
                                    U64_MAX) == python_scan(last, 0, U64_MAX)
+                # A column only filtered on is compared without being
+                # stored: the other decode path reads the same bytes.
+                top = (1 << bits) - 1
+                only_filtered = native.Scan([bits], [(1, max(1, top - 1))])
+                assert native.scan_agg(only_filtered, [words], n_chunks - 1,
+                                       1, CHUNK)[0] == python_scan(
+                                           last, 1, max(1, top - 1))[0]
                 target = np.zeros_like(packed)
                 assert native.repack(words, bits, target, bits, 0,
                                      n_chunks) is None
