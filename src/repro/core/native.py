@@ -17,10 +17,10 @@ version and the flags.  The build writes a temp file and
 end with a whole library; a cache hit only loads it.  The cache
 directory and the library must belong to this user and be writable by
 no one else, or the library is built privately instead (see
-:func:`_load`).  With no compiler,
-a failed build or an unwritable cache, :data:`LIB` stays ``None``, one
-warning is logged, the ``native.available`` gauge reads 0 and every
-caller runs its NumPy twin.
+:func:`_load`).  With no compiler, a failed build or an unwritable
+cache, :data:`LIB` stays ``None``, one warning is logged, the
+``native.available`` gauge reads 0 and every caller runs its NumPy
+twin.
 
 Memory safety.  A chunk run ``[first, first + count)`` of a ``bits``
 wide column is exactly the words ``[first * bits, (first + count) *
