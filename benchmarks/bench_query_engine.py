@@ -4,9 +4,9 @@ Times the morsel-driven query engine (``repro.query``) over a 10M-row
 table whose key column arrives roughly sorted, so zone maps prune
 hard.  Two execution shapes per predicate:
 
-* **eager** two-pass baseline: a selection scan materializing row
-  indices (bypassing the cached zone map — the pre-pushdown shape of
-  ``filter_range`` + ``sum``), then a gather-driven sum;
+* **eager** two-pass shape: ``filter_range`` materializing row indices
+  (a one-column selection query, pruned by the column's zone map), then
+  a gather-driven ``sum`` over them;
 * **compiled**: the whole unpack + predicate + reduce pipeline
   string-generated into a single NumPy kernel specialized on each
   column's bit width — the engine's one execution path.
@@ -73,7 +73,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import ShardedTable, cluster_of
-from repro.core import scan_ops
 from repro.core.allocate import allocate
 from repro.core.table import SmartTable
 from repro.obs.registry import registry
@@ -576,10 +575,9 @@ def report(n=N_SCRIPT):
         expected = int(data["amount"][mask].astype(object).sum())
 
         def eager():
-            # Pre-pushdown two-pass shape: full selection scan (no zone
-            # map) materializes indices, then a gather-driven sum.
-            rows = scan_ops.select_in_range(table.column("ts"), lo, hi)
-            return table.sum("amount", rows)
+            # Two passes: the selection materializes indices, then a
+            # gather-driven sum.
+            return table.sum("amount", table.filter_range("ts", lo, hi))
 
         q = Query(table).where(in_range("ts", lo, hi)).sum("amount")
         runs = (
@@ -652,8 +650,7 @@ def test_eager_filter_sum(benchmark, bench_table):
     expected = int(data["amount"][mask].astype(object).sum())
 
     def eager():
-        rows = scan_ops.select_in_range(table.column("ts"), lo, hi)
-        return table.sum("amount", rows)
+        return table.sum("amount", table.filter_range("ts", lo, hi))
 
     assert benchmark(eager) == expected
 

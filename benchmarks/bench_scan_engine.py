@@ -15,10 +15,8 @@ Times the real functional path against the pre-engine baseline:
   in one call, asserted bit-identical to the per-element scatter
   (paper Function 2 in bulk) and set beside the slot-wise kernel it
   replaced (``SLOT_KERNEL_MELEMS_S``, recorded before the swap);
-* **scan** — serial superchunk ``count_in_range`` vs the same scan
-  forced to chunk granularity (``superchunk=64``, the pre-engine loop
-  shape), and the pooled scan — a one-column query on 8 threads — vs
-  serial.
+* **scan** — serial ``count_in_range`` (a one-column query on the
+  morsel executor) vs the same query pooled on 8 threads.
 
 Run as a script it writes ``benchmarks/results/scan_engine.txt`` and the
 machine-readable ``benchmarks/results/BENCH_scan_engine.json``; under
@@ -192,10 +190,7 @@ def scan_report() -> str:
                   allocator=allocator)
     lo, hi = 1000, 6000
 
-    t_chunk = _best_of(
-        lambda: scan_ops.count_in_range(sa, lo, hi, superchunk=64)
-    )
-    t_super = _best_of(lambda: scan_ops.count_in_range(sa, lo, hi))
+    t_serial = _best_of(lambda: scan_ops.count_in_range(sa, lo, hi))
     table = SmartTable({"v": sa})
 
     def pooled() -> int:
@@ -210,13 +205,11 @@ def scan_report() -> str:
 
     lines = [
         f"count_in_range over {N:,} elements at {bits} bits:",
-        f"{'engine':<34} {'time (ms)':>10} {'vs chunk-loop':>14}",
-        f"{'chunk-at-a-time (superchunk=64)':<34} {t_chunk * 1e3:>10.2f} "
+        f"{'engine':<34} {'time (ms)':>10} {'vs serial':>14}",
+        f"{'one-column query (serial)':<34} {t_serial * 1e3:>10.2f} "
         f"{'1.00x':>14}",
-        f"{'superchunk (4096)':<34} {t_super * 1e3:>10.2f} "
-        f"{t_chunk / t_super:>13.2f}x",
         f"{'one-column query (8 threads)':<34} {t_par * 1e3:>10.2f} "
-        f"{t_chunk / t_par:>13.2f}x",
+        f"{t_serial / t_par:>13.2f}x",
     ]
     return "\n".join(lines)
 

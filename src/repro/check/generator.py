@@ -285,13 +285,10 @@ _OP_TABLE = (
     ("count_in_range", 4, False),
     ("select_in_range", 4, False),
     ("count_equal", 2, False),
-    ("select_mod", 2, False),
     ("min_max", 2, True),
     ("iter_take", 3, False),
     ("take_then_get", 2, True),
     ("iter_walk", 2, False),
-    ("zonemap_count", 3, True),
-    ("zonemap_select", 3, True),
     ("zonemap_candidates", 1, True),
     ("parallel_sum", 1, True),
     ("parallel_count", 2, True),
@@ -406,7 +403,6 @@ _CODEC_OP_TABLE = (
     ("codec_to_numpy", 1, False),
     ("codec_decode_chunks", 2, True),
     ("codec_query_count", 2, False),
-    ("codec_zonemap_count", 2, True),
 )
 
 #: The cluster profile is write-free after the initial fill (shards are
@@ -500,24 +496,16 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
         first = int(rng.integers(0, n_chunks))
         n = int(rng.integers(1, n_chunks - first + 1))
         return Op(name, (first, n))
-    if name in ("sum_range", "min_max"):
+    if name == "sum_range":
         start, stop = _gen_range(rng, length)
-        if name == "min_max" and stop == start:
-            stop = min(length, start + 1)
-            start = max(0, stop - 1)
         return Op(name, (start, stop, int(rng.integers(0, 2))))
-    if name in ("count_in_range", "select_in_range"):
-        start, stop = _gen_range(rng, length)
-        return Op(name, (*_gen_bounds(rng, bits, length),
-                         start, stop, int(rng.integers(0, 2))))
-    if name == "count_equal":
-        v = _gen_bound(rng, bits)
-        return Op(name, (v, int(rng.integers(0, 2))))
-    if name == "select_mod":
-        start, stop = _gen_range(rng, length)
-        m = int(rng.integers(2, 8))
-        return Op(name, (m, int(rng.integers(0, m)), start, stop,
-                         int(rng.integers(0, 2))))
+    if name in ("count_in_range", "select_in_range",
+                "codec_count_in_range", "codec_select_in_range"):
+        return Op(name, _gen_bounds(rng, bits, length))
+    if name in ("count_equal", "codec_count_equal"):
+        return Op(name, (_gen_bound(rng, bits),))
+    if name in ("min_max", "codec_min_max"):
+        return Op(name)
     if name in ("iter_take", "take_then_get", "iter_walk"):
         start = int(rng.integers(0, length + 1))
         if name == "iter_walk":
@@ -534,7 +522,7 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
                 if n <= 0 or start + n >= length:
                     return Op("iter_take", (start, 1))
         return Op(name, (start, n))
-    if name in ("zonemap_count", "zonemap_select", "zonemap_candidates"):
+    if name == "zonemap_candidates":
         return Op(name, _gen_bounds(rng, bits, length))
     if name in ("parallel_sum", "parallel_min_max"):
         return Op(name, (int(rng.choice(_PARALLEL_BATCHES)),))
@@ -625,13 +613,6 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
             int(rng.integers(0, 2)),
             int(rng.choice(_MIGRATE_BUDGETS)),
         ))
-    if name in ("codec_count_in_range", "codec_select_in_range"):
-        return Op(name, (*_gen_bounds(rng, bits, length),
-                         int(rng.integers(0, 2))))
-    if name == "codec_count_equal":
-        return Op(name, (_gen_bound(rng, bits), int(rng.integers(0, 2))))
-    if name == "codec_min_max":
-        return Op(name, (int(rng.integers(0, 2)),))
     if name == "codec_sum_range":
         start, stop = _gen_range(rng, length)
         return Op(name, (start, stop, int(rng.integers(0, 2))))
@@ -650,8 +631,6 @@ def _gen_op(rng: np.random.Generator, spec: ArraySpec, profile: str,
     if name == "codec_query_count":
         return Op(name, (*_gen_bounds(rng, bits, length),
                          int(rng.integers(0, 2))))
-    if name == "codec_zonemap_count":
-        return Op(name, _gen_bounds(rng, bits, length))
     raise AssertionError(f"unhandled op {name}")  # pragma: no cover
 
 

@@ -4,10 +4,11 @@ the oracle.
 
 The codec profile's ``codec_*`` read ops are these same handlers: they
 run the same reads on whichever layout (bit-packed, dict, rle, delta)
-the array has at the time, with whole-array spans where the codec op
-takes no range.  One rule covers the layouts' different decode work: a
-whole-array count, select, ``count_equal`` or ``min_max`` on an encoded
-array is answered from codec metadata and decodes zero chunks.
+the array has at the time.  The eager scans (``count_in_range``,
+``select_in_range``, ``count_equal``, ``min_max``) decode nothing on an
+encoded array, which codec metadata answers; on a bit-packed one they
+are one-column queries and decode what the query ops' prediction
+(:func:`~repro.check.ops_query.predict_decode`) says the plan decodes.
 """
 
 from __future__ import annotations
@@ -18,21 +19,12 @@ from ..core import scan_ops
 from ..core.iterators import SmartArrayIterator
 from ..core.map_api import sum_range
 from ..core.table import SmartTable
-from ..query import Query, in_range
+from ..query import DEFAULT_MORSEL_ELEMENTS, Query, in_range
 from ..runtime.loops import parallel_sum_bulk
 from . import oracle as orc
 from .generator import gen_values
+from .ops_query import Shape, predict_decode, shape_zones, synopsis_ready
 from .runner import Divergence
-
-
-def _scan_chunks(r, start: int, stop: int, can_match: bool = True) -> int:
-    """Chunks a span scan of ``[start, stop)`` decodes: none when its
-    predicate cannot match, or when an encoded array answers the whole
-    array from codec metadata."""
-    if not can_match or (start == 0 and stop == r.spec.length
-                         and r.encoded()):
-        return 0
-    return orc.span_chunks(start, stop, r.spec.superchunk)
 
 
 # -- writes -----------------------------------------------------------------
@@ -134,48 +126,47 @@ def _sum_range(r, op, before) -> None:
                     op.name)
 
 
-def _range_scan(r, op, before) -> None:
-    """``count_in_range`` / ``select_in_range``; the codec twins scan
-    the whole array."""
-    lo, hi, *span, socket = op.args
-    start, stop = span or (0, r.spec.length)
+#: Eager scan -> the query it runs over column ``v`` of the case array.
+_EAGER_QUERIES = {
+    "count_in_range": lambda q: q.count(),
+    "select_in_range": lambda q: q.select(),
+    "count_equal": lambda q: q.count(),
+    "min_max": lambda q: q.min("v").max("v"),
+}
+
+
+def _eager_scan(r, op, before) -> None:
+    """``count_in_range`` / ``select_in_range`` (args ``lo, hi``),
+    ``count_equal`` (``value``) and ``min_max`` over the whole array,
+    and their codec twins."""
     name = op.name.replace("codec_", "")
-    chunks = _scan_chunks(r, start, stop, orc.clamp_range(lo, hi) is not None)
-    actual = getattr(scan_ops, name)(r.array, lo, hi, start, stop,
-                                     socket=socket,
-                                     superchunk=r.spec.superchunk)
-    r.compare(actual, getattr(r.oracle, name)(lo, hi, start, stop),
-              op.name)
-    r.check_decoded(before, chunks, op.name)
-
-
-def _count_equal(r, op, before) -> None:
-    value, socket = op.args
-    chunks = _scan_chunks(r, 0, r.spec.length, 0 <= value <= orc.U64_MAX)
-    actual = scan_ops.count_equal(r.array, value, socket=socket,
-                                  superchunk=r.spec.superchunk)
-    r.compare(actual, r.oracle.count_equal(value), op.name)
-    r.check_decoded(before, chunks, op.name)
-
-
-def _select_mod(r, op, before) -> None:
-    m, rem, start, stop, socket = op.args
-    m64, r64 = np.uint64(m), np.uint64(rem)
-    actual = scan_ops.select_where(
-        r.array, lambda span: span % m64 == r64, start, stop,
-        socket=socket, superchunk=r.spec.superchunk)
-    r.compare(actual, r.oracle.select_mod(m, rem, start, stop), op.name)
-    r.check_decoded(before, orc.span_chunks(start, stop, r.spec.superchunk),
-                    op.name)
-
-
-def _min_max(r, op, before) -> None:
-    *span, socket = op.args
-    start, stop = span or (0, r.spec.length)
-    chunks = _scan_chunks(r, start, stop)
-    actual = scan_ops.min_max(r.array, start, stop, socket=socket,
-                              superchunk=r.spec.superchunk)
-    r.compare(actual, r.oracle.min_max(start, stop), op.name)
+    o, n = r.oracle, r.spec.length
+    if name == "min_max":
+        actual, expected = scan_ops.min_max(r.array), o.min_max()
+        ranges = ()
+    elif name == "count_equal":
+        (value,) = op.args
+        actual, expected = (scan_ops.count_equal(r.array, value),
+                            o.count_equal(value))
+        ranges = (("v", value, value + 1),)
+    else:
+        lo, hi = op.args
+        actual = getattr(scan_ops, name)(r.array, lo, hi)
+        expected = getattr(o, name)(lo, hi)
+        ranges = (("v", lo, hi),)
+    r.compare(actual, expected, op.name)
+    # Nothing to decode when codec metadata answers, or no storable
+    # value can match.
+    chunks = 0
+    if not r.encoded() and all(orc.clamp_range(lo, hi) is not None
+                               for _, lo, hi in ranges):
+        shape = Shape(_EAGER_QUERIES[name], ranges)
+        query = shape.query(SmartTable({"v": r.array}))
+        chunks = predict_decode(
+            query, shape_zones(shape, orc.chunks_for(n), {"v": o}),
+            DEFAULT_MORSEL_ELEMENTS,
+            n > 0 and synopsis_ready(query, {"v": orc.bits_needed(o.values)}),
+        ).decoded["v"]
     r.check_decoded(before, chunks, op.name)
 
 
@@ -214,28 +205,12 @@ def _iter_walk(r, op, before) -> None:
 
 # -- zone maps and parallel scans -------------------------------------------
 
-def _zonemap_op(r, op, before) -> None:
-    """``zonemap_count`` / ``_select`` / ``_candidates`` (and the codec
-    profile's ``codec_zonemap_count``) on the case array's zone map."""
+def _zonemap_candidates(r, op, before) -> None:
+    """The case array's zone map's candidate chunks for ``[lo, hi)``."""
     lo, hi = op.args
-    o, sc = r.oracle, r.spec.superchunk
-    name = op.name.replace("codec_", "")
-    zm = r.array.zone_map
-    if name == "zonemap_candidates":
-        r.compare(zm.candidate_chunks(lo, hi), o.zonemap_candidates(lo, hi),
-                  op.name)
-        r.check_stats(before, {}, op.name)
-        return
-    count_only = name == "zonemap_count"
-    if count_only:
-        actual = zm.count_in_range(lo, hi, superchunk=sc)
-        expected = o.count_in_range(lo, hi)
-    else:
-        actual = zm.select_in_range(lo, hi, superchunk=sc)
-        expected = o.select_in_range(lo, hi)
-    r.compare(actual, expected, op.name)
-    r.check_decoded(before, o.zonemap_decoded_chunks(lo, hi, count_only,
-                                                     sc), op.name)
+    r.compare(r.array.zone_map.candidate_chunks(lo, hi),
+              r.oracle.zonemap_candidates(lo, hi), op.name)
+    r.check_stats(before, {}, op.name)
 
 
 def _parallel(r, op, before) -> None:
@@ -254,7 +229,7 @@ def _parallel(r, op, before) -> None:
         if bounds:
             q = q.where(in_range("v", *bounds))
         if op.name == "parallel_min_max":
-            q, expected = q.min("v").max("v"), o.min_max(0, n)
+            q, expected = q.min("v").max("v"), o.min_max()
         elif op.name == "parallel_count":
             q, expected = q.count(), (o.count_in_range(*bounds),)
         else:
@@ -280,17 +255,14 @@ HANDLERS = {
     "to_numpy": _to_numpy,
     "decode_chunks": _decode_chunks,
     "sum_range": _sum_range,
-    "count_in_range": _range_scan,
-    "select_in_range": _range_scan,
-    "count_equal": _count_equal,
-    "select_mod": _select_mod,
-    "min_max": _min_max,
+    "count_in_range": _eager_scan,
+    "select_in_range": _eager_scan,
+    "count_equal": _eager_scan,
+    "min_max": _eager_scan,
     "iter_take": _iter_take,
     "take_then_get": _iter_take,
     "iter_walk": _iter_walk,
-    "zonemap_count": _zonemap_op,
-    "zonemap_select": _zonemap_op,
-    "zonemap_candidates": _zonemap_op,
+    "zonemap_candidates": _zonemap_candidates,
     "parallel_sum": _parallel,
     "parallel_min_max": _parallel,
     "parallel_count": _parallel,
@@ -300,9 +272,8 @@ HANDLERS = {
     "codec_to_numpy": _to_numpy,
     "codec_decode_chunks": _decode_chunks,
     "codec_sum_range": _sum_range,
-    "codec_count_in_range": _range_scan,
-    "codec_select_in_range": _range_scan,
-    "codec_count_equal": _count_equal,
-    "codec_min_max": _min_max,
-    "codec_zonemap_count": _zonemap_op,
+    "codec_count_in_range": _eager_scan,
+    "codec_select_in_range": _eager_scan,
+    "codec_count_equal": _eager_scan,
+    "codec_min_max": _eager_scan,
 }

@@ -228,29 +228,19 @@ class OracleArray:
     def range_mask(self, lo: int, hi: int) -> np.ndarray:
         return range_mask(self.values, lo, hi)
 
-    def count_in_range(self, lo: int, hi: int, start: int = 0,
-                       stop: Optional[int] = None) -> int:
-        stop = self.length if stop is None else stop
-        return int(self.range_mask(lo, hi)[start:stop].sum())
+    def count_in_range(self, lo: int, hi: int) -> int:
+        return int(self.range_mask(lo, hi).sum())
 
-    def select_in_range(self, lo: int, hi: int, start: int = 0,
-                        stop: Optional[int] = None) -> np.ndarray:
-        stop = self.length if stop is None else stop
-        mask = self.range_mask(lo, hi)[start:stop]
-        return np.nonzero(mask)[0].astype(np.int64) + start
+    def select_in_range(self, lo: int, hi: int) -> np.ndarray:
+        return np.nonzero(self.range_mask(lo, hi))[0].astype(np.int64)
 
     def count_equal(self, value: int) -> int:
         if value < 0 or value > U64_MAX:
             return 0
         return int((self.values == np.uint64(value)).sum())
 
-    def select_mod(self, m: int, r: int, start: int, stop: int) -> np.ndarray:
-        mask = (self.values[start:stop] % np.uint64(m)) == np.uint64(r)
-        return np.nonzero(mask)[0].astype(np.int64) + start
-
-    def min_max(self, start: int, stop: int) -> Tuple[int, int]:
-        span = self.values[start:stop]
-        return int(span.min()), int(span.max())
+    def min_max(self) -> Tuple[int, int]:
+        return int(self.values.min()), int(self.values.max())
 
     def sum_range(self, start: int, stop: int) -> int:
         return int(self.values[start:stop].astype(object).sum()) \
@@ -305,17 +295,6 @@ class OracleArray:
         if hi is not None:
             mask &= maxs < np.uint64(hi)
         return mask
-
-    def zonemap_decoded_chunks(self, lo: int, hi: int, count_only: bool,
-                               superchunk: int) -> int:
-        """Chunks a zone-mapped scan at ``superchunk`` must decode: the
-        candidates, minus (for counting scans) those whose zone proves
-        full coverage, each fragmented superchunk window's hull whole
-        (:func:`hull_decoded`)."""
-        wanted = self.zonemap_candidate_mask(lo, hi)
-        if count_only:
-            wanted &= ~self.zonemap_covered_mask(lo, hi)
-        return int(hull_decoded(wanted, superchunk // CHUNK).sum())
 
     # -- iterator accounting ----------------------------------------------
 

@@ -53,7 +53,6 @@ from .iterators import (
 from .bitpack_fast import unpack_array_fast
 from .map_api import (
     SUPERCHUNK_ELEMENTS,
-    for_each_chunk,
     iter_spans,
     map_range,
     map_reduce,
@@ -64,7 +63,6 @@ from .scan_ops import (
     count_in_range,
     min_max,
     select_in_range,
-    select_where,
 )
 from .placement import Placement, PlacementKind, STANDARD_PLACEMENTS
 from .smart_map import SmartMap, SmartMapFullError
@@ -122,7 +120,6 @@ __all__ = [
     "count_in_range",
     "default_allocator",
     "default_machine",
-    "for_each_chunk",
     "iter_spans",
     "SUPERCHUNK_ELEMENTS",
     "machine_context",
@@ -131,7 +128,6 @@ __all__ = [
     "min_max",
     "max_bits_needed",
     "select_in_range",
-    "select_where",
     "sum_range",
     "unpack_array_fast",
     "set_default_machine",

@@ -22,7 +22,6 @@ decoded).
   collect the results; the function receives whole decoded spans
   (NumPy arrays), so per-element branching disappears exactly as the
   paper envisions;
-* :func:`for_each_chunk` — the side-effect variant;
 * :func:`map_reduce` — fused map + reduction without materializing the
   mapped values (the aggregation pattern);
 * :func:`sum_range` — the aggregation special case, and the direct
@@ -143,20 +142,6 @@ def map_range(
     if not pieces:
         return np.empty(0, dtype=np.uint64)
     return np.concatenate(pieces)
-
-
-def for_each_chunk(
-    array: SmartArray,
-    fn: Callable[[int, np.ndarray], None],
-    start: int = 0,
-    stop: Optional[int] = None,
-    socket: int = 0,
-    superchunk: Optional[int] = None,
-) -> None:
-    """Invoke ``fn(global_start_index, span)`` for every decoded span."""
-    stop = array.length if stop is None else stop
-    for pos, span in iter_spans(array, start, stop, socket, superchunk):
-        fn(pos, span)
 
 
 def map_reduce(

@@ -14,13 +14,14 @@ machines) into ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``; a
 path), under a name keyed on the hashes of the source, the compiler's
 version and the flags.  The build writes a temp file and
 ``os.replace``s it into place, so two processes building at once both
-end with a whole library; a cache hit only loads it.  The cache
-directory and the library must belong to this user and be writable by
-no one else, or the library is built privately instead (see
-:func:`_load`).  With no compiler, a failed build or an unwritable
-cache, :data:`LIB` stays ``None``, one warning is logged, the
-``native.available`` gauge reads 0 and every caller runs its NumPy
-twin.
+end with a whole library; a cache hit only loads it.  A build into the
+private cache also removes the libraries earlier sources, compilers or
+flags left there.  The cache directory and the library must belong to
+this user and be writable by no one else, or the library is built
+privately instead (see :func:`_load`).  With no compiler, a failed
+build or an unwritable cache, :data:`LIB` stays ``None``, one warning is
+logged, the ``native.available`` gauge reads 0 and every caller runs its
+NumPy twin.
 
 Memory safety.  A chunk run ``[first, first + count)`` of a ``bits``
 wide column is exactly the words ``[first * bits, (first + count) *
@@ -135,6 +136,18 @@ def _load() -> ctypes.CDLL:
             except BaseException:
                 os.unlink(tmp)
                 raise
+            if scratch is None:
+                # Remove the libraries earlier sources, compilers or
+                # flags left: this user's regular files only, never
+                # through a symlink.  Nobody else can write the
+                # directory, so nothing is swapped in between the check
+                # and the unlink.
+                for name in os.listdir(directory):
+                    old = os.path.join(directory, name)
+                    if (old != path and name.startswith("native-")
+                            and name.endswith(".so")
+                            and _private(old, stat.S_IFREG)):
+                        os.unlink(old)
         return _bind(ctypes.CDLL(path))
     finally:
         if scratch is not None:

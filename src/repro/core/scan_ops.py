@@ -2,15 +2,20 @@
 
 The paper situates bit compression among column-store scan techniques
 (sections 4.2 and 8, citing SIMD selection-scan work).  This module
-provides the scan operators an analytics engine runs over compressed
-columns, all span-at-a-time over superchunk-decoded spans (so they
-inherit the bulk-span engine's amortization — one blocked-kernel call
-per 64 chunks — and honour replica selection):
+provides the whole-column scan operators an analytics engine runs over
+compressed columns:
 
 * :func:`count_in_range` / :func:`select_in_range` — range predicates;
-* :func:`count_equal` / :func:`select_where` — equality and arbitrary
-  vectorized predicates;
-* :func:`min_max` — a fused min/max pass (zone-map construction).
+* :func:`count_equal` — equality;
+* :func:`min_max` — a fused min/max.
+
+There is one scan engine.  A bit-packed column is scanned by a
+one-column query on the morsel executor (:mod:`repro.query`): the
+column's own zone map prunes and answers covered chunks from its
+synopses, and the native fused scans run where they apply.  A column
+whose generation is *encoded* (see :mod:`repro.core.codecs`) is
+answered in the encoded domain instead — dictionary-order code ranges,
+run-level pruning, frame min/max — which beats decoding it.
 
 Range predicates accept arbitrary Python integers for ``lo``/``hi`` and
 clamp them to the ``uint64`` storage domain (see
@@ -19,26 +24,20 @@ clamp them to the ``uint64`` storage domain (see
 (including ``lo > 2**64 - 1``) match nothing.  The operators never
 overflow on out-of-domain bounds.
 
-Full-array scans over an *encoded* generation (see
-:mod:`repro.core.codecs`) dispatch to encoded-domain evaluation —
-dictionary-order code ranges, run-level pruning, frame min/max — and
-decode nothing; partial scans fall back to the generic span path, which
-is codec-aware through ``decode_chunks``.
-
-There are no separate socket-parallel versions: a pooled scan is a
-one-column query run with ``pool=`` on the morsel executor, e.g.
+A pooled scan is the same one-column query run with ``pool=``, e.g.
 ``Query(SmartTable({"v": a})).where(in_range("v", lo, hi)).count()
-.run(pool=pool)`` (:mod:`repro.query`).
+.run(pool=pool)``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .map_api import for_each_chunk, iter_spans
+from .codecs import (encoded_count_equal, encoded_count_in_range,
+                     encoded_min_max, encoded_select_in_range)
 from .smart_array import SmartArray
 from ..obs.trace import trace
 
@@ -72,75 +71,31 @@ def clamp_u64_range(lo: int, hi: int) -> Optional[Tuple[np.uint64,
     return np.uint64(lo if lo > 0 else 0), hi64
 
 
-def _range_mask(span: np.ndarray, lo64: np.uint64,
-                hi64: Optional[np.uint64]) -> np.ndarray:
-    if hi64 is None:
-        return span >= lo64
-    return (span >= lo64) & (span < hi64)
+def _scan(name: str, array: SmartArray, encoded, run):
+    """Scan ``name`` over ``array``: ``encoded(gen)`` on the pinned
+    generation when it is encoded, else ``run(query, v)`` on a serial
+    one-column query ``query`` over ``array`` as column ``v``.
 
-
-def _pin_encoded(array: SmartArray, start: int, stop: int):
-    """Pin the active generation when a full-array scan can run in the
-    encoded domain; return the pinned generation or None.
-
-    Encoded evaluation covers the whole column (the codec's summary
-    structures — dictionary order, run table, frame min/max — describe
-    the full array, not a sub-range), so partial scans fall through to
-    the generic span-decode path, which is codec-aware via
-    ``decode_chunks``.  The pin keeps (codec, meta, buffers) a
-    consistent snapshot if a live migration swaps the array mid-call;
-    the caller must unpin.
+    The pin keeps (codec, meta, buffers) one consistent snapshot if a
+    live migration swaps the array mid-call; the query pins each
+    morsel's generation itself.
     """
-    if start != 0 or stop != array.length:
-        return None
     gen = array.pin_generation()
-    if getattr(gen, "codec", "bitpack") == "bitpack":
+    try:
+        if gen.codec != "bitpack":
+            with trace(name, array=array.stats.array_label,
+                       codec=gen.codec):
+                return encoded(gen)
+    finally:
         gen.unpin()
-        return None
-    return gen
+    from ..query import Query, col
+    from .table import SmartTable
+
+    with trace(name, array=array.stats.array_label):
+        return run(Query(SmartTable({"v": array})), col("v"))
 
 
-def select_where(
-    array: SmartArray,
-    predicate: Callable[[np.ndarray], np.ndarray],
-    start: int = 0,
-    stop: Optional[int] = None,
-    socket: int = 0,
-    superchunk: Optional[int] = None,
-) -> np.ndarray:
-    """Indices in ``[start, stop)`` whose values satisfy ``predicate``.
-
-    ``predicate`` receives decoded spans and must return a boolean array
-    of the same length.
-    """
-    stop = array.length if stop is None else stop
-    hits: List[np.ndarray] = []
-
-    def visit(pos: int, span: np.ndarray) -> None:
-        mask = np.asarray(predicate(span), dtype=bool)
-        if mask.shape != span.shape:
-            raise ValueError("predicate must return one bool per element")
-        local = np.nonzero(mask)[0]
-        if local.size:
-            hits.append(local + pos)
-
-    with trace("scan.select_where", array=array.stats.array_label,
-               socket=socket):
-        for_each_chunk(array, visit, start, stop, socket, superchunk)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(hits)
-
-
-def select_in_range(
-    array: SmartArray,
-    lo: int,
-    hi: int,
-    start: int = 0,
-    stop: Optional[int] = None,
-    socket: int = 0,
-    superchunk: Optional[int] = None,
-) -> np.ndarray:
+def select_in_range(array: SmartArray, lo: int, hi: int) -> np.ndarray:
     """Indices with ``lo <= value < hi`` (the classic selection scan).
 
     Bounds clamp to the ``uint64`` domain (:func:`clamp_u64_range`):
@@ -149,34 +104,13 @@ def select_in_range(
     bounds = clamp_u64_range(lo, hi)
     if bounds is None:
         return np.empty(0, dtype=np.int64)
-    lo64, hi64 = bounds
-    stop_resolved = array.length if stop is None else stop
-    gen = _pin_encoded(array, start, stop_resolved)
-    if gen is not None:
-        from .codecs import encoded_select_in_range
-
-        try:
-            with trace("scan.select_in_range",
-                       array=array.stats.array_label, socket=socket,
-                       codec=gen.codec):
-                return encoded_select_in_range(gen, lo64, hi64)
-        finally:
-            gen.unpin()
-    return select_where(
-        array, lambda span: _range_mask(span, lo64, hi64), start, stop,
-        socket, superchunk,
-    )
+    return _scan(
+        "scan.select_in_range", array,
+        lambda gen: encoded_select_in_range(gen, *bounds),
+        lambda q, v: q.where((v >= lo) & (v < hi)).select().run().rows)
 
 
-def count_in_range(
-    array: SmartArray,
-    lo: int,
-    hi: int,
-    start: int = 0,
-    stop: Optional[int] = None,
-    socket: int = 0,
-    superchunk: Optional[int] = None,
-) -> int:
+def count_in_range(array: SmartArray, lo: int, hi: int) -> int:
     """COUNT(*) WHERE lo <= value < hi, without materializing indices.
 
     Bounds clamp to the ``uint64`` domain (:func:`clamp_u64_range`).
@@ -184,34 +118,14 @@ def count_in_range(
     bounds = clamp_u64_range(lo, hi)
     if bounds is None:
         return 0
-    lo64, hi64 = bounds
-    stop = array.length if stop is None else stop
-    gen = _pin_encoded(array, start, stop)
-    if gen is not None:
-        from .codecs import encoded_count_in_range
-
-        try:
-            with trace("scan.count_in_range",
-                       array=array.stats.array_label, socket=socket,
-                       codec=gen.codec):
-                return encoded_count_in_range(gen, lo64, hi64)
-        finally:
-            gen.unpin()
-    total = 0
-    with trace("scan.count_in_range", array=array.stats.array_label,
-               socket=socket):
-        for _, span in iter_spans(array, start, stop, socket, superchunk):
-            total += int(_range_mask(span, lo64, hi64).sum())
-    return total
+    return _scan(
+        "scan.count_in_range", array,
+        lambda gen: encoded_count_in_range(gen, *bounds),
+        lambda q, v: q.where((v >= lo) & (v < hi)).count().run().scalar())
 
 
-def count_equal(
-    array: SmartArray,
-    value: int,
-    socket: int = 0,
-    superchunk: Optional[int] = None,
-) -> int:
-    """Occurrences of ``value`` in the whole array.
+def count_equal(array: SmartArray, value: int) -> int:
+    """Occurrences of ``value`` in the array.
 
     Values outside the ``uint64`` domain (negative or above
     ``2**64 - 1``) cannot be stored, so they count 0 instead of
@@ -219,54 +133,16 @@ def count_equal(
     """
     if value < 0 or value > U64_MAX:
         return 0
-    v = np.uint64(value)
-    gen = _pin_encoded(array, 0, array.length)
-    if gen is not None:
-        from .codecs import encoded_count_equal
-
-        try:
-            with trace("scan.count_equal",
-                       array=array.stats.array_label, socket=socket,
-                       codec=gen.codec):
-                return encoded_count_equal(gen, value)
-        finally:
-            gen.unpin()
-    total = 0
-    with trace("scan.count_equal", array=array.stats.array_label,
-               socket=socket):
-        for _, span in iter_spans(array, 0, array.length, socket,
-                                  superchunk):
-            total += int((span == v).sum())
-    return total
+    return _scan(
+        "scan.count_equal", array,
+        lambda gen: encoded_count_equal(gen, value),
+        lambda q, v: q.where(v == value).count().run().scalar())
 
 
-def min_max(
-    array: SmartArray,
-    start: int = 0,
-    stop: Optional[int] = None,
-    socket: int = 0,
-    superchunk: Optional[int] = None,
-) -> Tuple[int, int]:
-    """Fused min/max over a range (zone-map building block)."""
-    stop = array.length if stop is None else stop
-    if stop <= start:
-        raise ValueError("min_max of an empty range")
-    gen = _pin_encoded(array, start, stop)
-    if gen is not None:
-        from .codecs import encoded_min_max
-
-        try:
-            with trace("scan.min_max", array=array.stats.array_label,
-                       socket=socket, codec=gen.codec):
-                return encoded_min_max(gen)
-        finally:
-            gen.unpin()
-    with trace("scan.min_max", array=array.stats.array_label,
-               socket=socket):
-        spans = iter_spans(array, start, stop, socket, superchunk)
-        _, first = next(spans)
-        lo, hi = int(first.min()), int(first.max())
-        for _, span in spans:
-            lo = min(lo, int(span.min()))
-            hi = max(hi, int(span.max()))
-        return lo, hi
+def min_max(array: SmartArray) -> Tuple[int, int]:
+    """Fused ``(min, max)`` of the array's values."""
+    if array.length == 0:
+        raise ValueError("min_max of an empty array")
+    return _scan(
+        "scan.min_max", array, encoded_min_max,
+        lambda q, v: tuple(q.min("v").max("v").run().aggregates.values()))

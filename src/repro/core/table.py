@@ -16,11 +16,12 @@ Query surface (deliberately small and analytics-shaped):
 * ``group_by_sum(key_column, value_column)`` — hash aggregation.
 
 All results are exact (Python-integer arithmetic through the same
-paths the runtime uses).  Whole-column ``sum``/``mean`` and
-``group_by_sum`` run as compiled queries (:meth:`query`); the reads the
-query would make slower stay direct: ``filter_range`` (a zone-map
-selection), whole-column ``min``/``max`` (codec metadata) and any
-aggregate over ``rows`` (an index gather).
+paths the runtime uses).  Whole-column aggregates, ``filter_range`` and
+``group_by_sum`` run on the query executor (:meth:`query`, or the scan
+operators of :mod:`repro.core.scan_ops`, which answer an encoded column
+from its codec metadata); only an aggregate over ``rows`` (an index
+gather) and ``filter`` (a callable over the decoded column) stay
+direct.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import bitpack
 from .allocate import allocate
+from .scan_ops import min_max, select_in_range
 from .smart_array import SmartArray
 from .zonemap import ZoneMap
 
@@ -148,17 +150,9 @@ class SmartTable:
         return np.nonzero(mask)[0]
 
     def filter_range(self, name: str, lo: int, hi: int) -> np.ndarray:
-        """Row indices with ``lo <= column < hi``.
-
-        Runs the chunked selection scan (never a full decode).  On a
-        column with a zone map, non-candidate chunks are skipped
-        entirely.
-        """
-        zone_map = self.column(name).zone_map
-        if zone_map is not None:
-            return zone_map.select_in_range(lo, hi)
-        from .scan_ops import select_in_range
-
+        """Row indices with ``lo <= column < hi``
+        (:func:`~repro.core.scan_ops.select_in_range`: on a column with a
+        zone map, non-candidate chunks are never decoded)."""
         return select_in_range(self.column(name), lo, hi)
 
     def build_zone_map(self, name: str, superchunk=None) -> ZoneMap:
@@ -200,8 +194,6 @@ class SmartTable:
             return int(values.min())
         if self._length == 0:
             raise ValueError("min of an empty selection")
-        from .scan_ops import min_max
-
         return min_max(self.column(name))[0]
 
     def max(self, name: str, rows: Optional[np.ndarray] = None) -> int:
@@ -212,8 +204,6 @@ class SmartTable:
             return int(values.max())
         if self._length == 0:
             raise ValueError("max of an empty selection")
-        from .scan_ops import min_max
-
         return min_max(self.column(name))[1]
 
     def mean(self, name: str, rows: Optional[np.ndarray] = None) -> float:

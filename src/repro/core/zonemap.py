@@ -6,16 +6,13 @@ intersect the predicate — no unpack, no decode.  The smart-array chunk
 (paper section 4.2) is the natural zone granule because the blocked
 decode already works chunk-at-a-time.
 
-Construction and the surviving-chunk scans both run on the bulk-span
-engine: :meth:`ZoneMap.build` decodes a superchunk (64 chunks) per
-blocked-kernel call and reduces each chunk of it, and the range scans
-decode *runs* of consecutive candidate chunks in one call each instead
-of chunk-by-chunk.
-
-The skipping is observable, not just asserted: scans go through the
-array's access statistics (``chunk_unpacks`` counts logical chunks
-decoded regardless of batching), so tests verify that a selective
-predicate decodes only the surviving chunks.
+The map is metadata only: it describes a column, and the query
+executor (:mod:`repro.query`) is the one thing that decodes it.  The
+planner binds a predicate to the map's candidate and covered chunks,
+the executor decodes the rest, and every scan operator
+(:mod:`repro.core.scan_ops`) is a query.  :meth:`ZoneMap.build` decodes
+a superchunk (64 chunks) per blocked-kernel call and reduces each chunk
+of it.
 
 **Monotone maps bind by binary search.**  A column stored in sorted
 order (a timestamp, an append-only key) has non-decreasing chunk mins
@@ -32,8 +29,8 @@ and bump the same counters.
 (``min >= lo`` and ``max < hi``) matches in every element, so nothing
 in it needs decoding to be counted.  :meth:`ZoneMap.covered_run` (two
 more binary searches on a monotone map) and its compare-path twin
-:meth:`ZoneMap._compare_covered` are the one proof of that, shared by
-:meth:`ZoneMap.count_in_range` and the query planner's covered morsels.
+:meth:`ZoneMap._compare_covered` are the one proof of that, which the
+query planner's covered morsels and chunk synopses rest on.
 
 **Chunk synopses.**  Next to each chunk's min and max the map keeps its
 exact sum (64 values below ``2**bits`` sum below ``2**(bits + 6)``); a
@@ -62,27 +59,26 @@ snapshot.
 
 **Fragmented candidates.**  On a map that is not monotone the chunks a
 scan must decode can scatter into thousands of one-chunk runs, and a
-decode call per run costs far more than the chunks it decodes.  Scans
-therefore work window by aligned window (a superchunk here, a morsel in
-the query executor): a window whose runs are separated by fewer gap
+decode call per run costs far more than the chunks it decodes.  The
+query planner therefore works morsel by aligned morsel: a window whose runs are separated by fewer gap
 chunks than the calls they take are worth (:data:`HULL_CALL_CHUNKS`
 each) decodes their *hull*, first to last, in one call, and the
 predicate filters the chunks in between (none of which can match, or
 which match and are then counted by the scan rather than from their
 zone).  :func:`window_hulls` is that rule; it bounds a window to
-``1 + window // HULL_CALL_CHUNKS`` decode calls, one for a superchunk.
+``1 + window // HULL_CALL_CHUNKS`` decode calls.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from . import bitpack
 from .bitpack_fast import unpack_chunk_range
-from .map_api import SUPERCHUNK_ELEMENTS, check_superchunk
-from .scan_ops import _range_mask, clamp_u64_range
+from .map_api import check_superchunk
+from .scan_ops import clamp_u64_range
 from .smart_array import SmartArray
 from ..obs.registry import registry as _obs_registry
 from ..obs.trace import trace
@@ -159,26 +155,6 @@ def edges_hulled(first: int, stop: int, cover_first: int, cover_stop: int,
             and cover_stop - cover_first < HULL_CALL_CHUNKS)
 
 
-def _decode_runs(chunks: np.ndarray, window: int
-                 ) -> Tuple[List[Tuple[int, int]], Optional[np.ndarray]]:
-    """The decode calls for the chunks ``chunks`` selects, window by
-    aligned window: its runs, or its hull when they fragment
-    (:func:`window_hulls`).  Also returns the chunks the calls decode,
-    ``None`` when that is exactly ``chunks``."""
-    first, stop = window_hulls(chunks, window)
-    hulls = np.flatnonzero(stop)
-    if not hulls.size:
-        return list(_chunk_runs(np.flatnonzero(chunks), window)), None
-    decoded = chunks.copy()
-    for window_index in hulls.tolist():
-        decoded[first[window_index]:stop[window_index]] = True
-    in_hull = np.repeat(stop > 0, window)[:chunks.size]
-    runs = list(_chunk_runs(np.flatnonzero(chunks & ~in_hull), window))
-    runs += zip(first[hulls].tolist(), (stop - first)[hulls].tolist())
-    runs.sort()
-    return runs, decoded
-
-
 def chunk_rows(length: int, chunks: Chunks) -> int:
     """Rows of a ``length``-row column inside ``chunks`` (a run or a
     per-chunk mask): 64 per chunk, the trailing partial chunk's real
@@ -203,13 +179,6 @@ def _select(bounds: np.ndarray, chunks: Chunks) -> np.ndarray:
     return bounds[chunks]
 
 
-def _split_run(first: int, count: int,
-               max_run: int) -> Iterator[Tuple[int, int]]:
-    """``(first, count)`` cut into runs at most ``max_run`` long."""
-    for done in range(0, count, max_run):
-        yield first + done, min(max_run, count - done)
-
-
 def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
     """Group sorted chunk indices into ``(first, count)`` runs of
     consecutive chunks, each at most ``max_run`` long."""
@@ -218,7 +187,8 @@ def _chunk_runs(chunks: np.ndarray, max_run: int) -> Iterator[Tuple[int, int]]:
     starts = np.concatenate(([0], np.flatnonzero(np.diff(chunks) != 1) + 1))
     lengths = np.diff(starts, append=chunks.size)
     for first, length in zip(chunks[starts].tolist(), lengths.tolist()):
-        yield from _split_run(first, length, max_run)
+        for done in range(0, length, max_run):
+            yield first + done, min(max_run, length - done)
 
 
 def _chunk_stats(values: np.ndarray
@@ -461,106 +431,6 @@ class ZoneMap:
         if hi64 is not None:
             covered &= self.maxs < hi64
         return covered
-
-    def count_in_range(self, lo: int, hi: int, socket: int = 0,
-                       superchunk=None) -> int:
-        """COUNT(*) WHERE lo <= v < hi, decoding only candidate chunks.
-
-        Chunks entirely inside the range are counted without decoding
-        at all (their zone proves every element matches); the rest are
-        decoded in consecutive runs through the blocked kernel, or as
-        one hull per fragmented superchunk window (:func:`window_hulls`).
-        """
-        with trace("zonemap.count_in_range",
-                   array=self.array.stats.array_label, socket=socket):
-            return self._count_in_range(lo, hi, socket, superchunk)
-
-    def _count_in_range(self, lo: int, hi: int, socket: int,
-                        superchunk) -> int:
-        max_run = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
-        run = self.candidate_run(lo, hi)
-        if run is not None:
-            first, stop = run
-            if first == stop:
-                return 0
-            # Covered chunks (min >= lo, max < hi) are a run inside the
-            # candidates by the same monotonicity.
-            cover_first, cover_stop = self.covered_run(lo, hi)
-            cover_first, cover_stop = max(first, cover_first), min(
-                stop, cover_stop)
-            if cover_stop <= cover_first or edges_hulled(
-                    first, stop, cover_first, cover_stop, max_run):
-                # Nothing covered, or edge runs in one window around
-                # fewer covered chunks than a second decode call is
-                # worth: decode the whole run, as window_hulls would.
-                cover_first = cover_stop = stop
-            total = chunk_rows(self.array.length, (cover_first, cover_stop))
-            runs = [*_split_run(first, cover_first - first, max_run),
-                    *_split_run(cover_stop, stop - cover_stop, max_run)]
-        else:
-            candidates = self._compare_candidates(lo, hi)
-            if candidates.size == 0:
-                return 0
-            # Decode the uncovered candidates; a covered chunk inside a
-            # decoded hull is counted by the scan, not by its zone.
-            covered = self._compare_covered(lo, hi)
-            decode = np.zeros(self.n_chunks, dtype=bool)
-            decode[candidates] = True
-            decode &= ~covered
-            runs, decoded = _decode_runs(decode, max_run)
-            if decoded is not None:
-                covered &= ~decoded
-            total = chunk_rows(self.array.length, covered)
-        lo64, hi64 = clamp_u64_range(lo, hi)
-        replica = self.array.get_replica(socket)
-        buf = np.empty(max_run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
-        for first, n in runs:
-            decoded = self.array.decode_chunks(first, n, replica=replica,
-                                               out=buf)
-            start = first * bitpack.CHUNK_ELEMENTS
-            end = min(self.array.length, start + n * bitpack.CHUNK_ELEMENTS)
-            span = decoded[:end - start]
-            total += int(_range_mask(span, lo64, hi64).sum())
-        return total
-
-    def select_in_range(self, lo: int, hi: int, socket: int = 0,
-                        superchunk=None) -> np.ndarray:
-        """Matching indices, decoding candidate-chunk runs only."""
-        with trace("zonemap.select_in_range",
-                   array=self.array.stats.array_label, socket=socket):
-            return self._select_in_range(lo, hi, socket, superchunk)
-
-    def _select_in_range(self, lo: int, hi: int, socket: int,
-                         superchunk) -> np.ndarray:
-        max_run = check_superchunk(superchunk) // bitpack.CHUNK_ELEMENTS
-        run = self.candidate_run(lo, hi)
-        if run is not None:
-            if run[0] == run[1]:
-                return np.empty(0, dtype=np.int64)
-            runs = _split_run(run[0], run[1] - run[0], max_run)
-        else:
-            candidates = self._compare_candidates(lo, hi)
-            if candidates.size == 0:
-                return np.empty(0, dtype=np.int64)
-            decode = np.zeros(self.n_chunks, dtype=bool)
-            decode[candidates] = True
-            runs = _decode_runs(decode, max_run)[0]
-        lo64, hi64 = clamp_u64_range(lo, hi)
-        out: List[np.ndarray] = []
-        replica = self.array.get_replica(socket)
-        buf = np.empty(max_run * bitpack.CHUNK_ELEMENTS, dtype=np.uint64)
-        for first, n in runs:
-            decoded = self.array.decode_chunks(first, n, replica=replica,
-                                               out=buf)
-            start = first * bitpack.CHUNK_ELEMENTS
-            end = min(self.array.length, start + n * bitpack.CHUNK_ELEMENTS)
-            span = decoded[:end - start]
-            local = np.nonzero(_range_mask(span, lo64, hi64))[0]
-            if local.size:
-                out.append(local + start)
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
 
     @property
     def storage_bytes(self) -> int:

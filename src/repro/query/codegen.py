@@ -599,6 +599,10 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
     ``needed_columns`` is the plan's decode order; the kernel's
     positional arguments follow it.  A shape planned before reuses its
     kernel: only the literals are extracted, no source is generated.
+    The kernel gets its native twin where the shape lowers and every
+    needed column of ``query.table`` is stored bit-packed now: a morsel
+    over an encoded column could never run it (and each morsel checks
+    the codecs it pins again).
     """
     needed_columns = tuple(needed_columns)
     lits: List[np.uint64] = []
@@ -606,8 +610,10 @@ def compile_query(query: Query, needed_columns: Tuple[str, ...],
                             morsel_elements, lits)
     source, fn = _cached(key) or _generate_kernel(
         key, query, column_bits, morsel_elements)
-    shape = _native_shape(key, tuple(column_bits[name]
-                                     for name in needed_columns))
+    shape = None
+    if all(query.table[name].codec == "bitpack" for name in needed_columns):
+        shape = _native_shape(key, tuple(column_bits[name]
+                                         for name in needed_columns))
     return CompiledKernel(
         source=source,
         fn=fn,

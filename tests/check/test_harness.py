@@ -62,12 +62,11 @@ class TestPlantedBugs:
     def test_detects_uint64_overflow(self, monkeypatch):
         orig = scan_ops.count_in_range
 
-        def buggy(array, lo, hi, start=0, stop=None, socket=0,
-                  superchunk=None):
+        def buggy(array, lo, hi):
             if hi <= 0 or lo >= hi:
                 return 0
             np.uint64(max(hi, 0))  # pre-fix conversion: overflows
-            return orig(array, lo, hi, start, stop, socket, superchunk)
+            return orig(array, lo, hi)
 
         monkeypatch.setattr(scan_ops, "count_in_range", buggy)
         report = run_check(seed=0, ops=500, max_failures=1)
@@ -81,8 +80,8 @@ class TestPlantedBugs:
     def test_detects_wrong_result(self, monkeypatch):
         orig = scan_ops.count_equal
 
-        def off_by_one(array, value, socket=0, superchunk=None):
-            return orig(array, value, socket, superchunk) + 1
+        def off_by_one(array, value):
+            return orig(array, value) + 1
 
         monkeypatch.setattr(scan_ops, "count_equal", off_by_one)
         report = run_check(seed=0, ops=500, max_failures=1)
@@ -128,8 +127,8 @@ class TestPlantedBugs:
     def test_shrunk_repro_replays(self, monkeypatch):
         orig = scan_ops.count_equal
 
-        def off_by_one(array, value, socket=0, superchunk=None):
-            return orig(array, value, socket, superchunk) + 1
+        def off_by_one(array, value):
+            return orig(array, value) + 1
 
         monkeypatch.setattr(scan_ops, "count_equal", off_by_one)
         report = run_check(seed=0, ops=500, max_failures=1)
@@ -155,9 +154,7 @@ class TestCli:
     def test_check_subcommand_fails_nonzero(self, capsys, monkeypatch):
         orig = scan_ops.count_equal
         monkeypatch.setattr(
-            scan_ops, "count_equal",
-            lambda a, v, socket=0, superchunk=None:
-            orig(a, v, socket, superchunk) + 1)
+            scan_ops, "count_equal", lambda a, v: orig(a, v) + 1)
         with pytest.raises(SystemExit) as exc:
             main(["check", "--seed", "0", "--ops", "500"])
         assert "FAIL" in str(exc.value)

@@ -52,7 +52,8 @@ class TestUint64BoundaryScans:
     over full-width data could not express "everything >= lo".
 
     Harness repro: seed 0, case 5, shrunk to a single op
-    ``select_in_range(2**63, 2**64, 19, 71)`` on a 64-bit array.
+    ``select_in_range(2**63, 2**64)`` (then over rows 19..71) on a
+    64-bit array.
     """
 
     def test_clamp_u64_range(self):
@@ -93,13 +94,15 @@ class TestUint64BoundaryScans:
         values = np.arange(300, dtype=np.uint64)
         values[128:192] = U64_MAX - np.arange(64, dtype=np.uint64)
         sa = _array(values)
-        zm = ZoneMap.build(sa)
+        zm = sa.zone_map = ZoneMap.build(sa)
         assert zm.candidate_chunks(1 << 63, 1 << 64).tolist() == [2]
         assert zm.candidate_chunks(1 << 64, 1 << 65).size == 0
         # Chunk 2 is fully covered by the clamped range: counted without
         # decoding, and still correct.
-        assert zm.count_in_range(1 << 63, (1 << 64) + 7) == 64
-        got = zm.select_in_range(U64_MAX - 2, 1 << 64)
+        sa.stats.reset()
+        assert count_in_range(sa, 1 << 63, (1 << 64) + 7) == 64
+        assert sa.stats.chunk_unpacks == 0
+        got = select_in_range(sa, U64_MAX - 2, 1 << 64)
         assert got.tolist() == [128, 129, 130]
 
     def test_parallel_scans_hi_past_domain(self):
@@ -125,8 +128,7 @@ class TestUint64BoundaryScans:
             spec=ArraySpec(length=89, bits=64, placement="default",
                            superchunk=4096, pool_mode="serial"),
             ops=(Op("fill", (11,)),
-                 Op("select_in_range",
-                    (1 << 63, 1 << 64, 19, 71, 1))),
+                 Op("select_in_range", (1 << 63, 1 << 64))),
         )
         assert run_case(case) is None
 

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import allocate, bitpack
+from repro.core import allocate, bitpack, encode_array
 from repro.core.bitpack_fast import (
     pack_words_blocked,
     unpack_array_fast,
     unpack_words_blocked,
 )
+from repro.core.codecs import ENCODED_CODECS
 from repro.core.errors import ValueOverflowError
 from repro.core.scan_ops import (
     count_equal,
     count_in_range,
     min_max,
     select_in_range,
-    select_where,
 )
+from repro.core.table import SmartTable
 from repro.numa import NumaAllocator, machine_2x8_haswell
 
 
@@ -114,71 +115,86 @@ class TestBlockedFastPath:
         assert pack_words_blocked(np.zeros(0, dtype=np.uint64), 8).size == 0
 
 
+#: Range bounds, in the ``uint64`` domain and clamped to it: empty
+#: (``lo >= hi``, ``hi <= 0``), negative ``lo``, and bounds at and past
+#: ``2**63`` and ``2**64``.
+RANGES = ((100, 300), (300, 100), (5, 5), (-10, 0), (-10, 50),
+          (0, 1 << 64), (0, (1 << 64) + 5), (1 << 63, 1 << 64),
+          (1 << 64, 1 << 65))
+
+
+def range_oracle(values, lo, hi):
+    return np.array([i for i, v in enumerate(values.tolist())
+                     if lo <= v < hi], dtype=np.int64)
+
+
 class TestSelectionScans:
     @pytest.fixture
-    def array(self, allocator):
+    def arrays(self, allocator):
+        """Empty, one-element, one-chunk and 8-chunk 64-bit columns,
+        every seventh value at or past ``2**63``; then the 8-chunk one
+        under each codec, which the operators answer whole from codec
+        metadata."""
         rng = np.random.default_rng(5)
-        values = rng.integers(0, 1000, size=500, dtype=np.uint64)
-        sa = allocate(500, bits=10, values=values, allocator=allocator)
-        return sa, values
+        out = []
+        for n in (0, 1, 64, 500):
+            values = rng.integers(0, 1000, size=n, dtype=np.uint64)
+            values[::7] |= np.uint64(1 << 63)
+            out.append((allocate(n, bits=64, values=values,
+                                 allocator=allocator), values))
+        for codec in ENCODED_CODECS:
+            out.append((encode_array(values, codec), values))
+        return out
 
-    def test_select_in_range(self, array):
-        sa, values = array
-        idx = select_in_range(sa, 100, 300)
-        expected = np.nonzero((values >= 100) & (values < 300))[0]
-        np.testing.assert_array_equal(idx, expected)
+    def test_select_in_range(self, arrays):
+        for sa, values in arrays:
+            for lo, hi in RANGES:
+                idx = select_in_range(sa, lo, hi)
+                assert idx.dtype == np.int64
+                np.testing.assert_array_equal(idx,
+                                              range_oracle(values, lo, hi))
 
-    def test_count_in_range(self, array):
-        sa, values = array
-        assert count_in_range(sa, 100, 300) == int(
-            ((values >= 100) & (values < 300)).sum()
-        )
+    def test_count_in_range(self, arrays):
+        for sa, values in arrays:
+            for lo, hi in RANGES:
+                assert count_in_range(sa, lo, hi) == range_oracle(
+                    values, lo, hi).size
 
-    def test_degenerate_ranges(self, array):
-        sa, _ = array
-        assert count_in_range(sa, 300, 100) == 0
-        assert select_in_range(sa, 5, 5).size == 0
-        assert count_in_range(sa, -10, 0) == 0
+    def test_degenerate_ranges(self, arrays):
+        for sa, _ in arrays:
+            assert count_in_range(sa, 300, 100) == 0
+            assert select_in_range(sa, 5, 5).size == 0
+            assert count_in_range(sa, -10, 0) == 0
+            assert count_in_range(sa, 1 << 64, 1 << 65) == 0
 
-    def test_count_equal(self, array):
-        sa, values = array
-        target = int(values[0])
-        assert count_equal(sa, target) == int((values == target).sum())
-        assert count_equal(sa, -3) == 0
+    def test_count_equal(self, arrays):
+        for sa, values in arrays:
+            for target in (*values[:2].tolist(), 7, -3, 1 << 64):
+                assert count_equal(sa, target) == sum(
+                    v == target for v in values.tolist())
 
-    def test_select_where_arbitrary_predicate(self, array):
-        sa, values = array
-        idx = select_where(sa, lambda s: s % np.uint64(7) == 0)
-        expected = np.nonzero(values % 7 == 0)[0]
-        np.testing.assert_array_equal(idx, expected)
+    def test_select_where_arbitrary_predicate(self, arrays):
+        # A callable predicate over the decoded column:
+        # ``SmartTable.filter``.
+        for sa, values in arrays:
+            idx = SmartTable({"v": sa}).filter(
+                "v", lambda s: s % np.uint64(7) == 0)
+            np.testing.assert_array_equal(idx,
+                                          np.nonzero(values % 7 == 0)[0])
 
-    def test_select_where_bad_predicate(self, array):
-        sa, _ = array
+    def test_select_where_bad_predicate(self, arrays):
+        sa, _ = arrays[-1]
         with pytest.raises(ValueError):
-            select_where(sa, lambda s: s[:1] > 0)
+            SmartTable({"v": sa}).filter("v", lambda s: s[:1] > 0)
 
-    def test_sub_range_scan(self, array):
-        sa, values = array
-        idx = select_in_range(sa, 0, 1000, start=100, stop=200)
-        assert idx.min() >= 100 and idx.max() < 200
-        assert idx.size == 100  # everything is < 1000
+    def test_min_max(self, arrays):
+        for sa, values in arrays[1:]:
+            assert min_max(sa) == (int(values.min()), int(values.max()))
 
-    def test_min_max(self, array):
-        sa, values = array
-        lo, hi = min_max(sa)
-        assert lo == int(values.min()) and hi == int(values.max())
-        lo2, hi2 = min_max(sa, 10, 20)
-        assert lo2 == int(values[10:20].min())
-
-    def test_min_max_empty(self, array):
-        sa, _ = array
+    def test_min_max_empty(self, arrays):
+        sa, _ = arrays[0]
         with pytest.raises(ValueError):
-            min_max(sa, 5, 5)
-
-    def test_replica_selection(self, allocator):
-        sa = allocate(100, bits=8, replicated=True,
-                      values=np.arange(100) % 256, allocator=allocator)
-        assert count_in_range(sa, 0, 50, socket=1) == 50
+            min_max(sa)
 
 
 @settings(max_examples=25, deadline=None)

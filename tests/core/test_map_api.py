@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     SmartArrayIterator,
     allocate,
-    for_each_chunk,
+    iter_spans,
     map_range,
     map_reduce,
     sum_range,
@@ -72,36 +72,34 @@ class TestMapRange:
         )
 
 
+def spans(array, *args, **kwargs):
+    return [(pos, len(span)) for pos, span in iter_spans(array, *args,
+                                                          **kwargs)]
+
+
 class TestForEachChunk:
+    """The side-effect form of the bounded map(): a loop over
+    :func:`iter_spans`."""
+
     def test_visits_whole_array_in_order(self, array):
         # One superchunk covers all 200 elements: a single span.
-        seen = []
-        for_each_chunk(array, lambda pos, span: seen.append((pos, len(span))))
-        assert seen == [(0, 200)]
+        assert spans(array) == [(0, 200)]
 
     def test_superchunk_knob_restores_chunk_granularity(self, array):
-        seen = []
-        for_each_chunk(array, lambda pos, span: seen.append((pos, len(span))),
-                       superchunk=64)
-        assert seen == [(0, 64), (64, 64), (128, 64), (192, 8)]
+        assert spans(array, superchunk=64) == [(0, 64), (64, 64), (128, 64),
+                                               (192, 8)]
 
     def test_partial_range(self, array):
-        seen = []
-        for_each_chunk(array, lambda pos, span: seen.append((pos, len(span))),
-                       60, 70)
-        assert seen == [(60, 10)]
+        assert spans(array, 60, 70) == [(60, 10)]
 
     def test_spans_split_at_superchunk_boundaries(self, array):
-        seen = []
-        for_each_chunk(array, lambda pos, span: seen.append((pos, len(span))),
-                       60, 150, superchunk=128)
-        assert seen == [(60, 68), (128, 22)]
+        assert spans(array, 60, 150, superchunk=128) == [(60, 68), (128, 22)]
 
     def test_bad_superchunk_rejected(self, array):
         with pytest.raises(ValueError):
-            for_each_chunk(array, lambda pos, span: None, superchunk=100)
+            spans(array, superchunk=100)
         with pytest.raises(ValueError):
-            for_each_chunk(array, lambda pos, span: None, superchunk=0)
+            spans(array, superchunk=0)
 
 
 class TestMapReduce:

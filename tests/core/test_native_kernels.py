@@ -62,6 +62,40 @@ class TestBuild:
         assert [p.stat().st_mtime_ns for p in (tmp_path / "repro").iterdir()
                 ] == [stamp]
 
+    def test_a_build_prunes_stale_libraries(self, monkeypatch, tmp_path):
+        """A build removes the other ``native-*.so`` of its private
+        cache; a symlink and other names stay, and a cache that is not
+        private is left alone."""
+        if native.LIB is None:
+            pytest.skip("no compiler")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "repro"
+        cache.mkdir(mode=0o700)
+        stale = [cache / "native-0123456789abcdef0123.so",
+                 cache / "native-fedcba9876543210fedc.so"]
+        for path in stale:
+            path.write_bytes(b"an old build")
+        target = tmp_path / "elsewhere.so"
+        target.write_bytes(b"not in the cache")
+        (cache / "native-symlinked000000000.so").symlink_to(target)
+        (cache / "notes.txt").write_text("kept")
+        lib = native._load()
+        assert not any(path.exists() for path in stale)
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [os.path.basename(lib._name), "native-symlinked000000000.so",
+             "notes.txt"])
+        assert target.read_bytes() == b"not in the cache"
+        # Only a build prunes: a load leaves a new stale name alone.
+        stale[0].write_bytes(b"an old build")
+        native._load()
+        assert stale[0].exists()
+        # A cache others can write is never pruned: the build goes
+        # elsewhere.
+        cache.chmod(0o777)
+        (cache / os.path.basename(lib._name)).unlink()
+        assert not native._load()._name.startswith(str(cache))
+        assert stale[0].exists()
+
     def test_temp_dir_cache_is_per_user_and_private(self, monkeypatch,
                                                     tmp_path):
         if native.LIB is None:

@@ -8,8 +8,8 @@ Three layers under test:
    including widths whose elements straddle word boundaries and arrays
    with partial trailing chunks;
 2. the superchunk decode path (``SmartArray.decode_chunks`` and the
-   span iterator behind ``map_api`` / ``scan_ops``) must preserve
-   chunk-aligned semantics and observability;
+   span iterator behind ``map_api``) must preserve chunk-aligned
+   semantics and observability;
 3. pooled whole-array scans — ``parallel_sum_bulk`` and one-column
    queries run with ``pool=`` — must return results identical to the
    serial operators in both ``threads`` and ``serial`` pool modes,
@@ -22,9 +22,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import allocate, bitpack, bitpack_fast, scan_ops
+from repro.adapt import Configuration
+from repro.core import (SmartArray, allocate, bitpack, bitpack_fast,
+                        default_allocator, scan_ops)
 from repro.core.map_api import SUPERCHUNK_ELEMENTS, iter_spans, sum_range
 from repro.core.table import SmartTable
+from repro.live import LiveMigrator
 from repro.numa import NumaAllocator, machine_2x8_haswell
 from repro.query import Query, in_range
 from repro.runtime import WorkerPool, parallel_sum_bulk
@@ -172,16 +175,6 @@ class TestSuperchunkDecode:
         )
         assert scan_ops.min_max(sa) == (int(values.min()), int(values.max()))
 
-    def test_superchunk_knob_changes_decode_batching_only(self, allocator):
-        values = random_values(1000, 11)
-        sa = allocate(values.size, bits=11, values=values,
-                      allocator=allocator)
-        expected = scan_ops.count_in_range(sa, 100, 1500)
-        for superchunk in (64, 128, 512):
-            assert scan_ops.count_in_range(
-                sa, 100, 1500, superchunk=superchunk
-            ) == expected
-
 
 def column_query(array, lo=None, hi=None):
     """A one-column query over ``array``, filtered to ``[lo, hi)``."""
@@ -217,24 +210,29 @@ class TestParallelScans:
         assert parallel_sum_bulk(array, pool=pool, batch=4096) == expected
         assert sum_range(array, 0, self.N) == expected
 
-    def test_count_in_range_matches_serial(self, array, pool):
+    def test_count_in_range_matches_serial(self, array, values, pool):
         lo, hi = 500, 7000
-        expected = scan_ops.count_in_range(array, lo, hi)
+        expected = int(((values >= lo) & (values < hi)).sum())
+        assert scan_ops.count_in_range(array, lo, hi) == expected
         got = column_query(array, lo, hi).count().run(pool=pool,
                                                       morsel=4096)
         assert got.scalar() == expected
 
-    def test_select_in_range_matches_serial(self, array, pool):
+    def test_select_in_range_matches_serial(self, array, values, pool):
         lo, hi = 500, 7000
-        expected = scan_ops.select_in_range(array, lo, hi)
+        expected = np.flatnonzero((values >= lo) & (values < hi))
+        np.testing.assert_array_equal(
+            scan_ops.select_in_range(array, lo, hi), expected)
         got = column_query(array, lo, hi).select().run(pool=pool,
                                                        morsel=4096)
         np.testing.assert_array_equal(got.rows, expected)
 
-    def test_min_max_matches_serial(self, array, pool):
+    def test_min_max_matches_serial(self, array, values, pool):
+        expected = (int(values.min()), int(values.max()))
+        assert scan_ops.min_max(array) == expected
         got = column_query(array).min("v").max("v").run(pool=pool,
                                                         morsel=4096)
-        assert tuple(got.aggregates.values()) == scan_ops.min_max(array)
+        assert tuple(got.aggregates.values()) == expected
 
     def test_two_array_sum(self, machine, pool):
         alloc = NumaAllocator(machine)
@@ -289,3 +287,54 @@ class TestParallelScans:
     def test_bad_batch_rejected(self, array, pool):
         with pytest.raises(ValueError, match="multiple of 64"):
             parallel_sum_bulk(array, pool=pool, batch=100)
+
+
+class TestScanUnderMigration:
+    """A live migration that swaps a column while a scan is reading it.
+
+    The scan operators run on the morsel executor, which pins each
+    morsel's generation before it reads a replica, so the swap cannot
+    hand a decode a buffer the array no longer owns."""
+
+    def test_filter_range_while_the_column_is_rewidened(self, monkeypatch):
+        n = 50_000
+        ts = np.sort(np.random.default_rng(5).integers(
+            0, 1 << 20, n, dtype=np.uint64))
+        table = SmartTable.from_arrays({"ts": ts})
+        column = table["ts"]
+        assert column.bits == 20
+        lo, hi = int(ts[n // 4]), int(ts[3 * n // 4])
+        migrations = []
+
+        def migrate():
+            if not migrations:
+                migrations.append(None)
+                migrations[0] = LiveMigrator(default_allocator()).migrate(
+                    column, Configuration(column.placement, 32))
+
+        real_replica = SmartArray.get_replica
+        real_reads = {name: getattr(SmartArray, name)
+                      for name in ("decode_chunks", "read_chunks")}
+
+        def get_replica(self, *args, **kwargs):
+            # The replica is chosen, then the column is swapped.
+            replica = real_replica(self, *args, **kwargs)
+            if self is column:
+                migrate()
+            return replica
+
+        def reading(real):
+            # The column is swapped just before its first decode.
+            def read(self, *args, **kwargs):
+                if self is column:
+                    migrate()
+                return real(self, *args, **kwargs)
+            return read
+
+        monkeypatch.setattr(SmartArray, "get_replica", get_replica)
+        for name, real in real_reads.items():
+            monkeypatch.setattr(SmartArray, name, reading(real))
+        rows = table.filter_range("ts", lo, hi)
+        np.testing.assert_array_equal(
+            rows, np.flatnonzero((ts >= lo) & (ts < hi)))
+        assert migrations[0].state == "completed" and column.bits == 32

@@ -27,6 +27,12 @@ def sorted_array(allocator):
     return sa, values
 
 
+def mapped(sa):
+    """``sa`` carrying its zone map, which the scans then prune with."""
+    sa.zone_map = ZoneMap.build(sa)
+    return sa.zone_map
+
+
 class TestZoneMapConstruction:
     def test_zones_cover_data(self, sorted_array, allocator):
         sa, values = sorted_array
@@ -47,39 +53,40 @@ class TestZoneMapConstruction:
 
     def test_empty_array(self, allocator):
         sa = allocate(0, bits=8, allocator=allocator)
-        zm = ZoneMap.build(sa)
-        assert zm.count_in_range(0, 100) == 0
-        assert zm.select_in_range(0, 100).size == 0
+        assert mapped(sa).n_chunks == 0
+        assert count_in_range(sa, 0, 100) == 0
+        assert select_in_range(sa, 0, 100).size == 0
 
 
 class TestZoneScans:
     def test_counts_match_full_scan(self, sorted_array, allocator):
         sa, values = sorted_array
-        zm = ZoneMap.build(sa)
+        mapped(sa)
         for lo, hi in ((0, 100), (5000, 6000), (9990, 10_500), (0, 20_000)):
-            assert zm.count_in_range(lo, hi) == count_in_range(sa, lo, hi)
+            assert count_in_range(sa, lo, hi) == int(
+                ((values >= lo) & (values < hi)).sum())
 
     def test_select_matches_full_scan(self, sorted_array, allocator):
         sa, values = sorted_array
-        zm = ZoneMap.build(sa)
+        mapped(sa)
         np.testing.assert_array_equal(
-            zm.select_in_range(3000, 4000), select_in_range(sa, 3000, 4000)
-        )
+            select_in_range(sa, 3000, 4000),
+            np.flatnonzero((values >= 3000) & (values < 4000)))
 
     def test_degenerate_ranges(self, sorted_array, allocator):
         sa, _ = sorted_array
-        zm = ZoneMap.build(sa)
-        assert zm.count_in_range(500, 500) == 0
-        assert zm.count_in_range(-5, 0) == 0
+        zm = mapped(sa)
+        assert count_in_range(sa, 500, 500) == 0
+        assert count_in_range(sa, -5, 0) == 0
         assert zm.candidate_chunks(7, 3).size == 0
 
     def test_skipping_observable_via_stats(self, sorted_array, allocator):
         # The point of zone maps: a selective range unpacks only the
         # chunks whose zones intersect it.
         sa, values = sorted_array
-        zm = ZoneMap.build(sa)
+        zm = mapped(sa)
         sa.stats.reset()
-        zm.count_in_range(5000, 5100)
+        count_in_range(sa, 5000, 5100)
         candidates = zm.candidate_chunks(5000, 5100)
         assert sa.stats.chunk_unpacks <= candidates.size
         assert sa.stats.chunk_unpacks < zm.n_chunks / 2
@@ -88,17 +95,17 @@ class TestZoneScans:
         # All-equal data: every chunk's zone lies inside a wide range,
         # so counting needs zero unpacks.
         sa = allocate(640, bits=8, values=np.full(640, 7), allocator=allocator)
-        zm = ZoneMap.build(sa)
+        mapped(sa)
         sa.stats.reset()
-        assert zm.count_in_range(0, 100) == 640
+        assert count_in_range(sa, 0, 100) == 640
         assert sa.stats.chunk_unpacks == 0
 
     def test_unsorted_data_still_correct(self, allocator):
         rng = np.random.default_rng(3)
         values = rng.integers(0, 1000, size=500, dtype=np.uint64)
         sa = allocate(500, bits=10, values=values, allocator=allocator)
-        zm = ZoneMap.build(sa)
-        assert zm.count_in_range(200, 400) == int(
+        assert not mapped(sa).monotone
+        assert count_in_range(sa, 200, 400) == int(
             ((values >= 200) & (values < 400)).sum()
         )
 
@@ -110,17 +117,16 @@ class TestZoneScans:
         if not monotone:
             values[:64] = values[:64][::-1] + 100  # chunk 0 above chunk 1
         sa = allocate(100, bits=8, values=values, allocator=allocator)
-        zm = ZoneMap.build(sa)
-        assert zm.monotone is monotone
+        assert mapped(sa).monotone is monotone
         sa.stats.reset()
-        assert zm.count_in_range(0, 200) == 100
+        assert count_in_range(sa, 0, 200) == 100
         assert sa.stats.chunk_unpacks == 0
         # Only the tail covered (chunk 0 straddles ``lo`` when sorted).
         lo = 64 if not monotone else 50
         expected = int(((values >= lo) & (values < 100)).sum())
-        assert zm.count_in_range(lo, 100) == expected
+        assert count_in_range(sa, lo, 100) == expected
         np.testing.assert_array_equal(
-            zm.select_in_range(lo, 100),
+            select_in_range(sa, lo, 100),
             np.nonzero((values >= lo) & (values < 100))[0])
 
 
@@ -139,14 +145,14 @@ def zone_map_of(kind, n, draw_values):
         values[:] = values[0]
     sa = allocate(n, bits=64, values=values if n else None,
                   allocator=NumaAllocator(machine_2x8_haswell()))
-    return ZoneMap.build(sa), values
+    return mapped(sa), values
 
 
 _EDGES = [-7, 0, 1, 2**63, 2**64 - 1, 2**64, 2**64 + 9]
 
 #: Six chunks: two all-zero, then [0..1], [5], [7..2**64-1], [2**64-1].
 #: ``[1, 2**64-1)`` covers chunk 3 and leaves edge chunks 2 and 4 in one
-#: superchunk window, so that window decodes its hull, chunks 2-4.
+#: morsel, so that morsel decodes its hull, chunks 2-4.
 _EDGE_RUNS_ONE_WINDOW = ([0] * 128 + [0] * 32 + [1] * 32 + [5] * 64
                          + [7] * 32 + [2**64 - 1] * 32 + [2**64 - 1] * 64)
 _VALUE = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]),
@@ -162,15 +168,13 @@ class TestRunBinding:
 
     @settings(max_examples=120, deadline=None)
     @example(kind="sorted", n=384, values=_EDGE_RUNS_ONE_WINDOW,
-             bounds=[(1, 2**64 - 1)], superchunk=4096)
+             bounds=[(1, 2**64 - 1)])
     @given(kind=st.sampled_from(["sorted", "random", "constant"]),
            n=st.sampled_from([0, 1, 37, 64, 65, 200, 384]),
            values=st.lists(_VALUE, min_size=384, max_size=384),
            bounds=st.lists(st.tuples(_BOUND, _BOUND), min_size=1,
-                           max_size=6),
-           superchunk=st.sampled_from([64, 128, 4096]))
-    def test_run_path_matches_compare_path(self, kind, n, values, bounds,
-                                           superchunk):
+                           max_size=6))
+    def test_run_path_matches_compare_path(self, kind, n, values, bounds):
         zm, data = zone_map_of(kind, n, values)
         mins, maxs = (zm.mins, zm.maxs)
         expect_monotone = bool(np.all(mins[1:] >= mins[:-1])
@@ -213,26 +217,25 @@ class TestRunBinding:
 
             match = np.nonzero([lo <= v < hi for v in x])[0]
             zm.array.stats.reset()
-            assert zm.count_in_range(lo, hi, superchunk=superchunk) \
-                == match.size
+            assert count_in_range(zm.array, lo, hi) == match.size
             unpacks = zm.array.stats.chunk_unpacks
             np.testing.assert_array_equal(
-                zm.select_in_range(lo, hi, superchunk=superchunk), match)
+                select_in_range(zm.array, lo, hi), match)
             if zm.monotone:
                 # The same scans down the compare path decode the same
                 # chunks.
                 zm.monotone = False
                 zm.array.stats.reset()
-                assert zm.count_in_range(lo, hi, superchunk=superchunk) \
-                    == match.size
+                assert count_in_range(zm.array, lo, hi) == match.size
                 assert zm.array.stats.chunk_unpacks == unpacks
                 zm.monotone = True
 
 
     def test_edge_runs_in_one_window_decode_their_hull(self):
-        # The run path decodes what the compare path's window_hulls
-        # does (and what the smartcheck oracle predicts): the hull of
-        # both edge runs, the covered chunk between them included.
+        # The planner's run path decodes what its compare path's
+        # window_hulls does (and what the smartcheck oracle predicts):
+        # the hull of both edge runs, the covered chunk between them
+        # included.
         zm, data = zone_map_of("sorted", 384, _EDGE_RUNS_ONE_WINDOW)
         assert zm.monotone
         lo, hi = 1, 2**64 - 1
@@ -241,7 +244,7 @@ class TestRunBinding:
         for monotone in (True, False):
             zm.monotone = monotone
             zm.array.stats.reset()
-            assert zm.count_in_range(lo, hi) == expected == 128
+            assert count_in_range(zm.array, lo, hi) == expected == 128
             decoded.append(zm.array.stats.chunk_unpacks)
         assert decoded == [3, 3]
 

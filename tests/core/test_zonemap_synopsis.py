@@ -13,6 +13,7 @@ import pytest
 from repro.check.oracle import hull_decoded
 from repro.core import allocate
 from repro.core.bitpack import max_bits_needed
+from repro.core.scan_ops import count_in_range, select_in_range
 from repro.core.table import SmartTable
 from repro.core.zonemap import (HULL_CALL_CHUNKS, MAX_SUM_BITS, ZoneMap,
                                 chunk_rows, window_hulls)
@@ -258,28 +259,33 @@ class TestFragmentation:
 
     def test_scattered_candidates_decode_one_call_per_superchunk(self):
         # A uniform column: ``v < k`` keeps scattered chunks, which the
-        # zone-map scans read one superchunk hull per call.
+        # scans read one hull per fragmented morsel, so in at most one
+        # call per superchunk.
         rng = np.random.default_rng(11)
         n = 64 * 4096
         values = rng.integers(0, 1 << 20, n).astype(np.uint64)
         array = allocate(n, bits=20, values=values)
-        zm = ZoneMap.from_values(array, values)
+        array.zone_map = ZoneMap.from_values(array, values)
         calls = []
-        decode = array.decode_chunks
 
-        def counted(first, count, **kwargs):
-            calls.append(count)
-            return decode(first, count, **kwargs)
+        def counted(read):
+            def call(first, count, *args, **kwargs):
+                calls.append(count)
+                return read(first, count, *args, **kwargs)
+            return call
 
-        array.decode_chunks = counted
+        reads = ("decode_chunks", "read_chunks")
+        for name in reads:
+            setattr(array, name, counted(getattr(array, name)))
         try:
             for k in (10_000, 50_000):
                 del calls[:]
                 np.testing.assert_array_equal(
-                    zm.select_in_range(0, k), np.flatnonzero(values < k))
-                assert len(calls) <= 64  # superchunks of 64 chunks
+                    select_in_range(array, 0, k), np.flatnonzero(values < k))
+                assert 0 < len(calls) <= 64  # superchunks of 64 chunks
                 del calls[:]
-                assert zm.count_in_range(0, k) == int((values < k).sum())
-                assert len(calls) <= 64
+                assert count_in_range(array, 0, k) == int((values < k).sum())
+                assert 0 < len(calls) <= 64
         finally:
-            del array.decode_chunks
+            for name in reads:
+                delattr(array, name)

@@ -145,8 +145,14 @@ class TestApiGuideSnippets:
         assert count_in_range(enc, 4, 5) == 1
         rle = encode_array(np.array([7, 7, 8], dtype=np.uint64), "rle")
         assert sum_range(rle) == 22
-        zm = ZoneMap.build(allocate(64, bits=8, values=np.arange(64)))
-        assert zm.count_in_range(0, 10) == 10
+        # "Selection scans and zone maps".
+        sa = allocate(130, bits=8, values=np.arange(130))
+        zm = sa.zone_map = ZoneMap.build(sa)
+        sa.stats.reset()
+        assert count_in_range(sa, 0, 10) == 10
+        assert sa.stats.chunk_unpacks == 1  # chunks 1 and 2 pruned
+        assert zm.candidate_chunks(0, 10).tolist() == [0]
+        assert zm.synopsis("sum", (1, 3)) == sum(range(64, 130))
 
     def test_adaptivity_forms(self):
         from repro.adapt import (
